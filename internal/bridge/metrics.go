@@ -57,6 +57,8 @@ func (b *Bridge) Instrument(reg *metrics.Registry, ls metrics.Labels) {
 		func() float64 { return float64(s.KernelTime) })
 	reg.SampleGauge("ab_bridge_cpu_utilization", "node CPU busy fraction of elapsed virtual time (0-1)", ls,
 		func() float64 { return netsim.Utilization(b.cpu.Busy, netsim.Duration(b.sim.Now())) })
+	reg.SampleGauge("ab_bridge_cpu_runq_depth", "frames and timers queued for the node CPU, the one in service included", ls,
+		func() float64 { return float64(b.cpu.Backlog()) })
 	reg.SampleGauge("ab_bridge_tx_queue_depth", "frames backed up across the bridge's transmit queues", ls,
 		func() float64 {
 			depth := 0

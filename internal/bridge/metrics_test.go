@@ -118,6 +118,22 @@ func TestInstrumentMirrorsStatsAndManager(t *testing.T) {
 	if !ok || util < 0 || util > 1 {
 		t.Errorf("cpu utilization = %v (ok=%v), want within [0,1]", util, ok)
 	}
+
+	// The run queue drained with the run, and holds a burst while it
+	// waits for the CPU.
+	check("ab_bridge_cpu_runq_depth", 0)
+	r.sim.Schedule(r.sim.Now()+1, func() {
+		for i := 0; i < 5; i++ {
+			r.sendFrom1(t, r.n2.MAC, 256)
+		}
+	})
+	r.run(300 * netsim.Microsecond)
+	reg.Publish()
+	snap = reg.Snapshot()
+	if got := r.b.CPU().Backlog(); got < 2 {
+		t.Fatalf("CPU backlog mid-burst = %d, want the burst queued", got)
+	}
+	check("ab_bridge_cpu_runq_depth", float64(r.b.CPU().Backlog()))
 }
 
 // TestManagerLifecycleCounters pins the Manager's operation accounting

@@ -375,7 +375,7 @@ func (c *Coordinator) post(ch *xchan, m xmsg) {
 // they cannot run this window, so they cannot send this window.
 func (c *Coordinator) horizon(s *Sim) Time {
 	nl := maxTime
-	if k, ok := s.peekKey(); ok && k.before(&c.windowEnd) {
+	if k, ok := s.peekKey(); ok && k.before(c.windowEnd) {
 		nl = k.at
 	}
 	for _, ch := range c.in[s.shard] {
@@ -475,15 +475,17 @@ func (c *Coordinator) drainInto(s *Sim) bool {
 			m := ch.q[ch.head]
 			ch.q[ch.head] = xmsg{}
 			ch.head++
+			idx, p := s.queue.alloc(m.trace)
+			at := m.arrive
 			if ch.req {
 				// Execute owner-side at the remote's send instant, ordered
 				// as the remote's generating event would have been.
-				s.queue.push(eventKey{at: m.gen, genAt: m.genAt, src: int32(ch.src), seq: m.seq},
-					eventPayload{bfn: m.nic.xport.sendFn, raw: m.raw, trace: m.trace})
+				at = m.gen
+				p.kind, p.bfn, p.raw, p.cpu = evBytes, m.nic.xport.sendFn, m.raw, nil
 			} else {
-				s.queue.push(eventKey{at: m.arrive, genAt: m.genAt, src: int32(ch.src), seq: m.seq},
-					eventPayload{nic: m.nic, raw: m.raw, trace: m.trace})
+				p.kind, p.nic, p.raw = evDeliver, m.nic, m.raw
 			}
+			s.queue.push(eventKey{at: at, genAt: m.genAt, seq: m.seq, eventRef: eventRef{src: int32(ch.src), idx: idx}})
 			inserted = true
 		}
 		ch.updateHeadR()
@@ -505,7 +507,7 @@ func (c *Coordinator) drainInto(s *Sim) bool {
 func (c *Coordinator) step(s *Sim, lw []Time, w eventKey) bool {
 	c.drainInto(s)
 	k, ok := s.peekKey()
-	if !ok || !k.before(&w) {
+	if !ok || !k.before(w) {
 		return false
 	}
 	c.lowWaters(lw)
@@ -513,10 +515,9 @@ func (c *Coordinator) step(s *Sim, lw []Time, w eventKey) bool {
 		return false
 	}
 	c.nextLocal[s.shard].Store(int64(k.at))
-	at, e := s.queue.pop()
-	s.now, s.lastAt, s.curGenAt = at, at, k.genAt
-	s.curTrace = e.trace
-	n := uint64(e.dispatch())
+	s.queue.pop()
+	s.now, s.lastAt, s.curGenAt = k.at, k.at, k.genAt
+	n := uint64(s.dispatch(k.idx))
 	s.executed += n
 	if c.cap != 0 && c.executedA.Add(n)-c.capBase >= c.cap {
 		c.halt()
@@ -576,7 +577,7 @@ func (c *Coordinator) windowLoop(s *Sim) {
 // in-window activity is strictly past the window instant (so anything it
 // still sends is ordered into the next window).
 func (c *Coordinator) windowDone(s *Sim, lw []Time, w eventKey) bool {
-	if k, ok := s.peekKey(); ok && k.before(&w) {
+	if k, ok := s.peekKey(); ok && k.before(w) {
 		return false
 	}
 	for _, ch := range c.in[s.shard] {
@@ -595,7 +596,7 @@ func (c *Coordinator) stepReady(s *Sim, lw []Time, w eventKey) bool {
 		}
 	}
 	k, ok := s.peekKey()
-	return ok && k.before(&w) && k.at < c.bound(lw, s.shard)
+	return ok && k.before(w) && k.at < c.bound(lw, s.shard)
 }
 
 // publishLocked is publish with the coordinator mutex already held.
@@ -617,7 +618,7 @@ func (c *Coordinator) runWindow(w eventKey) {
 	// Fast path: nothing to do anywhere.
 	work := false
 	for _, s := range c.shards {
-		if k, ok := s.peekKey(); ok && k.before(&w) {
+		if k, ok := s.peekKey(); ok && k.before(w) {
 			work = true
 			break
 		}
@@ -682,7 +683,7 @@ func (c *Coordinator) run(until Time) uint64 {
 		// ordered before it (including same-instant events scheduled
 		// earlier in virtual time) run first, then the control event
 		// executes alone at a global barrier.
-		w := eventKey{at: until, genAt: maxTime, src: int32(len(c.shards)), seq: ^uint64(0)}
+		w := eventKey{at: until, genAt: maxTime, seq: ^uint64(0), eventRef: eventRef{src: int32(len(c.shards))}}
 		hasCtl := false
 		if k, ok := c.control.peekKey(); ok && k.at <= until {
 			w, hasCtl = k, true
@@ -702,10 +703,9 @@ func (c *Coordinator) run(until Time) uint64 {
 			}
 			s.curGenAt = w.genAt
 		}
-		at, e := c.control.queue.pop()
-		c.control.now, c.control.lastAt, c.control.curGenAt = at, at, w.genAt
-		c.control.curTrace = e.trace
-		n := uint64(e.dispatch())
+		c.control.queue.pop()
+		c.control.now, c.control.lastAt, c.control.curGenAt = w.at, w.at, w.genAt
+		n := uint64(c.control.dispatch(w.idx))
 		c.control.executed += n
 		c.executedA.Add(n)
 		if c.cap != 0 && c.executedTotal()-start >= c.cap {
@@ -767,7 +767,8 @@ type ShardStats struct {
 	LastEventAge Duration
 	// Executed counts events this shard has executed since creation.
 	Executed uint64
-	// HeapDepth is the shard's pending event count.
+	// HeapDepth is the shard's event-heap depth (jobs parked in CPU
+	// lanes are not heap entries; see CPU.Backlog).
 	HeapDepth int
 	// MailboxBacklog counts cross-shard messages queued toward this
 	// shard that have not yet been folded into its heap.
@@ -812,11 +813,12 @@ func (c *Coordinator) executedTotal() uint64 {
 	return n + c.control.executed
 }
 
-// Pending reports queued events plus undelivered cross messages.
+// Pending reports events not yet executed (heap entries and jobs parked
+// in CPU lanes) plus undelivered cross messages.
 func (c *Coordinator) Pending() int {
-	n := c.control.queue.len()
+	n := c.control.queue.len() + c.control.parked
 	for _, s := range c.shards {
-		n += s.queue.len()
+		n += s.queue.len() + s.parked
 	}
 	c.mu.Lock()
 	for _, row := range c.chans {

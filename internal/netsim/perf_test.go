@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/switchware/activebridge/internal/ethernet"
@@ -88,8 +89,40 @@ func TestHeapOrderingRandomized(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueue measures raw scheduler throughput: push/pop of a
-// churning event population.
+// TestCPUBacklogZeroAllocs is the same budget for the CPU run queue: with
+// 32 jobs outstanding, submitting one and completing one — a lane append,
+// a promotion into the heap, a dispatch from the payload slab — does zero
+// Go-heap work once the lane, heap and slab are warm.
+func TestCPUBacklogZeroAllocs(t *testing.T) {
+	sim := New()
+	cpu := NewCPU(sim)
+	completed := 0
+	fn := func([]byte) { completed++ }
+	raw := make([]byte, 64)
+	for i := 0; i < 32; i++ {
+		cpu.ExecBytes(100, fn, raw)
+	}
+	sim.MaxEvents = 1
+	cycle := func() {
+		cpu.ExecBytes(100, fn, raw)
+		sim.Run(maxTime)
+	}
+	for i := 0; i < 256; i++ { // past the lane's first compaction
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+		t.Fatalf("CPU backlog submit/complete allocs/cycle = %v, want 0", allocs)
+	}
+	if cpu.Backlog() != 32 || sim.QueueLen() != 1 || completed == 0 {
+		t.Fatalf("Backlog=%d QueueLen=%d completed=%d, want 32/1/>0", cpu.Backlog(), sim.QueueLen(), completed)
+	}
+}
+
+// BenchmarkEventQueue measures raw scheduler throughput on a monotone
+// hold model: every push is the farthest event, so the push is free and
+// only the pop sifts. It is the opposite of forwarding traffic — see
+// BenchmarkEventCoreSaturatedCPU for that — and stays as the generic
+// deep-heap reference.
 func BenchmarkEventQueue(b *testing.B) {
 	sim := New()
 	fn := func() {}
@@ -103,6 +136,47 @@ func BenchmarkEventQueue(b *testing.B) {
 		sim.Schedule(sim.Now()+Time(1024), fn)
 		sim.MaxEvents = 1
 		sim.Run(sim.Now() + 1<<40)
+	}
+}
+
+// BenchmarkEventCoreSaturatedCPU reproduces the event mix measured on a
+// saturated bridge (fwd-stream, fabric-serial): one event in seven is a
+// CPU completion a whole backlog of service times away, the other six
+// are the frame's wire and NIC hops, each a few service-time fractions
+// out. One op is one frame: the completion resubmits to keep the backlog
+// standing and starts the six-hop chain.
+func BenchmarkEventCoreSaturatedCPU(b *testing.B) {
+	for _, backlog := range []int{32, 1024} {
+		b.Run(fmt.Sprintf("backlog%d", backlog), func(b *testing.B) {
+			const service = Duration(650_000) // ~1530 frames/s, as the paper's bridge
+			sim := New()
+			cpu := NewCPU(sim)
+			raw := make([]byte, 1024)
+			frames := 0
+			var hop func([]byte)
+			hops := 0
+			hop = func(raw []byte) {
+				if hops++; hops%6 != 0 {
+					sim.ScheduleBytes(sim.Now().Add(service/10), hop, raw)
+				}
+			}
+			var complete func([]byte)
+			complete = func(raw []byte) {
+				if frames++; frames+backlog <= b.N {
+					cpu.ExecBytes(service, complete, raw)
+				}
+				sim.ScheduleBytes(sim.Now().Add(service/10), hop, raw)
+			}
+			for i := 0; i < backlog && i < b.N; i++ {
+				cpu.ExecBytes(service, complete, raw)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			sim.RunAll()
+			if frames != b.N {
+				b.Fatalf("completed %d frames, want %d", frames, b.N)
+			}
+		})
 	}
 }
 

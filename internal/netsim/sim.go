@@ -46,19 +46,42 @@ var ErrPastEvent = errors.New("netsim: event scheduled in the past")
 // carries the virtual instant it was scheduled there, and lands between
 // local events exactly where the serial engine would have sequenced it,
 // however the wall clock interleaved the shards.
+//
+// The key is four register-sized fields (the two 32-bit ones share a
+// word as an embedded struct) because that is what lets the compiler
+// keep one in registers: a fifth field would send every key passed or
+// returned by value through a stack temporary.
 type eventKey struct {
 	at    Time
 	genAt Time
 	seq   uint64
-	src   int32
-	idx   int32
+	eventRef
 }
 
-// before reports strict ordering of heap keys.
-func (k *eventKey) before(o *eventKey) bool {
+// eventRef is the last word of an eventKey: the scheduling engine's rank
+// (an ordering field) and the payload's slab index (not one).
+type eventRef struct {
+	src int32
+	idx int32
+}
+
+// before reports strict ordering of heap keys. It takes both keys by
+// value so that a caller's key can stay in registers, and nearly every
+// comparison resolves on the execution instant, so that test is what
+// inlines into the sift loops; the tie-break stays out of line.
+func (k eventKey) before(o eventKey) bool {
 	if k.at != o.at {
 		return k.at < o.at
 	}
+	return k.tieBefore(o)
+}
+
+// tieBefore orders two keys with equal execution instants. It must not
+// inline: folded into before, it would push before itself past the
+// compiler's inlining budget and put a call into every sift step.
+//
+//go:noinline
+func (k eventKey) tieBefore(o eventKey) bool {
 	if k.genAt != o.genAt {
 		return k.genAt < o.genAt
 	}
@@ -68,37 +91,65 @@ func (k *eventKey) before(o *eventKey) bool {
 	return k.seq < o.seq
 }
 
+// evKind says which of an eventPayload's operands a dispatch uses.
+type evKind uint8
+
+const (
+	evFunc    evKind = iota // fn()
+	evBytes                 // bfn(raw)
+	evDeliver               // nic.deliver(raw)
+	evSegment               // seg.deliverLocal(nic, raw, nn, dup)
+)
+
 // eventPayload holds what a scheduled event does. Frame deliveries (nic +
 // raw) and single-[]byte callbacks (bfn + raw) — the overwhelming majority
 // of events in a forwarding simulation — are represented inline instead of
-// as closures, so scheduling one does not allocate. Payload slots are
-// recycled through a free list.
+// as closures, so scheduling one does not allocate. A payload lives in one
+// slab slot from scheduling to dispatch: the Schedule helpers fill the
+// slot in place (only the operands of their kind — a recycled slot keeps
+// whatever else it last held, which kind makes unreachable) and dispatch
+// reads it there, so the struct is never copied. Slots are recycled
+// through a free list.
 type eventPayload struct {
 	fn  func()
 	bfn func([]byte)
-	nic *NIC // when non-nil, the event is nic.deliver(raw)
+	nic *NIC // evDeliver: the receiver; evSegment: the transmitter
 	raw []byte
-	// seg, when non-nil, makes this a batched same-instant delivery of raw
-	// to the first nn locally attached NICs of seg except nic (the
-	// transmitter), in attach order; dup delivers each copy twice. One
-	// such event replaces a run of per-NIC delivery events that would all
-	// carry the same (at, genAt, src) and consecutive seqs — nothing can
-	// order between them — so dispatch order is serial-identical.
+	// seg makes an evSegment event a batched same-instant delivery of raw
+	// to the first nn locally attached NICs of seg except nic, in attach
+	// order; dup delivers each copy twice. One such event replaces a run
+	// of per-NIC delivery events that would all carry the same (at, genAt,
+	// src) and consecutive seqs — nothing can order between them — so
+	// dispatch order is serial-identical.
 	seg *Segment
-	nn  int32
-	dup bool
+	// cpu, on an evFunc or evBytes event, marks the completion of a job on
+	// that CPU: dispatching it first promotes the CPU's next parked job
+	// into the heap (see CPU). Nil for every other event.
+	cpu *CPU
 	// trace is the causal trace context captured when the event was
 	// scheduled and restored as the ambient context when it dispatches,
 	// which is how a trace ID follows a frame through every scheduled
 	// hop without any callback signature changing. Zero means untraced.
 	trace uint64
+	nn    int32
+	dup   bool
+	kind  evKind
 }
 
-// eventQueue is an index-addressed 4-ary min-heap of keys ordered by
-// (at, seq), stored by value: pushing and popping never boxes through
+// eventQueue is an index-addressed 4-ary min-heap of eventKeys in the
+// full (at, genAt, src, seq) order, stored by value beside a slab of
+// payloads the keys index: pushing and popping never boxes through
 // interface{} and never allocates per event (the backing arrays grow
 // amortized and are reused). A 4-ary layout does fewer, cache-friendlier
-// levels than the binary container/heap it replaces.
+// levels than the binary container/heap it replaces. Both sifts move a
+// hole instead of swapping: one 32-byte key move per level, and the
+// travelling key is written once, where it lands.
+//
+// Only work whose order is not already known goes through the heap. A
+// busy CPU's backlog is FIFO by construction, so it waits in the CPU's
+// own lane and the heap holds one entry per CPU, the job in service (see
+// CPU) — the same split a NIC makes between its transmit queue and its
+// one drain event.
 type eventQueue struct {
 	keys     []eventKey
 	payloads []eventPayload
@@ -107,8 +158,9 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.keys) }
 
-// push schedules a payload under the given key, sifting up.
-func (q *eventQueue) push(k eventKey, p eventPayload) {
+// alloc reserves a payload slot, stamped with the trace context the event
+// will dispatch under, for the caller to fill in place.
+func (q *eventQueue) alloc(trace uint64) (int32, *eventPayload) {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -117,32 +169,54 @@ func (q *eventQueue) push(k eventKey, p eventPayload) {
 		idx = int32(len(q.payloads))
 		q.payloads = append(q.payloads, eventPayload{})
 	}
-	q.payloads[idx] = p
-	k.idx = idx
+	p := &q.payloads[idx]
+	p.trace = trace
+	return idx, p
+}
 
+// release returns a dispatched event's slot to the free list. Only the
+// per-event references are dropped — the frame buffer, the bulk of
+// retainable memory, and a one-shot closure. What remains (NIC, segment,
+// CPU, cached callbacks) is small, long-lived and retained by the
+// topology anyway, and scrubbing the whole slot would cost a
+// write-barrier sweep on every event.
+func (q *eventQueue) release(idx int32) {
+	p := &q.payloads[idx]
+	p.raw = nil
+	p.fn = nil
+	q.free = append(q.free, idx)
+}
+
+// push inserts a key whose payload slot is already filled, sifting the
+// hole it opens at the bottom up to where k belongs.
+func (q *eventQueue) push(k eventKey) {
 	q.keys = append(q.keys, k)
 	h := q.keys
 	i := len(h) - 1
 	for i > 0 {
 		par := (i - 1) / 4
-		if h[par].before(&h[i]) {
+		if !k.before(h[par]) {
 			break
 		}
-		h[i], h[par] = h[par], h[i]
+		h[i] = h[par]
 		i = par
 	}
+	h[i] = k
 }
 
-// pop removes the minimum event and returns its payload. The payload slot
-// is released back to the free list; the returned copy stays valid.
-func (q *eventQueue) pop() (Time, eventPayload) {
+// pop removes and returns the minimum key, sifting the hole it leaves at
+// the root down to where the former last key belongs. The payload stays
+// in its slot until the caller has dispatched and released it.
+func (q *eventQueue) pop() eventKey {
 	h := q.keys
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h = h[:n]
 	q.keys = h
-	// Sift down.
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		first := 4*i + 1
@@ -150,29 +224,23 @@ func (q *eventQueue) pop() (Time, eventPayload) {
 			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
-			if h[c].before(&h[min]) {
+		for c := first + 1; c < end; c++ {
+			if h[c].before(h[min]) {
 				min = c
 			}
 		}
-		if h[i].before(&h[min]) {
+		if !h[min].before(last) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
 		i = min
 	}
-	p := q.payloads[top.idx]
-	// Release only the frame buffer — the bulk of retainable memory. The
-	// remaining references (NIC, segment, cached callbacks) are small,
-	// long-lived objects retained by the topology anyway, and scrubbing
-	// the whole slot would cost a write-barrier sweep on every pop.
-	q.payloads[top.idx].raw = nil
-	q.free = append(q.free, top.idx)
-	return top.at, p
+	h[i] = last
+	return top
 }
 
 // Sim is a discrete-event simulation engine. The zero value is not
@@ -182,6 +250,9 @@ type Sim struct {
 	now    Time
 	queue  eventQueue
 	nextID uint64
+	// parked counts jobs waiting in CPU lanes: scheduled, keyed and counted
+	// by Pending, but not yet heap entries.
+	parked int
 	// Halted is set by Stop and ends Run early.
 	halted bool
 	// MaxEvents guards runaway simulations (e.g. broadcast storms in the
@@ -238,8 +309,9 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Executed() uint64 { return s.executed }
 
 // QueueLen reports this engine's own heap depth (unlike Pending, it
-// never aggregates across a sharded simulation). Read it only from the
-// engine's goroutine or at quiescent points.
+// never aggregates across a sharded simulation, and it leaves out jobs
+// parked in CPU lanes — see CPU.Backlog for those). Read it only from
+// the engine's goroutine or at quiescent points.
 func (s *Sim) QueueLen() int { return s.queue.len() }
 
 // OnQuiesce registers fn to run at every quiescent point: after each
@@ -275,22 +347,32 @@ func (s *Sim) TraceEngine() *tracing.Engine { return s.trc }
 // dispatching on this engine — zero when untraced.
 func (s *Sim) CurTrace() uint64 { return s.curTrace }
 
-// clampPast guards against scheduling strictly in the past: the event is
+// pastEvent handles an event scheduled strictly in the past: it is
 // clamped to run at the current instant (after already pending events for
 // that instant), or panics in StrictPast mode. Sharded execution depends
 // on this invariant: a conservative shard clock never runs backwards, so
 // an event scheduled behind now is always a causality bug in the caller.
-func (s *Sim) clampPast(at Time) Time {
-	if at < s.now {
-		if s.StrictPast {
-			if s.trc != nil {
-				s.trc.DumpFlight("invariant: event scheduled in the past", int64(s.now))
-			}
-			panic(fmt.Errorf("%w: scheduled %v behind %v", ErrPastEvent, at, s.now))
+func (s *Sim) pastEvent(at Time) Time {
+	if s.StrictPast {
+		if s.trc != nil {
+			s.trc.DumpFlight("invariant: event scheduled in the past", int64(s.now))
 		}
-		return s.now
+		panic(fmt.Errorf("%w: scheduled %v behind %v", ErrPastEvent, at, s.now))
 	}
-	return at
+	return s.now
+}
+
+// newEvent mints the ordering key of an event scheduled now for at, and
+// reserves its payload slot, stamped with the ambient trace context. The
+// caller fills in the slot's kind and operands, then pushes the key (or,
+// for a busy CPU, parks it).
+func (s *Sim) newEvent(at Time) (eventKey, *eventPayload) {
+	if at < s.now {
+		at = s.pastEvent(at)
+	}
+	s.nextID++
+	idx, p := s.queue.alloc(s.curTrace)
+	return eventKey{at: at, genAt: s.now, seq: s.nextID, eventRef: eventRef{src: s.rank, idx: idx}}, p
 }
 
 // Schedule runs fn at the given absolute time. Scheduling in the past (or at
@@ -298,36 +380,35 @@ func (s *Sim) clampPast(at Time) Time {
 // pending events for that time (see StrictPast). Events scheduled at the
 // same instant run in scheduling order.
 func (s *Sim) Schedule(at Time, fn func()) {
-	at = s.clampPast(at)
-	s.nextID++
-	s.queue.push(eventKey{at: at, genAt: s.now, src: s.rank, seq: s.nextID}, eventPayload{fn: fn, trace: s.curTrace})
+	k, p := s.newEvent(at)
+	p.kind, p.fn, p.cpu = evFunc, fn, nil
+	s.queue.push(k)
 }
 
 // ScheduleBytes runs fn(raw) at the given absolute time without allocating
 // a closure; fn is typically a callback cached once per component.
 // Ordering is identical to Schedule with the same timestamp.
 func (s *Sim) ScheduleBytes(at Time, fn func([]byte), raw []byte) {
-	at = s.clampPast(at)
-	s.nextID++
-	s.queue.push(eventKey{at: at, genAt: s.now, src: s.rank, seq: s.nextID}, eventPayload{bfn: fn, raw: raw, trace: s.curTrace})
+	k, p := s.newEvent(at)
+	p.kind, p.bfn, p.raw, p.cpu = evBytes, fn, raw, nil
+	s.queue.push(k)
 }
 
 // scheduleDeliver schedules delivery of raw to nic without allocating a
 // closure; ordering is identical to Schedule with the same timestamp.
 func (s *Sim) scheduleDeliver(at Time, nic *NIC, raw []byte) {
-	at = s.clampPast(at)
-	s.nextID++
-	s.queue.push(eventKey{at: at, genAt: s.now, src: s.rank, seq: s.nextID}, eventPayload{nic: nic, raw: raw, trace: s.curTrace})
+	k, p := s.newEvent(at)
+	p.kind, p.nic, p.raw = evDeliver, nic, raw
+	s.queue.push(k)
 }
 
 // scheduleDeliverSeg schedules one batched delivery of raw to every local
 // NIC of g except from (snapshotting the current attachment count — NICs
 // attached later must not see earlier frames).
 func (s *Sim) scheduleDeliverSeg(at Time, g *Segment, from *NIC, raw []byte, dup bool) {
-	at = s.clampPast(at)
-	s.nextID++
-	s.queue.push(eventKey{at: at, genAt: s.now, src: s.rank, seq: s.nextID},
-		eventPayload{seg: g, nic: from, raw: raw, nn: int32(len(g.nics)), dup: dup, trace: s.curTrace})
+	k, p := s.newEvent(at)
+	p.kind, p.seg, p.nic, p.raw, p.nn, p.dup = evSegment, g, from, raw, int32(len(g.nics)), dup
+	s.queue.push(k)
 }
 
 // capped reports whether an event-count cap is in force, either on this
@@ -341,23 +422,34 @@ func (s *Sim) capped() bool {
 	return s.coord != nil && s.coord.control.MaxEvents != 0
 }
 
-// dispatch runs one popped event and returns how many logical events it
-// performed: 1, except for batched segment deliveries, which count one per
-// frame delivery so Executed totals stay serial-identical.
-func (e *eventPayload) dispatch() int {
-	if e.seg != nil {
-		return e.seg.deliverLocal(e.nic, e.raw, e.nn, e.dup)
-	}
-	if e.nic != nil {
+// dispatch runs the popped event whose payload is in slot idx, under its
+// trace context, then releases the slot. It returns how many logical
+// events that was: 1, except for batched segment deliveries, which count
+// one per frame delivery so Executed totals stay serial-identical. The
+// payload is read where it lies; the operands are loaded before the call,
+// so a callback that grows the slab under it is harmless.
+func (s *Sim) dispatch(idx int32) int {
+	e := &s.queue.payloads[idx]
+	s.curTrace = e.trace
+	n := 1
+	switch e.kind {
+	case evSegment:
+		n = e.seg.deliverLocal(e.nic, e.raw, e.nn, e.dup)
+	case evDeliver:
 		e.nic.deliver(e.raw)
-		return 1
-	}
-	if e.bfn != nil {
+	case evBytes:
+		if e.cpu != nil {
+			e.cpu.promote()
+		}
 		e.bfn(e.raw)
-		return 1
+	default:
+		if e.cpu != nil {
+			e.cpu.promote()
+		}
+		e.fn()
 	}
-	e.fn()
-	return 1
+	s.queue.release(idx)
+	return n
 }
 
 // After schedules fn to run d from now.
@@ -384,10 +476,9 @@ func (s *Sim) Run(until Time) uint64 {
 		if s.queue.keys[0].at > until {
 			break
 		}
-		at, e := s.queue.pop()
-		s.now = at
-		s.curTrace = e.trace
-		s.executed += uint64(e.dispatch())
+		k := s.queue.pop()
+		s.now = k.at
+		s.executed += uint64(s.dispatch(k.idx))
 		if s.MaxEvents != 0 && s.executed-start >= s.MaxEvents {
 			break
 		}
@@ -415,10 +506,9 @@ func (s *Sim) RunAll() uint64 {
 	}
 	start := s.executed
 	for s.queue.len() > 0 && !s.halted {
-		at, e := s.queue.pop()
-		s.now = at
-		s.curTrace = e.trace
-		s.executed += uint64(e.dispatch())
+		k := s.queue.pop()
+		s.now = k.at
+		s.executed += uint64(s.dispatch(k.idx))
 		if s.MaxEvents != 0 && s.executed-start >= s.MaxEvents {
 			break
 		}
@@ -428,55 +518,128 @@ func (s *Sim) RunAll() uint64 {
 	return s.executed - start
 }
 
-// Pending reports the number of queued events (across all shards, for an
+// Pending reports the number of events scheduled but not yet executed:
+// heap entries plus jobs parked in CPU lanes (across all shards, for an
 // engine belonging to a sharded simulation).
 func (s *Sim) Pending() int {
 	if s.coord != nil {
 		return s.coord.Pending()
 	}
-	return s.queue.len()
+	return s.queue.len() + s.parked
 }
 
 // CPU models a serially shared processing resource (one per node). Work
 // submitted to the CPU executes in submission order; each item occupies the
 // CPU for its stated cost. This is what turns per-frame software costs into
 // saturation frame-rate limits, the paper's dominant effect.
+//
+// A saturated CPU's backlog is the bulk of a forwarding simulation's
+// pending events, and it is already sorted, so it stays out of the event
+// heap. Every job's completion is minted at submission — full ordering
+// key, trace context, payload slot — but only the job in service is a
+// heap entry. Jobs submitted while one is in service park their keys in
+// the CPU's lane, and each completion, as it dispatches, promotes the
+// next parked key into the heap before running its own callback. An idle
+// CPU pushes straight to the heap and never touches the lane.
+//
+// The lane is sound because one CPU's completion keys are minted in
+// strictly increasing order: busyUntil never decreases (costs are
+// non-negative), the clock and so genAt never run backwards, and seq
+// counts up. A parked job therefore orders after the job in service, and
+// everything popped before that job dispatches orders before both — the
+// heap never misses the parked key, and pop order is exactly that of a
+// heap holding every job.
 type CPU struct {
 	sim       *Sim
 	busyUntil Time
 	// Busy accumulates total occupied time, for utilization reporting.
 	Busy Duration
+
+	// inService is set while a completion of this CPU is a heap entry;
+	// lane[head:] are the keys parked behind it, in submission order.
+	inService bool
+	lane      []eventKey
+	head      int
 }
 
 // NewCPU creates a CPU bound to the simulation clock.
 func NewCPU(sim *Sim) *CPU { return &CPU{sim: sim} }
 
-// Exec schedules fn to run after the CPU has been held for cost, queueing
-// behind earlier work. It returns the completion time.
-func (c *CPU) Exec(cost Duration, fn func()) Time {
-	start := c.sim.Now()
+// occupy books cost on the CPU behind earlier work and returns the
+// completion time.
+func (c *CPU) occupy(cost Duration) Time {
+	if cost < 0 {
+		panic(fmt.Sprintf("netsim: negative CPU cost %v", cost))
+	}
+	start := c.sim.now
 	if c.busyUntil > start {
 		start = c.busyUntil
 	}
 	done := start.Add(cost)
 	c.busyUntil = done
 	c.Busy += cost
-	c.sim.Schedule(done, fn)
 	return done
+}
+
+// submit enters a completion whose payload slot is filled: into the heap
+// when the CPU is idle, into the lane behind the job in service otherwise.
+func (c *CPU) submit(k eventKey) {
+	if !c.inService {
+		c.inService = true
+		c.sim.queue.push(k)
+		return
+	}
+	c.lane = append(c.lane, k)
+	c.sim.parked++
+}
+
+// promote runs as a completion of this CPU dispatches, before its
+// callback: the next parked job, if any, becomes the heap entry, under
+// the key it was submitted with.
+func (c *CPU) promote() {
+	if c.head == len(c.lane) {
+		c.inService = false
+		return
+	}
+	k := c.lane[c.head]
+	c.head++
+	if c.head == len(c.lane) {
+		c.lane, c.head = c.lane[:0], 0
+	} else if c.head >= 64 && 2*c.head >= len(c.lane) {
+		// Under a backlog that never drains, reclaim the consumed half so
+		// the backing array is bounded by the backlog, not the run length.
+		c.lane, c.head = c.lane[:copy(c.lane, c.lane[c.head:])], 0
+	}
+	c.sim.parked--
+	c.sim.queue.push(k)
+}
+
+// Exec schedules fn to run after the CPU has been held for cost, queueing
+// behind earlier work. It returns the completion time.
+func (c *CPU) Exec(cost Duration, fn func()) Time {
+	k, p := c.sim.newEvent(c.occupy(cost))
+	p.kind, p.fn, p.cpu = evFunc, fn, c
+	c.submit(k)
+	return k.at
 }
 
 // ExecBytes is Exec for a cached func([]byte) callback: scheduling the
 // completion does not allocate a closure.
 func (c *CPU) ExecBytes(cost Duration, fn func([]byte), raw []byte) Time {
-	start := c.sim.Now()
-	if c.busyUntil > start {
-		start = c.busyUntil
+	k, p := c.sim.newEvent(c.occupy(cost))
+	p.kind, p.bfn, p.raw, p.cpu = evBytes, fn, raw, c
+	c.submit(k)
+	return k.at
+}
+
+// Backlog reports the CPU's run queue: jobs submitted whose completion
+// has not yet dispatched, the one in service included.
+func (c *CPU) Backlog() int {
+	n := len(c.lane) - c.head
+	if c.inService {
+		n++
 	}
-	done := start.Add(cost)
-	c.busyUntil = done
-	c.Busy += cost
-	c.sim.ScheduleBytes(done, fn, raw)
-	return done
+	return n
 }
 
 // Hold occupies the CPU for cost without a completion callback.
