@@ -8,8 +8,7 @@
 //	swc -builtin learning -o l.swo  emit a bundled switchlet
 //	swc -d file.swo                 disassemble an object file
 //	swc -d -O1 file.swo             ... including the quickened form
-//	swc -d -O1 file.swl             compile in-process and disassemble the
-//	                                trusted quickened form (untagged loops)
+//	swc -d -O1 file.swl             compile in-process and disassemble
 //	swc -sig file.swl               print the inferred export signature
 //	swc -env                        list the available module signatures
 //	swc -verify file.swl|file.swo   run the load-time static verifier
@@ -17,11 +16,10 @@
 //
 // -verify replays exactly the proof a node performs before linking: the
 // wire bytecode is decoded and checked (control-flow integrity, stack
-// discipline, typed optimizer metadata, capture bounds), and at -O1 the
-// object is additionally quickened under the loader's hostile rule set and
-// the quickened stream — superinstruction operands, deopt source map, step
-// weights — is proven too. Exit status 1 with the typed diagnostic on any
-// rejection.
+// discipline, type soundness, capture bounds), and at -O1 the object is
+// additionally quickened as the loader would and the quickened stream —
+// superinstruction operands, deopt source map, step weights — is proven
+// too. Exit status 1 with the typed diagnostic on any rejection.
 //
 // -O0, -O1 and -O2 select the optimization level (default -O1). The .swo
 // wire format is identical at every level — quickening and translation are
@@ -55,14 +53,12 @@ func main() {
 		sigOnly = flag.Bool("sig", false, "type check and print the export signature only")
 		envList = flag.Bool("env", false, "list the node environment's module signatures")
 		builtin = flag.String("builtin", "", "emit a bundled switchlet: dumb|learning|spanning|dec|control|spanbug")
-		ports   = flag.Int("ports", 4, "number of ports of the target node (affects nothing statically; reserved)")
 		o0      = flag.Bool("O0", false, "compile/disassemble the naive bytecode only")
-		o1      = flag.Bool("O1", false, "quicken: superinstructions, inline caches, untagged loops (default; wire bytes are identical)")
+		o1      = flag.Bool("O1", false, "quicken: superinstructions and inline caches (default; wire bytes are identical)")
 		o2      = flag.Bool("O2", false, "additionally translate chunks to cached Go closures, as a -O2 node would; -d prints the translation summary")
 		verifyF = flag.Bool("verify", false, "run the load-time static verifier on a source, object file or builtin")
 	)
 	flag.Parse()
-	_ = ports
 	if (*o0 && *o1) || (*o0 && *o2) || (*o1 && *o2) {
 		fatal("-O0, -O1 and -O2 are mutually exclusive")
 	}
@@ -154,8 +150,6 @@ func main() {
 		arg := flag.Arg(0)
 		var obj *vm.Object
 		if strings.EqualFold(filepath.Ext(arg), ".swl") {
-			// Compile in-process: the trusted path, so -O1 shows the full
-			// quickened form including type-directed untagged loops.
 			src, err := os.ReadFile(arg)
 			if err != nil {
 				fatal("%v", err)
@@ -181,8 +175,7 @@ func main() {
 			if err := obj.Verify(); err != nil {
 				fmt.Fprintf(os.Stderr, "warning: %v\n", err)
 			} else if optLevel > 0 {
-				// Decoded objects are untrusted: quicken in hostile mode,
-				// exactly as the loader would.
+				// Quicken exactly as the loader would.
 				vm.OptimizeObject(obj, false)
 			}
 		}
@@ -252,8 +245,8 @@ func builtinSource(key string) (name, src string, ok bool) {
 }
 
 // verifyWire replays the load-time proof on the wire bytes: decode, verify
-// the wire stream, and at -O1 quicken a second fresh decode under the
-// loader's hostile rule set and verify the quickened stream as well.
+// the wire stream, and at -O1 quicken a second fresh decode as the loader
+// would and verify the quickened stream as well.
 func verifyWire(target string, enc []byte, optLevel int) {
 	fresh, err := vm.DecodeObject(enc)
 	if err != nil {

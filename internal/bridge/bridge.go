@@ -197,21 +197,19 @@ func IdentityMAC(id byte) ethernet.MAC {
 	return ethernet.MAC{0x02, 0xbb, 0x00, 0x00, id, 0x00}
 }
 
-// New creates a bridge with the given number of ports. MACs are derived
-// from the id byte (IdentityMAC) and ports share the identity address
-// (transparent bridges do not source data frames).
 // DefaultOptLevel is the switchlet optimization level new bridges adopt
 // (0 naive bytecode, 1 quickened, 2 translated-to-Go-closures). Virtual
 // time is identical at every level; the knob exists so benchmarks and
-// differential tests can measure the tiers against each other. Set it
-// before constructing bridges — it is read once per New and not
-// synchronized.
+// differential tests can measure the tiers against each other. New copies
+// it into the bridge's loader once, so a change affects only bridges
+// constructed afterwards. Not synchronized: set it between runs.
 var DefaultOptLevel = 2
 
 // DisableFlowCache turns off the per-destination demux cache on every
 // bridge (a differential-testing knob: cached and uncached runs must be
-// byte-identical). Like DefaultOptLevel it is read per frame and not
-// synchronized; toggle it only between runs.
+// byte-identical). Unlike DefaultOptLevel it is read on every frame, so a
+// change affects existing bridges too. Not synchronized: toggle it only
+// between runs.
 var DisableFlowCache = false
 
 // flowCacheLen is the direct-mapped flow cache size (power of two). Small
@@ -239,6 +237,9 @@ func flowIdx(dst ethernet.MAC) uint64 {
 // epochs, mirroring the VM-side cache flushes.
 func (b *Bridge) FlushFlowCache() { b.flowGen++ }
 
+// New creates a bridge with the given number of ports. MACs are derived
+// from the id byte (IdentityMAC) and ports share the identity address
+// (transparent bridges do not source data frames).
 func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostModel) *Bridge {
 	b := &Bridge{
 		Name:        name,
@@ -1048,7 +1049,7 @@ func (b *Bridge) LoadObjectBytes(data []byte) error {
 }
 
 // LoadDecodedObject links an already decoded switchlet object — typically
-// the process-wide cache's shared, trusted-mode-quickened form — charging
+// the process-wide cache's shared, verified and quickened form — charging
 // the same evaluation cost as LoadObjectBytes without re-decoding.
 func (b *Bridge) LoadDecodedObject(obj *vm.Object) error {
 	steps0, alloc0 := b.Machine.Steps, b.Machine.AllocBytes

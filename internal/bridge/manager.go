@@ -92,8 +92,8 @@ func (m *Manager) Bridge() *Bridge { return m.b }
 // object without touching the node's namespace. The returned name is the
 // module name — sw.Name, or the object's own module name when the
 // manifest left Name empty. obj is the decoded form ready for linking:
-// for source installs it is the process-wide cached object carrying the
-// compiler's trusted-mode quickening, shared across bridges.
+// for source installs it is the process-wide cached object, verified and
+// quickened once and shared across bridges.
 //
 // Every path runs the full static proof (verify.Manifest) before any VM
 // state for the module exists: precompiled objects are rejected with a

@@ -29,14 +29,14 @@ type objectCacheKey struct {
 	srcSum  [32]byte
 	env     string
 	// optLevel separates entries per compiler tier: a level-1 entry's obj
-	// is trusted-quickened, a level-0 entry's is naive bytecode, and the
-	// two must never be shared — a bridge running -O0 linking a quickened
+	// is quickened, a level-0 entry's is naive bytecode, and the two must
+	// never be shared — a bridge running -O0 linking a quickened
 	// object would silently reintroduce the optimizer it asked to disable.
 	optLevel int
 	// verified separates entries produced under the static-verification
 	// regime: an entry whose shared obj earned its verified bit must never
 	// be answered to (or overwritten by) a caller that skipped the proof,
-	// and vice versa — the trusted-mode quickening rides on that bit.
+	// and vice versa.
 	verified bool
 }
 
@@ -44,23 +44,21 @@ type objectCacheEntry struct {
 	name    string
 	enc     []byte
 	imports []string
-	// obj is the compiler's decoded form, already quickened in trusted
-	// mode (type-proven untagged fast paths included). Installing links
-	// this shared object directly, skipping the encode/decode round trip
-	// that would discard the typing proof. Object and its chunks are
+	// obj is the compiler's decoded form, already verified and quickened.
+	// Installing links this shared object directly, skipping a decode,
+	// verification and quickening per install. Object and its chunks are
 	// immutable after optimization; per-bridge state (globals, inline
 	// caches) lives in each LinkedModule.
 	obj *vm.Object
 	// verified records that vm.VerifyObject accepted obj before it was
-	// cached; decoded() refuses to share the trusted form without it.
+	// cached; decoded() refuses to share the object without it.
 	verified bool
 }
 
 // decoded returns the shared, verifier-passed object, or — if the entry
 // somehow holds an unverified one — a fresh decode of the wire bytes, which
-// the loader will re-verify and quicken under the hostile rule set. Only
-// verifier-passed objects may carry trusted-mode optimization between
-// bridges.
+// the loader will verify and quicken itself. Only verifier-passed objects
+// are shared between bridges.
 func (e *objectCacheEntry) decoded() (*vm.Object, error) {
 	if e.verified && e.obj != nil && e.obj.Verified() {
 		return e.obj, nil

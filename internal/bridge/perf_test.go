@@ -100,19 +100,30 @@ func TestUnicastFastPathStillHonorsDstHandlers(t *testing.T) {
 	}
 }
 
+// peekForwardSwitchlet is forwardSwitchlet plus a destination-address read:
+// the String.sub call with its argument pushes and result store is the
+// spec-call pattern the -O2 translator fuses.
+const peekForwardSwitchlet = `
+let handle pkt inport =
+  let dst = String.sub pkt 0 6 in
+  Unixnet.send_pkt_out (1 - inport) pkt
+let _ = Bridge.set_handler handle
+`
+
 // TestTranslatedHandlerAllocBudget pins the -O2 contract on the frame
 // path: once a handler chunk crosses the hot threshold and runs as a
 // translated closure, steady-state forwarding still allocates nothing
 // per op. The translation itself (built once, cached on the module) is
-// paid during warmup; the fused kernels read arguments straight from
-// their sources and pre-box their constants, so a tier-2 frame entry
-// touches the heap exactly as much as a tier-1 one: not at all.
+// paid during warmup; the fused kernel reads its arguments straight from
+// their sources and serves the repeated result box from its inline cache,
+// so a tier-2 frame entry touches the heap exactly as much as a tier-1
+// one: not at all.
 func TestTranslatedHandlerAllocBudget(t *testing.T) {
 	if DefaultOptLevel < 2 {
 		t.Skipf("DefaultOptLevel = %d: translated tier off", DefaultOptLevel)
 	}
 	r := newRig(t)
-	r.load(t, "Fwd", forwardSwitchlet)
+	r.load(t, "Fwd", peekForwardSwitchlet)
 	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}
 	raw, err := fr.Marshal()
 	if err != nil {

@@ -70,15 +70,6 @@ func LoadDumb(b *bridge.Bridge) error { return install(b, DumbManifest()) }
 // bridge's switching function if present).
 func LoadLearning(b *bridge.Bridge) error { return install(b, LearningManifest()) }
 
-// LoadSpanning installs the 802.1D switchlet. It starts immediately
-// unless the DEC protocol is operating (transition scenario).
-func LoadSpanning(b *bridge.Bridge) error { return install(b, SpanningManifest()) }
-
-// LoadBuggySpanning installs the deliberately broken 802.1D variant.
-func LoadBuggySpanning(b *bridge.Bridge) error {
-	return install(b, BuggySpanningManifest())
-}
-
 // LoadDEC installs the DEC-style switchlet.
 func LoadDEC(b *bridge.Bridge) error { return install(b, DECManifest()) }
 
@@ -86,12 +77,3 @@ func LoadDEC(b *bridge.Bridge) error { return install(b, DECManifest()) }
 // protocol switchlets must already be loaded (DEC running, IEEE dormant)
 // or the load fails, per Table 1's preconditions.
 func LoadControl(b *bridge.Bridge) error { return install(b, ControlManifest()) }
-
-// LoadFullBridge installs the §5.3 stack: learning + spanning tree (the
-// dumb switchlet is superseded by learning and omitted by default).
-func LoadFullBridge(b *bridge.Bridge) error {
-	if err := LoadLearning(b); err != nil {
-		return err
-	}
-	return LoadSpanning(b)
-}

@@ -222,6 +222,14 @@ func (r *ringNet) loadAll(t *testing.T, load func(*bridge.Bridge) error) {
 	}
 }
 
+// loadFullBridge installs the §5.3 stack: learning + spanning tree.
+func loadFullBridge(b *bridge.Bridge) error {
+	if err := LoadLearning(b); err != nil {
+		return err
+	}
+	return install(b, SpanningManifest())
+}
+
 func TestRingWithoutSTPStorms(t *testing.T) {
 	r := buildRing(t, 3)
 	r.loadAll(t, LoadLearning)
@@ -241,7 +249,7 @@ func TestRingWithoutSTPStorms(t *testing.T) {
 
 func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 	r := buildRing(t, 3)
-	r.loadAll(t, LoadFullBridge)
+	r.loadAll(t, loadFullBridge)
 	// Let the spanning tree converge past 2x forward delay.
 	r.sim.Run(netsim.Time(40 * netsim.Second))
 
@@ -290,7 +298,7 @@ func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 
 func TestSTPTreeInfoConsistentAcrossBridges(t *testing.T) {
 	r := buildRing(t, 3)
-	r.loadAll(t, LoadFullBridge)
+	r.loadAll(t, loadFullBridge)
 	r.sim.Run(netsim.Time(40 * netsim.Second))
 	// All bridges must agree on the root (bridge 1 has the lowest MAC).
 	var roots []string
@@ -423,7 +431,7 @@ func TestFiveBridgeRingConverges(t *testing.T) {
 	// A larger loop: five bridges, still exactly one blocked port, all
 	// agreeing on the root, broadcast reaching each host exactly once.
 	r := buildRing(t, 5)
-	r.loadAll(t, LoadFullBridge)
+	r.loadAll(t, loadFullBridge)
 	r.sim.Run(netsim.Time(45 * netsim.Second))
 	blocked := 0
 	for _, b := range r.bridges {

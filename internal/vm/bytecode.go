@@ -71,15 +71,8 @@ const (
 // instruction by instruction, reproducing -O0 traps, steps and stack
 // effects bit for bit.
 const (
-	// qNop: dead wire pair (pure push + pop/dead store) collapsed to
-	// nothing; consumes W fuel.
-	qNop byte = opMax + iota
-	// qConst: folded integer constant expression. A is the value.
-	qConst
-	// qConst2: two consecutive integer constants. A and B are the values.
-	qConst2
 	// qGetGet: push local A then push local B.
-	qGetGet
+	qGetGet byte = opMax + iota
 	// qCmpJf: comparison (B is the wire comparison opcode) followed by
 	// jump-if-false with relative offset A. The intermediate bool is never
 	// boxed.
@@ -107,19 +100,6 @@ const (
 	qHtblMem
 	// qHtblAdd: predicted Hashtbl.add call, inlined. A is argc.
 	qHtblAdd
-	// qISet: store local A (tagged mirror), additionally mirroring an int
-	// value untagged into frame register B (type-directed: only emitted
-	// for slots inference proved int). A non-int value — impossible in
-	// typechecked code — just marks the register invalid.
-	qISet
-	// qIIncL: untagged loop increment. A packs slot | reg<<16; B is the
-	// delta. The tagged mirror is kept current so plain local_get in the
-	// loop body still works; deopts if the register is invalid.
-	qIIncL
-	// qIILeJf: untagged loop head: if !(int(i) <= int(hi)) jump. A is the
-	// offset; B packs slotI | slotHi<<6 | regI<<12 | regHi<<18. Touches no
-	// operand stack at all when both registers are valid.
-	qIILeJf
 	qMax
 )
 
@@ -134,12 +114,10 @@ var opNames = [...]string{
 	"ref_get", "ref_set", "nop",
 }
 
-// qNames names the quickened opcodes, indexed by op - qNop.
-var qNames = [...]string{
-	"q.nop", "q.const", "q.const2", "q.get_get", "q.cmp_jf", "q.gg_cmp_jf",
-	"q.inc_local", "q.get_field_set",
+// qNames names the quickened opcodes, indexed by op - opMax.
+var qNames = [qMax - opMax]string{
+	"q.get_get", "q.cmp_jf", "q.gg_cmp_jf", "q.inc_local", "q.get_field_set",
 	"q.str_sub", "q.str_get", "q.htbl_find", "q.htbl_mem", "q.htbl_add",
-	"q.iset", "q.i_inc", "q.ii_le_jf",
 }
 
 // opName renders any opcode, wire or quickened, width-safely.
@@ -147,8 +125,8 @@ func opName(op byte) string {
 	if int(op) < len(opNames) {
 		return opNames[op]
 	}
-	if op >= qNop && op < qMax {
-		return qNames[op-qNop]
+	if op >= opMax && op < qMax {
+		return qNames[op-opMax]
 	}
 	return fmt.Sprintf("op%d", op)
 }
@@ -199,8 +177,7 @@ type CaptureRef struct {
 // form that Encode serializes — the .swo byte stream is identical at every
 // optimization level, so object transfer over the simulated net (and hence
 // every virtual-time fingerprint) is unaffected by quickening. Quick, when
-// non-nil, is the superinstruction form the interpreter prefers; the
-// remaining fields are the optimizer's in-memory annotations.
+// non-nil, is the superinstruction form the interpreter prefers.
 type Chunk struct {
 	Name    string // diagnostic name
 	NParams int
@@ -219,26 +196,6 @@ type Chunk struct {
 	// it covers, so a frame can deoptimize mid-flight to the exact naive
 	// position.
 	quickSrc []int32
-	// IntSlots marks locals the type checker proved to be ints
-	// (inference-typed lets and for-loop counters). Only the in-process
-	// compiler fills it; decoded objects carry no type evidence and so
-	// never get untagged registers.
-	IntSlots []bool
-	// NInts is the number of untagged int frame registers this chunk uses
-	// (at most maxIntRegs).
-	NInts int
-	// forLoops records the exact instruction positions of for-loop
-	// headers/increments emitted by codegen, the optimizer's license to
-	// use untagged loop ops.
-	forLoops []forLoop
-}
-
-// forLoop records where codegen placed the pieces of one `for` loop.
-type forLoop struct {
-	ISlot, HiSlot int
-	SetI, SetHi   int // pc of the initial opLocalSet i / hi
-	Head          int // pc of the 4-instruction loop head (get,get,le,jf)
-	Inc           int // pc of the 4-instruction increment (get,const,add,set)
 }
 
 // ImportRef records a dependency on another module: the names used and the
@@ -278,17 +235,12 @@ type Object struct {
 	// optOnce makes OptimizeObject idempotent and safe on objects shared
 	// between bridges (the process-wide compiled-object cache).
 	optOnce sync.Once
-	// quickened records that OptimizeObject ran; OptTrusted whether it ran
-	// with trusted-source rules (in-process compile) or hostile-input
-	// rules (decoded from bytes).
-	quickened  bool
-	OptTrusted bool
 
 	// verifyOnce caches the static verification verdict (see static.go):
 	// objects are immutable once shared between bridges, so one proof
-	// serves every install. verified is the earned trust bit the
-	// optimizer's trusted rule set requires; atomic because shared objects
-	// are installed from concurrent shard goroutines.
+	// serves every install. verified is the bit the translated tier and the
+	// object cache's shared-object shortcut require; atomic because shared
+	// objects are installed from concurrent shard goroutines.
 	verifyOnce sync.Once
 	verifyInfo *VerifyInfo
 	verifyErr  error

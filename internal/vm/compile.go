@@ -16,27 +16,26 @@ func Compile(modName, src string, sigs *SigEnv) (*Object, *Signature, error) {
 }
 
 // CompileLevel compiles at an explicit optimization level: 0 emits the
-// naive bytecode only, 1 additionally quickens it in memory (constant
-// folding, superinstructions, inline caches, untagged loop counters — see
-// optimize.go). Levels never change what the switchlet computes or how its
-// execution is metered.
+// naive bytecode only, 1 additionally quickens it in memory
+// (superinstructions and inline caches — see optimize.go). Levels never
+// change what the switchlet computes or how its execution is metered.
 func CompileLevel(modName, src string, sigs *SigEnv, level int) (*Object, *Signature, error) {
 	mod, err := ParseModule(modName, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	export, info, err := InferModuleTyped(mod, sigs)
+	export, err := InferModule(mod, sigs)
 	if err != nil {
 		return nil, nil, err
 	}
-	obj, err := codegen(mod, export, sigs, info)
+	obj, err := codegen(mod, export, sigs)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Every compiled object must pass the same static verification a
 	// decoded one would: the verifier both defends against codegen bugs
-	// and earns the object its verified bit, without which the optimizer
-	// refuses the trusted rule set (untagged loop registers).
+	// and earns the object its verified bit, without which the loader
+	// refuses it the translated tier.
 	if _, err := VerifyObject(obj); err != nil {
 		return nil, nil, fmt.Errorf("vm: compiler emitted unverifiable code: %w", err)
 	}
@@ -54,7 +53,6 @@ type importEntry struct {
 type cg struct {
 	obj            *Object
 	sigs           *SigEnv
-	info           *TypeInfo
 	globals        map[string]int
 	strIdx         map[string]int
 	importIdx      map[importEntry]int
@@ -86,14 +84,13 @@ type resolution struct {
 	idx  int
 }
 
-func codegen(mod *Module, export *Signature, sigs *SigEnv, info *TypeInfo) (*Object, error) {
+func codegen(mod *Module, export *Signature, sigs *SigEnv) (*Object, error) {
 	g := &cg{
 		obj: &Object{
 			ModName:     mod.Name,
 			GlobalNames: map[string]int{},
 		},
 		sigs:      sigs,
-		info:      info,
 		globals:   map[string]int{},
 		strIdx:    map[string]int{},
 		importIdx: map[importEntry]int{},
@@ -182,15 +179,6 @@ func (f *fnCG) strConst(s string) int64 {
 	f.cg.obj.StrPool = append(f.cg.obj.StrPool, s)
 	f.cg.strIdx[s] = i
 	return int64(i)
-}
-
-// markInt records that a local slot is statically known to hold an int;
-// the optimizer uses this to drive untagged register assignment.
-func (c *Chunk) markInt(slot int) {
-	for len(c.IntSlots) <= slot {
-		c.IntSlots = append(c.IntSlots, false)
-	}
-	c.IntSlots[slot] = true
 }
 
 func (f *fnCG) newLocal(name string) int {
@@ -380,12 +368,12 @@ func (f *fnCG) expr(e Expr, tail bool) error {
 			return err
 		}
 		iSlot := f.newLocal(v.Var)
-		setI := f.emit(Instr{Op: opLocalSet, A: int64(iSlot)})
+		f.emit(Instr{Op: opLocalSet, A: int64(iSlot)})
 		if err := f.expr(v.Hi, false); err != nil {
 			return err
 		}
 		hiSlot := f.newLocal("")
-		setHi := f.emit(Instr{Op: opLocalSet, A: int64(hiSlot)})
+		f.emit(Instr{Op: opLocalSet, A: int64(hiSlot)})
 		start := f.here()
 		f.emit(Instr{Op: opLocalGet, A: int64(iSlot)})
 		f.emit(Instr{Op: opLocalGet, A: int64(hiSlot)})
@@ -395,7 +383,7 @@ func (f *fnCG) expr(e Expr, tail bool) error {
 			return err
 		}
 		f.emit(Instr{Op: opPop})
-		inc := f.emit(Instr{Op: opLocalGet, A: int64(iSlot)})
+		f.emit(Instr{Op: opLocalGet, A: int64(iSlot)})
 		f.emit(Instr{Op: opConstInt, A: 1})
 		f.emit(Instr{Op: opAdd})
 		f.emit(Instr{Op: opLocalSet, A: int64(iSlot)})
@@ -403,15 +391,6 @@ func (f *fnCG) expr(e Expr, tail bool) error {
 		f.chunk.Code[back].A = int64(start - back - 1)
 		f.patch(jEnd)
 		f.emit(Instr{Op: opConstUnit})
-		// For counters are ints by construction (inference unified Lo and
-		// Hi with int); record the loop shape so the optimizer can run the
-		// counter in an untagged register.
-		f.chunk.markInt(iSlot)
-		f.chunk.markInt(hiSlot)
-		f.chunk.forLoops = append(f.chunk.forLoops, forLoop{
-			ISlot: iSlot, HiSlot: hiSlot,
-			SetI: setI, SetHi: setHi, Head: start, Inc: inc,
-		})
 		f.scopeRestore(mark)
 	case *Seq:
 		if err := f.expr(v.L, false); err != nil {
@@ -439,9 +418,6 @@ func (f *fnCG) expr(e Expr, tail bool) error {
 			}
 		}
 		slot := f.newLocal(v.Name)
-		if f.cg.info != nil && f.cg.info.IntLets[v] {
-			f.chunk.markInt(slot)
-		}
 		f.emit(Instr{Op: opLocalSet, A: int64(slot)})
 		if err := f.expr(v.Body, tail); err != nil {
 			return err

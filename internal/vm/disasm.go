@@ -34,11 +34,7 @@ func Disassemble(o *Object) string {
 			sb.WriteByte('\n')
 		}
 		if c.Quick != nil {
-			fmt.Fprintf(&sb, "  quickened (%d -> %d instructions", len(c.Code), len(c.Quick))
-			if c.NInts > 0 {
-				fmt.Fprintf(&sb, ", %d untagged int regs", c.NInts)
-			}
-			sb.WriteString("):\n")
+			fmt.Fprintf(&sb, "  quickened (%d -> %d instructions):\n", len(c.Code), len(c.Quick))
 			for pc, ins := range c.Quick {
 				sb.WriteString(formatQuick(o, c, pc, ins))
 				sb.WriteByte('\n')
@@ -111,12 +107,6 @@ func formatQuick(o *Object, c *Chunk, pc int, ins Instr) string {
 	}
 	out := fmt.Sprintf("  %4d  w=%-2d %-14s", pc, w, opName(ins.Op))
 	switch ins.Op {
-	case qNop:
-		// weight only
-	case qConst:
-		out += fmt.Sprintf(" %d", ins.A)
-	case qConst2:
-		out += fmt.Sprintf(" %d, %d", ins.A, ins.B)
 	case qGetGet:
 		out += fmt.Sprintf(" locals %d, %d", ins.A, ins.B)
 	case qCmpJf:
@@ -132,13 +122,6 @@ func formatQuick(o *Object, c *Chunk, pc int, ins Instr) string {
 		out += fmt.Sprintf(" argc=%d ic=%d", ins.A&0xff, ins.A>>8)
 	case qStrGet, qHtblAdd:
 		out += fmt.Sprintf(" argc=%d", ins.A)
-	case qISet:
-		out += fmt.Sprintf(" local %d, ireg %d", ins.A, ins.B)
-	case qIIncL:
-		out += fmt.Sprintf(" local %d (ireg %d) += %d", ins.A&0xffff, ins.A>>16, ins.B)
-	case qIILeJf:
-		out += fmt.Sprintf(" i=local %d (ireg %d) hi=local %d (ireg %d) -> %d",
-			ins.B&0x3f, (ins.B>>12)&0x3f, (ins.B>>6)&0x3f, (ins.B>>18)&0x3f, pc+1+int(ins.A))
 	default:
 		if ins.Op < opMax {
 			// Unfused wire instruction carried over verbatim.

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// disasmSrc exercises every disassembler-relevant shape: a for loop (so
-// trusted compilation emits untagged-register superinstructions), string
-// and hashtable natives (predicted call sites with inline caches), tuples,
-// and enough constants to trigger folding.
+// disasmSrc exercises every disassembler-relevant shape: a for loop (fused
+// head and counter increment), string and hashtable natives (predicted call
+// sites with inline caches) and tuples.
 const disasmSrc = `
 let tbl = Hashtbl.create 16
 
@@ -40,8 +39,8 @@ func TestDisassembleQuickenedTrusted(t *testing.T) {
 	for _, want := range []string{
 		"module Scan",
 		"quickened (",
-		"untagged int regs",
-		"q.ii_le_jf", // untagged loop head, trusted mode only
+		"q.gg_cmp_jf", // loop head
+		"q.inc_local", // loop counter
 		"q.str_get",
 		"q.htbl_find",
 		"; wire ", // every quickened line maps back to a wire pc
@@ -60,7 +59,7 @@ func TestDisassembleNaiveHasNoQuickened(t *testing.T) {
 }
 
 // TestDisassembleRoundTrip pushes the object through the wire format the
-// way swc -d does — encode, decode, hostile-mode quicken, disassemble —
+// way swc -d does — encode, decode, quicken, disassemble —
 // and then replays the decode on every truncation of the byte stream.
 // Truncated objects must be rejected by DecodeObject or survive
 // Disassemble; nothing may panic.
@@ -80,9 +79,9 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "module Scan") || !strings.Contains(out, "quickened (") {
 		t.Fatalf("round-tripped disassembly malformed:\n%s", out)
 	}
-	// Hostile mode must not claim type evidence it does not have.
-	if strings.Contains(out, "untagged int regs") || strings.Contains(out, "q.ii_le_jf") {
-		t.Errorf("hostile-mode quickening used untagged registers:\n%s", out)
+	// One rule set: a decoded object quickens exactly like the compiler's.
+	if want := Disassemble(obj); out != want {
+		t.Errorf("decoded object quickened differently from the compiled one:\n%s\n--- compiled:\n%s", out, want)
 	}
 
 	for i := 0; i <= len(enc); i++ {
@@ -133,7 +132,7 @@ func TestDisassembleUnknownOpcodes(t *testing.T) {
 			Code: []Instr{
 				{Op: 0xfe, A: 7, B: 9},
 				{Op: opConstStr, A: 99},
-				{Op: qConst, A: 1}, // quickened op leaked into wire code
+				{Op: qIncL, A: 1}, // quickened op leaked into wire code
 				{Op: opReturn},
 			},
 			Quick:    []Instr{{Op: 0xfd, A: 1, B: 2}, {Op: qMax, W: 3}},
@@ -144,7 +143,7 @@ func TestDisassembleUnknownOpcodes(t *testing.T) {
 	for _, want := range []string{
 		"unknown opcode",
 		"out of range",
-		"q.const",
+		"q.inc_local",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)

@@ -54,11 +54,6 @@ type inferer struct {
 	// moduleBindings holds the current module's already-typed top-level
 	// bindings (name -> scheme).
 	moduleBindings map[string]*Scheme
-	// letTypes records the (not yet pruned) bound type of every let
-	// encountered, examined after the whole module is inferred — by then
-	// unification has resolved whatever it will resolve — to produce the
-	// TypeInfo consumed by the optimizing tier.
-	letTypes map[*Let]Type
 }
 
 func (in *inferer) newVar(level int) *TVar {
@@ -391,15 +386,11 @@ func (in *inferer) infer(e Expr, env *scope, level int) (Type, error) {
 		}
 		return TArrow(bt, params...), nil
 	case *Let:
-		bound, boundT, err := in.inferBinding(v.Rec, v.Name, v.Params, v.Bound, env, level)
+		bound, err := in.inferBinding(v.Rec, v.Name, v.Params, v.Bound, env, level)
 		if err != nil {
 			return nil, err
 		}
-		benv := env.bind(v.Name, bound)
-		if in.letTypes != nil {
-			in.letTypes[v] = boundT
-		}
-		return in.infer(v.Body, benv, level)
+		return in.infer(v.Body, env.bind(v.Name, bound), level)
 	case *LetTuple:
 		bt, err := in.infer(v.Bound, env, level+1)
 		if err != nil {
@@ -445,7 +436,7 @@ func (in *inferer) infer(e Expr, env *scope, level int) (Type, error) {
 
 // inferBinding types a let binding (local or top-level) and returns the
 // scheme to bind, applying the value restriction for generalization.
-func (in *inferer) inferBinding(rec bool, name string, params []string, bound Expr, env *scope, level int) (*Scheme, Type, error) {
+func (in *inferer) inferBinding(rec bool, name string, params []string, bound Expr, env *scope, level int) (*Scheme, error) {
 	expr := bound
 	if len(params) > 0 {
 		expr = &Fun{Pos: bound.exprPos(), Params: params, Body: bound}
@@ -457,21 +448,21 @@ func (in *inferer) inferBinding(rec bool, name string, params []string, bound Ex
 		recEnv := env.bind(name, MonoScheme(self))
 		bt, err = in.infer(expr, recEnv, level+1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := in.unify(bound.exprPos(), self, bt); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else {
 		bt, err = in.infer(expr, env, level+1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if isSyntacticValue(expr) {
 		generalize(bt, level)
 	}
-	return &Scheme{Body: bt}, bt, nil
+	return &Scheme{Body: bt}, nil
 }
 
 func (in *inferer) inferBinop(v *Binop, env *scope, level int) (Type, error) {
@@ -529,38 +520,23 @@ func hasFreeVars(t Type) bool {
 	return false
 }
 
-// TypeInfo carries per-expression facts established by inference that the
-// optimizing tier consumes: bindings proven to be ints can live in
-// untagged registers without runtime tag checks.
-type TypeInfo struct {
-	// IntLets marks let expressions whose bound value has type int.
-	IntLets map[*Let]bool
-}
-
 // InferModule type checks a parsed module against the available signatures
 // and returns its export signature (all top-level bindings except those
 // named "_"). A top-level binding whose type is not fully determined is
 // rejected: exported weak type variables would undermine the type-based
 // security story.
 func InferModule(m *Module, sigs *SigEnv) (*Signature, error) {
-	sig, _, err := InferModuleTyped(m, sigs)
-	return sig, err
-}
-
-// InferModuleTyped is InferModule plus the TypeInfo used by codegen and the
-// optimizer to drive type-directed rewrites.
-func InferModuleTyped(m *Module, sigs *SigEnv) (*Signature, *TypeInfo, error) {
-	in := &inferer{sigs: sigs, moduleBindings: map[string]*Scheme{}, letTypes: map[*Let]Type{}}
+	in := &inferer{sigs: sigs, moduleBindings: map[string]*Scheme{}}
 	export := NewSignature(m.Name)
 	for _, top := range m.Tops {
-		sch, _, err := in.inferBinding(top.Rec, top.Name, top.Params, top.Bound, nil, 0)
+		sch, err := in.inferBinding(top.Rec, top.Name, top.Params, top.Bound, nil, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if top.Name == "_" {
 			// Evaluation-only form; must be unit.
 			if err := in.unify(top.Pos, sch.Body, TUnit); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			continue
 		}
@@ -574,7 +550,7 @@ func InferModuleTyped(m *Module, sigs *SigEnv) (*Signature, *TypeInfo, error) {
 		}
 		sch := in.moduleBindings[top.Name]
 		if hasFreeVars(sch.Body) {
-			return nil, nil, &TypeError{top.Pos, fmt.Sprintf(
+			return nil, &TypeError{top.Pos, fmt.Sprintf(
 				"type of %s is not fully determined: %s", top.Name, TypeString(sch.Body))}
 		}
 	}
@@ -584,14 +560,5 @@ func InferModuleTyped(m *Module, sigs *SigEnv) (*Signature, *TypeInfo, error) {
 		}
 		export.Add(top.Name, in.moduleBindings[top.Name])
 	}
-	// Distill the optimizer-relevant facts. The check is structural, not
-	// pointer identity: unification may have produced fresh TCon{"int"}
-	// nodes rather than the TInt singleton.
-	info := &TypeInfo{IntLets: map[*Let]bool{}}
-	for l, t := range in.letTypes { //ab:mapiter-ok map-to-map distillation; order cannot escape
-		if tc, ok := prune(t).(*TCon); ok && tc.Name == "int" && len(tc.Args) == 0 {
-			info.IntLets[l] = true
-		}
-	}
-	return export, info, nil
+	return export, nil
 }

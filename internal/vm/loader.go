@@ -28,13 +28,12 @@ type Loader struct {
 	LoadErrors uint64
 
 	// OptLevel controls quickening of loaded objects: 0 links the naive
-	// bytecode as-is, 1 (the default) runs OptimizeObject in hostile mode —
-	// decoded objects carry no typing proof, so they get only the rewrites
-	// whose fast paths re-check tags at run time. 2 additionally enables
-	// the translated tier: hot chunks of statically verified objects are
-	// lowered into cached Go closures with guard-based deopt back to the
-	// interpreter (see translate.go). At every level the observable
-	// semantics, Steps and AllocBytes are identical.
+	// bytecode as-is, 1 (the default) runs OptimizeObject, whose rewrites
+	// are all checkable from the wire code and whose fast paths re-check
+	// tags at run time. 2 additionally enables the translated tier: the
+	// spec-call patterns in hot chunks of statically verified objects are
+	// fused into cached Go closures (see translate.go). At every level the
+	// observable semantics, Steps and AllocBytes are identical.
 	OptLevel int
 }
 
@@ -132,15 +131,14 @@ func (l *Loader) LoadObject(obj *Object) (*LinkedModule, error) {
 
 func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	// Full static verification (static.go): control-flow integrity, stack
-	// discipline, typed optimizer metadata and capture bounds — a typed
+	// discipline, type soundness and capture bounds — a typed
 	// *VerifyError rejection before any VM state exists for the module.
 	if _, err := VerifyObject(obj); err != nil {
 		return nil, err
 	}
 	if l.OptLevel > 0 {
 		// Quicken after verification. For objects the compiler already
-		// optimized in trusted mode this is a no-op (OptimizeObject runs
-		// once per object); fresh decodes get the hostile rule set.
+		// optimized this is a no-op (OptimizeObject runs once per object).
 		OptimizeObject(obj, false)
 	}
 	if _, dup := l.modules[obj.ModName]; dup {

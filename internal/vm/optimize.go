@@ -2,13 +2,12 @@ package vm
 
 // The optimizing tier between the typechecker and the interpreter.
 //
-// OptimizeObject rewrites each chunk's verified wire code into an in-memory
-// quickened form (Chunk.Quick): constants are folded, dead stores
-// eliminated, hot instruction sequences fused into superinstructions, call
-// sites whose callee is statically a well-known native are specialized into
-// inlined fast paths with per-site monomorphic inline caches, and — for
-// trusted (in-process compiled) objects only — for-loop counters that
-// inference proved to be ints run in untagged frame registers.
+// OptimizeObject rewrites each chunk's wire code into an in-memory
+// quickened form (Chunk.Quick): hot instruction sequences are fused into
+// superinstructions, and call sites whose callee is statically a well-known
+// native are specialized into inlined fast paths with per-site monomorphic
+// inline caches. There is one rule set: every rewrite is checkable from the
+// wire code alone, so compiled and decoded objects quicken identically.
 //
 // Invariants the rewrite must preserve exactly, because virtual time is
 // computed from them:
@@ -21,31 +20,16 @@ package vm
 //   - Machine.AllocBytes: inlined natives replicate their Go
 //     implementations' metering byte for byte.
 //   - Results and traps: fused comparisons keep the valueEq/valueCmp
-//     distinction, folding never removes a division-by-zero trap, and the
-//     .swo wire format (Encode/DecodeObject) carries only the naive code,
-//     so the transmitted object — and with it every deployment
-//     fingerprint — is identical at every optimization level.
-const maxIntRegs = 4
+//     distinction, and the .swo wire format (Encode/DecodeObject) carries
+//     only the naive code, so the transmitted object — and with it every
+//     deployment fingerprint — is identical at every optimization level.
 
-// OptimizeObject quickens o's chunks in place. trusted selects the rule
-// set: in-process compiled objects (whose bytecode provably came from the
-// typechecker) additionally get untagged loop registers; decoded objects
-// get only the locally-checkable rewrites. The trusted rule set must be
-// earned: it is granted only to objects VerifyObject has accepted, so a
-// caller asserting trust over an unverified object silently gets the
-// hostile rules instead. Idempotent and safe to call on objects shared
-// between bridges.
-func OptimizeObject(o *Object, trusted bool) {
-	trusted = trusted && o.verified.Load()
+// OptimizeObject quickens o's chunks in place. Idempotent and safe to call
+// on objects shared between bridges. The bool is ignored: it once selected
+// a second rule set, and the frozen benchmark still passes it.
+func OptimizeObject(o *Object, _ bool) {
 	o.optOnce.Do(func() {
-		o.quickened = true
-		o.OptTrusted = trusted
-		t := &optimizer{o: o, trusted: trusted}
-		for _, ref := range o.Imports {
-			for _, n := range ref.Names {
-				t.impName = append(t.impName, ref.Module+"."+n)
-			}
-		}
+		t := &optimizer{impName: o.ImportSlotNames()}
 		for _, c := range o.Chunks {
 			t.chunk(c)
 		}
@@ -54,10 +38,8 @@ func OptimizeObject(o *Object, trusted bool) {
 }
 
 type optimizer struct {
-	o       *Object
-	trusted bool
-	// impName flattens the import table to "Module.name" per slot, the
-	// key for call-site specialization.
+	// impName is the import table flattened to "Module.name" per slot,
+	// the key for call-site specialization.
 	impName []string
 	// nIC counts inline-cache sites assigned across the object.
 	nIC int
@@ -68,29 +50,9 @@ type optimizer struct {
 func (t *optimizer) chunk(c *Chunk) {
 	code := make([]Instr, len(c.Code))
 	copy(code, c.Code)
-
-	changed := t.specializeCalls(code)
-	changed = t.eliminateDeadStores(c, code) || changed
-
-	src := make([]int32, len(code))
-	for i := range src {
-		src[i] = int32(i)
-	}
-
-	var plans []loopPlan
-	if t.trusted {
-		plans = t.planLoops(c, code)
-	}
-	for pass := 0; pass < 4; pass++ {
-		var fused bool
-		code, src, fused = fusePass(code, src, plans)
-		plans = nil // positions are only valid on the first (wire) stream
-		if !fused {
-			break
-		}
-		changed = true
-	}
-	if !changed {
+	specialized := t.specializeCalls(code)
+	code, src, fused := fuse(code)
+	if !specialized && !fused {
 		return
 	}
 	c.Quick = code
@@ -188,143 +150,13 @@ func (t *optimizer) specializeCalls(code []Instr) bool {
 	return changed
 }
 
-// eliminateDeadStores turns opLocalSet of a slot that is never read — no
-// opLocalGet in the chunk and no capLocal capture referencing it — into
-// opPop (same stack effect, same weight). A later fusion pass collapses a
-// pure push followed by that opPop into qNop.
-func (t *optimizer) eliminateDeadStores(c *Chunk, code []Instr) bool {
-	if c.NLocals == 0 {
-		return false
-	}
-	read := make([]bool, c.NLocals)
-	for i := 0; i < c.NParams && i < len(read); i++ {
-		read[i] = true // arguments land here; never rewrite them
-	}
-	for _, ins := range code {
-		switch ins.Op {
-		case opLocalGet:
-			if int(ins.A) < len(read) {
-				read[ins.A] = true
-			}
-		case opClosure:
-			if int(ins.B) < len(t.o.CapSpecs) {
-				for _, cr := range t.o.CapSpecs[ins.B] {
-					if cr.Kind == capLocal && int(cr.Idx) < len(read) {
-						read[cr.Idx] = true
-					}
-				}
-			}
-		}
-	}
-	changed := false
-	for pc := range code {
-		if code[pc].Op == opLocalSet && int(code[pc].A) < len(read) && !read[code[pc].A] {
-			code[pc] = Instr{Op: opPop, W: 1}
-			changed = true
-		}
-	}
-	return changed
-}
-
-// loopPlan schedules one for-loop for untagged execution: the four codegen
-// positions to quicken and the two frame registers assigned.
-type loopPlan struct {
-	setI, setHi, head, inc int
-	iSlot, hiSlot          int
-	iReg, hiReg            int
-}
-
-// planLoops selects the for-loops of a trusted chunk that can run on
-// untagged registers. A loop qualifies when its recorded positions still
-// carry the exact shapes codegen emits, no jump lands inside the fused
-// spans, and every write to the counter slots happens at a position being
-// quickened — otherwise the registers could go stale while the tagged
-// mirror moves on. All four positions convert together or not at all.
-func (t *optimizer) planLoops(c *Chunk, code []Instr) []loopPlan {
-	if len(c.forLoops) == 0 {
-		return nil
-	}
-	leaders := leadersOf(code)
-	var plans []loopPlan
-	nextReg := 0
-	for _, fl := range c.forLoops {
-		if nextReg+2 > maxIntRegs {
-			break
-		}
-		if fl.ISlot >= 64 || fl.HiSlot >= 64 {
-			continue
-		}
-		if fl.ISlot >= len(c.IntSlots) || !c.IntSlots[fl.ISlot] ||
-			fl.HiSlot >= len(c.IntSlots) || !c.IntSlots[fl.HiSlot] {
-			continue
-		}
-		if !loopShapeOK(code, leaders, fl) {
-			continue
-		}
-		plans = append(plans, loopPlan{
-			setI: fl.SetI, setHi: fl.SetHi, head: fl.Head, inc: fl.Inc,
-			iSlot: fl.ISlot, hiSlot: fl.HiSlot,
-			iReg: nextReg, hiReg: nextReg + 1,
-		})
-		nextReg += 2
-	}
-	c.NInts = nextReg
-	return plans
-}
-
-func isInstr(i Instr, op byte, a int) bool { return i.Op == op && i.A == int64(a) }
-
-func loopShapeOK(code []Instr, leaders []bool, fl forLoop) bool {
-	if fl.SetI < 0 || fl.SetHi < 0 || fl.Head < 0 || fl.Inc < 0 ||
-		fl.Head+3 >= len(code) || fl.Inc+3 >= len(code) ||
-		fl.SetI >= len(code) || fl.SetHi >= len(code) {
-		return false
-	}
-	if !isInstr(code[fl.SetI], opLocalSet, fl.ISlot) ||
-		!isInstr(code[fl.SetHi], opLocalSet, fl.HiSlot) {
-		return false
-	}
-	if !isInstr(code[fl.Head], opLocalGet, fl.ISlot) ||
-		!isInstr(code[fl.Head+1], opLocalGet, fl.HiSlot) ||
-		code[fl.Head+2].Op != opLe ||
-		code[fl.Head+3].Op != opJumpIfFalse {
-		return false
-	}
-	if !isInstr(code[fl.Inc], opLocalGet, fl.ISlot) ||
-		code[fl.Inc+1].Op != opConstInt ||
-		code[fl.Inc+2].Op != opAdd ||
-		!isInstr(code[fl.Inc+3], opLocalSet, fl.ISlot) {
-		return false
-	}
-	if k := code[fl.Inc+1].A; k < -1<<31 || k >= 1<<31 {
-		return false
-	}
-	for i := 1; i < 4; i++ {
-		if leaders[fl.Head+i] || leaders[fl.Inc+i] {
-			return false
-		}
-	}
-	for pc, ins := range code {
-		if ins.Op != opLocalSet {
-			continue
-		}
-		if int(ins.A) == fl.ISlot && pc != fl.SetI && pc != fl.Inc+3 {
-			return false
-		}
-		if int(ins.A) == fl.HiSlot && pc != fl.SetHi {
-			return false
-		}
-	}
-	return true
-}
-
 // isJumpOp reports whether op's A operand is a relative code offset.
 //
 //ab:allocfree
 func isJumpOp(op byte) bool {
 	switch op {
 	case opJump, opJumpIfFalse, opJumpIfTrue, opPushHandler,
-		qCmpJf, qGGCmpJf, qIILeJf:
+		qCmpJf, qGGCmpJf:
 		return true
 	}
 	return false
@@ -359,32 +191,15 @@ func weightOf(i Instr) int {
 	return int(i.W)
 }
 
-// fusePass runs one left-to-right peephole pass over code, emitting a new
+// fuse runs the left-to-right peephole pass over code, emitting the fused
 // stream plus its source map, and remapping every relative jump offset to
-// the new coordinates. plans, when non-nil, converts the scheduled for-loop
-// positions (valid only for the first pass, whose input is the wire
-// stream). Called to fixpoint by chunk().
-func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bool) {
+// the new coordinates. One pass is a fixpoint: every pattern matches wire
+// opcodes only, so a superinstruction never feeds another.
+func fuse(code []Instr) ([]Instr, []int32, bool) {
 	leaders := leadersOf(code)
-	// reserved guards the loop-plan spans: a generic fusion must neither
-	// start inside one nor swallow one, or the all-or-nothing register
-	// conversion would silently break.
-	var reserved []bool
-	if len(plans) > 0 {
-		reserved = make([]bool, len(code))
-		for _, p := range plans {
-			reserved[p.setI] = true
-			reserved[p.setHi] = true
-			for i := 0; i < 4; i++ {
-				reserved[p.head+i] = true
-				reserved[p.inc+i] = true
-			}
-		}
-	}
-
 	pos := make([]int32, len(code)+1)
 	out := make([]Instr, 0, len(code))
-	outSrc := make([]int32, 0, len(code))
+	src := make([]int32, 0, len(code))
 	type pendJump struct {
 		outIdx, oldTarget int
 	}
@@ -392,7 +207,7 @@ func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bo
 	changed := false
 
 	for pc := 0; pc < len(code); pc++ {
-		ins, consumed := matchAt(code, pc, leaders, reserved, plans)
+		ins, consumed := matchAt(code, pc, leaders)
 		pos[pc] = int32(len(out))
 		if consumed > 1 {
 			changed = true
@@ -408,81 +223,43 @@ func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bo
 			pends = append(pends, pendJump{len(out), pc + consumed + int(ins.A)})
 		}
 		out = append(out, ins)
-		outSrc = append(outSrc, src[pc])
+		src = append(src, int32(pc))
 		pc += consumed - 1
 	}
 	pos[len(code)] = int32(len(out))
 	for _, p := range pends {
 		out[p.outIdx].A = int64(pos[p.oldTarget]) - int64(p.outIdx) - 1
 	}
-	return out, outSrc, changed
+	return out, src, changed
 }
 
 // matchAt returns the (possibly fused) instruction starting at pc and how
 // many input instructions it consumes.
-func matchAt(code []Instr, pc int, leaders, reserved []bool, plans []loopPlan) (Instr, int) {
-	for _, p := range plans {
-		switch pc {
-		case p.setI:
-			return Instr{Op: qISet, W: 1, A: int64(p.iSlot), B: int32(p.iReg)}, 1
-		case p.setHi:
-			return Instr{Op: qISet, W: 1, A: int64(p.hiSlot), B: int32(p.hiReg)}, 1
-		case p.head:
-			return Instr{Op: qIILeJf, W: 4, A: code[pc+3].A,
-				B: int32(p.iSlot | p.hiSlot<<6 | p.iReg<<12 | p.hiReg<<18)}, 4
-		case p.inc:
-			return Instr{Op: qIIncL, W: 4, A: int64(p.iSlot) | int64(p.iReg)<<16,
-				B: int32(code[pc+1].A)}, 4
-		}
-	}
-
+func matchAt(code []Instr, pc int, leaders []bool) (Instr, int) {
 	// fits reports whether a window of n instructions starting at pc stays
-	// inside the stream without crossing a leader or a reserved loop span.
+	// inside the stream without crossing a leader.
 	fits := func(n int) bool {
 		if pc+n > len(code) {
 			return false
 		}
 		for i := 1; i < n; i++ {
-			if leaders[pc+i] || (reserved != nil && reserved[pc+i]) {
+			if leaders[pc+i] {
 				return false
 			}
 		}
 		return true
-	}
-	isConst := func(i Instr) (int64, bool) {
-		if i.Op == opConstInt || i.Op == qConst {
-			return i.A, true
-		}
-		return 0, false
-	}
-	isCmp := func(op byte) bool {
-		switch op {
-		case opEq, opNe, opLt, opLe, opGt, opGe:
-			return true
-		}
-		return false
-	}
-	purePush := func(op byte) bool {
-		// Pushes with no side effect and no possible trap (operands are
-		// bounds-checked by Verify), safe to drop when the value dies.
-		switch op {
-		case opConstInt, opConstStr, opConstBool, opConstUnit,
-			opLocalGet, opGlobalGet, opImportGet, qConst:
-			return true
-		}
-		return false
 	}
 
 	i0 := code[pc]
 
 	// local, local, compare, branch — the loop-head / demux shape.
 	if fits(4) && i0.Op == opLocalGet && code[pc+1].Op == opLocalGet &&
-		isCmp(code[pc+2].Op) && code[pc+3].Op == opJumpIfFalse &&
+		isCmpOp(code[pc+2].Op) && code[pc+3].Op == opJumpIfFalse &&
 		i0.A < 1<<12 && code[pc+1].A < 1<<12 {
 		return Instr{Op: qGGCmpJf, W: 4, A: code[pc+3].A,
 			B: int32(i0.A) | int32(code[pc+1].A)<<12 | int32(code[pc+2].Op)<<24}, 4
 	}
-	// get s; const k; add; set s — tagged counter increment.
+	// get s; const k; add; set s — counter increment.
 	if fits(4) && i0.Op == opLocalGet && code[pc+1].Op == opConstInt &&
 		code[pc+2].Op == opAdd && code[pc+3].Op == opLocalSet &&
 		code[pc+3].A == i0.A &&
@@ -496,68 +273,9 @@ func matchAt(code []Instr, pc int, leaders, reserved []bool, plans []loopPlan) (
 		return Instr{Op: qGetFieldSet, W: 3, A: i0.A,
 			B: int32(code[pc+1].A) | int32(code[pc+2].A)<<8}, 3
 	}
-	// Constant folding: const a; const b; intop. Division and modulus by a
-	// constant zero are NOT folded — the runtime trap must stay exactly
-	// where -O0 raises it. Overflow wraps with int64 two's-complement
-	// semantics, identical to the interpreter's.
-	if fits(3) {
-		if a, okA := isConst(i0); okA {
-			if b, okB := isConst(code[pc+1]); okB {
-				w := weightOf(i0) + weightOf(code[pc+1]) + 1
-				if w <= 255 {
-					var r int64
-					folded := true
-					switch code[pc+2].Op {
-					case opAdd:
-						r = a + b
-					case opSub:
-						r = a - b
-					case opMul:
-						r = a * b
-					case opDiv:
-						if b == 0 {
-							folded = false
-						} else {
-							r = a / b
-						}
-					case opMod:
-						if b == 0 {
-							folded = false
-						} else {
-							r = a % b
-						}
-					default:
-						folded = false
-					}
-					if folded {
-						return Instr{Op: qConst, W: byte(w), A: r}, 3
-					}
-				}
-			}
-		}
-	}
 	// compare; branch.
-	if fits(2) && isCmp(i0.Op) && code[pc+1].Op == opJumpIfFalse {
+	if fits(2) && isCmpOp(i0.Op) && code[pc+1].Op == opJumpIfFalse {
 		return Instr{Op: qCmpJf, W: 2, A: code[pc+1].A, B: int32(i0.Op)}, 2
-	}
-	// Pure push whose value dies immediately (Seq of a pure expression, or
-	// a dead store rewritten to opPop).
-	if fits(2) && purePush(i0.Op) && code[pc+1].Op == opPop {
-		w := weightOf(i0) + 1
-		if w <= 255 {
-			return Instr{Op: qNop, W: byte(w)}, 2
-		}
-	}
-	// Two consecutive integer constants.
-	if fits(2) {
-		if a, okA := isConst(i0); okA {
-			if b, okB := isConst(code[pc+1]); okB && b >= -1<<31 && b < 1<<31 {
-				w := weightOf(i0) + weightOf(code[pc+1])
-				if w <= 255 {
-					return Instr{Op: qConst2, W: byte(w), A: a, B: int32(b)}, 2
-				}
-			}
-		}
 	}
 	// Two consecutive local loads.
 	if fits(2) && i0.Op == opLocalGet && code[pc+1].Op == opLocalGet {

@@ -1,9 +1,7 @@
 // Differential fuzzing of the optimizing tiers: any program the compiler
 // accepts must behave bit-identically — results, traps, metered Steps and
-// AllocBytes — whether it runs as naive bytecode (-O0), hostile-quickened
-// wire code (the network loader's view of -O1), the translated tier over
-// hostile wire code (-O2), or the trusted quickened form the in-process
-// compiler hands the loader, also translated. This file lives in the
+// AllocBytes — whether it runs as naive bytecode (-O0), quickened (-O1) or
+// quickened and translated (-O2). This file lives in the
 // external test package so it can seed the corpus with the bundled
 // switchlet sources, which compile against a full bridge environment.
 package vm_test
@@ -67,52 +65,30 @@ func renderValue(v vm.Value) string {
 // everything observable: load outcome, then each exported function invoked
 // with canned arguments under generous and then starvation-level fuel.
 //
-// Levels: 0 = -O0 naive bytecode; 1 = -O1 hostile-quickened wire code;
-// 2 = -O2 over hostile wire code, eagerly translated; 3 = -O2 over the
-// trusted pre-quickened object, eagerly translated. The eager Translate
-// bypasses the hotness threshold so the translated dispatch loop — guards,
-// deopts, fuel starvation — is exercised from the first instruction.
+// Levels: 0 = -O0 naive bytecode; 1 = -O1 quickened wire code; 2 = -O2,
+// eagerly translated. The eager Translate bypasses the hotness threshold so
+// the translated dispatch loop — traps, refunds, fuel starvation — is
+// exercised from the first instruction.
 func runLevel(t *testing.T, src string, level int) string {
 	t.Helper()
 	node := bridge.New(netsim.New(), "fuzz", 1, 2, netsim.DefaultCostModel())
 	m := node.Machine
 	l := node.Loader
-	compileLevel := 0
-	if level == 3 {
-		compileLevel = 1
-	}
-	obj, _, err := vm.CompileLevel("Fz", src, l.SigEnv(), compileLevel)
+	obj, _, err := vm.CompileLevel("Fz", src, l.SigEnv(), 0)
 	if err != nil {
 		return "compile error: " + err.Error()
 	}
 	var sb strings.Builder
-	var lm *vm.LinkedModule
 	steps0, alloc0 := m.Steps, m.AllocBytes
-	switch level {
-	case 0:
-		l.OptLevel = 0
-		lm, err = l.Load(obj.Encode())
-	case 1:
-		l.OptLevel = 1
-		lm, err = l.Load(obj.Encode())
-	case 2:
-		l.OptLevel = 2
-		lm, err = l.Load(obj.Encode())
-	case 3:
-		l.OptLevel = 2
-		lm, err = l.LoadObject(obj)
-	}
+	l.OptLevel = level
+	lm, err := l.Load(obj.Encode())
 	fmt.Fprintf(&sb, "load: steps=%d alloc=%d", m.Steps-steps0, m.AllocBytes-alloc0)
 	if err != nil {
 		fmt.Fprintf(&sb, " err=%v\n", err)
 		return sb.String()
 	}
 	sb.WriteString("\n")
-	if level >= 2 {
-		// No-op when the loader refused the tier (unverified object);
-		// the differential still holds, just without translated dispatch.
-		lm.Translate()
-	}
+	lm.Translate() // no-op below -O2
 
 	names := lm.Export.Names()
 	sort.Strings(names)
@@ -154,8 +130,8 @@ func runLevel(t *testing.T, src string, level int) string {
 // FuzzOptimizedMatchesBaseline is the optimizer's differential oracle. It
 // is seeded with the bundled switchlet corpus — the exact programs the
 // bridge ships — plus targeted programs covering every superinstruction,
-// and requires all four execution paths (-O0, -O1, -O2 hostile, -O2
-// trusted) to produce identical transcripts.
+// and requires all three levels (-O0, -O1, -O2) to produce identical
+// transcripts.
 func FuzzOptimizedMatchesBaseline(f *testing.F) {
 	for _, seed := range []string{
 		switchlets.DumbSrc,
@@ -164,7 +140,9 @@ func FuzzOptimizedMatchesBaseline(f *testing.F) {
 		switchlets.DECSrc,
 		switchlets.ControlSrc,
 		switchlets.BuggySpanningSrc,
-		// Superinstruction coverage beyond what the switchlets use.
+		// Shapes beyond what the switchlets use. The constant expression
+		// and the for loop pin unfused arithmetic and q.inc_local /
+		// q.gg_cmp_jf against -O0.
 		`let f x = x + 2 * 3`,
 		`let f a b = if a < b then (a, b) else (b, a)`,
 		`let f n =
@@ -186,10 +164,37 @@ let f () = (y, x)`,
 			t.Skip("oversized input")
 		}
 		base := runLevel(t, src, 0)
-		for _, level := range []int{1, 2, 3} {
+		for _, level := range []int{1, 2} {
 			if got := runLevel(t, src, level); got != base {
 				t.Errorf("level %d diverges from -O0\n--- -O0:\n%s\n--- level %d:\n%s", level, base, level, got)
 			}
 		}
 	})
+}
+
+// TestEveryQuickOpFiresInABundledSwitchlet keeps the superinstruction
+// table honest: an entry none of the bundled switchlets makes the optimizer
+// emit is dead weight in the interpreter, the verifier and the
+// disassembler, and must be deleted rather than carried.
+func TestEveryQuickOpFiresInABundledSwitchlet(t *testing.T) {
+	node := bridge.New(netsim.New(), "table", 1, 2, netsim.DefaultCostModel())
+	emitted := map[string]bool{}
+	for _, m := range switchlets.Builtins() {
+		obj, _, err := vm.CompileLevel(m.Name, m.Source, node.Loader.SigEnv(), 1)
+		if err != nil {
+			t.Fatalf("compile %s: %v", m.Name, err)
+		}
+		for _, c := range obj.Chunks {
+			for _, ins := range c.Quick {
+				emitted[vm.QuickOpName(ins.Op)] = true
+			}
+		}
+	}
+	for i, n := range vm.QuickOpNames {
+		if n == "" {
+			t.Errorf("superinstruction table entry %d has no name", i)
+		} else if !emitted[n] {
+			t.Errorf("%s is emitted by no bundled switchlet", n)
+		}
+	}
 }

@@ -12,11 +12,8 @@ package vm
 //   - stack-effect soundness: the operand-stack depth at every pc is a
 //     single well-defined value — join points with mismatched depths,
 //     underflow, and implausible growth are rejected;
-//   - type soundness for the optimizer's metadata: a local the compiler
-//     claims as an inference-proven int (Chunk.IntSlots, the license for
-//     untagged loop registers) must never receive a provably non-int
-//     store, so OptimizeObject's trusted rule set is earned by
-//     verification rather than asserted by callers;
+//   - type soundness: no opcode is applied to an operand the dataflow
+//     pinned to a definite, incompatible constructor;
 //   - closure-capture integrity: capture specs and opCaptureGet indices
 //     are bounded by the environment every creation site actually builds.
 //
@@ -46,9 +43,7 @@ const (
 	VerifyOverflow      = "stack-overflow"  // implausible operand-stack growth
 	VerifyDepthMismatch = "depth-mismatch"  // join point with two different stack depths
 	VerifyTypeConfusion = "type-confusion"  // an op applied to a provably wrong type
-	VerifyIntClaim      = "int-claim"       // IntSlots metadata contradicted by a store
 	VerifyBadCapture    = "bad-capture"     // capture spec or opCaptureGet out of range
-	VerifyBadMeta       = "bad-meta"        // optimizer metadata out of bounds
 	VerifyQuickMap      = "quick-map"       // deopt source map malformed
 	VerifyQuickWeight   = "quick-weight"    // step weights don't conserve wire steps
 	VerifyStructure     = "structure"       // malformed object-level tables
@@ -108,7 +103,7 @@ type VerifyInfo struct {
 const maxVerifyDepth = 1 << 12
 
 // VerifyObject runs the full static check and, on success, marks the object
-// verified — the bit OptimizeObject's trusted rule set requires. The result
+// verified — the bit the translated tier requires. The result
 // is cached: objects are immutable once shared between bridges, so one
 // proof serves every install.
 func VerifyObject(o *Object) (*VerifyInfo, error) {
@@ -208,7 +203,7 @@ func verifyTables(o *Object) error {
 	return nil
 }
 
-// verifyChunkMeta checks per-chunk frame shape and optimizer metadata.
+// verifyChunkMeta checks per-chunk frame shape.
 func verifyChunkMeta(o *Object, ci int, c *Chunk) error {
 	errAt := func(kind, msg string, args ...any) error {
 		return &VerifyError{Module: o.ModName, Chunk: ci, Name: c.Name, PC: -1, Kind: kind, Msg: fmt.Sprintf(msg, args...)}
@@ -221,20 +216,6 @@ func verifyChunkMeta(o *Object, ci int, c *Chunk) error {
 	}
 	if c.NParams > c.NLocals {
 		return errAt(VerifyStructure, "params %d exceed locals %d", c.NParams, c.NLocals)
-	}
-	if len(c.IntSlots) > c.NLocals {
-		return errAt(VerifyBadMeta, "IntSlots table longer than frame (%d > %d)", len(c.IntSlots), c.NLocals)
-	}
-	if c.NInts < 0 || c.NInts > maxIntRegs {
-		return errAt(VerifyBadMeta, "NInts %d exceeds register file %d", c.NInts, maxIntRegs)
-	}
-	for i, fl := range c.forLoops {
-		n := len(c.Code)
-		if fl.SetI < 0 || fl.SetI >= n || fl.SetHi < 0 || fl.SetHi >= n ||
-			fl.Head < 0 || fl.Head+3 >= n || fl.Inc < 0 || fl.Inc+3 >= n ||
-			fl.ISlot < 0 || fl.ISlot >= c.NLocals || fl.HiSlot < 0 || fl.HiSlot >= c.NLocals {
-			return errAt(VerifyBadMeta, "for-loop record %d out of bounds", i)
-		}
 	}
 	return nil
 }
@@ -556,11 +537,7 @@ func flowChunk(o *Object, ci int, c *Chunk, code []Instr, quick bool, capEnv int
 			if err := need(1); err != nil {
 				return 0, err
 			}
-			t := pop()
-			if int(ins.A) < len(c.IntSlots) && c.IntSlots[ins.A] && notInt(t) {
-				return 0, fail(pc, VerifyIntClaim, "slot %d is claimed int but receives %s", ins.A, t)
-			}
-			st.locals[ins.A] = t
+			st.locals[ins.A] = pop()
 		case opCaptureGet:
 			if capEnv >= 0 && int(ins.A) >= capEnv {
 				return 0, fail(pc, VerifyBadCapture, "reads capture %d but every creation site builds %d", ins.A, capEnv)
@@ -705,12 +682,6 @@ func flowChunk(o *Object, ci int, c *Chunk, code []Instr, quick bool, capEnv int
 
 		// Quickened superinstructions: only legal in the quick stream
 		// (structuralPass rejects them on the wire).
-		case qNop:
-		case qConst:
-			push(vInt)
-		case qConst2:
-			push(vInt)
-			push(vInt)
 		case qGetGet:
 			push(st.locals[ins.A])
 			push(st.locals[ins.B])
@@ -733,23 +704,6 @@ func flowChunk(o *Object, ci int, c *Chunk, code []Instr, quick bool, capEnv int
 				return 0, fail(pc, VerifyTypeConfusion, "field load from %s local", t)
 			}
 			st.locals[uint32(ins.B)>>8] = vAny
-		case qISet:
-			if err := need(1); err != nil {
-				return 0, err
-			}
-			t := pop()
-			if notInt(t) {
-				return 0, fail(pc, VerifyIntClaim, "untagged register %d fed a %s", ins.B, t)
-			}
-			st.locals[ins.A] = t
-		case qIIncL:
-			slot := int(ins.A & 0xffff)
-			if t := st.locals[slot]; notInt(t) {
-				return 0, fail(pc, VerifyTypeConfusion, "untagged increment of %s local", t)
-			}
-			st.locals[slot] = vInt
-		case qIILeJf:
-			branch = pc + 1 + int(ins.A)
 		case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 			n := int(ins.A & 0xff)
 			if err := need(n + 1); err != nil {
@@ -855,8 +809,6 @@ func structuralPass(o *Object, ci int, c *Chunk, code []Instr, quick bool) error
 			if ins.A < 0 || ins.A > 255 {
 				return fail(VerifyBadOperand, "tuple index %d", ins.A)
 			}
-		case qConst2, qNop, qConst:
-			// Operands are literal values; nothing to bound.
 		case qGetGet:
 			if ins.A < 0 || int(ins.A) >= c.NLocals || ins.B < 0 || int(ins.B) >= c.NLocals {
 				return fail(VerifyBadOperand, "locals %d,%d outside frame of %d", ins.A, ins.B, c.NLocals)
@@ -887,31 +839,6 @@ func structuralPass(o *Object, ci int, c *Chunk, code []Instr, quick bool) error
 			bb := uint32(ins.B)
 			if ins.A < 0 || int(ins.A) >= c.NLocals || int(bb>>8) >= c.NLocals {
 				return fail(VerifyBadOperand, "locals %d,%d outside frame of %d", ins.A, bb>>8, c.NLocals)
-			}
-		case qISet:
-			if ins.A < 0 || int(ins.A) >= c.NLocals {
-				return fail(VerifyBadOperand, "local %d outside frame of %d", ins.A, c.NLocals)
-			}
-			if ins.B < 0 || int(ins.B) >= c.NInts {
-				return fail(VerifyBadOperand, "untagged register %d outside file of %d", ins.B, c.NInts)
-			}
-		case qIIncL:
-			if slot := int(ins.A & 0xffff); slot >= c.NLocals {
-				return fail(VerifyBadOperand, "local %d outside frame of %d", slot, c.NLocals)
-			}
-			if reg := int(ins.A >> 16); reg < 0 || reg >= c.NInts {
-				return fail(VerifyBadOperand, "untagged register %d outside file of %d", ins.A>>16, c.NInts)
-			}
-		case qIILeJf:
-			bb := uint32(ins.B)
-			if int(bb&0x3f) >= c.NLocals || int((bb>>6)&0x3f) >= c.NLocals {
-				return fail(VerifyBadOperand, "locals %d,%d outside frame of %d", bb&0x3f, (bb>>6)&0x3f, c.NLocals)
-			}
-			if int((bb>>12)&0x3f) >= c.NInts || int((bb>>18)&0x3f) >= c.NInts {
-				return fail(VerifyBadOperand, "untagged registers %d,%d outside file of %d", (bb>>12)&0x3f, (bb>>18)&0x3f, c.NInts)
-			}
-			if tgt := pc + 1 + int(ins.A); tgt < 0 || tgt > len(code) {
-				return fail(VerifyBadJump, "target %d outside chunk of %d instructions", tgt, len(code))
 			}
 		case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 			if n := ins.A & 0xff; n < 1 {

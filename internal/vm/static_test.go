@@ -64,23 +64,17 @@ func TestHostileCorpus(t *testing.T) {
 		{"branch-on-int", VerifyTypeConfusion,
 			hobj(nil, &Chunk{Name: "init", Code: []Instr{
 				{Op: opConstInt, A: 1}, {Op: opJumpIfFalse, A: 0}, {Op: opConstUnit}, {Op: opReturn}}})},
-		{"forged-int-slot-claim", VerifyIntClaim,
-			hobj(func(o *Object) { o.StrPool = []string{"s"} },
-				&Chunk{Name: "init", NLocals: 1, IntSlots: []bool{true}, Code: []Instr{
-					{Op: opConstStr, A: 0}, {Op: opLocalSet, A: 0}, {Op: opConstUnit}, {Op: opReturn}}})},
 		{"capture-past-frame", VerifyBadCapture,
 			hobj(func(o *Object) { o.CapSpecs = [][]CaptureRef{{{Kind: capLocal, Idx: 5}}} },
 				&Chunk{Name: "init", Code: []Instr{{Op: opClosure, A: 1, B: 0}, {Op: opReturn}}},
 				&Chunk{Name: "f", Code: ret()})},
-		{"forged-int-register-count", VerifyBadMeta,
-			hobj(nil, &Chunk{Name: "init", NInts: maxIntRegs + 1, Code: ret()})},
 		{"deopt-map-escape", VerifyQuickMap,
 			hobj(nil, &Chunk{Name: "init", Code: ret(),
-				Quick:    []Instr{{Op: qNop, W: 2}},
+				Quick:    []Instr{{Op: qGetGet, W: 2}},
 				quickSrc: []int32{5}})},
 		{"step-weight-leak", VerifyQuickWeight,
 			hobj(nil, &Chunk{Name: "init", Code: ret(),
-				Quick:    []Instr{{Op: qNop, W: 1}},
+				Quick:    []Instr{{Op: qGetGet, W: 1}},
 				quickSrc: []int32{0}})},
 		{"init-chunk-escape", VerifyStructure,
 			hobj(func(o *Object) { o.Init = 5 }, &Chunk{Name: "init", Code: ret()})},
@@ -111,31 +105,6 @@ func TestHostileCorpus(t *testing.T) {
 	}
 	if len(seenKinds) < 10 {
 		t.Errorf("corpus covers %d distinct kinds, want >= 10", len(seenKinds))
-	}
-}
-
-// TestTrustIsEarned proves the optimizer's trusted rule set is gated on
-// the verified bit: a caller asserting trust over an unverified object
-// silently gets the hostile rules, and only a VerifyObject-accepted object
-// quickens with OptTrusted set.
-func TestTrustIsEarned(t *testing.T) {
-	mk := func() *Object {
-		return hobj(nil, &Chunk{Name: "init", Code: ret()})
-	}
-
-	unverified := mk()
-	OptimizeObject(unverified, true)
-	if unverified.OptTrusted {
-		t.Error("unverified object was quickened under the trusted rule set")
-	}
-
-	earned := mk()
-	if _, err := VerifyObject(earned); err != nil {
-		t.Fatal(err)
-	}
-	OptimizeObject(earned, true)
-	if !earned.OptTrusted {
-		t.Error("verified object did not earn the trusted rule set")
 	}
 }
 

@@ -9,21 +9,18 @@ package vm
 //
 // The interpreter's inline dispatch is cheap enough that translating
 // individual instructions into closures loses (an indirect call costs more
-// than a predicted switch dispatch), so the translator only fuses shapes
-// where one closure replaces a *bulk* of interpreter work:
-//
-//   - spec-call patterns: a run of pure pushes supplying exactly the
-//     callee and arguments of a predicted native superinstruction
-//     (String.sub/get, Hashtbl.find/mem/add), plus an optional local-set /
-//     pop consuming the result. The closure reads the arguments straight
-//     from their sources and writes the result straight to its sink — the
-//     callee push, argument pushes, operand-stack traffic and result
-//     pop all disappear. The callee is a link-time-resolved import, so the
-//     interpreter's callee guard is discharged once, at translation time:
-//     a pattern is only fused when the captured value already is the
-//     predicted native, and fused code never deoptimizes.
-//   - multi-push runs: three or more adjacent pure pushes collapse into
-//     one closure staging the values in a buffer and appending once.
+// than a predicted switch dispatch), so the translator fuses the one shape
+// where a closure replaces a *bulk* of interpreter work — the spec-call
+// pattern: a run of pure pushes supplying exactly the callee and arguments
+// of a predicted native superinstruction (String.sub/get,
+// Hashtbl.find/mem/add), plus an optional local-set / pop consuming the
+// result. The closure reads the arguments straight from their sources and
+// writes the result straight to its sink — the callee push, argument
+// pushes, operand-stack traffic and result pop all disappear. The callee is
+// a link-time-resolved import, so the interpreter's callee guard is
+// discharged once, at translation time: a pattern is only fused when the
+// captured value already is the predicted native, and fused code never
+// deoptimizes.
 //
 // The translation is semantically invisible: every closure reproduces the
 // interpreter's exact stack effects, traps, Steps and AllocBytes, so
@@ -68,23 +65,17 @@ type chunkTrans struct {
 type tstep func(m *Machine, f *frameSlot) int
 
 // tstep statuses, with the unexecuted fuel refund packed above the status
-// bits (tsOK carries nothing).
+// bit (tsOK carries nothing).
 const (
 	// tsOK: completed; f.ip is at the block's successor.
 	tsOK = iota
-	// tsDeopt: a guard failed; run() rewinds the refunded charge and
-	// resumes the frame on the wire code at the quickSrc position. No
-	// current pattern carries a runtime guard (spec-call callees are
-	// discharged at translation time), so this status is reserved for
-	// guard-bearing blocks; run() keeps the handling.
-	tsDeopt
 	// tsTrap: trapped; the Trap is in Machine.transTrap and f.ip is at the
 	// trapping instruction's successor.
 	tsTrap
 )
 
 // tsRefundShift: bits above the status carry the block's fuel refund.
-const tsRefundShift = 2
+const tsRefundShift = 1
 
 // Pure-push sources: instructions whose only effect is pushing values
 // computable from captured operands and frame slots, with no trap and no
@@ -117,53 +108,6 @@ func (s *pushSrc) fetch(m *Machine, f *frameSlot, g []Value) Value {
 	return s.v
 }
 
-// maxPushFuse bounds the values one fused block may push (they are staged
-// in a fixed stack buffer before one append).
-const maxPushFuse = 8
-
-// makePushN fuses a run of pure pushes spanning `span` instructions into
-// one closure: evaluate every source, append once (a single grow check
-// instead of one per push). Total — never traps. The common widths get
-// closures appending straight from registers; the rest stage through a
-// buffer.
-func makePushN(srcs []pushSrc, g []Value, span int) tstep {
-	dip := span - 1
-	switch len(srcs) {
-	case 3:
-		s0, s1, s2 := srcs[0], srcs[1], srcs[2]
-		return func(m *Machine, f *frameSlot) int {
-			m.vals = append(m.vals, s0.fetch(m, f, g), s1.fetch(m, f, g), s2.fetch(m, f, g))
-			f.ip += dip
-			return tsOK
-		}
-	case 4:
-		s0, s1, s2, s3 := srcs[0], srcs[1], srcs[2], srcs[3]
-		return func(m *Machine, f *frameSlot) int {
-			m.vals = append(m.vals, s0.fetch(m, f, g), s1.fetch(m, f, g), s2.fetch(m, f, g), s3.fetch(m, f, g))
-			f.ip += dip
-			return tsOK
-		}
-	case 5:
-		s0, s1, s2, s3, s4 := srcs[0], srcs[1], srcs[2], srcs[3], srcs[4]
-		return func(m *Machine, f *frameSlot) int {
-			m.vals = append(m.vals, s0.fetch(m, f, g), s1.fetch(m, f, g), s2.fetch(m, f, g), s3.fetch(m, f, g), s4.fetch(m, f, g))
-			f.ip += dip
-			return tsOK
-		}
-	default:
-		n := len(srcs)
-		return func(m *Machine, f *frameSlot) int {
-			var buf [maxPushFuse]Value
-			for i := 0; i < n; i++ {
-				buf[i] = srcs[i].fetch(m, f, g)
-			}
-			m.vals = append(m.vals, buf[:n]...)
-			f.ip += dip
-			return tsOK
-		}
-	}
-}
-
 // Result sinks for spec-call patterns.
 const (
 	sfNone = byte(iota) // push the result (no suffix fused)
@@ -182,7 +126,7 @@ const (
 
 type pinfo struct {
 	kind byte
-	srcs []pushSrc // pPush (empty but non-nil for qNop)
+	srcs []pushSrc // pPush: the one or two values pushed
 	spec byte      // pSpec: the quickened opcode
 	n    int       // pSpec: arity
 	ic   int       // pSpec: inline-cache site index
@@ -215,10 +159,7 @@ func classify(lm *LinkedModule, c *Chunk, code []Instr) []pinfo {
 		ins := code[i]
 		p := &ps[i]
 		switch ins.Op {
-		case qNop:
-			// A collapsed dead pair: charges its weight, pushes nothing.
-			p.kind, p.srcs = pPush, []pushSrc{}
-		case opConstInt, qConst:
+		case opConstInt:
 			p.kind, p.srcs = pPush, []pushSrc{{kind: psVal, v: boxInt(ins.A)}}
 		case opConstStr:
 			if ins.A >= 0 && int(ins.A) < len(obj.StrPool) {
@@ -240,8 +181,6 @@ func classify(lm *LinkedModule, c *Chunk, code []Instr) []pinfo {
 			if ins.A >= 0 && int(ins.A) < len(lm.Imports) {
 				p.kind, p.srcs = pPush, []pushSrc{{kind: psVal, v: lm.Imports[ins.A]}}
 			}
-		case qConst2:
-			p.kind, p.srcs = pPush, []pushSrc{{kind: psVal, v: boxInt(ins.A)}, {kind: psVal, v: boxInt(int64(ins.B))}}
 		case qGetGet:
 			if ins.A >= 0 && int(ins.A) < c.NLocals && ins.B >= 0 && int(ins.B) < c.NLocals {
 				p.kind, p.srcs = pPush, []pushSrc{{kind: psLocal, a: ins.A}, {kind: psLocal, a: int64(ins.B)}}
@@ -263,92 +202,61 @@ func classify(lm *LinkedModule, c *Chunk, code []Instr) []pinfo {
 
 // buildTrans assembles a chunk's translation: copy the preferred stream,
 // then splice an opTrans superinstruction over the first position of every
-// fused pattern. Returns the refusal sentinel when nothing fuses.
+// spec-call pattern. Returns the refusal sentinel when nothing fuses.
 func buildTrans(lm *LinkedModule, c *Chunk) *chunkTrans {
 	src := c.Quick
 	if src == nil {
 		src = c.Code
 	}
 	ps := classify(lm, c, src)
-	ws := transWeights(c)
 	var code []Instr
 	var blocks []tstep
-	splice := func(at, bw int, blk tstep) {
+	for j := range src {
+		if ps[j].kind != pSpec {
+			continue
+		}
+		// The pure pushes right before the call must supply exactly the
+		// callee and arguments (a q.get_get pushes two, so the walk can
+		// overshoot; such a site stays interpreted).
+		want := ps[j].n + 1
+		b, cnt := j, 0
+		for b > 0 && cnt < want && ps[b-1].kind == pPush {
+			b--
+			cnt += len(ps[b].srcs)
+		}
+		if cnt != want {
+			continue
+		}
+		var pat []pushSrc
+		bw := weightOf(src[j])
+		for k := b; k < j; k++ {
+			pat = append(pat, ps[k].srcs...)
+			bw += weightOf(src[k])
+		}
+		// The callee must already be the predicted native.
+		tag, _ := specShape(ps[j].spec)
+		nat, ok := pat[0].v.(*Native)
+		if pat[0].kind != psVal || !ok || nat.Arity != ps[j].n || nat.Tag != tag {
+			continue
+		}
+		end := j + 1
+		suffix, slot, tailW := sfNone, 0, 0
+		if end < len(src) {
+			switch ps[end].kind {
+			case pLSet:
+				suffix, slot, tailW = sfLSet, ps[end].slot, weightOf(src[end])
+				end++
+			case pPop:
+				suffix, tailW = sfPop, weightOf(src[end])
+				end++
+			}
+		}
 		if code == nil {
 			code = append([]Instr(nil), src...)
 		}
-		code[at] = Instr{Op: opTrans, W: byte(bw), A: int64(len(blocks))}
-		blocks = append(blocks, blk)
-	}
-	for i := 0; i < len(src); {
-		if ps[i].kind != pPush {
-			i++
-			continue
-		}
-		// Maximal pure-push run, capped by the push buffer and by the one
-		// byte of fuel weight Instr.W offers (real runs never come close).
-		j := i
-		bw := 0
-		var srcs []pushSrc
-		for j < len(src) && ps[j].kind == pPush &&
-			len(srcs)+len(ps[j].srcs) <= maxPushFuse && bw+int(ws[j]) <= 255 {
-			srcs = append(srcs, ps[j].srcs...)
-			bw += int(ws[j])
-			j++
-		}
-		// Spec-call pattern: a tail of the run supplies exactly the callee
-		// and arguments, and the callee is already the predicted native.
-		// Leading pushes (a split run) fuse separately when long enough.
-		if j < len(src) && ps[j].kind == pSpec {
-			want := ps[j].n + 1
-			b, cnt := j, 0
-			for b > i && cnt < want {
-				b--
-				cnt += len(ps[b].srcs)
-			}
-			if cnt == want {
-				pat := srcs[len(srcs)-want:]
-				pbw := int(ws[j])
-				for k := b; k < j; k++ {
-					pbw += int(ws[k])
-				}
-				tag, _ := specShape(ps[j].spec)
-				nat, ok := pat[0].v.(*Native)
-				if pat[0].kind == psVal && ok && nat.Arity == ps[j].n && nat.Tag == tag && pbw <= 255 {
-					specOff := j - b
-					end := j + 1
-					suffix, slot, tailW := sfNone, 0, 0
-					if end < len(src) && pbw+int(ws[end]) <= 255 {
-						switch ps[end].kind {
-						case pLSet:
-							suffix, slot, tailW = sfLSet, ps[end].slot, int(ws[end])
-							pbw += tailW
-							end++
-						case pPop:
-							suffix, tailW = sfPop, int(ws[end])
-							pbw += tailW
-							end++
-						}
-					}
-					if b-i >= 3 {
-						lbw := 0
-						for k := i; k < b; k++ {
-							lbw += int(ws[k])
-						}
-						splice(i, lbw, makePushN(srcs[:len(srcs)-want], lm.Globals, b-i))
-					}
-					splice(b, pbw, makeSpec(lm, &ps[j], pat[1:], suffix, slot, specOff, tailW, end-b))
-					i = end
-					continue
-				}
-			}
-		}
-		// Plain multi-push: three or more fused dispatches pay for the
-		// closure call; shorter runs stay interpreted.
-		if j-i >= 3 {
-			splice(i, bw, makePushN(srcs, lm.Globals, j-i))
-		}
-		i = j
+		// A handful of positions of weight <= 2 each: W cannot overflow.
+		code[b] = Instr{Op: opTrans, W: byte(bw + tailW), A: int64(len(blocks))}
+		blocks = append(blocks, makeSpec(lm, &ps[j], pat[1:], suffix, slot, j-b, tailW, end-b))
 	}
 	if len(blocks) == 0 {
 		return refusedTrans
@@ -541,25 +449,6 @@ const transHotThreshold = 32
 // refusedTrans marks a chunk the translator declined (no blocks, vs nil
 // meaning "not yet attempted").
 var refusedTrans = &chunkTrans{}
-
-// transWeights precomputes the per-instruction step weights of the stream
-// the translation covers (Quick when present, else Code): max(W, 1), as a
-// compact table block formation sums from.
-func transWeights(c *Chunk) []uint8 {
-	code := c.Quick
-	if code == nil {
-		code = c.Code
-	}
-	ws := make([]uint8, len(code))
-	for i := range code {
-		w := code[i].W
-		if w == 0 {
-			w = 1
-		}
-		ws[i] = w
-	}
-	return ws
-}
 
 // transFor returns chunk c's translation, building it lazily once the
 // chunk has run hot. Returns nil while cold or refused. The warm path is

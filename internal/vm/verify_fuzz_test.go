@@ -29,7 +29,6 @@ var structuralTraps = []string{
 	"capture index out of range",
 	"refers past frame locals",
 	"refers past closure environment",
-	"untagged register invalid",
 	"specialized call mispredicted",
 }
 
@@ -111,7 +110,7 @@ func encodedSeeds(tb testing.TB) [][]byte {
 
 // FuzzVerifierSoundness mutates encoded switchlet objects and holds the
 // verifier to its contract: every rejection is a typed *vm.VerifyError,
-// and every acceptance executes at -O0 and hostile -O1 with identical
+// and every acceptance executes at -O0 and -O1 with identical
 // transcripts and no structural trap.
 func FuzzVerifierSoundness(f *testing.F) {
 	for _, enc := range encodedSeeds(f) {
@@ -140,7 +139,7 @@ func FuzzVerifierSoundness(f *testing.F) {
 			return
 		}
 		// Verifier accepted: the object must run clean both naive and
-		// hostile-quickened, and identically.
+		// quickened, and identically.
 		base := runWire(t, enc, 0)
 		quick := runWire(t, enc, 1)
 		if base != quick {
@@ -165,8 +164,8 @@ func hasQuick(o *vm.Object) bool {
 }
 
 // TestBundledSwitchletsVerifyClean is the shipping gate: every bundled
-// switchlet must pass the full static check in all three forms the loader
-// sees — fresh wire decode, hostile-quickened, and trusted-quickened.
+// switchlet must pass the full static check in both forms the loader sees —
+// fresh wire decode and quickened.
 func TestBundledSwitchletsVerifyClean(t *testing.T) {
 	node := bridge.New(netsim.New(), "clean", 1, 2, netsim.DefaultCostModel())
 	for name, src := range map[string]string{
@@ -192,32 +191,14 @@ func TestBundledSwitchletsVerifyClean(t *testing.T) {
 				t.Fatalf("wire form rejected: %v", err)
 			}
 
-			hostile, _ := vm.DecodeObject(enc)
-			vm.OptimizeObject(hostile, false)
-			info, err := vm.VerifyObject(hostile)
+			quick, _ := vm.DecodeObject(enc)
+			vm.OptimizeObject(quick, false)
+			info, err := vm.VerifyObject(quick)
 			if err != nil {
-				t.Fatalf("hostile-quickened form rejected: %v", err)
+				t.Fatalf("quickened form rejected: %v", err)
 			}
-			if hasQuick(hostile) && !info.QuickChecked {
+			if hasQuick(quick) && !info.QuickChecked {
 				t.Error("quick stream present but not checked")
-			}
-
-			// Trusted form: verify first (trust is earned), quicken with the
-			// trusted rule set, then graft the quickened chunks onto a fresh
-			// decode so the verification cache starts cold.
-			if _, err := vm.VerifyObject(obj); err != nil {
-				t.Fatalf("compiled form rejected: %v", err)
-			}
-			vm.OptimizeObject(obj, true)
-			graft, _ := vm.DecodeObject(enc)
-			graft.Chunks = obj.Chunks
-			graft.NICSites = obj.NICSites
-			tinfo, err := vm.VerifyObject(graft)
-			if err != nil {
-				t.Fatalf("trusted-quickened form rejected: %v", err)
-			}
-			if hasQuick(obj) && !tinfo.QuickChecked {
-				t.Error("trusted quick stream present but not checked")
 			}
 		})
 	}

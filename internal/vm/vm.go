@@ -19,8 +19,8 @@ import (
 // Chunks carry two code streams: the verified wire Code and an optional
 // quickened Quick form produced by OptimizeObject. A frame normally runs
 // the quickened stream; any situation the fast paths cannot handle
-// (mispredicted inline-cache callee, invalidated untagged register, fuel
-// starvation inside a superinstruction) deoptimizes the frame to the wire
+// (mispredicted inline-cache callee, fuel starvation inside a
+// superinstruction) deoptimizes the frame to the wire
 // code at the exact equivalent position, so results, traps, Steps and
 // AllocBytes are identical at every optimization level.
 type Machine struct {
@@ -265,13 +265,6 @@ type frameSlot struct {
 	// naive forces the frame onto the wire Code even when the chunk has a
 	// quickened form; set by deoptimization, cleared on frame (re)entry.
 	naive bool
-	// iregs are the untagged int registers backing inference-proven loop
-	// counters (qISet/qIIncL/qIILeJf). itag is an invalidation bitmask:
-	// bit r set means register r does not hold the current value of its
-	// slot and the fused ops reading it must deoptimize. All registers
-	// start invalid; qISet validates them.
-	itag  uint8
-	iregs [maxIntRegs]int64
 }
 
 // pushFrame activates c whose len(args)=c.Chunk.NParams arguments are the
@@ -294,7 +287,6 @@ func (m *Machine) pushFrame(c *Closure, nArgs, retBase int) *frameSlot {
 	f.ip = 0
 	f.handlers = f.handlers[:0]
 	f.naive = false
-	f.itag = 0xff
 	return f
 }
 
@@ -519,7 +511,6 @@ frames:
 						f.opBase = f.base + c.Chunk.NLocals
 						f.ip = 0
 						f.naive = false
-						f.itag = 0xff
 						continue frames
 					}
 					if m.frameTop-frameFloor >= m.MaxFrames {
@@ -776,12 +767,6 @@ frames:
 
 			// ---- quickened opcodes (never on the wire; see optimize.go) ----
 
-			case qNop:
-				// A fused pure-push/pop pair; the weight was charged above.
-			case qConst:
-				m.vals = append(m.vals, m.boxI(ins.A))
-			case qConst2:
-				m.vals = append(m.vals, m.boxI(ins.A), m.boxI(int64(ins.B)))
 			case qGetGet:
 				m.vals = append(m.vals, m.vals[f.base+int(ins.A)], m.vals[f.base+int(ins.B)])
 			case qCmpJf:
@@ -836,55 +821,6 @@ frames:
 					break
 				}
 				m.vals[f.base+int(bb>>8)] = t[idx]
-			case qISet:
-				v := m.pop(f.opBase)
-				m.vals[f.base+int(ins.A)] = v
-				if iv, ok := v.(int64); ok {
-					f.iregs[ins.B] = iv
-					f.itag &^= 1 << uint(ins.B)
-				} else {
-					f.itag |= 1 << uint(ins.B)
-				}
-			case qIIncL:
-				reg := uint(ins.A >> 16)
-				if f.itag&(1<<reg) != 0 {
-					if chunk.quickSrc == nil {
-						trapErr = &Trap{Msg: "untagged register invalid with no deopt map"}
-						break
-					}
-					fuel += w
-					steps -= w
-					f.ip = int(chunk.quickSrc[f.ip-1])
-					f.naive = true
-					if m.Trace != nil {
-						m.Trace.TraceDeopt("untagged-reg")
-					}
-					continue frames
-				}
-				nv := f.iregs[reg] + int64(ins.B)
-				f.iregs[reg] = nv
-				m.vals[f.base+int(ins.A&0xffff)] = m.boxI(nv)
-			case qIILeJf:
-				bb := uint32(ins.B)
-				ri := uint((bb >> 12) & 0x3f)
-				rh := uint((bb >> 18) & 0x3f)
-				if f.itag&(1<<ri|1<<rh) != 0 {
-					if chunk.quickSrc == nil {
-						trapErr = &Trap{Msg: "untagged register invalid with no deopt map"}
-						break
-					}
-					fuel += w
-					steps -= w
-					f.ip = int(chunk.quickSrc[f.ip-1])
-					f.naive = true
-					if m.Trace != nil {
-						m.Trace.TraceDeopt("untagged-reg")
-					}
-					continue frames
-				}
-				if f.iregs[ri] > f.iregs[rh] {
-					f.ip += int(ins.A)
-				}
 			case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 				n := int(ins.A & 0xff)
 				if len(m.vals)-f.opBase < n+1 {
@@ -1025,26 +961,13 @@ frames:
 				// reject it from the wire). The block's whole fuel weight was
 				// charged above (ins.W) and f.ip already points past the
 				// block's first instruction; the fused closure runs the run's
-				// members back-to-back. On failure it leaves f.ip at the
-				// failing instruction's successor and packs the unexecuted
-				// refund above the status bits (see makeBlock).
-				st := blocks[ins.A](m, f)
-				if st != tsOK {
+				// members back-to-back. On a trap it leaves f.ip at the
+				// trapping instruction's successor and packs the unexecuted
+				// refund above the status bit (see makeSpec).
+				if st := blocks[ins.A](m, f); st != tsOK {
 					refund := uint64(st >> tsRefundShift)
 					fuel += refund
 					steps -= refund
-					if st&(1<<tsRefundShift-1) == tsDeopt {
-						// Guard failure: replay on the wire code, exactly
-						// like a quickened-interpreter deopt. tsDeopt only
-						// arises from quickened members, so quickSrc is
-						// present.
-						f.ip = int(chunk.quickSrc[f.ip-1])
-						f.naive = true
-						if m.Trace != nil {
-							m.Trace.TraceDeopt("translated-guard")
-						}
-						continue frames
-					}
 					trapErr = m.transTrap
 					m.transTrap = nil
 				}
