@@ -27,14 +27,6 @@
 //	               totals land in the JSON "faults" section. Scenario
 //	               self-checks may legitimately fail under chaos — the
 //	               fingerprints stay deterministic per seed regardless
-//	-vmlevels      benchmark 1024B frame forwarding at every switchlet
-//	               execution tier (-O0 naive, -O1 quickened, -O2
-//	               translated); fails if the virtual frame rates differ
-//	               at any level. With -json, adds a "vm_levels" section
-//	-vm-baseline F gate the optimizing tiers against F's
-//	               frame_rates_1024B entry: identical virtual rate, no
-//	               alloc regression, and each tier no slower than the
-//	               one below it on this machine
 //	-trace F       enable the causal tracing plane for every scenario and
 //	               write one Chrome trace-event JSON (open in Perfetto or
 //	               chrome://tracing) covering every traced net to F
@@ -57,7 +49,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -65,7 +56,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/switchware/activebridge/internal/bridge"
 	"github.com/switchware/activebridge/internal/experiments"
 	"github.com/switchware/activebridge/internal/fault"
 	"github.com/switchware/activebridge/internal/metrics"
@@ -119,21 +109,9 @@ type faultReport struct {
 	Restarts uint64 `json:"restarts"`
 }
 
-// vmLevelResult is the VM-bound frame-forwarding benchmark at one
-// switchlet optimization level. The virtual frame rate must be identical
-// at every level (the optimizer's correctness contract); the wall and
-// allocation columns are what the compiler tier buys on this machine.
-type vmLevelResult struct {
-	OptLevel    int     `json:"opt_level"`
-	FramesPS    float64 `json:"frames_per_s"`
-	WallNsPerOp float64 `json:"wall_ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
 type benchReport struct {
 	Schema    string           `json:"schema"`
 	Results   []benchResult    `json:"results,omitempty"`
-	VMLevels  []vmLevelResult  `json:"vm_levels,omitempty"`
 	Scenarios []scenarioResult `json:"scenarios"`
 	// Metrics is present when the metrics plane was enabled
 	// (-metrics-addr / -metrics-out).
@@ -193,145 +171,6 @@ func headlines(cost netsim.CostModel) []benchResult {
 	return out
 }
 
-// vmLevels measures the most VM-bound headline — 1024-byte frame
-// forwarding through the learning switchlet — at every execution tier
-// (-O0 naive, -O1 quickened interpreter, -O2 translated closures),
-// verifying along the way that the virtual frame rate is bit-identical
-// at all levels.
-//
-// The tiers are compared against each other on this machine, so the
-// measurement must not bake in a systematic order bias: benchmarking
-// each level once, sequentially, hands the last level the hottest
-// machine (thermal throttling, accumulated heap) and can swamp a
-// few-percent real difference. Instead the levels are measured in
-// several interleaved rounds with the order rotated every round, and
-// each level reports its best round. The minimum is the standard noise
-// rejector for this shape of measurement: interference from the OS, GC
-// or the thermal governor only ever adds time, so the smallest
-// observation is the closest to the tier's true cost.
-func vmLevels(cost netsim.CostModel) ([]vmLevelResult, error) {
-	defer func(old int) { bridge.DefaultOptLevel = old }(bridge.DefaultOptLevel)
-	const (
-		vmRounds = 5  // interleaved rounds; each level keeps its best
-		vmIters  = 40 // ops per level per round (~3ms each)
-	)
-	levels := []int{0, 1, 2}
-	out := make([]vmLevelResult, len(levels))
-	for i, lvl := range levels {
-		out[i] = vmLevelResult{OptLevel: lvl, WallNsPerOp: math.MaxFloat64}
-	}
-	op := func(lvl int) float64 {
-		bridge.DefaultOptLevel = lvl
-		tb := testbed.New(testbed.ActiveBridge, cost)
-		tb.Warm()
-		return tb.TtcpRun(1024, 2<<20).FramesPerSecond()
-	}
-	// One discarded op per level warms every tier's code paths before
-	// anything is timed.
-	for _, lvl := range levels {
-		op(lvl)
-	}
-	for round := 0; round < vmRounds; round++ {
-		for k := range levels {
-			// Rotate the starting level each round so no tier always
-			// runs first (cold) or last (hot).
-			i := (round + k) % len(levels)
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			var fps float64
-			for it := 0; it < vmIters; it++ {
-				fps = op(levels[i])
-			}
-			wall := float64(time.Since(start).Nanoseconds()) / vmIters
-			runtime.ReadMemStats(&after)
-			allocs := math.Floor(float64(after.Mallocs-before.Mallocs) / vmIters)
-			r := &out[i]
-			if r.FramesPS == 0 {
-				r.FramesPS = fps
-			} else if fps != r.FramesPS {
-				return out, fmt.Errorf("virtual frame rate not reproducible at -O%d: %v, then %v",
-					r.OptLevel, r.FramesPS, fps)
-			}
-			if wall < r.WallNsPerOp {
-				r.WallNsPerOp = wall
-			}
-			if r.AllocsPerOp == 0 || allocs < r.AllocsPerOp {
-				r.AllocsPerOp = allocs
-			}
-		}
-	}
-	for _, lr := range out[1:] {
-		if lr.FramesPS != out[0].FramesPS {
-			return out, fmt.Errorf("virtual frame rate differs across levels: -O0 %v, -O%d %v",
-				out[0].FramesPS, lr.OptLevel, lr.FramesPS)
-		}
-	}
-	return out, nil
-}
-
-// compareVMBaseline gates the optimizing tiers against a committed BENCH
-// json's frame_rates_1024B entry:
-//   - the virtual frame rate at every level must match the baseline
-//     exactly (it is deterministic, so any difference is a semantics
-//     change);
-//   - the top tier must not allocate more per op than the baseline did;
-//   - each tier must not be slower than the one below it, measured in
-//     this same run (the cross-machine wall clock is advisory, the
-//     same-machine ratio is the regression gate: -O2 ≤ -O1 ≤ -O0).
-func compareVMBaseline(path string, levels []vmLevelResult) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abbench: -vm-baseline: %v\n", err)
-		return false
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "abbench: -vm-baseline %s: %v\n", path, err)
-		return false
-	}
-	var ref *benchResult
-	for i := range base.Results {
-		if base.Results[i].Name == "frame_rates_1024B" {
-			ref = &base.Results[i]
-		}
-	}
-	if ref == nil {
-		fmt.Fprintf(os.Stderr, "abbench: -vm-baseline %s has no frame_rates_1024B entry\n", path)
-		return false
-	}
-	top := levels[len(levels)-1]
-	ok := true
-	for _, lr := range levels {
-		if math.Abs(lr.FramesPS-ref.FramesPS) > 1e-6*ref.FramesPS {
-			fmt.Fprintf(os.Stderr, "abbench: virtual frame rate moved at -O%d: baseline %v, now %v\n",
-				lr.OptLevel, ref.FramesPS, lr.FramesPS)
-			ok = false
-		}
-	}
-	if top.AllocsPerOp > ref.AllocsPerOp {
-		fmt.Fprintf(os.Stderr, "abbench: -O%d allocs/op regressed: baseline %.0f, now %.0f\n",
-			top.OptLevel, ref.AllocsPerOp, top.AllocsPerOp)
-		ok = false
-	}
-	for i := 1; i < len(levels); i++ {
-		lo, hi := levels[i-1], levels[i]
-		if hi.WallNsPerOp > lo.WallNsPerOp {
-			fmt.Fprintf(os.Stderr, "abbench: -O%d slower than -O%d on this machine: %.0fns vs %.0fns\n",
-				hi.OptLevel, lo.OptLevel, hi.WallNsPerOp, lo.WallNsPerOp)
-			ok = false
-		}
-	}
-	walls := make([]string, len(levels))
-	for i, lr := range levels {
-		walls[i] = fmt.Sprintf("%.2fms (-O%d)", lr.WallNsPerOp/1e6, lr.OptLevel)
-	}
-	fmt.Fprintf(os.Stderr, "vm levels vs %s: wall %.2fms (base) -> %s; allocs %.0f -> %.0f\n",
-		path, ref.WallNsPerOp/1e6, strings.Join(walls, " / "), ref.AllocsPerOp, top.AllocsPerOp)
-	return ok
-}
-
 func main() {
 	short := flag.Bool("short", false, "skip the slower parameter sweeps")
 	jsonOut := flag.Bool("json", false, "emit headline results as JSON (for BENCH_*.json tracking)")
@@ -344,8 +183,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the schema-v3 bench report with the final metrics snapshot to this file")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the run")
 	faultsSeed := flag.Uint64("faults", 0, "apply the seeded blanket chaos profile to every scenario (0 = off)")
-	vmLvls := flag.Bool("vmlevels", false, "benchmark frame forwarding at -O0/-O1/-O2 and include a vm_levels section (-json)")
-	vmBaseline := flag.String("vm-baseline", "", "BENCH json whose frame_rates_1024B entry gates the optimizing tiers (implies -vmlevels)")
 	traceOut := flag.String("trace", "", "enable the causal tracing plane and write a Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-based sampling probability for -trace (0..1, deterministic per trace ID)")
 	traceSeed := flag.Uint64("trace-seed", 1, "seed for -trace trace-ID minting and sampling")
@@ -353,9 +190,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
-	if *vmBaseline != "" {
-		*vmLvls = true
-	}
 	cost := netsim.DefaultCostModel()
 
 	if *faultsSeed != 0 {
@@ -551,16 +385,6 @@ func main() {
 			rep.Results = headlines(cost)
 			metrics.SetEnabled(was)
 		}
-		if *vmLvls {
-			was := metrics.SetEnabled(false)
-			lvls, lerr := vmLevels(cost)
-			metrics.SetEnabled(was)
-			rep.VMLevels = lvls
-			if lerr != nil {
-				fmt.Fprintf(os.Stderr, "abbench: %v\n", lerr)
-				os.Exit(1)
-			}
-		}
 		for i := range results {
 			r := &results[i]
 			sr := scenarioResult{
@@ -593,9 +417,6 @@ func main() {
 			}
 		}
 		if *baseline != "" && !compareBaseline(*baseline, rep) {
-			os.Exit(1)
-		}
-		if *vmBaseline != "" && !compareVMBaseline(*vmBaseline, rep.VMLevels) {
 			os.Exit(1)
 		}
 		return
@@ -639,22 +460,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", s)
 		}
 		writeMetricsOut(&benchReport{Schema: "abbench/v3", Scenarios: collected, Metrics: m, Faults: fr})
-	}
-	if *vmLvls {
-		was := metrics.SetEnabled(false)
-		lvls, lerr := vmLevels(cost)
-		metrics.SetEnabled(was)
-		for _, lr := range lvls {
-			fmt.Printf("frame_rates_1024B -O%d: %.1f frames/s (virtual), %.2fms/op, %.0f allocs/op\n",
-				lr.OptLevel, lr.FramesPS, lr.WallNsPerOp/1e6, lr.AllocsPerOp)
-		}
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "abbench: %v\n", lerr)
-			os.Exit(1)
-		}
-		if *vmBaseline != "" && !compareVMBaseline(*vmBaseline, lvls) {
-			os.Exit(1)
-		}
 	}
 	linger()
 	if failed > 0 {

@@ -21,12 +21,10 @@
 // superinstruction operands, deopt source map, step weights — is proven
 // too. Exit status 1 with the typed diagnostic on any rejection.
 //
-// -O0, -O1 and -O2 select the optimization level (default -O1). The .swo
-// wire format is identical at every level — quickening and translation are
-// in-memory forms the loader derives — so the level only changes what -d
-// shows and what the in-process interpreter would run. At -O2, -d
-// additionally links the object the way a level-2 node would and reports
-// how many chunks the translator lowered to cached Go closures.
+// -O0 and -O1 select the optimization level (default -O1). The .swo wire
+// format is identical at either level — quickening is an in-memory form the
+// loader derives — so the level only changes what -d shows and what the
+// in-process interpreter would run.
 //
 // The module name defaults to the capitalized base name of the source file.
 package main
@@ -55,19 +53,15 @@ func main() {
 		builtin = flag.String("builtin", "", "emit a bundled switchlet: dumb|learning|spanning|dec|control|spanbug")
 		o0      = flag.Bool("O0", false, "compile/disassemble the naive bytecode only")
 		o1      = flag.Bool("O1", false, "quicken: superinstructions and inline caches (default; wire bytes are identical)")
-		o2      = flag.Bool("O2", false, "additionally translate chunks to cached Go closures, as a -O2 node would; -d prints the translation summary")
 		verifyF = flag.Bool("verify", false, "run the load-time static verifier on a source, object file or builtin")
 	)
 	flag.Parse()
-	if (*o0 && *o1) || (*o0 && *o2) || (*o1 && *o2) {
-		fatal("-O0, -O1 and -O2 are mutually exclusive")
+	if *o0 && *o1 {
+		fatal("-O0 and -O1 are mutually exclusive")
 	}
 	optLevel := 1
 	if *o0 {
 		optLevel = 0
-	}
-	if *o2 {
-		optLevel = 2
 	}
 
 	// The compilation environment is exactly what a fresh bridge node
@@ -180,21 +174,6 @@ func main() {
 			}
 		}
 		fmt.Print(vm.Disassemble(obj))
-		if optLevel >= 2 {
-			// Replay what a -O2 node does after linking: translate every
-			// chunk eagerly and summarize which earned Go closures. The
-			// translated tier is an in-memory node artifact, so there is
-			// nothing extra to show per instruction — the dispatch stream
-			// above is exactly what the translated frame executes, with
-			// fused spans entered through trans sites.
-			node.Loader.OptLevel = 2
-			if lm, err := node.Loader.LoadObject(obj); err != nil {
-				fmt.Fprintf(os.Stderr, "swc: -O2: not translated: %v\n", err)
-			} else {
-				lm.Translate()
-				fmt.Printf("-O2: translated %d of %d chunks to Go closures\n", lm.Translated(), len(obj.Chunks))
-			}
-		}
 		return
 	}
 

@@ -66,8 +66,8 @@ type Stats struct {
 	OutputBlocked   uint64 // sends dropped due to port blocking
 	NoHandlerDrops  uint64 // no switchlet claimed the frame
 	HandlerTraps    uint64 // runtime failures inside switchlet code
-	FlowCacheHits   uint64 // demux decisions served from the flow cache
-	FlowCacheMisses uint64 // demux decisions resolved through the maps
+	FlowCacheHits   uint64 // always 0: stub for frozen bench/harness.go, see DisableFlowCache
+	FlowCacheMisses uint64 // always 0: stub for frozen bench/harness.go, see DisableFlowCache
 	TimerFires      uint64
 	Crashes         uint64 // fault-plane crashes of this node
 	Restarts        uint64 // fault-plane cold restarts of this node
@@ -112,14 +112,7 @@ type Bridge struct {
 	// while registrations are almost always multicast (the All Bridges
 	// address), so the per-frame map lookup is skipped entirely.
 	unicastDsts int
-	// flowCache memoizes the destination-demux decision (handler, isDst)
-	// per dst MAC, generation-stamped: any mutation of the handler set
-	// bumps flowGen, invalidating every entry at once. Port blocking is
-	// deliberately NOT cached — it depends on the input port and is
-	// checked per frame, so SetPortBlock needs no invalidation.
-	flowCache [flowCacheLen]flowEntry
-	flowGen   uint64
-	timers    map[string]*timerState
+	timers      map[string]*timerState
 
 	inDispatch   bool
 	pendingSends []pendingSend
@@ -197,45 +190,20 @@ func IdentityMAC(id byte) ethernet.MAC {
 	return ethernet.MAC{0x02, 0xbb, 0x00, 0x00, id, 0x00}
 }
 
-// DefaultOptLevel is the switchlet optimization level new bridges adopt
-// (0 naive bytecode, 1 quickened, 2 translated-to-Go-closures). Virtual
-// time is identical at every level; the knob exists so benchmarks and
-// differential tests can measure the tiers against each other. New copies
-// it into the bridge's loader once, so a change affects only bridges
-// constructed afterwards. Not synchronized: set it between runs.
-var DefaultOptLevel = 2
+// DefaultOptLevel is the switchlet optimization level new bridges adopt:
+// 0 links the wire bytecode as-is (the differential reference), anything
+// >= 1 runs the shared quickened stream. Virtual time is identical at
+// either level; the knob exists so differential tests and the benchmark's
+// layer drivers can run the reference. New copies it into the bridge's
+// loader once, so a change affects only bridges constructed afterwards. Not
+// synchronized: set it between runs.
+var DefaultOptLevel = 1
 
-// DisableFlowCache turns off the per-destination demux cache on every
-// bridge (a differential-testing knob: cached and uncached runs must be
-// byte-identical). Unlike DefaultOptLevel it is read on every frame, so a
-// change affects existing bridges too. Not synchronized: toggle it only
-// between runs.
+// DisableFlowCache has no effect; kept only because frozen bench/run.go
+// reads it. The next benchmark PR removes it, Stats.FlowCacheHits/Misses,
+// and the bridge.flow_cache_hit_ratio, vm.tier_enter_share.O2 and
+// vm.ns_per_frame.O2 metrics together.
 var DisableFlowCache = false
-
-// flowCacheLen is the direct-mapped flow cache size (power of two). Small
-// on purpose: steady-state forwarding touches a handful of destinations,
-// and misses just fall back to the map path.
-const flowCacheLen = 64
-
-// flowEntry is one cached demux decision, valid while gen matches the
-// bridge's flowGen.
-type flowEntry struct {
-	gen   uint64
-	dst   ethernet.MAC
-	h     FrameHandler
-	isDst bool
-}
-
-// flowIdx maps a destination MAC to its cache slot.
-func flowIdx(dst ethernet.MAC) uint64 {
-	u := dst.Uint64()
-	return (u ^ u>>16 ^ u>>32) & (flowCacheLen - 1)
-}
-
-// FlushFlowCache invalidates every cached demux decision. The handler
-// mutators call it internally; the Manager also calls it at lifecycle
-// epochs, mirroring the VM-side cache flushes.
-func (b *Bridge) FlushFlowCache() { b.flowGen++ }
 
 // New creates a bridge with the given number of ports. MACs are derived
 // from the id byte (IdentityMAC) and ports share the identity address
@@ -249,10 +217,6 @@ func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostMo
 		mac:         IdentityMAC(id),
 		dstHandlers: map[ethernet.MAC]FrameHandler{},
 		timers:      map[string]*timerState{},
-		// Generation 0 is reserved so the zero-value cache entries can
-		// never read as valid (a frame to the all-zero MAC must still
-		// resolve through the maps).
-		flowGen: 1,
 	}
 	b.emitHeadFn = b.emitHead
 	b.Machine = vm.NewMachine()
@@ -456,13 +420,11 @@ func (b *Bridge) NowMicros() int64 { return int64(b.sim.Now()) / 1000 }
 // bridge").
 func (b *Bridge) SetHandler(fn vm.Value) {
 	b.defaultHandler = FrameHandler{VM: fn, Name: "vm-default"}
-	b.FlushFlowCache()
 }
 
 // SetNativeHandler installs a native-code default handler.
 func (b *Bridge) SetNativeHandler(name string, fn func(data []byte, inPort int)) {
 	b.defaultHandler = FrameHandler{Native: fn, Name: name}
-	b.FlushFlowCache()
 }
 
 // ClearHandler releases the default frame handler: the node forwards
@@ -470,7 +432,6 @@ func (b *Bridge) SetNativeHandler(name string, fn func(data []byte, inPort int))
 // when uninstalling a switchlet whose manifest owns the data path.
 func (b *Bridge) ClearHandler() {
 	b.defaultHandler = FrameHandler{}
-	b.FlushFlowCache()
 }
 
 // DefaultHandlerName reports which handler currently owns the data path.
@@ -489,7 +450,6 @@ func (b *Bridge) SetDstHandler(m ethernet.MAC, h FrameHandler) error {
 	if !m.IsMulticast() {
 		b.unicastDsts++
 	}
-	b.FlushFlowCache()
 	return nil
 }
 
@@ -500,7 +460,6 @@ func (b *Bridge) ClearDstHandler(m ethernet.MAC) {
 		if !m.IsMulticast() {
 			b.unicastDsts--
 		}
-		b.FlushFlowCache()
 	}
 }
 
@@ -667,61 +626,28 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	if err != nil {
 		return
 	}
+	// Unicast fast path: data frames are unicast and destination
+	// registrations are (almost always) multicast, so the map is rarely
+	// consulted.
 	var h FrameHandler
 	isDst := false
-	if !DisableFlowCache {
-		e := &b.flowCache[flowIdx(dst)]
-		if e.gen == b.flowGen && e.dst == dst {
-			h, isDst = e.h, e.isDst
-			b.Stats.FlowCacheHits++
-			if b.sim.TraceEngine() != nil {
-				b.traceEvent(tracing.KindDemux, 0, "cache-hit handler="+h.Name)
-			}
-		} else {
-			// Unicast fast path: data frames are unicast and destination
-			// registrations are (almost always) multicast, so the map is
-			// rarely consulted even on a miss.
-			if len(b.dstHandlers) > 0 && (b.unicastDsts > 0 || dst.IsMulticast()) {
-				h, isDst = b.dstHandlers[dst]
-			}
-			if !isDst {
-				// Reading defaultHandler before the blocked check is safe:
-				// the read has no side effects, and the blocked suppression
-				// below fires exactly as in the uncached path.
-				h = b.defaultHandler
-			}
-			*e = flowEntry{gen: b.flowGen, dst: dst, h: h, isDst: isDst}
-			b.Stats.FlowCacheMisses++
-			if b.sim.TraceEngine() != nil {
-				b.traceEvent(tracing.KindDemux, 0, "cache-miss handler="+h.Name)
-			}
-		}
-		if !isDst && b.blocked[inPort] {
-			// A blocked port still receives control traffic (handled
-			// above via dst registrations) but no data traffic.
+	if len(b.dstHandlers) > 0 && (b.unicastDsts > 0 || dst.IsMulticast()) {
+		h, isDst = b.dstHandlers[dst]
+	}
+	if !isDst {
+		if b.blocked[inPort] {
+			// A blocked port still receives control traffic (through dst
+			// registrations) but no data traffic.
 			b.Stats.InputSuppressed++
 			if b.sim.TraceEngine() != nil {
 				b.traceEvent(tracing.KindVerdict, 0, "suppressed")
 			}
 			return
 		}
-	} else {
-		if len(b.dstHandlers) > 0 && (b.unicastDsts > 0 || dst.IsMulticast()) {
-			h, isDst = b.dstHandlers[dst]
-		}
-		if !isDst {
-			if b.blocked[inPort] {
-				b.Stats.InputSuppressed++
-				if b.sim.TraceEngine() != nil {
-					b.traceEvent(tracing.KindVerdict, 0, "suppressed")
-				}
-				return
-			}
-			h = b.defaultHandler
-		}
-		if b.sim.TraceEngine() != nil {
-			b.traceEvent(tracing.KindDemux, 0, "uncached handler="+h.Name)
-		}
+		h = b.defaultHandler
+	}
+	if b.sim.TraceEngine() != nil {
+		b.traceEvent(tracing.KindDemux, 0, "demux handler="+h.Name)
 	}
 	if h.empty() {
 		b.Stats.NoHandlerDrops++
@@ -738,7 +664,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	var trapped bool
 	traced := b.sim.TraceEngine() != nil
 	var steps0, alloc0 uint64
-	var tiers0 [3]uint64
+	var tiers0 [2]uint64
 	if traced {
 		steps0, alloc0 = b.Machine.Steps, b.Machine.AllocBytes
 		tiers0 = b.Machine.TierEnters
@@ -769,9 +695,9 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 		} else {
 			m := b.Machine
 			b.traceEvent(tracing.KindVM, int64(execCost), fmt.Sprintf(
-				"handler=%s steps=%d alloc=%d tiers=%d/%d/%d", h.Name,
+				"handler=%s steps=%d alloc=%d tiers=%d/%d", h.Name,
 				m.Steps-steps0, m.AllocBytes-alloc0,
-				m.TierEnters[0]-tiers0[0], m.TierEnters[1]-tiers0[1], m.TierEnters[2]-tiers0[2]))
+				m.TierEnters[0]-tiers0[0], m.TierEnters[1]-tiers0[1]))
 		}
 		if trapped {
 			b.traceEvent(tracing.KindVerdict, 0, "trap-drop")
@@ -937,7 +863,6 @@ func (b *Bridge) drainSpawns() {
 func (b *Bridge) clearAllDstHandlers() {
 	b.dstHandlers = map[ethernet.MAC]FrameHandler{}
 	b.unicastDsts = 0
-	b.FlushFlowCache()
 }
 
 // Crashed reports whether the node is currently frozen by a fault-plane
@@ -966,7 +891,6 @@ func (b *Bridge) Crash() {
 	b.crashed = true
 	b.epoch++
 	b.Stats.Crashes++
-	b.FlushFlowCache()
 	for i, p := range b.ports {
 		p.SetLinkDown(true)
 		b.blocked[i] = false
@@ -1032,28 +956,21 @@ func (b *Bridge) SetPortLink(port int, down bool) {
 // charging the loader's evaluation cost (function-agility is measured
 // around this, paper §7.5).
 func (b *Bridge) LoadObjectBytes(data []byte) error {
-	steps0, alloc0 := b.Machine.Steps, b.Machine.AllocBytes
-	_, err := b.Loader.Load(data)
-	cost := b.cost.VMCost(b.Machine.Steps-steps0, b.Machine.AllocBytes-alloc0)
-	b.cpu.Hold(cost)
-	if err != nil {
-		b.Log("switchlet load failed: " + err.Error())
-		if te := b.sim.TraceEngine(); te != nil {
-			b.traceEvent(tracing.KindMark, 0, "load-reject: "+err.Error())
-			te.DumpFlight("switchlet load rejected at "+b.Name+": "+err.Error(), int64(b.sim.Now()))
-		}
-		return err
-	}
-	b.drainSpawns()
-	return nil
+	return b.chargeLoad(func() error { _, err := b.Loader.Load(data); return err })
 }
 
 // LoadDecodedObject links an already decoded switchlet object — typically
 // the process-wide cache's shared, verified and quickened form — charging
 // the same evaluation cost as LoadObjectBytes without re-decoding.
 func (b *Bridge) LoadDecodedObject(obj *vm.Object) error {
+	return b.chargeLoad(func() error { _, err := b.Loader.LoadObject(obj); return err })
+}
+
+// chargeLoad runs one loader call, holds the CPU for what it metered and
+// reports a rejection to the log, the trace and the flight recorder.
+func (b *Bridge) chargeLoad(load func() error) error {
 	steps0, alloc0 := b.Machine.Steps, b.Machine.AllocBytes
-	_, err := b.Loader.LoadObject(obj)
+	err := load()
 	cost := b.cost.VMCost(b.Machine.Steps-steps0, b.Machine.AllocBytes-alloc0)
 	b.cpu.Hold(cost)
 	if err != nil {

@@ -158,12 +158,9 @@ func (m *Manager) Install(sw env.Manifest) (*Installed, error) {
 	if err := m.b.LoadDecodedObject(obj); err != nil {
 		return nil, err
 	}
-	// The loaded-module set changed: inline caches, translated-tier
-	// closures and cached demux decisions must not carry values across
-	// the epoch.
+	// The loaded-module set changed: inline caches must not carry values
+	// across the epoch.
 	m.b.Loader.FlushAllICs()
-	m.b.Loader.FlushAllTranslations()
-	m.b.FlushFlowCache()
 	sw.Name = name
 	inst := &Installed{Manifest: sw, At: m.b.sim.Now(), Warnings: rep.Warnings()}
 	m.installed[name] = inst
@@ -247,8 +244,6 @@ func (m *Manager) Uninstall(name string) error {
 	}
 	m.b.Loader.Unload(name)
 	m.b.Loader.FlushAllICs()
-	m.b.Loader.FlushAllTranslations()
-	m.b.FlushFlowCache()
 	delete(m.installed, name)
 	for i, n := range m.order {
 		if n == name {
@@ -495,8 +490,6 @@ func (u *Upgrade) rollback(reason string) {
 	u.Reason = reason
 	u.m.lifecycle.Rollbacks++
 	u.m.b.Loader.FlushAllICs()
-	u.m.b.Loader.FlushAllTranslations()
-	u.m.b.FlushFlowCache()
 	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
 	if te := u.m.b.sim.TraceEngine(); te != nil {
 		u.m.b.traceEvent(tracing.KindMark, 0, "rollback: "+reason)

@@ -31,12 +31,10 @@ func (b *Bridge) Instrument(reg *metrics.Registry, ls metrics.Labels) {
 	counter("ab_bridge_timer_fires_total", "switchlet timer expirations", &s.TimerFires)
 	counter("ab_bridge_crashes_total", "fault-plane crashes of this node", &s.Crashes)
 	counter("ab_bridge_restarts_total", "fault-plane cold restarts of this node", &s.Restarts)
-	counter("ab_bridge_flow_cache_hits_total", "demux decisions served from the flow cache", &s.FlowCacheHits)
-	counter("ab_bridge_flow_cache_misses_total", "demux decisions resolved through the handler maps", &s.FlowCacheMisses)
 	for t := 0; t < len(b.Machine.TierEnters); t++ {
 		t := t
 		reg.SampleCounter("ab_bridge_vm_tier_enters_total",
-			"switchlet frame entries per execution tier (0 naive, 1 quickened, 2 translated)",
+			"switchlet frame entries per execution tier (0 naive, 1 quickened)",
 			ls.With("tier", strconv.Itoa(t)),
 			func() float64 { return float64(b.Machine.TierEnters[t]) })
 	}

@@ -17,22 +17,22 @@ import (
 // runs and shard goroutines.
 //
 // The key pins everything compilation depends on: the module name, the
-// manifest version, the source hash, the optimization level, and a
-// fingerprint of the signature environment the source compiles against
-// (the visible module set plus the implicit open). Distinct sources
-// under one name — the buggy
-// 802.1D variant, instrumented spanning trees — hash to distinct
-// entries; identical installs on identically-provisioned nodes hit.
+// manifest version, the source hash, whether the object is quickened, and
+// a fingerprint of the signature environment the source compiles against
+// (the visible module set plus the implicit open). Distinct sources under
+// one name — the buggy 802.1D variant, instrumented spanning trees — hash
+// to distinct entries; identical installs on identically-provisioned nodes
+// hit.
 type objectCacheKey struct {
 	name    string
 	version string
 	srcSum  [32]byte
 	env     string
-	// optLevel separates entries per compiler tier: a level-1 entry's obj
-	// is quickened, a level-0 entry's is naive bytecode, and the two must
-	// never be shared — a bridge running -O0 linking a quickened
-	// object would silently reintroduce the optimizer it asked to disable.
-	optLevel int
+	// quickened separates the two forms an object is cached in: quickened,
+	// or naive bytecode for a loader at OptLevel 0. The two must never be
+	// shared — a bridge running -O0 linking a quickened object would
+	// silently reintroduce the optimizer it asked to disable.
+	quickened bool
 	// verified separates entries produced under the static-verification
 	// regime: an entry whose shared obj earned its verified bit must never
 	// be answered to (or overwritten by) a caller that skipped the proof,
@@ -90,7 +90,7 @@ func CompileCacheStats() (hits, misses uint64) {
 // The returned entry is shared: callers must treat enc and imports as
 // immutable.
 func compileCached(name, source, version string, se *vm.SigEnv, optLevel int) (*objectCacheEntry, error) {
-	key := objectCacheKey{name: name, version: version, srcSum: sha256.Sum256([]byte(source)), env: envFingerprint(se), optLevel: optLevel, verified: true}
+	key := objectCacheKey{name: name, version: version, srcSum: sha256.Sum256([]byte(source)), env: envFingerprint(se), quickened: optLevel > 0, verified: true}
 	if v, ok := objectCache.Load(key); ok {
 		objectHits.Add(1)
 		return v.(*objectCacheEntry), nil

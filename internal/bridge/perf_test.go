@@ -100,96 +100,6 @@ func TestUnicastFastPathStillHonorsDstHandlers(t *testing.T) {
 	}
 }
 
-// peekForwardSwitchlet is forwardSwitchlet plus a destination-address read:
-// the String.sub call with its argument pushes and result store is the
-// spec-call pattern the -O2 translator fuses.
-const peekForwardSwitchlet = `
-let handle pkt inport =
-  let dst = String.sub pkt 0 6 in
-  Unixnet.send_pkt_out (1 - inport) pkt
-let _ = Bridge.set_handler handle
-`
-
-// TestTranslatedHandlerAllocBudget pins the -O2 contract on the frame
-// path: once a handler chunk crosses the hot threshold and runs as a
-// translated closure, steady-state forwarding still allocates nothing
-// per op. The translation itself (built once, cached on the module) is
-// paid during warmup; the fused kernel reads its arguments straight from
-// their sources and serves the repeated result box from its inline cache,
-// so a tier-2 frame entry touches the heap exactly as much as a tier-1
-// one: not at all.
-func TestTranslatedHandlerAllocBudget(t *testing.T) {
-	if DefaultOptLevel < 2 {
-		t.Skipf("DefaultOptLevel = %d: translated tier off", DefaultOptLevel)
-	}
-	r := newRig(t)
-	r.load(t, "Fwd", peekForwardSwitchlet)
-	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}
-	raw, err := fr.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames = 8
-	cycle := func() {
-		for i := 0; i < frames; i++ {
-			r.n1.Send(raw)
-		}
-		r.sim.RunAll()
-	}
-	// Warm well past the hot threshold so the handler is translated
-	// before anything is measured.
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	tier2 := r.b.Machine.TierEnters[2]
-	if tier2 == 0 {
-		t.Fatal("handler never entered the translated tier after warmup")
-	}
-	allocs := testing.AllocsPerRun(200, cycle)
-	if allocs > 0 {
-		t.Fatalf("translated steady state allocs = %v per %d frames, want 0", allocs, frames)
-	}
-	if r.b.Machine.TierEnters[2] == tier2 {
-		t.Fatal("translated tier not resident during the measured runs")
-	}
-	if r.rx2 == 0 {
-		t.Fatal("no frames forwarded")
-	}
-}
-
-// TestFlowCacheHitAllocBudget pins the flow cache's fast-path cost: a
-// demux decision served from the cache adds zero allocations per frame.
-// The entry is a fixed-size slot in a direct-mapped array keyed by the
-// destination address — a hit is two loads and a compare, no map access
-// and no heap traffic.
-func TestFlowCacheHitAllocBudget(t *testing.T) {
-	r := newRig(t)
-	r.load(t, "Fwd", forwardSwitchlet)
-	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 256)}
-	raw, err := fr.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := func() {
-		for i := 0; i < 4; i++ {
-			r.n1.Send(raw)
-		}
-		r.sim.RunAll()
-	}
-	cycle() // miss once, warm pools and the cache line
-	hits := r.b.Stats.FlowCacheHits
-	allocs := testing.AllocsPerRun(300, cycle)
-	if allocs > 0 {
-		t.Fatalf("flow-cache-hit steady state allocs = %v per 4 frames, want 0", allocs)
-	}
-	if r.b.Stats.FlowCacheHits == hits {
-		t.Fatal("flow cache not exercised during the measured runs")
-	}
-	if r.rx2 == 0 {
-		t.Fatal("no frames forwarded")
-	}
-}
-
 // BenchmarkBridgeForward measures the full per-frame bridge pipeline:
 // NIC receive, demux, VM switchlet execution, send collection, CPU
 // completion and transmission.

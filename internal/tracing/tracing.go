@@ -64,7 +64,7 @@ const (
 	// flight-recorder-only and never enter the sampled transcript.
 	KindXShard
 	// KindDemux marks the bridge's handler decision for a frame
-	// (flow-cache hit or miss, destination binding, default handler).
+	// (destination binding or default handler).
 	KindDemux
 	// KindVM is the switchlet handler execution span; Dur is the
 	// frame's virtual VM cost, Detail carries steps and tier counts.

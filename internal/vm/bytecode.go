@@ -182,13 +182,7 @@ type Chunk struct {
 	Name    string // diagnostic name
 	NParams int
 	NLocals int // including params
-	// Idx is this chunk's index in Object.Chunks, set at construction by
-	// the compiler and decoder. The translated tier uses it to key
-	// per-LinkedModule closure tables without touching the shared Chunk;
-	// the loader refuses translation when the indices are inconsistent
-	// (hand-built objects may leave them zero).
-	Idx  int
-	Code []Instr
+	Code    []Instr
 	// Quick is the quickened code produced by OptimizeObject; nil means
 	// interpret Code. Never serialized.
 	Quick []Instr
@@ -238,9 +232,9 @@ type Object struct {
 
 	// verifyOnce caches the static verification verdict (see static.go):
 	// objects are immutable once shared between bridges, so one proof
-	// serves every install. verified is the bit the translated tier and the
-	// object cache's shared-object shortcut require; atomic because shared
-	// objects are installed from concurrent shard goroutines.
+	// serves every install. verified is the bit the object cache's
+	// shared-object shortcut requires; atomic because shared objects are
+	// installed from concurrent shard goroutines.
 	verifyOnce sync.Once
 	verifyInfo *VerifyInfo
 	verifyErr  error
@@ -515,7 +509,7 @@ func DecodeObject(b []byte) (*Object, error) {
 	}
 	nChunks := r.count(16)
 	for i := 0; i < nChunks && r.err == nil; i++ {
-		c := &Chunk{Idx: i}
+		c := &Chunk{}
 		c.Name = r.str()
 		c.NParams = int(r.u32())
 		c.NLocals = int(r.u32())

@@ -34,8 +34,7 @@ func CompileLevel(modName, src string, sigs *SigEnv, level int) (*Object, *Signa
 	}
 	// Every compiled object must pass the same static verification a
 	// decoded one would: the verifier both defends against codegen bugs
-	// and earns the object its verified bit, without which the loader
-	// refuses it the translated tier.
+	// and earns the object its verified bit (see Object.Verified).
 	if _, err := VerifyObject(obj); err != nil {
 		return nil, nil, fmt.Errorf("vm: compiler emitted unverifiable code: %w", err)
 	}
@@ -127,8 +126,7 @@ func codegen(mod *Module, export *Signature, sigs *SigEnv) (*Object, error) {
 	init.emit(Instr{Op: opConstUnit})
 	init.emit(Instr{Op: opReturn})
 	g.obj.Chunks = append(g.obj.Chunks, init.chunk)
-	init.chunk.Idx = len(g.obj.Chunks) - 1
-	g.obj.Init = init.chunk.Idx
+	g.obj.Init = len(g.obj.Chunks) - 1
 
 	// Export table: the last binding of each name wins (shadowing).
 	for name, slot := range g.globals { //ab:mapiter-ok map-to-map copy; order cannot escape
@@ -585,7 +583,6 @@ func (f *fnCG) closure(fun *Fun, selfName string) error {
 	child.emit(Instr{Op: opReturn})
 	f.cg.obj.Chunks = append(f.cg.obj.Chunks, child.chunk)
 	chunkIdx := len(f.cg.obj.Chunks) - 1
-	child.chunk.Idx = chunkIdx
 	specIdx := len(f.cg.obj.CapSpecs)
 	f.cg.obj.CapSpecs = append(f.cg.obj.CapSpecs, child.caps)
 	f.emit(Instr{Op: opClosure, A: int64(chunkIdx), B: int32(specIdx)})

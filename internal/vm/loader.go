@@ -27,13 +27,12 @@ type Loader struct {
 	Loads      uint64
 	LoadErrors uint64
 
-	// OptLevel controls quickening of loaded objects: 0 links the naive
-	// bytecode as-is, 1 (the default) runs OptimizeObject, whose rewrites
-	// are all checkable from the wire code and whose fast paths re-check
-	// tags at run time. 2 additionally enables the translated tier: the
-	// spec-call patterns in hot chunks of statically verified objects are
-	// fused into cached Go closures (see translate.go). At every level the
-	// observable semantics, Steps and AllocBytes are identical.
+	// OptLevel controls quickening of loaded objects: 0 links the wire
+	// bytecode as-is (the reference every differential test compares
+	// against), anything above (1 is the default) runs OptimizeObject, whose
+	// rewrites are all checkable from the wire code and whose fast paths
+	// re-check tags at run time. At either level the observable semantics,
+	// Steps and AllocBytes are identical.
 	OptLevel int
 }
 
@@ -185,13 +184,6 @@ func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	}
 	if obj.NICSites > 0 {
 		lm.ics = make([]icache, obj.NICSites)
-	}
-	// Translated tier (-O2): only for objects the static verifier accepted
-	// — unverified code never earns compiled closures — and only when the
-	// chunk index table is consistent (hand-built objects may not set it).
-	if l.OptLevel >= 2 && obj.Verified() && chunkIdxConsistent(obj) {
-		lm.trans = make([]*chunkTrans, len(obj.Chunks))
-		lm.transHot = make([]uint16, len(obj.Chunks))
 	}
 
 	// Evaluate the top-level forms (the registration calls).

@@ -17,8 +17,7 @@ type outcome struct {
 }
 
 // loadLevel compiles src and loads its wire bytes through a loader at the
-// given optimization level: 0 naive bytecode, 1 quickened, 2 quickened and
-// eagerly translated.
+// given optimization level: 0 naive bytecode, 1 quickened.
 func loadLevel(t *testing.T, m *Machine, level int, src string) *LinkedModule {
 	t.Helper()
 	l := StdLoader(m)
@@ -31,7 +30,6 @@ func loadLevel(t *testing.T, m *Machine, level int, src string) *LinkedModule {
 	if err != nil {
 		t.Fatalf("load (-O%d): %v", level, err)
 	}
-	lm.Translate()
 	return lm
 }
 
@@ -55,17 +53,14 @@ func runPath(t *testing.T, level int, src, fn string, maxSteps uint64, args ...V
 	return o
 }
 
-// assertParity runs fn at all three levels and requires bit-identical
+// assertParity runs fn at -O0 and -O1 and requires bit-identical
 // outcomes: same value or same trap, same Steps, same AllocBytes — the
 // virtual-time contract of the optimizer.
 func assertParity(t *testing.T, src, fn string, maxSteps uint64, args ...Value) outcome {
 	t.Helper()
 	naive := runPath(t, 0, src, fn, maxSteps, args...)
-	for _, level := range []int{1, 2} {
-		got := runPath(t, level, src, fn, maxSteps, args...)
-		if !reflect.DeepEqual(naive, got) {
-			t.Errorf("%s(%v) diverges at -O%d:\n  -O0: %+v\n  got: %+v", fn, args, level, naive, got)
-		}
+	if got := runPath(t, 1, src, fn, maxSteps, args...); !reflect.DeepEqual(naive, got) {
+		t.Errorf("%s(%v) diverges at -O1:\n  -O0: %+v\n  got: %+v", fn, args, naive, got)
 	}
 	return naive
 }
@@ -301,10 +296,8 @@ let get k = (Hashtbl.find t k, Hashtbl.mem t k)
 		return res
 	}
 	want := script(0)
-	for _, lvl := range []int{1, 2} {
-		if got := script(lvl); !reflect.DeepEqual(want, got) {
-			t.Errorf("hashtable script diverges at -O%d:\n  -O0: %+v\n  got: %+v", lvl, want, got)
-		}
+	if got := script(1); !reflect.DeepEqual(want, got) {
+		t.Errorf("hashtable script diverges at -O1:\n  -O0: %+v\n  got: %+v", want, got)
 	}
 }
 

@@ -103,9 +103,8 @@ type VerifyInfo struct {
 const maxVerifyDepth = 1 << 12
 
 // VerifyObject runs the full static check and, on success, marks the object
-// verified — the bit the translated tier requires. The result
-// is cached: objects are immutable once shared between bridges, so one
-// proof serves every install.
+// verified (Object.Verified). The result is cached: objects are immutable
+// once shared between bridges, so one proof serves every install.
 func VerifyObject(o *Object) (*VerifyInfo, error) {
 	o.verifyOnce.Do(func() {
 		o.verifyInfo, o.verifyErr = verifyObject(o)

@@ -32,10 +32,10 @@ type Machine struct {
 	// cumulatively; the cost model turns it into GC pressure.
 	AllocBytes uint64
 
-	// TierEnters counts frame (re)entries per execution tier: index 0 is
-	// wire code, 1 the quickened interpreter, 2 translated closures.
-	// Telemetry only — tier residency has no semantic weight.
-	TierEnters [3]uint64
+	// TierEnters counts frame (re)entries per code stream: index 0 is wire
+	// code, 1 the quickened stream. Telemetry only — tier residency has no
+	// semantic weight.
+	TierEnters [2]uint64
 
 	// Trace receives deoptimization events when the host attaches a
 	// tracing sink. Nil disables; the check costs one branch per deopt,
@@ -78,11 +78,6 @@ type Machine struct {
 	// of tuple headers and out-of-cache ints (see ebox.go).
 	tupleHdrSlab []Tuple
 	intBox       IntBoxer
-
-	// transTrap carries a trap raised inside a translated step back to the
-	// dispatch loop (tsteps return a status int, not an error, so the hot
-	// path stays a single-word return).
-	transTrap *Trap
 }
 
 // Default execution limits.
@@ -101,9 +96,8 @@ func NewMachine() *Machine {
 	return m
 }
 
-// TraceSink observes tier deoptimizations (a quickened or translated
-// frame falling back to wire code). Telemetry only: the sink must not
-// re-enter the machine.
+// TraceSink observes tier deoptimizations (a quickened frame falling back
+// to wire code). Telemetry only: the sink must not re-enter the machine.
 type TraceSink interface {
 	TraceDeopt(reason string)
 }
@@ -381,20 +375,6 @@ frames:
 			code = chunk.Quick
 			tier = 1
 		}
-		// Translated tier: enabled per module by the loader (-O2, verified
-		// objects only). The translation is the same stream `code` selects
-		// here with superblocks spliced in as opTrans superinstructions, so
-		// the dispatch below is byte-for-byte the -O1 loop — untranslated
-		// instructions cost exactly nothing extra. A deoptimized frame stays
-		// on the wire code.
-		var blocks []tstep
-		if !f.naive && mod.trans != nil {
-			if tc := mod.transFor(chunk); tc != nil {
-				code = tc.code
-				blocks = tc.blocks
-				tier = 2
-			}
-		}
 		m.TierEnters[tier]++
 		for {
 			if f.ip >= len(code) {
@@ -407,21 +387,14 @@ frames:
 			w := uint64(ins.W)
 			w += (w - 1) >> 63 & 1
 			if fuel < w {
-				if w == 1 || (chunk.quickSrc == nil && ins.Op != opTrans) {
+				if w == 1 || chunk.quickSrc == nil {
 					m.fuel, m.Steps = 0, m.Steps+steps
 					return nil, &Trap{Msg: ErrFuel.Error()}
 				}
-				// Fuel starvation inside a superinstruction or a superblock:
-				// deoptimize so the remaining fuel is consumed one wire
-				// instruction at a time, making the exhaustion point
-				// identical to -O0. A superblock spliced over wire code (no
-				// quickSrc) deoptimizes in place: interior positions are the
-				// original instructions, so the wire stream resumes at the
-				// same index.
-				f.ip--
-				if chunk.quickSrc != nil {
-					f.ip = int(chunk.quickSrc[f.ip])
-				}
+				// Fuel starvation inside a superinstruction: deoptimize so
+				// the remaining fuel is consumed one wire instruction at a
+				// time, making the exhaustion point identical to -O0.
+				f.ip = int(chunk.quickSrc[f.ip-1])
 				f.naive = true
 				if m.Trace != nil {
 					m.Trace.TraceDeopt("fuel")
@@ -955,23 +928,6 @@ frames:
 				}
 				m.vals = append(m.vals, res)
 
-			case opTrans:
-				// Translated superblock (-O2 only; the opcode exists solely
-				// in per-module trans streams — DecodeObject and Verify
-				// reject it from the wire). The block's whole fuel weight was
-				// charged above (ins.W) and f.ip already points past the
-				// block's first instruction; the fused closure runs the run's
-				// members back-to-back. On a trap it leaves f.ip at the
-				// trapping instruction's successor and packs the unexecuted
-				// refund above the status bit (see makeSpec).
-				if st := blocks[ins.A](m, f); st != tsOK {
-					refund := uint64(st >> tsRefundShift)
-					fuel += refund
-					steps -= refund
-					trapErr = m.transTrap
-					m.transTrap = nil
-				}
-
 			default:
 				m.fuel, m.Steps = fuel, m.Steps+steps
 				return nil, &Trap{Msg: fmt.Sprintf("bad opcode %d", ins.Op)}
@@ -1040,16 +996,6 @@ type LinkedModule struct {
 	// written by the quickened opcodes and flushed by the Manager around
 	// Install/Upgrade/Rollback.
 	ics []icache
-
-	// trans holds the translated tier: per chunk, a spliced code stream
-	// plus the superblock closures its opTrans instructions dispatch to
-	// (see translate.go) — built lazily once a chunk runs hot. nil (the
-	// whole slice) means the loader did not enable the tier for this
-	// module; a nil entry means not yet translated; an entry with no
-	// blocks means the translator refused the chunk. transHot counts frame
-	// entries toward the hotness threshold.
-	trans    []*chunkTrans
-	transHot []uint16
 }
 
 // FlushICs clears every inline-cache site of the module.
