@@ -9,10 +9,9 @@
 //	-shards N      run each scenario's simulation sharded across N
 //	               engines (large nets only; small ones stay serial)
 //	-short         skip the slower parameter sweeps
-//	-json          emit headline numbers plus one entry per scenario as
-//	               machine-readable JSON (BENCH_*.json tracking)
-//	-baseline F    compare this run's per-scenario wall times against a
-//	               previous BENCH json and fail on >10% total regression
+//	-json          emit one entry per scenario (fingerprint, wall time,
+//	               ok) as machine-readable JSON; timing that backs a
+//	               claim is bench/'s job, not this tool's
 //	-metrics-addr A  serve the live metrics plane on A while scenarios
 //	               run: Prometheus text on /metrics, JSON on /snapshot
 //	-metrics-out F   enable the metrics plane and write the bench report
@@ -40,9 +39,9 @@
 //	-memprofile F  write a heap profile at exit to F
 //
 // All virtual-time metrics are deterministic and identical on any
-// machine, any -parallel setting and any -shards setting; the wall-clock
-// and allocation figures in -json output (and everything under
-// "metrics") measure this build on this machine.
+// machine, any -parallel setting and any -shards setting; the wall
+// times in -json output (and everything under "metrics") measure this
+// build on this machine.
 package main
 
 import (
@@ -53,7 +52,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
 	"github.com/switchware/activebridge/internal/experiments"
@@ -61,22 +59,9 @@ import (
 	"github.com/switchware/activebridge/internal/metrics"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
-	"github.com/switchware/activebridge/internal/testbed"
 	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/tracing"
 )
-
-// benchResult is one headline measurement.
-type benchResult struct {
-	Name string `json:"name"`
-	// Virtual-time metrics (deterministic).
-	RTTMs    float64 `json:"rtt_ms,omitempty"`
-	Mbps     float64 `json:"mbps,omitempty"`
-	FramesPS float64 `json:"frames_per_s,omitempty"`
-	// Wall-clock metrics for this build/machine.
-	WallNsPerOp float64 `json:"wall_ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
 
 // scenarioResult is one registry scenario's outcome.
 type scenarioResult struct {
@@ -111,7 +96,6 @@ type faultReport struct {
 
 type benchReport struct {
 	Schema    string           `json:"schema"`
-	Results   []benchResult    `json:"results,omitempty"`
 	Scenarios []scenarioResult `json:"scenarios"`
 	// Metrics is present when the metrics plane was enabled
 	// (-metrics-addr / -metrics-out).
@@ -120,65 +104,13 @@ type benchReport struct {
 	Faults *faultReport `json:"faults,omitempty"`
 }
 
-// measure benchmarks fn with the same harness the repo's benchmarks use
-// (calibrated iterations, consistent malloc accounting), reporting mean
-// wall-clock ns and heap allocations per run.
-func measure(fn func()) (nsPerOp, allocsPerOp float64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fn()
-		}
-	})
-	return float64(res.NsPerOp()), float64(res.AllocsPerOp())
-}
-
-func headlines(cost netsim.CostModel) []benchResult {
-	var out []benchResult
-
-	var rtt netsim.Duration
-	ns, allocs := measure(func() {
-		tb := testbed.New(testbed.ActiveBridge, cost)
-		tb.Warm()
-		rtt = tb.PingRTT(64, 10)
-	})
-	out = append(out, benchResult{
-		Name: "fig9_ping_latency", RTTMs: float64(rtt) / 1e6,
-		WallNsPerOp: ns, AllocsPerOp: allocs,
-	})
-
-	var mbps float64
-	ns, allocs = measure(func() {
-		tb := testbed.New(testbed.ActiveBridge, cost)
-		tb.Warm()
-		mbps = tb.TtcpRun(8192, 4<<20).ThroughputMbps()
-	})
-	out = append(out, benchResult{
-		Name: "fig10_ttcp_throughput", Mbps: mbps,
-		WallNsPerOp: ns, AllocsPerOp: allocs,
-	})
-
-	var fps float64
-	ns, allocs = measure(func() {
-		tb := testbed.New(testbed.ActiveBridge, cost)
-		tb.Warm()
-		fps = tb.TtcpRun(1024, 2<<20).FramesPerSecond()
-	})
-	out = append(out, benchResult{
-		Name: "frame_rates_1024B", FramesPS: fps,
-		WallNsPerOp: ns, AllocsPerOp: allocs,
-	})
-	return out
-}
-
 func main() {
 	short := flag.Bool("short", false, "skip the slower parameter sweeps")
-	jsonOut := flag.Bool("json", false, "emit headline results as JSON (for BENCH_*.json tracking)")
+	jsonOut := flag.Bool("json", false, "emit per-scenario results (fingerprint, wall time, ok) as JSON")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	runPat := flag.String("run", "", "run only scenarios whose names match this regexp")
 	parallel := flag.Int("parallel", 1, "worker budget: scenarios×shards run concurrently (0 = one per core)")
 	shards := flag.Int("shards", 1, "shard each scenario's simulation across N engines")
-	baseline := flag.String("baseline", "", "BENCH json to diff wall times against (exit 1 on >10% total regression)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live metrics plane on this address (/metrics, /snapshot)")
 	metricsOut := flag.String("metrics-out", "", "write the schema-v3 bench report with the final metrics snapshot to this file")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the run")
@@ -373,18 +305,6 @@ func main() {
 	if *jsonOut {
 		results := scenario.RunAll(scs, cost, workers)
 		rep := benchReport{Schema: "abbench/v3"}
-		// The headline macro-benchmarks cost seconds of wall clock; only
-		// run them for full-registry reports, not a -run subset. The
-		// metrics plane is suspended while they run so their wall/alloc
-		// figures stay comparable across BENCH generations and against
-		// metrics-off runs (scenario wall times above do include the
-		// quiescent-point publish cost when metrics are on — that run is
-		// exactly what was asked to be observed).
-		if *runPat == "" {
-			was := metrics.SetEnabled(false)
-			rep.Results = headlines(cost)
-			metrics.SetEnabled(was)
-		}
 		for i := range results {
 			r := &results[i]
 			sr := scenarioResult{
@@ -415,9 +335,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "abbench: %s: %s\n", sr.Name, sr.Error)
 				os.Exit(1)
 			}
-		}
-		if *baseline != "" && !compareBaseline(*baseline, rep) {
-			os.Exit(1)
 		}
 		return
 	}
@@ -466,54 +383,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "abbench: %d of %d scenarios failed\n", failed, len(scs))
 		os.Exit(1)
 	}
-	if *baseline != "" && !compareBaseline(*baseline, benchReport{Scenarios: collected}) {
-		os.Exit(1)
-	}
-}
-
-// compareBaseline diffs this run's wall times against a previous BENCH
-// json, printing per-entry deltas, and reports whether the run stays
-// within the regression budget: the total wall time of the scenarios
-// present in both runs may not exceed the baseline total by more than
-// 10%. (Per-entry wall times on shared CI machines are too noisy to
-// gate on individually; the total is the budget that matters.)
-func compareBaseline(path string, cur benchReport) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abbench: -baseline: %v\n", err)
-		return false
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "abbench: -baseline %s: %v\n", path, err)
-		return false
-	}
-	baseWall := map[string]int64{}
-	for _, sr := range base.Scenarios {
-		baseWall[sr.Name] = sr.WallNs
-	}
-	var oldTotal, newTotal int64
-	fmt.Fprintf(os.Stderr, "baseline %s:\n", path)
-	for _, sr := range cur.Scenarios {
-		old, ok := baseWall[sr.Name]
-		if !ok || old <= 0 {
-			fmt.Fprintf(os.Stderr, "  %-28s %8.1fms  (new scenario)\n", sr.Name, float64(sr.WallNs)/1e6)
-			continue
-		}
-		oldTotal += old
-		newTotal += sr.WallNs
-		fmt.Fprintf(os.Stderr, "  %-28s %8.1fms -> %8.1fms  (%+.1f%%)\n",
-			sr.Name, float64(old)/1e6, float64(sr.WallNs)/1e6, 100*(float64(sr.WallNs)/float64(old)-1))
-	}
-	if oldTotal == 0 {
-		fmt.Fprintf(os.Stderr, "  no overlapping scenarios to compare\n")
-		return true
-	}
-	delta := 100 * (float64(newTotal)/float64(oldTotal) - 1)
-	fmt.Fprintf(os.Stderr, "  total %.1fms -> %.1fms (%+.1f%%)\n", float64(oldTotal)/1e6, float64(newTotal)/1e6, delta)
-	if float64(newTotal) > 1.10*float64(oldTotal) {
-		fmt.Fprintf(os.Stderr, "abbench: wall-time regression beyond 10%% budget\n")
-		return false
-	}
-	return true
 }

@@ -639,21 +639,24 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 			// A blocked port still receives control traffic (through dst
 			// registrations) but no data traffic.
 			b.Stats.InputSuppressed++
-			if b.sim.TraceEngine() != nil {
-				b.traceEvent(tracing.KindVerdict, 0, "suppressed")
-			}
+			b.traceEvent(tracing.KindVerdict, tracing.FormLabel, "suppressed")
 			return
 		}
 		h = b.defaultHandler
 	}
-	if b.sim.TraceEngine() != nil {
-		b.traceEvent(tracing.KindDemux, 0, "demux handler="+h.Name)
+	// One nil test covers the demux event and the counters the VM
+	// span's operands are deltas of.
+	te := b.sim.TraceEngine()
+	var steps0, alloc0 uint64
+	var tiers0 [2]uint64
+	if te != nil {
+		b.emitTrace(te, tracing.KindDemux, 0, tracing.FormDemux, h.Name)
+		steps0, alloc0 = b.Machine.Steps, b.Machine.AllocBytes
+		tiers0 = b.Machine.TierEnters
 	}
 	if h.empty() {
 		b.Stats.NoHandlerDrops++
-		if b.sim.TraceEngine() != nil {
-			b.traceEvent(tracing.KindVerdict, 0, "no-handler")
-		}
+		b.traceEvent(tracing.KindVerdict, tracing.FormLabel, "no-handler")
 		return
 	}
 	b.Stats.FramesDelivered++
@@ -662,13 +665,6 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	var execCost netsim.Duration
 	var sends []pendingSend
 	var trapped bool
-	traced := b.sim.TraceEngine() != nil
-	var steps0, alloc0 uint64
-	var tiers0 [2]uint64
-	if traced {
-		steps0, alloc0 = b.Machine.Steps, b.Machine.AllocBytes
-		tiers0 = b.Machine.TierEnters
-	}
 	b.curRaw = raw
 	if h.Native != nil {
 		sends = b.collectSends(func() { h.Native(raw, inPort) })
@@ -689,20 +685,19 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	}
 	b.curRaw = nil
 
-	if traced {
+	if te != nil {
 		if h.Native != nil {
-			b.traceEvent(tracing.KindVM, int64(execCost), "native handler="+h.Name)
+			b.emitTrace(te, tracing.KindVM, int64(execCost), tracing.FormNative, h.Name)
 		} else {
 			m := b.Machine
-			b.traceEvent(tracing.KindVM, int64(execCost), fmt.Sprintf(
-				"handler=%s steps=%d alloc=%d tiers=%d/%d", h.Name,
-				m.Steps-steps0, m.AllocBytes-alloc0,
-				m.TierEnters[0]-tiers0[0], m.TierEnters[1]-tiers0[1]))
+			b.emitTrace(te, tracing.KindVM, int64(execCost), tracing.FormVM, h.Name,
+				int64(m.Steps-steps0), int64(m.AllocBytes-alloc0),
+				int64(m.TierEnters[0]-tiers0[0]), int64(m.TierEnters[1]-tiers0[1]))
 		}
 		if trapped {
-			b.traceEvent(tracing.KindVerdict, 0, "trap-drop")
+			b.emitTrace(te, tracing.KindVerdict, 0, tracing.FormLabel, "trap-drop")
 		} else {
-			b.traceEvent(tracing.KindVerdict, 0, fmt.Sprintf("forward sends=%d", len(sends)))
+			b.emitTrace(te, tracing.KindVerdict, 0, tracing.FormForward, "", int64(len(sends)))
 		}
 	}
 
@@ -726,13 +721,34 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	b.cpu.Exec(total, b.emitHeadFn)
 }
 
-// traceEvent records one bridge event under the frame's ambient trace
-// context (dur > 0 makes it a span); callers hold the nil-tracer check.
-func (b *Bridge) traceEvent(kind tracing.Kind, dur int64, detail string) {
-	b.sim.TraceEngine().Emit(tracing.Event{
+// traceEvent records one bridge instant when the net is traced. It takes
+// scalars, so an untraced call is one nil test and builds no Event
+// whether or not the compiler inlines it.
+func (b *Bridge) traceEvent(kind tracing.Kind, form tracing.Form, name string) {
+	if te := b.sim.TraceEngine(); te != nil {
+		b.emitTrace(te, kind, 0, form, name)
+	}
+}
+
+// emitTrace records one bridge event under the frame's ambient trace
+// context (dur > 0 makes it a span; n are the form's integer operands).
+func (b *Bridge) emitTrace(te *tracing.Engine, kind tracing.Kind, dur int64, form tracing.Form, name string, n ...int64) {
+	ev := tracing.Event{
 		VT: int64(b.sim.Now()), Dur: dur, Trace: b.sim.CurTrace(),
-		Kind: kind, Node: b.Name, Detail: detail,
-	})
+		Kind: kind, Node: b.Name, Form: form, Name: name,
+	}
+	copy(ev.N[:], n)
+	te.Emit(ev)
+}
+
+// traceDump records a slow-path event (trap, crash, load rejection,
+// rollback) and dumps the flight recorder: the causal prefix of what
+// just went wrong on this engine.
+func (b *Bridge) traceDump(kind tracing.Kind, form tracing.Form, name, reason string) {
+	if te := b.sim.TraceEngine(); te != nil {
+		b.emitTrace(te, kind, 0, form, name)
+		te.DumpFlight(reason, int64(b.sim.Now()))
+	}
 }
 
 // vmTraceSink feeds the VM's deoptimization events into the tracing plane
@@ -741,9 +757,7 @@ func (b *Bridge) traceEvent(kind tracing.Kind, dur int64, detail string) {
 type vmTraceSink struct{ b *Bridge }
 
 func (s vmTraceSink) TraceDeopt(reason string) {
-	if s.b.sim.TraceEngine() != nil {
-		s.b.traceEvent(tracing.KindDeopt, 0, reason)
-	}
+	s.b.traceEvent(tracing.KindDeopt, tracing.FormLabel, reason)
 }
 
 // collectSends runs fn with send collection enabled and returns the frames
@@ -773,10 +787,7 @@ func (b *Bridge) invokeVM(fn vm.Value, args []vm.Value) (sends []pendingSend, tr
 	if _, err := b.Machine.InvokeArgs(fn, args); err != nil {
 		trapped = true
 		b.Log("switchlet trap: " + err.Error())
-		if te := b.sim.TraceEngine(); te != nil {
-			b.traceEvent(tracing.KindTrap, 0, err.Error())
-			te.DumpFlight("vm trap at "+b.Name+": "+err.Error(), int64(b.sim.Now()))
-		}
+		b.traceDump(tracing.KindTrap, tracing.FormLabel, err.Error(), "vm trap at "+b.Name+": "+err.Error())
 	}
 	sends = b.pendingSends
 	b.pendingSends = saved
@@ -907,10 +918,7 @@ func (b *Bridge) Crash() {
 	b.spawnQueue = nil
 	clear(b.timers)
 	b.Log("bridge: CRASH (fault plane)")
-	if te := b.sim.TraceEngine(); te != nil {
-		b.traceEvent(tracing.KindMark, 0, "crash (fault plane)")
-		te.DumpFlight("crash at "+b.Name, int64(b.sim.Now()))
-	}
+	b.traceDump(tracing.KindMark, tracing.FormLabel, "crash (fault plane)", "crash at "+b.Name)
 }
 
 // Restart brings a crashed node back with cold state: carrier returns,
@@ -975,26 +983,9 @@ func (b *Bridge) chargeLoad(load func() error) error {
 	b.cpu.Hold(cost)
 	if err != nil {
 		b.Log("switchlet load failed: " + err.Error())
-		if te := b.sim.TraceEngine(); te != nil {
-			b.traceEvent(tracing.KindMark, 0, "load-reject: "+err.Error())
-			te.DumpFlight("switchlet load rejected at "+b.Name+": "+err.Error(), int64(b.sim.Now()))
-		}
+		b.traceDump(tracing.KindMark, tracing.FormLoadReject, err.Error(), "switchlet load rejected at "+b.Name+": "+err.Error())
 		return err
 	}
 	b.drainSpawns()
 	return nil
-}
-
-// CompileAndLoad compiles swl source against this node's environment and
-// loads it, as the out-of-band administrative interface would.
-//
-// Deprecated: raw source loading bypasses the manifest's capability
-// grant. Use Manager().Install with an env.Manifest; this shim remains
-// for code that predates manifests.
-func (b *Bridge) CompileAndLoad(name, src string) error {
-	obj, _, err := vm.Compile(name, src, b.Loader.SigEnv())
-	if err != nil {
-		return err
-	}
-	return b.LoadObjectBytes(obj.Encode())
 }

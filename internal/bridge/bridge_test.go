@@ -50,9 +50,20 @@ func (r *rig) sendFrom1(t *testing.T, dst ethernet.MAC, size int) {
 	r.n1.Send(raw)
 }
 
+// compileAndLoad compiles swl source against b's environment and loads
+// it raw, bypassing the manifest's capability grant — what the tests of
+// the loader and the frame path want, and nothing outside tests does.
+func compileAndLoad(b *Bridge, name, src string) error {
+	obj, _, err := vm.Compile(name, src, b.Loader.SigEnv())
+	if err != nil {
+		return err
+	}
+	return b.LoadObjectBytes(obj.Encode())
+}
+
 func (r *rig) load(t *testing.T, name, src string) {
 	t.Helper()
-	if err := r.b.CompileAndLoad(name, src); err != nil {
+	if err := compileAndLoad(r.b, name, src); err != nil {
 		t.Fatalf("load %s: %v", name, err)
 	}
 }
@@ -135,7 +146,7 @@ let _ = Bridge.set_dst_handler "\x01\x80\xc2\x00\x00\x00" h1`)
 	// A second claim on the same address must trap at init and fail the
 	// load (paper: "the first switchlet to bind to a given port succeeds
 	// and all others fail").
-	err := r.b.CompileAndLoad("Claimer2", `
+	err := compileAndLoad(r.b, "Claimer2", `
 let h2 pkt inport = ignore pkt; ignore inport
 let _ = Bridge.set_dst_handler "\x01\x80\xc2\x00\x00\x00" h2`)
 	if err == nil {
@@ -270,7 +281,7 @@ let _ = state := "init done"`)
 
 func TestMutexAssertsDoubleLock(t *testing.T) {
 	r := newRig(t)
-	err := r.b.CompileAndLoad("Locky", `
+	err := compileAndLoad(r.b, "Locky", `
 let m = Mutex.create ()
 let _ = Mutex.lock m
 let _ = Mutex.lock m`)
@@ -340,7 +351,7 @@ let _ = Bridge.set_handler handle`)
 
 func TestUnknownPortSendTraps(t *testing.T) {
 	r := newRig(t)
-	err := r.b.CompileAndLoad("BadPort", `
+	err := compileAndLoad(r.b, "BadPort", `
 let _ = Unixnet.send_pkt_out 99 "xx"`)
 	if err == nil || !strings.Contains(err.Error(), "no such port") {
 		t.Errorf("err = %v", err)

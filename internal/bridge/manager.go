@@ -491,10 +491,7 @@ func (u *Upgrade) rollback(reason string) {
 	u.m.lifecycle.Rollbacks++
 	u.m.b.Loader.FlushAllICs()
 	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
-	if te := u.m.b.sim.TraceEngine(); te != nil {
-		u.m.b.traceEvent(tracing.KindMark, 0, "rollback: "+reason)
-		te.DumpFlight("rollback at "+u.m.b.Name+": "+reason, int64(u.m.b.sim.Now()))
-	}
+	u.m.b.traceDump(tracing.KindMark, tracing.FormRollback, reason, "rollback at "+u.m.b.Name+": "+reason)
 	u.releaseGuard()
 	if _, err := u.m.Query(u.new.Manifest.Lifecycle.Stop, ""); err != nil {
 		u.m.b.Log("manager: stop of " + u.new.Manifest.Ref() + " trapped: " + err.Error())

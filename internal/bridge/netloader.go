@@ -15,7 +15,7 @@ import (
 // receipt, an attempt is made to dynamically load and evaluate the file."
 //
 // In the paper this stack is itself loaded as switchlets; here it is a
-// native switchlet (see DESIGN.md substitutions): it is installed and
+// native switchlet — a deliberate substitution: it is installed and
 // removed at runtime through the same registration discipline, but written
 // in Go because its cost is not the experiment's subject.
 type netLoader struct {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/netsim"
+	"github.com/switchware/activebridge/internal/tracing"
 )
 
 // forwardSwitchlet is the minimal VM data path: receive a frame, send it
@@ -24,8 +25,33 @@ let _ = Bridge.set_handler handle
 // zero-allocation overhaul this path cost hundreds of allocations per
 // frame; before the optimizing-tier PR it was 2 (frame-string box and
 // invoke residue).
-func TestFrameDispatchAllocBudget(t *testing.T) {
+func TestFrameDispatchAllocBudget(t *testing.T) { frameDispatchAllocBudget(t, nil) }
+
+// TestTracedFrameDispatchAllocBudget is the tracing plane's overhead
+// budget on the same path: with a tracer attached whose traces are not
+// sampled, every emit site still records into the flight ring, and the
+// budget stays 0 allocs/frame — events carry operands, so nothing is
+// formatted for a ring that overwrites it 256 events later.
+func TestTracedFrameDispatchAllocBudget(t *testing.T) {
+	tr := tracing.New(tracing.Config{Seed: 5, SampleProb: 1e-12})
+	te := tr.Engine(0)
+	frameDispatchAllocBudget(t, te)
+	tr.Flush()
+	if n := len(tr.Transcript()); n != 0 {
+		t.Fatalf("unsampled run put %d events in the transcript", n)
+	}
+	te.DumpFlight("test", 0)
+	have := kinds(tr.FlightDumps()[0].Events)
+	for _, k := range []tracing.Kind{tracing.KindSend, tracing.KindWire, tracing.KindRx, tracing.KindDemux, tracing.KindVM, tracing.KindVerdict} {
+		if have[k] == 0 {
+			t.Errorf("flight ring has no %s event: the traced path was not exercised", k)
+		}
+	}
+}
+
+func frameDispatchAllocBudget(t *testing.T, te *tracing.Engine) {
 	r := newRig(t)
+	r.sim.SetTraceEngine(te)
 	r.load(t, "Fwd", forwardSwitchlet)
 
 	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}
@@ -118,7 +144,7 @@ func BenchmarkBridgeForward(b *testing.B) {
 	lan1.Attach(br.Port(0))
 	lan2.Attach(n2)
 	lan2.Attach(br.Port(1))
-	if err := br.CompileAndLoad("Fwd", forwardSwitchlet); err != nil {
+	if err := compileAndLoad(br, "Fwd", forwardSwitchlet); err != nil {
 		b.Fatal(err)
 	}
 	fr := ethernet.Frame{Dst: ethernet.MAC{2, 0, 0, 0, 0, 2}, Src: ethernet.MAC{2, 0, 0, 0, 0, 1}, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}

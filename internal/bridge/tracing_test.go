@@ -57,12 +57,12 @@ let _ = Bridge.set_handler handle`)
 	}
 	for _, ev := range evs {
 		if ev.Kind == tracing.KindVM {
-			if !strings.Contains(ev.Detail, "handler=vm-default") || !strings.Contains(ev.Detail, "steps=") {
-				t.Errorf("vm event detail lacks handler/steps: %q", ev.Detail)
+			if !strings.Contains(ev.Text(), "handler=vm-default") || !strings.Contains(ev.Text(), "steps=") {
+				t.Errorf("vm event detail lacks handler/steps: %q", ev.Text())
 			}
 		}
-		if ev.Kind == tracing.KindVerdict && !strings.Contains(ev.Detail, "forward") {
-			t.Errorf("verdict detail = %q, want forward", ev.Detail)
+		if ev.Kind == tracing.KindVerdict && !strings.Contains(ev.Text(), "forward") {
+			t.Errorf("verdict detail = %q, want forward", ev.Text())
 		}
 	}
 	if tr.DumpCount() != 0 {
@@ -105,8 +105,8 @@ let _ = Bridge.set_handler handle`)
 	}
 	// The traced verdict for the trapped frame is a drop, not a forward.
 	for _, ev := range tr.Transcript() {
-		if ev.Kind == tracing.KindVerdict && ev.Detail != "trap-drop" {
-			t.Errorf("verdict = %q, want trap-drop", ev.Detail)
+		if ev.Kind == tracing.KindVerdict && ev.Text() != "trap-drop" {
+			t.Errorf("verdict = %q, want trap-drop", ev.Text())
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestLoadRejectDumpsFlightRecorder(t *testing.T) {
 	// transcript.
 	found := false
 	for _, ev := range dumps[0].Events {
-		if ev.Kind == tracing.KindMark && strings.Contains(ev.Detail, "load-reject") {
+		if ev.Kind == tracing.KindMark && strings.Contains(ev.Text(), "load-reject") {
 			found = true
 		}
 	}

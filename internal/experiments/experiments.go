@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6-§7) on the simulated testbed. Each function returns a
-// report.Table whose rows mirror the series the paper reports; the
-// EXPERIMENTS.md file records paper-vs-measured for each.
+// report.Table whose rows mirror the series the paper reports, and each
+// table's notes state the paper's value beside ours (README "Running the
+// paper tables" has the commands).
 package experiments
 
 import (
@@ -120,6 +121,10 @@ func FrameRates(cost netsim.CostModel) *report.Table {
 		)
 	}
 	t.AddNote("paper: ~1790 frames/s at 1024 B; Caml cost 0.47 ms/frame => limit ~2100 fps (~32 Mb/s)")
+	// The note's bytes are part of the frame-rates golden fingerprint, so its
+	// pointer at a file that was never written stays until the fidelity
+	// table (ROADMAP item 4) replaces the note; what it would have said is
+	// that ttcp acks and per-write syscall cost are not modelled.
 	t.AddNote("paper's 360 fps at ~50 B reflects sender-side small-write overheads the closed-loop model abstracts; see EXPERIMENTS.md")
 	return t
 }

@@ -2,8 +2,10 @@ package netsim
 
 // CostModel holds the calibrated per-stage software costs of the paper's
 // measurement platform (166 MHz Pentium, Linux 2.0, Caml bytecode
-// interpreter). Every cost is virtual time; see DESIGN.md §6 and
-// EXPERIMENTS.md for the calibration narrative.
+// interpreter). Every cost is virtual time; DefaultCostModel's comment
+// lists the paper figures each constant was fitted to, and `go run
+// ./cmd/abbench` (README "Running the paper tables") prints what the
+// fitted model reproduces next to the paper's value.
 //
 // The frame path (paper Figure 5) decomposes as:
 //
@@ -51,7 +53,8 @@ type CostModel struct {
 	RepeaterPerFrame Duration
 }
 
-// DefaultCostModel returns the calibration used throughout EXPERIMENTS.md.
+// DefaultCostModel returns the calibration every scenario, paper table
+// and benchmark workload runs on.
 //
 // Calibration anchors (paper §7):
 //   - direct-connection ttcp ≈ 76 Mb/s with 8 KB writes,

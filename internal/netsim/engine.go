@@ -349,7 +349,7 @@ func (c *Coordinator) postDelivery(seg *Segment, n *NIC, arrive Time, raw []byte
 	if src.trc != nil {
 		src.trc.Emit(tracing.Event{
 			VT: int64(src.now), Trace: src.curTrace, Kind: tracing.KindXShard,
-			Node: n.Name, Detail: "delivery->remote",
+			Node: n.Name, Name: "delivery->remote",
 		})
 	}
 	c.post(c.chans[src.shard][n.sim.shard], m)

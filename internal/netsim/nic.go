@@ -211,46 +211,50 @@ func (n *NIC) SetRxFault(fn FaultFunc) { n.rxFault = fn }
 // removes it). See TxDropFunc for the threading contract.
 func (n *NIC) SetTxDropFn(fn TxDropFunc) { n.dropFn = fn }
 
-// traceEvent records one event against this NIC when the net is
-// traced; the nil tracer check lives at every call site so the
-// untraced frame path never builds an Event.
-func (n *NIC) traceEvent(kind tracing.Kind, trace uint64, detail string) {
-	n.sim.trc.Emit(tracing.Event{
-		VT: int64(n.sim.now), Trace: trace, Kind: kind, Node: n.Name, Detail: detail,
-	})
+// traceEvent records one labelled event against this NIC when the net
+// is traced. It and traceLen take scalars and inline, so an untraced
+// call site is one nil check and never builds an Event.
+func (n *NIC) traceEvent(kind tracing.Kind, trace uint64, label string) {
+	if n.sim.trc != nil {
+		n.sim.trc.Emit(tracing.Event{
+			VT: int64(n.sim.now), Trace: trace, Kind: kind, Node: n.Name, Name: label,
+		})
+	}
+}
+
+// traceLen records a frame of the given length passing this NIC.
+func (n *NIC) traceLen(kind tracing.Kind, trace uint64, length int) {
+	if n.sim.trc != nil {
+		n.sim.trc.Emit(tracing.Event{
+			VT: int64(n.sim.now), Trace: trace, Kind: kind, Node: n.Name,
+			Form: tracing.FormLen, N: [4]int64{int64(length)},
+		})
+	}
 }
 
 // deliver is called by the segment when a frame arrives at this NIC.
 func (n *NIC) deliver(raw []byte) {
 	if n.linkDown {
 		n.FaultDrops++
-		if n.sim.trc != nil {
-			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx linkdown")
-		}
+		n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx linkdown")
 		return
 	}
 	if n.rxFault != nil {
 		switch n.rxFault(raw) {
 		case FaultDrop:
 			n.FaultDrops++
-			if n.sim.trc != nil {
-				n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx drop")
-			}
+			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx drop")
 			return
 		case FaultCorrupt:
 			n.FaultCorrupts++
-			if n.sim.trc != nil {
-				n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx corrupt")
-			}
+			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx corrupt")
 			return
 		case FaultDuplicate:
 			// Receive the frame twice: the adapter saw the same bits
 			// again (a reflection, a repeated symbol). Both copies run
 			// through the same accept filter and handler.
 			n.FaultDups++
-			if n.sim.trc != nil {
-				n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx dup")
-			}
+			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx dup")
 			n.deliverAccepted(raw)
 		}
 	}
@@ -264,9 +268,7 @@ func (n *NIC) deliverAccepted(raw []byte) {
 	}
 	n.RxFrames++
 	n.RxBytes += uint64(len(raw))
-	if n.sim.trc != nil {
-		n.traceEvent(tracing.KindRx, n.sim.curTrace, fmt.Sprintf("len=%d", len(raw)))
-	}
+	n.traceLen(tracing.KindRx, n.sim.curTrace, len(raw))
 	if n.recv != nil {
 		n.recv(n, raw)
 	}
@@ -308,33 +310,25 @@ func (n *NIC) Send(raw []byte) bool {
 		// No carrier: the driver's view of a dead link is a frame that
 		// vanishes, not an error (compare Bridge.Send on a nil segment).
 		n.FaultDrops++
-		if n.sim.trc != nil {
-			n.traceEvent(tracing.KindTxDrop, trace, "linkdown")
-		}
+		n.traceEvent(tracing.KindTxDrop, trace, "linkdown")
 		return false
 	}
 	if n.xport != nil {
-		if n.sim.trc != nil {
-			n.traceEvent(tracing.KindSend, trace, fmt.Sprintf("len=%d", len(raw)))
-			n.traceEvent(tracing.KindXShard, trace, "request->owner")
-		}
+		n.traceLen(tracing.KindSend, trace, len(raw))
+		n.traceEvent(tracing.KindXShard, trace, "request->owner")
 		n.sim.coord.postRequest(n, raw, trace)
 		return true
 	}
 	accepted, start := n.tx.offer(raw, trace, n.TxQueueLimit)
 	if !accepted {
 		n.TxDrops++
-		if n.sim.trc != nil {
-			n.traceEvent(tracing.KindTxDrop, trace, "overflow")
-		}
+		n.traceEvent(tracing.KindTxDrop, trace, "overflow")
 		if n.dropFn != nil {
 			n.dropFn(n, raw)
 		}
 		return false
 	}
-	if n.sim.trc != nil {
-		n.traceEvent(tracing.KindSend, trace, fmt.Sprintf("len=%d", len(raw)))
-	}
+	n.traceLen(tracing.KindSend, trace, len(raw))
 	if start {
 		n.drain()
 	}

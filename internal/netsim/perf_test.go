@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/switchware/activebridge/internal/ethernet"
+	"github.com/switchware/activebridge/internal/tracing"
 )
 
 // TestSteadyStateForwardingZeroAllocs is the allocation-budget regression
@@ -13,8 +14,34 @@ import (
 // running the resulting events does zero Go-heap work. The value-typed
 // 4-ary heap, the payload free list, the inline deliver events and the
 // reclaiming transmit queue are what this pins down.
-func TestSteadyStateForwardingZeroAllocs(t *testing.T) {
+func TestSteadyStateForwardingZeroAllocs(t *testing.T) { forwardingZeroAllocs(t, nil) }
+
+// TestTracedForwardingZeroAllocs is the tracing plane's overhead budget
+// on the same pipeline: with a tracer attached whose traces are not
+// sampled, send, wire and rx events still enter the flight ring, and
+// the cycle still does zero Go-heap work because events carry operands
+// and format nothing until they are read.
+func TestTracedForwardingZeroAllocs(t *testing.T) {
+	tr := tracing.New(tracing.Config{Seed: 5, SampleProb: 1e-12})
+	te := tr.Engine(0)
+	forwardingZeroAllocs(t, te)
+	tr.Flush()
+	if n := len(tr.Transcript()); n != 0 {
+		t.Fatalf("unsampled run put %d events in the transcript", n)
+	}
+	te.DumpFlight("test", 0)
+	have := map[tracing.Kind]bool{}
+	for _, ev := range tr.FlightDumps()[0].Events {
+		have[ev.Kind] = true
+	}
+	if !have[tracing.KindSend] || !have[tracing.KindWire] || !have[tracing.KindRx] {
+		t.Fatalf("flight ring kinds = %v: the traced path was not exercised", have)
+	}
+}
+
+func forwardingZeroAllocs(t *testing.T, te *tracing.Engine) {
 	sim := New()
+	sim.SetTraceEngine(te)
 	seg := NewSegment(sim, "lan")
 	a := NewNIC(sim, "a", mac(1))
 	b := NewNIC(sim, "b", mac(2))

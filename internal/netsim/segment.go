@@ -128,9 +128,7 @@ func (g *Segment) transmit(from *NIC, raw []byte) Time {
 	// with the virtual-time axis at any shard count.
 	if g.down {
 		g.FaultDrops++
-		if g.sim.trc != nil {
-			g.traceEvent(tracing.KindFault, 0, "segment down")
-		}
+		g.traceFault("segment down")
 		return end
 	}
 	dup := false
@@ -138,30 +136,27 @@ func (g *Segment) transmit(from *NIC, raw []byte) Time {
 		switch g.fault(raw) {
 		case FaultDrop:
 			g.FaultDrops++
-			if g.sim.trc != nil {
-				g.traceEvent(tracing.KindFault, 0, "wire drop")
-			}
+			g.traceFault("wire drop")
 			return end
 		case FaultCorrupt:
 			// The damaged frame occupies the wire but every receiver's
 			// FCS check discards it, so nothing is delivered.
 			g.FaultCorrupts++
-			if g.sim.trc != nil {
-				g.traceEvent(tracing.KindFault, 0, "wire corrupt")
-			}
+			g.traceFault("wire corrupt")
 			return end
 		case FaultDuplicate:
 			g.FaultDups++
-			if g.sim.trc != nil {
-				g.traceEvent(tracing.KindFault, 0, "wire dup")
-			}
+			g.traceFault("wire dup")
 			dup = true
 		}
 	}
 
 	arrive := end.Add(g.Propagation)
 	if g.sim.trc != nil {
-		g.traceEvent(tracing.KindWire, int64(arrive-g.sim.now), fmt.Sprintf("len=%d", len(raw)))
+		g.sim.trc.Emit(tracing.Event{
+			VT: int64(g.sim.now), Dur: int64(arrive - g.sim.now), Trace: g.sim.curTrace,
+			Kind: tracing.KindWire, Node: g.Name, Form: tracing.FormLen, N: [4]int64{int64(len(raw))},
+		})
 	}
 	local := 0
 	for _, nic := range g.nics {
@@ -205,12 +200,15 @@ func (g *Segment) transmit(from *NIC, raw []byte) Time {
 	return end
 }
 
-// traceEvent records one segment event under the ambient trace context
-// (dur > 0 makes it a span); callers hold the nil-tracer check.
-func (g *Segment) traceEvent(kind tracing.Kind, dur int64, detail string) {
-	g.sim.trc.Emit(tracing.Event{
-		VT: int64(g.sim.now), Dur: dur, Trace: g.sim.curTrace, Kind: kind, Node: g.Name, Detail: detail,
-	})
+// traceFault records a fault verdict on this segment under the ambient
+// trace context when the net is traced. It inlines, so an untraced call
+// site is one nil check.
+func (g *Segment) traceFault(label string) {
+	if g.sim.trc != nil {
+		g.sim.trc.Emit(tracing.Event{
+			VT: int64(g.sim.now), Trace: g.sim.curTrace, Kind: tracing.KindFault, Node: g.Name, Name: label,
+		})
+	}
 }
 
 // deliverLocal performs a batched delivery scheduled by transmit: raw goes

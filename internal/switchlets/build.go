@@ -1,11 +1,6 @@
 package switchlets
 
-import (
-	"strings"
-
-	"github.com/switchware/activebridge/internal/bridge"
-	"github.com/switchware/activebridge/internal/env"
-)
+import "strings"
 
 // swl string literals for the two protocols' constants.
 const (
@@ -56,24 +51,3 @@ const (
 	ModDEC      = "Decspan"
 	ModControl  = "Control"
 )
-
-// install routes a manifest through the bridge's lifecycle manager.
-func install(b *bridge.Bridge, m env.Manifest) error {
-	_, err := b.Manager().Install(m)
-	return err
-}
-
-// LoadDumb installs the buffered repeater.
-func LoadDumb(b *bridge.Bridge) error { return install(b, DumbManifest()) }
-
-// LoadLearning installs the self-learning bridge (replacing the dumb
-// bridge's switching function if present).
-func LoadLearning(b *bridge.Bridge) error { return install(b, LearningManifest()) }
-
-// LoadDEC installs the DEC-style switchlet.
-func LoadDEC(b *bridge.Bridge) error { return install(b, DECManifest()) }
-
-// LoadControl installs the protocol-transition control switchlet; both
-// protocol switchlets must already be loaded (DEC running, IEEE dormant)
-// or the load fails, per Table 1's preconditions.
-func LoadControl(b *bridge.Bridge) error { return install(b, ControlManifest()) }

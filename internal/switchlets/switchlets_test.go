@@ -5,9 +5,36 @@ import (
 	"testing"
 
 	"github.com/switchware/activebridge/internal/bridge"
+	"github.com/switchware/activebridge/internal/env"
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/netsim"
+	"github.com/switchware/activebridge/internal/vm"
 )
+
+// install routes a manifest through the bridge's lifecycle manager.
+func install(b *bridge.Bridge, m env.Manifest) error {
+	_, err := b.Manager().Install(m)
+	return err
+}
+
+func loadDumb(b *bridge.Bridge) error     { return install(b, DumbManifest()) }
+func loadLearning(b *bridge.Bridge) error { return install(b, LearningManifest()) }
+func loadDEC(b *bridge.Bridge) error      { return install(b, DECManifest()) }
+
+// loadControl installs the protocol-transition control switchlet; both
+// protocol switchlets must already be loaded (DEC running, IEEE dormant)
+// or the load fails, per Table 1's preconditions.
+func loadControl(b *bridge.Bridge) error { return install(b, ControlManifest()) }
+
+// compileAndLoad loads raw swl source, bypassing the manifest's
+// capability grant.
+func compileAndLoad(b *bridge.Bridge, name, src string) error {
+	obj, _, err := vm.Compile(name, src, b.Loader.SigEnv())
+	if err != nil {
+		return err
+	}
+	return b.LoadObjectBytes(obj.Encode())
+}
 
 // testHost is a plain station on a segment: records received test frames.
 type testHost struct {
@@ -62,7 +89,7 @@ func TestNoSwitchletNoForwarding(t *testing.T) {
 
 func TestDumbSwitchletRepeats(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
-	if err := LoadDumb(b); err != nil {
+	if err := loadDumb(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.DefaultHandlerName(); got != "vm-default" {
@@ -88,7 +115,7 @@ func TestDumbSwitchletRepeats(t *testing.T) {
 
 func TestDumbDoesNotEchoBack(t *testing.T) {
 	sim, b, h1, _ := twoLANs(t)
-	if err := LoadDumb(b); err != nil {
+	if err := loadDumb(b); err != nil {
 		t.Fatal(err)
 	}
 	sim.Schedule(0, func() { h1.send(t, ethernet.Broadcast, 64) })
@@ -122,7 +149,7 @@ func TestLearningStopsFlooding(t *testing.T) {
 		lans[i].Attach(h.nic)
 		lans[i].Attach(b.Port(i))
 	}
-	if err := LoadLearning(b); err != nil {
+	if err := loadLearning(b); err != nil {
 		t.Fatal(err)
 	}
 	// Flood-vs-directed is observed on the third segment's frame counter
@@ -158,7 +185,7 @@ func TestLearningStopsFlooding(t *testing.T) {
 
 func TestLearningFuncRegistrations(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
-	if err := LoadLearning(b); err != nil {
+	if err := loadLearning(b); err != nil {
 		t.Fatal(err)
 	}
 	sim.Schedule(0, func() { h1.send(t, h2.nic.MAC, 64) })
@@ -224,7 +251,7 @@ func (r *ringNet) loadAll(t *testing.T, load func(*bridge.Bridge) error) {
 
 // loadFullBridge installs the §5.3 stack: learning + spanning tree.
 func loadFullBridge(b *bridge.Bridge) error {
-	if err := LoadLearning(b); err != nil {
+	if err := loadLearning(b); err != nil {
 		return err
 	}
 	return install(b, SpanningManifest())
@@ -232,7 +259,7 @@ func loadFullBridge(b *bridge.Bridge) error {
 
 func TestRingWithoutSTPStorms(t *testing.T) {
 	r := buildRing(t, 3)
-	r.loadAll(t, LoadLearning)
+	r.loadAll(t, loadLearning)
 	r.sim.MaxEvents = 300000
 	r.sim.Schedule(0, func() { r.hosts[0].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(netsim.Time(5 * netsim.Second))
@@ -382,7 +409,7 @@ func TestNativeSTPRingConverges(t *testing.T) {
 
 func TestVMCostChargedOnDataPath(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
-	if err := LoadLearning(b); err != nil {
+	if err := loadLearning(b); err != nil {
 		t.Fatal(err)
 	}
 	sim.Schedule(0, func() { h1.send(t, h2.nic.MAC, 1000) })
@@ -412,7 +439,7 @@ func TestSwitchletSourcesCompileStandalone(t *testing.T) {
 		{ModDEC, DECSrc},
 		{"Spanbug", BuggySpanningSrc},
 	} {
-		if err := b.CompileAndLoad(s.name, s.src); err != nil && s.name != "Spanbug" {
+		if err := compileAndLoad(b, s.name, s.src); err != nil && s.name != "Spanbug" {
 			t.Errorf("%s: %v", s.name, err)
 		}
 	}
@@ -422,7 +449,7 @@ func TestControlRequiresPreconditions(t *testing.T) {
 	sim, b, _, _ := twoLANs(t)
 	_ = sim
 	// Loading control without the protocols must fail loudly.
-	if err := LoadControl(b); err == nil {
+	if err := loadControl(b); err == nil {
 		t.Error("control load should fail without protocol switchlets")
 	}
 }
@@ -468,10 +495,10 @@ func TestDECStandaloneRingConverges(t *testing.T) {
 	// transition's "old" protocol.
 	r := buildRing(t, 3)
 	r.loadAll(t, func(b *bridge.Bridge) error {
-		if err := LoadLearning(b); err != nil {
+		if err := loadLearning(b); err != nil {
 			return err
 		}
-		return LoadDEC(b)
+		return loadDEC(b)
 	})
 	r.sim.Run(netsim.Time(40 * netsim.Second))
 	blocked := 0
@@ -501,7 +528,7 @@ func TestDumbBridgeCannotTolerateLoops(t *testing.T) {
 	// Paper §5.3: the dumb switchlet "cannot tolerate a network topology
 	// with any loops". Demonstrate the collapse is bounded only by queues.
 	r := buildRing(t, 3)
-	r.loadAll(t, LoadDumb)
+	r.loadAll(t, loadDumb)
 	r.sim.MaxEvents = 200000
 	r.sim.Schedule(0, func() { r.hosts[0].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(netsim.Time(3 * netsim.Second))
@@ -544,7 +571,7 @@ let _ = Log.log "counting repeater installed"
 
 func TestReadmeExampleCompilesAndRuns(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
-	if err := b.CompileAndLoad("Count", readmeCountSrc); err != nil {
+	if err := compileAndLoad(b, "Count", readmeCountSrc); err != nil {
 		t.Fatalf("README switchlet does not compile: %v", err)
 	}
 	sim.Schedule(0, func() { h1.send(t, h2.nic.MAC, 64) })

@@ -48,16 +48,16 @@ func buildTransition(t *testing.T, spanningSrc string) *transitionNet {
 
 	// Paper loading order: learning, DEC (starts), IEEE (dormant), control.
 	for _, b := range []*bridge.Bridge{n.b1, n.b2} {
-		if err := LoadLearning(b); err != nil {
+		if err := loadLearning(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := LoadDEC(b); err != nil {
+		if err := loadDEC(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.CompileAndLoad(ModSpanning, spanningSrc); err != nil {
+		if err := compileAndLoad(b, ModSpanning, spanningSrc); err != nil {
 			t.Fatal(err)
 		}
-		if err := LoadControl(b); err != nil {
+		if err := loadControl(b); err != nil {
 			t.Fatal(err)
 		}
 	}

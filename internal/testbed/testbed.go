@@ -52,17 +52,6 @@ func (p Path) String() string {
 	return pathNames[p]
 }
 
-// ParsePath resolves a configuration name (as printed by String) to its
-// Path, for CLI flag parsing.
-func ParsePath(s string) (Path, error) {
-	for i, name := range pathNames {
-		if s == name {
-			return Path(i), nil
-		}
-	}
-	return 0, fmt.Errorf("testbed: unknown path %q (want one of %v)", s, pathNames[:])
-}
-
 // Testbed is a wired two-host measurement network.
 type Testbed struct {
 	// Net is the materialized topology; Sim aliases Net.Sim.

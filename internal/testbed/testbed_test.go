@@ -29,18 +29,6 @@ func TestPathStringBounds(t *testing.T) {
 	}
 }
 
-func TestParsePath(t *testing.T) {
-	for _, p := range Paths {
-		got, err := ParsePath(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePath(%q) = %v, %v; want %v", p.String(), got, err, p)
-		}
-	}
-	if _, err := ParsePath("warp-drive"); err == nil {
-		t.Error("ParsePath should reject unknown names")
-	}
-}
-
 func TestPingCompletesOnAllPaths(t *testing.T) {
 	for _, p := range []Path{Direct, Repeater, ActiveBridge, NativeBridge} {
 		tb := New(p, netsim.DefaultCostModel())

@@ -61,7 +61,7 @@ func WriteChromeAll(w io.Writer, tracers []*Tracer) error {
 		for i := range t.merged {
 			ev := &t.merged[i]
 			tid := tids[ev.Node]
-			args := fmt.Sprintf(`{"trace":"%016x","node":%s,"detail":%s}`, ev.Trace, esc(ev.Node), esc(ev.Detail))
+			args := fmt.Sprintf(`{"trace":"%016x","node":%s,"detail":%s}`, ev.Trace, esc(ev.Node), esc(ev.Text()))
 			if ev.Dur > 0 {
 				// Async ids are matched across the whole document, so
 				// prefix the pid: two nets built from the same topology

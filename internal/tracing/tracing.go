@@ -24,8 +24,16 @@
 //
 // The package sits below netsim in the import graph (it imports only
 // frand), so the engine can carry a tracer without cycles; everything
-// above reaches it through netsim.Sim. When no tracer is installed the
-// frame path pays one nil check and nothing else.
+// above reaches it through netsim.Sim.
+//
+// Cost. When no tracer is installed the frame path pays one nil check
+// per emit site and nothing else. With a tracer installed, every event
+// — sampled or not — is one Event value stored into the flight ring:
+// events carry operands (a Form, a name that already exists as a
+// string, up to four integers), never formatted text, so a frame whose
+// trace is not sampled costs no allocation. Text is produced by
+// Event.Text only when someone reads an event: a transcript or flight
+// dump being rendered, a Chrome export.
 package tracing
 
 import (
@@ -67,7 +75,7 @@ const (
 	// (destination binding or default handler).
 	KindDemux
 	// KindVM is the switchlet handler execution span; Dur is the
-	// frame's virtual VM cost, Detail carries steps and tier counts.
+	// frame's virtual VM cost, the operands carry steps and tier counts.
 	KindVM
 	// KindDeopt marks a deoptimization from quickened to wire code.
 	KindDeopt
@@ -95,24 +103,76 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// Form selects how an event's operands read as text (see Event.Text).
+type Form uint8
+
+const (
+	// FormLabel: Name is the whole text — a static label, a deopt
+	// reason or a trap's error text.
+	FormLabel Form = iota
+	// FormLen: a frame of N[0] bytes.
+	FormLen
+	// FormDemux: the bridge bound the frame to handler Name.
+	FormDemux
+	// FormNative: native handler Name ran.
+	FormNative
+	// FormVM: switchlet handler Name ran for N[0] steps, allocated N[1]
+	// bytes and entered the wire/quickened streams N[2]/N[3] times.
+	FormVM
+	// FormForward: the handler queued N[0] sends.
+	FormForward
+	// FormLoadReject: a switchlet load failed with error text Name.
+	FormLoadReject
+	// FormRollback: the Manager rolled an upgrade back for reason Name.
+	FormRollback
+
+	formCount
+)
+
 // Event is one record: an instant (Dur == 0) or a span (Dur > 0) at
 // virtual time VT on node Node, belonging to trace Trace. Bit 0 of
 // Trace is the sampled flag; bit 63 is always set so a zero Trace
-// means "untraced".
+// means "untraced". What happened is held as operands — Form, Name and
+// N — so recording an event formats nothing; Text renders them.
 type Event struct {
-	VT     int64
-	Dur    int64
-	Trace  uint64
-	Kind   Kind
-	Node   string
-	Detail string
+	VT    int64
+	Dur   int64
+	Trace uint64
+	Kind  Kind
+	Form  Form
+	Node  string
+	Name  string
+	N     [4]int64
+}
+
+// Text renders the event's operands. It is the only place the wording
+// of an event lives; the text transcript, flight dumps and the Chrome
+// export all call it at render time.
+func (ev Event) Text() string {
+	switch ev.Form {
+	case FormLen:
+		return fmt.Sprintf("len=%d", ev.N[0])
+	case FormDemux:
+		return "demux handler=" + ev.Name
+	case FormNative:
+		return "native handler=" + ev.Name
+	case FormVM:
+		return fmt.Sprintf("handler=%s steps=%d alloc=%d tiers=%d/%d", ev.Name, ev.N[0], ev.N[1], ev.N[2], ev.N[3])
+	case FormForward:
+		return fmt.Sprintf("forward sends=%d", ev.N[0])
+	case FormLoadReject:
+		return "load-reject: " + ev.Name
+	case FormRollback:
+		return "rollback: " + ev.Name
+	}
+	return ev.Name
 }
 
 // Sampled reports whether a trace ID carries the sampled bit.
 func Sampled(trace uint64) bool { return trace&1 == 1 }
 
 // less is the canonical event order: virtual time, then trace, then
-// pipeline rank, then node/detail/duration. Two events equal under it
+// pipeline rank, then node/operands/duration. Two events equal under it
 // are identical records, so sorting a batch with it yields the same
 // byte sequence no matter which engine recorded what.
 func less(a, b Event) bool {
@@ -128,8 +188,16 @@ func less(a, b Event) bool {
 	if a.Node != b.Node {
 		return a.Node < b.Node
 	}
-	if a.Detail != b.Detail {
-		return a.Detail < b.Detail
+	if a.Form != b.Form {
+		return a.Form < b.Form
+	}
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	for i := range a.N {
+		if a.N[i] != b.N[i] {
+			return a.N[i] < b.N[i]
+		}
 	}
 	return a.Dur < b.Dur
 }
@@ -389,8 +457,8 @@ func writeEvent(w io.Writer, ev *Event) {
 	if ev.Dur > 0 {
 		fmt.Fprintf(w, " dur=%d", ev.Dur)
 	}
-	if ev.Detail != "" {
-		fmt.Fprintf(w, " %s", ev.Detail)
+	if text := ev.Text(); text != "" {
+		fmt.Fprintf(w, " %s", text)
 	}
 	fmt.Fprintln(w)
 }

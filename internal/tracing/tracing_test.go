@@ -99,13 +99,17 @@ func TestFlushCanonicalOrderAndXShard(t *testing.T) {
 	e0.Emit(Event{VT: 50, Trace: id, Kind: KindXShard, Node: "h1.eth0"})
 	e0.Emit(Event{VT: 50, Trace: id, Kind: KindSend, Node: "h1.eth0"})
 	e0.Emit(Event{VT: 40, Trace: id, Kind: KindWire, Node: "s0", Dur: 5})
+	// Two events that differ only in an operand, recorded in opposite
+	// orders on the two engines: the order on operands must be total.
+	e1.Emit(Event{VT: 60, Trace: id, Kind: KindRx, Node: "h2.eth0", Form: FormLen, N: [4]int64{1514}})
+	e0.Emit(Event{VT: 60, Trace: id, Kind: KindRx, Node: "h2.eth0", Form: FormLen, N: [4]int64{562}})
 	tr.Flush()
 	got := tr.Transcript()
 	kinds := make([]Kind, len(got))
 	for i := range got {
 		kinds[i] = got[i].Kind
 	}
-	want := []Kind{KindWire, KindSend, KindVM, KindVerdict}
+	want := []Kind{KindWire, KindSend, KindVM, KindVerdict, KindRx, KindRx}
 	if len(kinds) != len(want) {
 		t.Fatalf("transcript has %d events (%v), want %d", len(kinds), kinds, len(want))
 	}
@@ -114,8 +118,11 @@ func TestFlushCanonicalOrderAndXShard(t *testing.T) {
 			t.Fatalf("transcript[%d] = %s, want %s", i, kinds[i], want[i])
 		}
 	}
-	if tr.Spans() != 4 {
-		t.Fatalf("Spans() = %d, want 4 (xshard never counts)", tr.Spans())
+	if got[4].N[0] != 562 || got[5].N[0] != 1514 {
+		t.Fatalf("same-instant events differing in N sorted %d, %d; want 562, 1514", got[4].N[0], got[5].N[0])
+	}
+	if tr.Spans() != 6 {
+		t.Fatalf("Spans() = %d, want 6 (xshard never counts)", tr.Spans())
 	}
 }
 
@@ -137,8 +144,8 @@ func TestTranscriptCapCountsDropped(t *testing.T) {
 func TestRenderTranscriptFormat(t *testing.T) {
 	tr := New(Config{})
 	e := tr.Engine(0)
-	e.Emit(Event{VT: 100, Trace: sampledID(1), Kind: KindSend, Node: "h1.eth0", Detail: "len=64"})
-	e.Emit(Event{VT: 120, Trace: sampledID(1), Kind: KindWire, Node: "s0", Dur: 7, Detail: "len=64"})
+	e.Emit(Event{VT: 100, Trace: sampledID(1), Kind: KindSend, Node: "h1.eth0", Form: FormLen, N: [4]int64{64}})
+	e.Emit(Event{VT: 120, Trace: sampledID(1), Kind: KindWire, Node: "s0", Dur: 7, Form: FormLen, N: [4]int64{64}})
 	tr.Flush()
 	var sb strings.Builder
 	tr.RenderTranscript(&sb)
@@ -146,6 +153,64 @@ func TestRenderTranscriptFormat(t *testing.T) {
 		"t=120          8000000000000003 wire    s0 dur=7 len=64\n"
 	if sb.String() != want {
 		t.Fatalf("render format drifted:\n got %q\nwant %q", sb.String(), want)
+	}
+}
+
+// TestEventTextWording pins the rendered text of every Form to the
+// string the emit sites used to format eagerly, and that the text
+// transcript and the Chrome export render through Text.
+func TestEventTextWording(t *testing.T) {
+	rows := []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Form: FormLabel, Name: "rx linkdown"}, "rx linkdown"},
+		{Event{Form: FormLabel}, ""},
+		{Event{Form: FormLen, N: [4]int64{1514}}, "len=1514"},
+		{Event{Form: FormDemux, Name: "learning"}, "demux handler=learning"},
+		{Event{Form: FormNative, Name: "repeater"}, "native handler=repeater"},
+		{Event{Form: FormVM, Name: "vm-default", N: [4]int64{84, 48, 0, 1}}, "handler=vm-default steps=84 alloc=48 tiers=0/1"},
+		{Event{Form: FormForward, N: [4]int64{3}}, "forward sends=3"},
+		{Event{Form: FormLoadReject, Name: "verify: bad jump"}, "load-reject: verify: bad jump"},
+		{Event{Form: FormRollback, Name: "probe mismatch"}, "rollback: probe mismatch"},
+	}
+	tr := New(Config{})
+	e := tr.Engine(0)
+	forms := map[Form]bool{}
+	for i, r := range rows {
+		forms[r.ev.Form] = true
+		if got := r.ev.Text(); got != r.want {
+			t.Errorf("form %d: Text() = %q, want %q", r.ev.Form, got, r.want)
+		}
+		r.ev.VT, r.ev.Trace, r.ev.Kind, r.ev.Node = int64(i+1), sampledID(1), KindMark, "n"
+		e.Emit(r.ev)
+	}
+	for f := Form(0); f < formCount; f++ {
+		if !forms[f] {
+			t.Errorf("form %d has no wording row", f)
+		}
+	}
+	tr.Flush()
+	var text, chrome bytes.Buffer
+	tr.RenderTranscript(&text)
+	if err := tr.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n")
+	if len(lines) != len(rows) {
+		t.Fatalf("transcript has %d lines, want %d", len(lines), len(rows))
+	}
+	for i, r := range rows {
+		want := "mark    n"
+		if r.want != "" {
+			want += " " + r.want
+		}
+		if !strings.HasSuffix(lines[i], want) {
+			t.Errorf("transcript line %d = %q, want suffix %q", i, lines[i], want)
+		}
+		if arg := `"detail":"` + r.want + `"`; !strings.Contains(chrome.String(), arg) {
+			t.Errorf("chrome export lacks %s", arg)
+		}
 	}
 }
 
@@ -171,9 +236,9 @@ func TestChromeExportLints(t *testing.T) {
 	tr := New(Config{})
 	e := tr.Engine(0)
 	id := sampledID(3)
-	e.Emit(Event{VT: 1000, Trace: id, Kind: KindSend, Node: "h1.eth0", Detail: "len=64"})
-	e.Emit(Event{VT: 1500, Trace: id, Kind: KindWire, Node: "s0", Dur: 600, Detail: "len=64"})
-	e.Emit(Event{VT: 2100, Trace: id, Kind: KindVM, Node: "br", Dur: 400, Detail: `handler="x"`})
+	e.Emit(Event{VT: 1000, Trace: id, Kind: KindSend, Node: "h1.eth0", Form: FormLen, N: [4]int64{64}})
+	e.Emit(Event{VT: 1500, Trace: id, Kind: KindWire, Node: "s0", Dur: 600, Form: FormLen, N: [4]int64{64}})
+	e.Emit(Event{VT: 2100, Trace: id, Kind: KindVM, Node: "br", Dur: 400, Form: FormNative, Name: `"x"`})
 	tr.Flush()
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {

@@ -16,9 +16,9 @@ const MSS = 1460
 // The stream is closed-loop: at most Window segments are outstanding, and
 // the delivery of a segment at the receiver releases the next (the
 // steady-state self-clocking of the TCP connection ttcp rides on).
-// Acknowledgment frames themselves are not modelled; see EXPERIMENTS.md
-// ("Substitutions") for why this preserves the measured bottleneck, which
-// is the unidirectional per-frame software path.
+// Acknowledgment frames themselves are not modelled: the bottleneck the
+// paper measures is the unidirectional per-frame software path, and an
+// ack is a small frame travelling the other way that adds nothing to it.
 type Ttcp struct {
 	src, dst  *Host
 	WriteSize int   // application write size in bytes

@@ -259,7 +259,7 @@ func TestARPAcrossActiveBridge(t *testing.T) {
 	sim := netsim.New()
 	cost := netsim.DefaultCostModel()
 	b := bridge.New(sim, "br", 7, 2, cost)
-	if err := switchlets.LoadLearning(b); err != nil {
+	if _, err := b.Manager().Install(switchlets.LearningManifest()); err != nil {
 		t.Fatal(err)
 	}
 	h1 := NewHost(sim, "h1", ethernet.MAC{2, 0, 0, 0, 3, 1}, ipv4.Addr{10, 3, 0, 1}, cost)

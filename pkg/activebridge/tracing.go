@@ -34,7 +34,13 @@ type Tracer = tracing.Tracer
 // default sizes.
 type TraceConfig = tracing.Config
 
-// TraceEvent is one record of a merged transcript.
+// TraceEvent is one record of a merged transcript or a flight dump:
+// virtual time VT, span length Dur (0 for an instant), trace ID, Kind and
+// Node, plus what happened held as operands (Form, Name, N) rather than
+// formatted text — recording an event formats nothing, which is why a
+// tracer whose traces are not sampled costs the frame path no
+// allocation. Call Text() for the human-readable detail; it renders the
+// same wording `trace dump` and the Chrome export show.
 type TraceEvent = tracing.Event
 
 // TraceFlightDump is one flight-recorder post-mortem.
