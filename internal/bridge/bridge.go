@@ -49,6 +49,9 @@ type timerState struct {
 	fn     vm.Value
 	native func()
 	gen    uint64
+	// fire is the timer's event callback, built once at install: every
+	// re-arm schedules the same func value.
+	fire func()
 }
 
 type pendingSend struct {
@@ -125,14 +128,16 @@ type Bridge struct {
 	sendBufs [][]pendingSend
 	// doneQueue holds collected send lists awaiting their CPU completion.
 	// CPU completions fire in submission order (the CPU is a FIFO
-	// resource), so the frame path can use one cached callback
-	// (emitHeadFn) instead of allocating a closure per frame.
+	// resource), so every dispatch — frame, timer, one-shot, spawn — uses
+	// one cached callback (emitHeadFn) instead of allocating a closure.
 	doneQueue     [][]pendingSend
 	doneQueueHead int
 	emitHeadFn    func()
 	// frameArgs is the reusable argument buffer for frame dispatches
-	// (the VM does not retain it).
+	// (the VM does not retain it); unitArg the one timers, one-shots and
+	// spawns pass.
 	frameArgs [2]vm.Value
+	unitArg   [1]vm.Value
 	// argBoxes amortizes the per-frame interface boxing of the frame
 	// string and port number arguments.
 	strBox vm.StrBoxer
@@ -166,9 +171,10 @@ type Bridge struct {
 	// --- fault plane ---
 	// crashed freezes the node: ports dead, dispatches suppressed.
 	crashed bool
-	// epoch invalidates callbacks scheduled before a crash: timers,
-	// After() one-shots, spawns and CPU completions all capture it and
-	// die silently if the node crashed since they were scheduled.
+	// epoch invalidates callbacks scheduled before a crash: After()
+	// one-shots and spawns capture it and die silently if the node crashed
+	// since they were scheduled (timers die by generation, CPU completions
+	// through discardEmits).
 	epoch uint64
 	// discardEmits counts CPU frame completions whose queued sends were
 	// dropped by a crash; emitHead consumes them as no-ops so the FIFO
@@ -219,6 +225,7 @@ func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostMo
 		timers:      map[string]*timerState{},
 	}
 	b.emitHeadFn = b.emitHead
+	b.unitArg[0] = vm.Unit{}
 	b.Machine = vm.NewMachine()
 	b.Machine.Trace = vmTraceSink{b}
 	b.Loader = vm.StdLoader(b.Machine)
@@ -310,10 +317,16 @@ func (b *Bridge) Send(port int, data string, ctl bool) error {
 		// allocation-free comparison.)
 		raw = b.curRaw
 	} else {
-		var err error
-		raw, err = normalizeFrame([]byte(data))
-		if err != nil {
-			return err
+		// view reads the string's bytes in place and does not outlive this
+		// call: the wire frame is built from it in one allocation.
+		view := unsafe.Slice(unsafe.StringData(data), len(data))
+		if wireValid(view) {
+			raw = []byte(data)
+		} else {
+			var err error
+			if raw, err = sealFrame(view); err != nil {
+				return err
+			}
 		}
 	}
 	ps := pendingSend{port: port, data: raw, ctl: ctl}
@@ -377,14 +390,25 @@ func (b *Bridge) emit(ps pendingSend) {
 // FCS — the paper's driver behaviour: "The CRC is returned on a read, but
 // cannot be specified on a write."
 func normalizeFrame(data []byte) ([]byte, error) {
-	var f ethernet.Frame
-	if err := f.Unmarshal(data); err == nil {
+	if wireValid(data) {
 		return data, nil
 	}
+	return sealFrame(data)
+}
+
+// wireValid reports whether data is a complete wire frame with a valid FCS.
+func wireValid(data []byte) bool {
+	var f ethernet.Frame
+	return f.Unmarshal(data) == nil
+}
+
+// sealFrame marshals a bare header+payload into a fresh wire frame; data
+// is only read.
+func sealFrame(data []byte) ([]byte, error) {
 	if len(data) < ethernet.HeaderLen {
 		return nil, ErrFrameTooShort
 	}
-	f = ethernet.Frame{}
+	var f ethernet.Frame
 	copy(f.Dst[:], data[0:6])
 	copy(f.Src[:], data[6:12])
 	f.Type = uint16(data[12])<<8 | uint16(data[13])
@@ -488,24 +512,21 @@ func (b *Bridge) installTimer(name string, period netsim.Duration, fn vm.Value, 
 	// crash cleared the table.
 	b.timerGen++
 	ts := &timerState{name: name, period: period, fn: fn, native: native, gen: b.timerGen}
-	b.timers[name] = ts
-	b.armTimer(ts)
-}
-
-func (b *Bridge) armTimer(ts *timerState) {
-	b.sim.After(ts.period, func() {
+	ts.fire = func() {
 		cur, ok := b.timers[ts.name]
 		if !ok || cur.gen != ts.gen {
 			return // cancelled or replaced
 		}
 		b.Stats.TimerFires++
 		if ts.native != nil {
-			b.runNativeDispatch(func() { ts.native() }, 0)
+			b.runNativeDispatch(ts.native)
 		} else {
-			b.runVMDispatch(ts.fn, 0, vm.Unit{})
+			b.runVMDispatch(ts.fn)
 		}
-		b.armTimer(ts)
-	})
+		b.sim.After(ts.period, ts.fire)
+	}
+	b.timers[name] = ts
+	b.sim.After(ts.period, ts.fire)
 }
 
 // CancelTimer implements env.Demux.
@@ -518,7 +539,7 @@ func (b *Bridge) After(delayMs int64, fn vm.Value) {
 		if b.epoch != ep {
 			return // scheduled before a crash: the callback died with the node
 		}
-		b.runVMDispatch(fn, 0, vm.Unit{})
+		b.runVMDispatch(fn)
 	})
 }
 
@@ -529,7 +550,7 @@ func (b *Bridge) AfterNative(d netsim.Duration, fn func()) {
 		if b.epoch != ep {
 			return
 		}
-		b.runNativeDispatch(fn, 0)
+		b.runNativeDispatch(fn)
 	})
 }
 
@@ -803,13 +824,14 @@ func (b *Bridge) invokeVM(fn vm.Value, args []vm.Value) (sends []pendingSend, tr
 	return sends, trapped
 }
 
-// runVMDispatch runs a VM callback outside the frame path (timers, spawns)
-// and charges its cost plus overhead to the CPU.
-func (b *Bridge) runVMDispatch(fn vm.Value, extra netsim.Duration, args ...vm.Value) {
+// runVMDispatch runs a VM callback of unit outside the frame path (timers,
+// one-shots, spawns) and charges its cost plus its sends to the CPU. The
+// sends ride the frame path's doneQueue, so a crash drops them the same way.
+func (b *Bridge) runVMDispatch(fn vm.Value) {
 	if b.crashed {
 		return
 	}
-	sends, trapped := b.invokeVM(fn, args)
+	sends, trapped := b.invokeVM(fn, b.unitArg[:])
 	if trapped {
 		b.Stats.HandlerTraps++
 	}
@@ -819,35 +841,22 @@ func (b *Bridge) runVMDispatch(fn vm.Value, extra netsim.Duration, args ...vm.Va
 	}
 	b.Stats.VMTime += b.lastVMCost
 	b.Stats.KernelTime += sendCost
-	ep := b.epoch
-	b.cpu.Exec(b.lastVMCost+sendCost+extra, func() {
-		if b.epoch != ep {
-			b.putSendBuf(sends)
-			return
-		}
-		b.emitSends(sends)
-	})
+	b.doneQueue = append(b.doneQueue, sends)
+	b.cpu.Exec(b.lastVMCost+sendCost, b.emitHeadFn)
 }
 
 // runNativeDispatch is runVMDispatch for native callbacks.
-func (b *Bridge) runNativeDispatch(fn func(), extra netsim.Duration) {
+func (b *Bridge) runNativeDispatch(fn func()) {
 	if b.crashed {
 		return
 	}
 	sends := b.collectSends(fn)
-	cost := b.cost.NativePerFrame
 	var sendCost netsim.Duration
 	for i := range sends {
 		sendCost += b.cost.KernelCrossing(len(sends[i].data))
 	}
-	ep := b.epoch
-	b.cpu.Exec(cost+sendCost+extra, func() {
-		if b.epoch != ep {
-			b.putSendBuf(sends)
-			return
-		}
-		b.emitSends(sends)
-	})
+	b.doneQueue = append(b.doneQueue, sends)
+	b.cpu.Exec(b.cost.NativePerFrame+sendCost, b.emitHeadFn)
 }
 
 func (b *Bridge) drainSpawns() {
@@ -861,7 +870,7 @@ func (b *Bridge) drainSpawns() {
 				if b.epoch != ep {
 					return
 				}
-				b.runVMDispatch(fn, 0, vm.Unit{})
+				b.runVMDispatch(fn)
 			})
 		}
 	}
@@ -906,7 +915,7 @@ func (b *Bridge) Crash() {
 		p.SetLinkDown(true)
 		b.blocked[i] = false
 	}
-	// Queued frame-path completions: their sends die, but the CPU FIFO
+	// Queued dispatch completions: their sends die, but the CPU FIFO
 	// still fires each completion, so convert them to no-ops.
 	for i := b.doneQueueHead; i < len(b.doneQueue); i++ {
 		b.putSendBuf(b.doneQueue[i])

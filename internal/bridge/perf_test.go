@@ -20,8 +20,8 @@ let _ = Bridge.set_handler handle
 // kernel-cost accounting, VM invocation, pooled send collection, CPU
 // completion, transmit and delivery — must stay within a tiny constant
 // budget. The budget is 0: the frame-string and port-number boxes come
-// from the bridge's slab boxers, whose one allocation per 128 values
-// rounds to zero in AllocsPerRun's integral average. Before the
+// from the bridge's slab boxers, whose one allocation per slab rounds
+// to zero in AllocsPerRun's integral average. Before the
 // zero-allocation overhaul this path cost hundreds of allocations per
 // frame; before the optimizing-tier PR it was 2 (frame-string box and
 // invoke residue).

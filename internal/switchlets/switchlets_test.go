@@ -8,6 +8,7 @@ import (
 	"github.com/switchware/activebridge/internal/env"
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/netsim"
+	"github.com/switchware/activebridge/internal/stp"
 	"github.com/switchware/activebridge/internal/vm"
 )
 
@@ -320,6 +321,62 @@ func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 	}
 	if got < 2 { // broadcast + unicast
 		t.Errorf("host 1 test frames = %d, want >= 2", got)
+	}
+}
+
+// TestSTPTickAllocBudget is the control path's allocation budget, the
+// counterpart of TestFrameDispatchAllocBudget for the dispatches that carry
+// no data: a converged three-port 802.1D bridge (port 0 towards the root,
+// ports 1 and 2 designated) takes one configuration BPDU from its root port
+// and one hello tick per cycle. The two dispatches build some two hundred
+// strings between them — vectors, BPDUs, a hash key per table access — and
+// the budget is 4 host allocations: the two wire frames the tick transmits,
+// plus the slabs and arena chunks everything else is carved from, amortized.
+// Before the string arena one cycle cost about two hundred.
+func TestSTPTickAllocBudget(t *testing.T) {
+	sim := netsim.New()
+	b := bridge.New(sim, "br", 9, 3, netsim.DefaultCostModel())
+	rootNIC := netsim.NewNIC(sim, "root", ethernet.MAC{2, 0, 0, 0, 0, 1})
+	for p := 0; p < 3; p++ {
+		seg := netsim.NewSegment(sim, "lan"+string(rune('0'+p)))
+		seg.Attach(b.Port(p))
+		if p == 0 {
+			seg.Attach(rootNIC)
+		}
+	}
+	if err := install(b, SpanningManifest()); err != nil {
+		t.Fatal(err)
+	}
+	rootID := stp.MakeBridgeID(0x8000, rootNIC.MAC)
+	fr := ethernet.Frame{
+		Dst: ethernet.AllBridges, Src: rootNIC.MAC, Type: ethernet.TypeBPDU,
+		Payload: stp.EncodeIEEE(stp.Vector{RootID: rootID, Bridge: rootID}, stp.Config{}.DefaultTimers()),
+	}
+	bpdu, err := fr.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := 2 * netsim.Second
+	cycle := func() {
+		rootNIC.Send(bpdu)
+		sim.Run(sim.Now() + netsim.Time(hello))
+	}
+	// Converge: past two forward delays every tree port is forwarding.
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if b.PortBlocked(0) || b.PortBlocked(1) || b.PortBlocked(2) {
+		t.Fatalf("not converged: blocked = %v %v %v", b.PortBlocked(0), b.PortBlocked(1), b.PortBlocked(2))
+	}
+	st := b.Stats
+	allocs := testing.AllocsPerRun(200, cycle)
+	ticks, sent := b.Stats.TimerFires-st.TimerFires, b.Stats.FramesSent-st.FramesSent
+	if ticks != 201 || sent != 2*ticks || b.Stats.FramesDelivered-st.FramesDelivered != 201 || b.Stats.HandlerTraps != 0 {
+		t.Fatalf("cycle is not one BPDU in, one tick, two configs out: %d ticks, %d sent, %d delivered, %d traps",
+			ticks, sent, b.Stats.FramesDelivered-st.FramesDelivered, b.Stats.HandlerTraps)
+	}
+	if allocs > 4 {
+		t.Fatalf("STP tick + received BPDU allocs/cycle = %v, want <= 4", allocs)
 	}
 }
 

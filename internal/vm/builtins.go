@@ -80,8 +80,8 @@ func argTbl(args []Value, i int) (*Hashtbl, error) {
 // `ref`, `string_of_int`, bit operations etc. are available unqualified.
 func SafestdUnit() (*Signature, map[string]Value) {
 	return BuildUnit("Safestd", []BuiltinDef{
-		{"ref", "'a -> ('a) ref", 1, func(_ *Ctx, a []Value) (Value, error) {
-			return &Ref{V: a[0]}, nil
+		{"ref", "'a -> ('a) ref", 1, func(ctx *Ctx, a []Value) (Value, error) {
+			return ctx.M.newRef(a[0]), nil
 		}},
 		{"fst", "('a * 'b) -> 'a", 1, func(_ *Ctx, a []Value) (Value, error) {
 			t, ok := a[0].(Tuple)
@@ -143,8 +143,8 @@ func SafestdUnit() (*Signature, map[string]Value) {
 			if err != nil {
 				return nil, err
 			}
-			s := strconv.FormatInt(x, 10)
-			ctx.M.AllocBytes += uint64(len(s))
+			s := ctx.M.strOfInt(x)
+			ctx.M.AllocBytes += uint64(len(s.(string)))
 			return s, nil
 		}},
 		{"int_of_string", "string -> int", 1, func(_ *Ctx, a []Value) (Value, error) {
@@ -264,11 +264,11 @@ func buildStringUnit() (*Signature, map[string]Value) {
 			if err != nil {
 				return nil, err
 			}
-			if pos < 0 || n < 0 || pos+n > int64(len(s)) {
+			if pos < 0 || n < 0 || pos > int64(len(s)) || n > int64(len(s))-pos {
 				return nil, &Trap{Msg: "String.sub: out of bounds"}
 			}
 			ctx.M.AllocBytes += uint64(n)
-			return s[pos : pos+n], nil
+			return ctx.M.strBox.Box(s[pos : pos+n]), nil
 		}},
 		{"make", "int -> int -> string", 2, func(ctx *Ctx, a []Value) (Value, error) {
 			n, err := argInt(a, 0)
@@ -286,11 +286,7 @@ func buildStringUnit() (*Signature, map[string]Value) {
 				return nil, &Trap{Msg: "String.make: byte out of range"}
 			}
 			ctx.M.AllocBytes += uint64(n)
-			b := make([]byte, n)
-			for i := range b {
-				b[i] = byte(c)
-			}
-			return string(b), nil
+			return ctx.M.makeStr(int(n), byte(c)), nil
 		}},
 		{"compare", "string -> string -> int", 2, func(_ *Ctx, a []Value) (Value, error) {
 			x, err := argStr(a, 0)

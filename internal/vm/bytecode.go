@@ -229,6 +229,11 @@ type Object struct {
 	// optOnce makes OptimizeObject idempotent and safe on objects shared
 	// between bridges (the process-wide compiled-object cache).
 	optOnce sync.Once
+	// strVals is StrPool boxed once for every machine that runs the object,
+	// so opConstStr pushes a ready Value; the loader fills it before the
+	// first LinkedModule exists. In-memory only, never serialized.
+	strOnce sync.Once
+	strVals []Value
 
 	// verifyOnce caches the static verification verdict (see static.go):
 	// objects are immutable once shared between bridges, so one proof

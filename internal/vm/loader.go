@@ -176,6 +176,12 @@ func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 		return nil, &LinkError{Module: obj.ModName, Msg: "bad export signature: " + err.Error()}
 	}
 
+	obj.strOnce.Do(func() {
+		obj.strVals = make([]Value, len(obj.StrPool))
+		for i, s := range obj.StrPool {
+			obj.strVals[i] = s
+		}
+	})
 	lm := &LinkedModule{
 		Obj:     obj,
 		Export:  export,

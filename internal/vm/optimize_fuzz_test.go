@@ -149,6 +149,7 @@ let put k = Hashtbl.add t k (String.length k); ()
 let get k = (Hashtbl.find t k) + (if Hashtbl.mem t k then 1 else 0)`,
 		`let f s = (String.sub s 1 2) ^ (Safestd.string_of_int (String.get s 0))`,
 		`let f a = a / 0`,
+		`let f () = String.sub "abcdef" (lsl 1 62) (lsl 1 62)`,
 		`let (x, y) = (1, "two")
 let f () = (y, x)`,
 	} {

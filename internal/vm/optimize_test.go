@@ -356,6 +356,7 @@ let get s = (String.get s 0) * 1
 let find () = (Hashtbl.find t "k") ^ ""
 let mem k = if Hashtbl.mem t k then 1 else 0
 let add k = Hashtbl.add t k "nine"; ()
+let huge s = (String.sub s (lsl 1 62) (lsl 1 62)) ^ ""
 `
 	requireOps(t, src, "q.str_sub", "q.str_get", "q.htbl_find", "q.htbl_mem", "q.htbl_add")
 	for _, c := range []struct {
@@ -370,6 +371,10 @@ let add k = Hashtbl.add t k "nine"; ()
 		{"add", []Value{"fresh"}},
 	} {
 		assertParity(t, src, c.fn, bigFuel, c.args...)
+	}
+	// pos+n overflows int64: a trap at both levels, never a Go panic.
+	if o := assertParity(t, src, "huge", bigFuel, "abcdef"); o.err != "trap: String.sub: out of bounds" {
+		t.Errorf("huge: err = %q, want the String.sub bounds trap", o.err)
 	}
 }
 

@@ -119,7 +119,7 @@ let rec depth n = if n = 0 then 0 else 1 + depth (n - 1)
 // TestBoxedResultsAmortizedAllocs pins the slab boxers: code whose
 // results cannot come from the small-int cache — wide integers, tuples —
 // must still average zero allocations per run, because value boxes are
-// carved 128 at a time from slabs instead of one heap cell each.
+// carved a slab at a time instead of one heap cell each.
 func TestBoxedResultsAmortizedAllocs(t *testing.T) {
 	l, lm := compileAndLoad(t, "Boxy", `
 let wide n = (n * 1000003 + 70000, n * 999983)
@@ -140,6 +140,31 @@ let rec churn n acc =
 	run()
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("boxed-result allocs/run = %v, want amortized 0", allocs)
+	}
+}
+
+// TestStringResultsAmortizedAllocs is the same budget for strings: every
+// string a switchlet builds — a ^ b, string_of_int past the static table,
+// String.make — takes its bytes from the machine's arena and its header
+// from the slab boxer, so a loop that builds two dozen of them per run
+// still averages zero allocations (one per string, and more, before).
+func TestStringResultsAmortizedAllocs(t *testing.T) {
+	l, lm := compileAndLoad(t, "Stringy", `
+let rec churn n acc =
+  if n = 0 then String.length acc
+  else churn (n - 1) ((String.make 3 65) ^ (string_of_int (1000 + n)))
+`)
+	fn, _ := lm.Global("churn")
+	m := l.Machine()
+	args := []Value{int64(8), ""}
+	run := func() {
+		if v, err := m.InvokeArgs(fn, args); err != nil || v != int64(7) {
+			t.Fatalf("invoke: %v, %v", v, err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("string-result allocs/run = %v, want amortized 0", allocs)
 	}
 }
 

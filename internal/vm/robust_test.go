@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,6 +305,45 @@ func TestQuickCompileRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringSubHugeOperandsTrap: String.sub's bounds test must not add its
+// operands. pos+n wraps negative for operands near 2^62 and used to pass
+// the check, so a verified switchlet took the host down with a Go slice
+// panic; both the native (-O0) and the inlined q.str_sub (-O1) must trap.
+func TestStringSubHugeOperandsTrap(t *testing.T) {
+	const src = `
+let lit s = String.sub s (lsl 1 62) (lsl 1 62)
+let sub s pos n = String.sub s pos n
+`
+	const trap = "trap: String.sub: out of bounds"
+	for level := 0; level <= 1; level++ {
+		if o := runPath(t, level, src, "lit", bigFuel, "abcdef"); o.err != trap {
+			t.Errorf("-O%d lit: val %s err %q, want %q", level, o.val, o.err, trap)
+		}
+		for _, c := range []struct {
+			pos, n int64
+			want   string // "" = trap
+		}{
+			{1 << 62, 1 << 62, ""},
+			{1, math.MaxInt64, ""},
+			{math.MaxInt64, 1, ""},
+			{math.MaxInt64, math.MaxInt64, ""},
+			{0, math.MaxInt64, ""},
+			{math.MinInt64, 0, ""},
+			{0, math.MinInt64, ""},
+			{7, 0, ""},
+			{6, 1, ""},
+			{6, 0, `""`},
+			{0, 6, `"abcdef"`},
+			{2, 4, `"cdef"`},
+		} {
+			o := runPath(t, level, src, "sub", bigFuel, "abcdef", c.pos, c.n)
+			if c.want == "" && o.err != trap || c.want != "" && (o.err != "" || o.val != c.want) {
+				t.Errorf("-O%d String.sub s %d %d: val %s err %q, want val %q", level, c.pos, c.n, o.val, o.err, c.want)
+			}
+		}
 	}
 }
 

@@ -78,6 +78,13 @@ type Machine struct {
 	// of tuple headers and out-of-cache ints (see ebox.go).
 	tupleHdrSlab []Tuple
 	intBox       IntBoxer
+
+	// strBox, strArena and refSlab do the same for every string and ref
+	// cell switchlet code builds (see ebox.go). All three are lazy: a
+	// machine that never concatenates never owns an arena.
+	strBox   StrBoxer
+	strArena []byte
+	refSlab  []Ref
 }
 
 // Default execution limits.
@@ -86,8 +93,10 @@ const (
 	DefaultMaxFrames = 4096
 )
 
-// tupleSlabSize is the bump-allocation block for opTuple.
-const tupleSlabSize = 256
+// tupleSlabSize is the bump-allocation block for opTuple: one Value short
+// of a power of two, so the block plus its malloc header fills the 4 KB
+// size class (see the slab lengths in ebox.go).
+const tupleSlabSize = 255
 
 // NewMachine creates an interpreter with default limits.
 func NewMachine() *Machine {
@@ -413,7 +422,7 @@ frames:
 				// per push.
 				m.vals = append(m.vals, m.boxI(ins.A))
 			case opConstStr:
-				m.vals = append(m.vals, mod.Obj.StrPool[ins.A])
+				m.vals = append(m.vals, mod.Obj.strVals[ins.A])
 			case opConstBool:
 				m.vals = append(m.vals, boxBool(ins.A != 0))
 			case opConstUnit:
@@ -635,7 +644,7 @@ frames:
 					break
 				}
 				m.AllocBytes += uint64(len(a) + len(b))
-				m.vals = append(m.vals, a+b)
+				m.vals = append(m.vals, m.concat(a, b))
 			case opEq, opNe:
 				b := m.pop(f.opBase)
 				a := m.pop(f.opBase)
@@ -841,7 +850,7 @@ frames:
 						callErr = &Trap{Msg: "argument 1: expected int"}
 					} else if ln, ok := args[2].(int64); !ok {
 						callErr = &Trap{Msg: "argument 2: expected int"}
-					} else if pos < 0 || ln < 0 || pos+ln > int64(len(s)) {
+					} else if pos < 0 || ln < 0 || pos > int64(len(s)) || ln > int64(len(s))-pos {
 						callErr = &Trap{Msg: "String.sub: out of bounds"}
 					} else {
 						m.AllocBytes += uint64(ln)
@@ -854,12 +863,12 @@ frames:
 								ic.b1, ic.b2 = ic.b2, ic.b1
 								res = ic.b1
 							} else {
-								res = sub
+								res = m.strBox.Box(sub)
 								ic.s2, ic.b2 = ic.s1, ic.b1
 								ic.s1, ic.b1 = sub, res
 							}
 						} else {
-							res = sub
+							res = m.strBox.Box(sub)
 						}
 					}
 				case qStrGet:
