@@ -3,20 +3,14 @@
 //
 //	-list          print every registered scenario and exit
 //	-run regexp    run only scenarios whose names match
-//	-parallel N    worker budget (0 = one per core); shared between
-//	               concurrent scenarios and their shards, and outputs
-//	               stay byte-identical to serial — only faster
-//	-shards N      run each scenario's simulation sharded across N
-//	               engines (large nets only; small ones stay serial)
+//	-parallel N    scenarios run concurrently (0 = one per core);
+//	               outputs stay byte-identical to serial — only faster
 //	-short         skip the slower parameter sweeps
 //	-json          emit one entry per scenario (fingerprint, wall time,
 //	               ok) as machine-readable JSON; timing that backs a
 //	               claim is bench/'s job, not this tool's
 //	-metrics-addr A  serve the live metrics plane on A while scenarios
 //	               run: Prometheus text on /metrics, JSON on /snapshot
-//	-metrics-out F   enable the metrics plane and write the bench report
-//	               (schema v3) with the final metrics snapshot embedded
-//	               to F
 //	-metrics-linger D  keep serving -metrics-addr for D after the run,
 //	               so external scrapers (CI curl) can't lose the race
 //	               against a fast batch
@@ -32,16 +26,10 @@
 //	-trace-sample P  head-based sampling probability for -trace; the
 //	               decision is deterministic per trace ID, so a sampled
 //	               transcript is identical at any shard count
-//	-trace-seed N  seed for trace-ID minting and sampling (default 1)
-//	-pprof         expose net/http/pprof under /debug/pprof/ on the
-//	               -metrics-addr server
-//	-cpuprofile F  write a CPU profile of the whole run to F
-//	-memprofile F  write a heap profile at exit to F
 //
 // All virtual-time metrics are deterministic and identical on any
-// machine, any -parallel setting and any -shards setting; the wall
-// times in -json output (and everything under "metrics") measure this
-// build on this machine.
+// machine and any -parallel setting; the wall times in -json output
+// measure this build on this machine.
 package main
 
 import (
@@ -49,9 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 	"time"
 
 	"github.com/switchware/activebridge/internal/experiments"
@@ -74,14 +59,6 @@ type scenarioResult struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// metricsReport is the telemetry section of a schema-v3 report: the
-// per-net summaries (events/s, per-shard balance) plus the raw final
-// snapshots of every instrumented net.
-type metricsReport struct {
-	Summary []scenario.NetMetricsSummary `json:"summary"`
-	Nets    []metrics.Snapshot           `json:"nets"`
-}
-
 // faultReport is the chaos section of a report: the -faults seed plus
 // the process-wide injected-fault totals across the whole batch.
 type faultReport struct {
@@ -97,9 +74,6 @@ type faultReport struct {
 type benchReport struct {
 	Schema    string           `json:"schema"`
 	Scenarios []scenarioResult `json:"scenarios"`
-	// Metrics is present when the metrics plane was enabled
-	// (-metrics-addr / -metrics-out).
-	Metrics *metricsReport `json:"metrics,omitempty"`
 	// Faults is present when -faults enabled the blanket chaos profile.
 	Faults *faultReport `json:"faults,omitempty"`
 }
@@ -109,18 +83,12 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit per-scenario results (fingerprint, wall time, ok) as JSON")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	runPat := flag.String("run", "", "run only scenarios whose names match this regexp")
-	parallel := flag.Int("parallel", 1, "worker budget: scenarios×shards run concurrently (0 = one per core)")
-	shards := flag.Int("shards", 1, "shard each scenario's simulation across N engines")
+	parallel := flag.Int("parallel", 1, "scenarios run concurrently (0 = one per core)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live metrics plane on this address (/metrics, /snapshot)")
-	metricsOut := flag.String("metrics-out", "", "write the schema-v3 bench report with the final metrics snapshot to this file")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the run")
 	faultsSeed := flag.Uint64("faults", 0, "apply the seeded blanket chaos profile to every scenario (0 = off)")
 	traceOut := flag.String("trace", "", "enable the causal tracing plane and write a Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-based sampling probability for -trace (0..1, deterministic per trace ID)")
-	traceSeed := flag.Uint64("trace-seed", 1, "seed for -trace trace-ID minting and sampling")
-	pprofSrv := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 	cost := netsim.DefaultCostModel()
 
@@ -133,7 +101,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		tracing.SetDefaultConfig(tracing.Config{Seed: *traceSeed, SampleProb: *traceSample})
+		tracing.SetDefaultConfig(tracing.Config{Seed: 1, SampleProb: *traceSample})
 		tracing.Enable()
 		defer func() {
 			f, err := os.Create(*traceOut)
@@ -153,40 +121,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "abbench: wrote trace for %d net(s) to %s\n", len(trs), *traceOut)
 		}()
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "abbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "abbench: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "abbench: -memprofile: %v\n", err)
-			}
-		}()
-	}
-
-	if *metricsAddr != "" || *metricsOut != "" {
-		metrics.Enable()
-	}
-	if *pprofSrv {
-		metrics.EnableProfiling()
-	}
 	if *metricsAddr != "" {
+		metrics.Enable()
 		srv, err := metrics.Serve(*metricsAddr, metrics.DefaultHub)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abbench: -metrics-addr: %v\n", err)
@@ -194,16 +130,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "abbench: metrics on http://%s/metrics (json: /snapshot)\n", srv.Addr())
-	}
-
-	if *shards > 1 {
-		topo.DefaultShards = *shards
-	}
-	workers := *parallel
-	if *shards > 1 && workers != 1 {
-		// Nested parallelism shares one budget: each scenario may fan out
-		// across -shards goroutines, so fewer scenarios run at once.
-		workers = scenario.Workers(*parallel, *shards)
 	}
 
 	experiments.RegisterAll()
@@ -243,30 +169,6 @@ func main() {
 		scs = kept
 	}
 
-	// metricsSection captures the final telemetry once the batch is
-	// done. The embedded snapshots keep the engine- and workload-level
-	// series; the per-bridge fan-out (hundreds of bridges × a dozen
-	// families on a mega net) is what the live endpoint is for, not a
-	// committed BENCH json.
-	metricsSection := func() *metricsReport {
-		if !metrics.Enabled() {
-			return nil
-		}
-		nets := metrics.DefaultHub.SnapshotAll()
-		for i := range nets {
-			kept := nets[i].Series[:0:0]
-			for _, p := range nets[i].Series {
-				if !strings.HasPrefix(p.Name, "ab_bridge_") {
-					kept = append(kept, p)
-				}
-			}
-			nets[i].Series = kept
-		}
-		return &metricsReport{
-			Summary: scenario.SummarizeMetrics(),
-			Nets:    nets,
-		}
-	}
 	// faultsSection reports the injected-fault totals once the batch is
 	// done. Only emitted when -faults turned the blanket profile on; the
 	// counters are process-wide, so scenarios carrying their own fault
@@ -282,19 +184,6 @@ func main() {
 			Crashes: tot.Crashes, Restarts: tot.Restarts,
 		}
 	}
-	writeMetricsOut := func(rep *benchReport) {
-		if *metricsOut == "" {
-			return
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metricsOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abbench: -metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	linger := func() {
 		if *metricsAddr != "" && *metricsLinger > 0 {
 			fmt.Fprintf(os.Stderr, "abbench: lingering %v for scrapers\n", *metricsLinger)
@@ -303,7 +192,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		results := scenario.RunAll(scs, cost, workers)
+		results := scenario.RunAll(scs, cost, *parallel)
 		rep := benchReport{Schema: "abbench/v3"}
 		for i := range results {
 			r := &results[i]
@@ -318,7 +207,6 @@ func main() {
 			}
 			rep.Scenarios = append(rep.Scenarios, sr)
 		}
-		rep.Metrics = metricsSection()
 		rep.Faults = faultsSection()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -326,7 +214,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		writeMetricsOut(&rep)
 		linger()
 		// A failed scenario must fail the process in JSON mode too, so CI
 		// cannot commit a BENCH_*.json with broken entries.
@@ -346,15 +233,7 @@ func main() {
 	// Stream each table as soon as it (and its predecessors) finish, so a
 	// wedged scenario is visible by name rather than as a silent terminal.
 	failed := 0
-	var collected []scenarioResult
-	scenario.RunEach(scs, cost, workers, func(r *scenario.Result) {
-		sr := scenarioResult{Name: r.Name, Fingerprint: r.Fingerprint, WallNs: r.Wall.Nanoseconds(), OK: r.OK()}
-		if r.Err != nil {
-			sr.Error = r.Err.Error()
-		} else if r.CheckErr != nil {
-			sr.Error = "check: " + r.CheckErr.Error()
-		}
-		collected = append(collected, sr)
+	scenario.RunEach(scs, cost, *parallel, func(r *scenario.Result) {
 		if r.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.Name, r.Err)
 			failed++
@@ -366,17 +245,9 @@ func main() {
 			failed++
 		}
 	})
-	fr := faultsSection()
-	if fr != nil {
+	if fr := faultsSection(); fr != nil {
 		fmt.Fprintf(os.Stderr, "faults (seed %d): dropped=%d corrupted=%d duplicated=%d flaps=%d crashes=%d restarts=%d\n",
 			fr.Seed, fr.Drops, fr.Corrupts, fr.Dups, fr.Flaps, fr.Crashes, fr.Restarts)
-	}
-	if m := metricsSection(); m != nil {
-		fmt.Fprintln(os.Stderr, "metrics summary (per instrumented net):")
-		for _, s := range m.Summary {
-			fmt.Fprintf(os.Stderr, "  %s\n", s)
-		}
-		writeMetricsOut(&benchReport{Schema: "abbench/v3", Scenarios: collected, Metrics: m, Faults: fr})
 	}
 	linger()
 	if failed > 0 {

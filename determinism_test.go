@@ -7,7 +7,7 @@ import (
 	"github.com/switchware/activebridge/internal/testbed"
 )
 
-// frameRatesRun executes the experiment underlying BenchmarkFrameRates at
+// frameRatesRun executes the §7.3 frame-rate experiment at
 // the 1024-byte point and returns its full determinism fingerprint plus
 // the two headline metrics.
 func frameRatesRun() (testbed.Fingerprint, float64, float64) {

@@ -15,11 +15,12 @@ import (
 	"github.com/switchware/activebridge/internal/workload"
 )
 
-// This file holds the mega-scale scenarios built for the sharded engine:
-// fabrics far past the paper's testbed (hundreds of bridges, ~1k hosts)
-// whose event load only becomes tractable when one Net spreads across
-// cores. They run — byte-identically, just slower — on the serial engine
-// too, which is how the golden suite pins them.
+// This file holds the mega-scale scenarios: fabrics far past the paper's
+// testbed (hundreds of bridges, ~1k hosts), large enough that Partition
+// accepts them, so they are what the sharded identity checks (AB_SHARDS,
+// TestShardedMatchesSerial) actually replay on more than one engine. The
+// serial engine runs each in a fraction of a second, faster than any
+// shard count does (README, "Sharded engine").
 
 // FatTree256 builds a three-tier campus fabric of exactly 256 bridges —
 // one core, 15 pod (aggregation) bridges on 5µs fiber trunks, and 240

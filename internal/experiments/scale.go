@@ -46,7 +46,7 @@ func Chain16(cost netsim.CostModel) (*report.Table, error) {
 	g.Link(h2, segs[nBridges])
 	// The ttcp stream is closed-loop (delivery at h2 releases h1's next
 	// segment without a modelled ACK frame), so the pair must share a
-	// shard; the bridges between them still spread across cores.
+	// shard when the net is built sharded.
 	g.Affine(h1, h2)
 	net, err := g.Build(cost)
 	if err != nil {

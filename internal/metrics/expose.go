@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/pprof"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,24 +34,8 @@ func Handler(h *Hub) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(snap)
 	})
-	if profiling.Load() {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return mux
 }
-
-// profiling gates the net/http/pprof surface on handlers built after
-// EnableProfiling; off by default so a metrics endpoint never exposes
-// profiling handlers unless explicitly asked to (abbench -pprof).
-var profiling atomic.Bool
-
-// EnableProfiling adds the net/http/pprof handlers under /debug/pprof/
-// to every Handler (and Serve) built after the call.
-func EnableProfiling() { profiling.Store(true) }
 
 // Server is a running metrics endpoint.
 type Server struct {

@@ -44,22 +44,41 @@ func TestMetricsOnMatchesGolden(t *testing.T) {
 			t.Errorf("%s: metrics-on table bytes differ from metrics-off", s.Name)
 		}
 	}
-	// The runner-side summary must see every instrumented net with a
-	// sane event accounting.
-	sums := scenario.SummarizeMetrics()
-	if len(sums) == 0 {
-		t.Fatal("no metrics summaries after an instrumented batch")
+	// The final snapshots must cover every instrumented net with a sane
+	// event accounting: per-shard event totals that add up to something
+	// and spread with a min/max balance in (0, 1].
+	snaps := metrics.DefaultHub.SnapshotAll()
+	if len(snaps) == 0 {
+		t.Fatal("no metrics snapshots after an instrumented batch")
 	}
-	byNet := map[string]scenario.NetMetricsSummary{}
-	for _, s := range sums {
-		byNet[s.Net] = s
+	var perShard []uint64
+	found := false
+	for _, snap := range snaps {
+		if snap.Net != "fattree256" {
+			continue
+		}
+		found = true
+		for _, p := range snap.Series {
+			if p.Name == "ab_shard_events_total" {
+				perShard = append(perShard, uint64(p.Value))
+			}
+		}
 	}
-	ft, ok := byNet["fattree256"]
-	if !ok {
-		t.Fatal("fattree256 not in metrics summaries")
+	if !found {
+		t.Fatal("fattree256 not in metrics snapshots")
 	}
-	if ft.Events == 0 || ft.Shards < 1 || ft.ShardBalance <= 0 || ft.ShardBalance > 1 {
-		t.Errorf("implausible fattree256 summary: %+v", ft)
+	var events, min, max uint64
+	for i, v := range perShard {
+		events += v
+		if i == 0 || v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	if events == 0 || len(perShard) < 1 || min == 0 || min > max {
+		t.Errorf("implausible fattree256 event accounting: per-shard events %v", perShard)
 	}
 }
 

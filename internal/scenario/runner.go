@@ -65,23 +65,6 @@ func RunAll(scs []*Scenario, cost netsim.CostModel, parallel int) []Result {
 	return RunEach(scs, cost, parallel, nil)
 }
 
-// Workers divides a worker budget between the two nesting levels of
-// parallelism — scenarios running concurrently, each of which may fan
-// out across shards — so that scenarios × shards stays within budget.
-// budget < 1 means one worker per core; the result is always >= 1.
-func Workers(budget, shards int) int {
-	if budget < 1 {
-		budget = runtime.NumCPU()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if w := budget / shards; w > 1 {
-		return w
-	}
-	return 1
-}
-
 // RunEach is RunAll with a streaming hook: emit is called once per
 // scenario, in input order, as soon as that scenario and all its
 // predecessors have finished — so a consumer can print results while

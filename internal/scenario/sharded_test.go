@@ -1,7 +1,7 @@
 // Sharded-engine identity pins: the entire scenario registry must render
 // byte-identical output on the sharded conservative engine at any shard
 // count. Combined with golden_test.go this is the acceptance gate of the
-// sharded refactor: -shards N is pure wall-clock, never behaviour.
+// sharded engine: a shard count never changes behaviour.
 package scenario_test
 
 import (
@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/switchware/activebridge/internal/fault"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/topo"
@@ -73,5 +74,50 @@ func TestShardedMatchesSerial(t *testing.T) {
 				t.Errorf("%s: shards=%d table bytes differ from serial", s.Name, shards)
 			}
 		}
+	}
+}
+
+// TestBlanketFaultProfileShardInvariant replays one scenario under the
+// seeded blanket chaos profile (what abbench -faults 42 applies) on the
+// serial engine and at 4 shards: the per-segment fault streams derive
+// from the profile seed and the net's name, never from the engine, so
+// the fingerprint and the injected-fault totals must be equal. The
+// scenario's own check may legitimately fail under chaos; only identity
+// is asserted.
+func TestBlanketFaultProfileShardInvariant(t *testing.T) {
+	runSerial() // ensure the registry is populated
+	s, ok := scenario.Lookup("scale-chain16")
+	if !ok {
+		t.Fatal("scale-chain16 not registered")
+	}
+	prevShards := topo.DefaultShards
+	topo.DefaultFaultProfile = &fault.Profile{Seed: 42, Model: fault.DefaultChaosModel()}
+	defer func() {
+		topo.DefaultShards = prevShards
+		topo.DefaultFaultProfile = nil
+	}()
+	run := func(shards int) (string, fault.Totals) {
+		t.Helper()
+		topo.DefaultShards = shards
+		fault.ResetTotals()
+		r := scenario.RunAll([]*scenario.Scenario{s}, netsim.DefaultCostModel(), 1)[0]
+		if r.Err != nil {
+			t.Fatalf("shards=%d: %v", shards, r.Err)
+		}
+		return r.Fingerprint, fault.GrandTotals()
+	}
+	fp1, tot1 := run(1)
+	fp4, tot4 := run(4)
+	if tot1.Drops == 0 {
+		t.Fatalf("the blanket profile injected nothing: %+v", tot1)
+	}
+	if fp1 == goldenFingerprints["scale-chain16"] {
+		t.Error("fingerprint under chaos equals the clean golden: the profile did not reach the net")
+	}
+	if fp4 != fp1 {
+		t.Errorf("fingerprint under -faults 42: 4 shards %s != serial %s", fp4, fp1)
+	}
+	if tot4 != tot1 {
+		t.Errorf("injected totals differ: 4 shards %+v, serial %+v", tot4, tot1)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -132,7 +133,9 @@ func (w *World) Exec(f []string) error {
 		if _, dup := w.Bridges[f[1]]; dup {
 			return fmt.Errorf("bridge %s already exists", f[1])
 		}
-		w.nextMAC++
+		if err := w.takeNode(); err != nil {
+			return err
+		}
 		b := bridge.New(w.Sim, f[1], w.nextMAC, len(f)-2, w.Cost)
 		b.LogSink = func(at netsim.Time, br, msg string) {
 			if w.logsOn {
@@ -162,7 +165,9 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
-		w.nextMAC++
+		if err := w.takeNode(); err != nil {
+			return err
+		}
 		mac := ethernet.MAC{0x02, 0x00, 0x00, 0x00, 0x00, w.nextMAC}
 		h := workload.NewHost(w.Sim, f[1], mac, ip, w.Cost)
 		seg.Attach(h.NIC)
@@ -223,6 +228,9 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
+		if d < 0 {
+			return fmt.Errorf("duration %v is negative", d)
+		}
 		w.Sim.Run(w.Sim.Now().Add(d))
 		w.printf("t = %.3fs\n", w.Sim.Now().Seconds())
 	case "ping":
@@ -233,15 +241,15 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
-		size, err := strconv.Atoi(f[3])
+		size, err := intArg("size", f[3], 0, maxPingSize)
 		if err != nil {
 			return err
 		}
-		count, err := strconv.Atoi(f[4])
+		count, err := intArg("count", f[4], 1, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		p := workload.NewPinger(src, dst.IP, size, count)
+		p := workload.NewPinger(src, dst.IP, int(size), int(count))
 		p.Run(w.Sim.Now() + netsim.Time(netsim.Duration(count+5)*netsim.Second))
 		w.printf("ping %s -> %s size=%d: %d/%d replies, mean RTT %.3f ms\n",
 			f[1], f[2], size, p.Completed(), count, float64(p.MeanRTT())/1e6)
@@ -253,15 +261,15 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
-		write, err := strconv.Atoi(f[3])
+		write, err := intArg("write", f[3], 1, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		total, err := strconv.ParseInt(f[4], 10, 64)
+		total, err := intArg("total", f[4], 0, math.MaxInt64)
 		if err != nil {
 			return err
 		}
-		tr := workload.NewTtcp(src, dst, write, total)
+		tr := workload.NewTtcp(src, dst, int(write), total)
 		tr.Run(w.Sim.Now() + netsim.Time(600*netsim.Second))
 		w.printf("ttcp %s -> %s write=%d total=%d: %.1f Mb/s, %.0f frames/s, done=%v\n",
 			f[1], f[2], write, total, tr.ThroughputMbps(), tr.FramesPerSecond(), tr.Done())
@@ -399,6 +407,35 @@ func (w *World) Exec(f []string) error {
 		return fmt.Errorf("unknown command %q", f[0])
 	}
 	return nil
+}
+
+// maxNodes is how many bridges and hosts a world holds: each takes the
+// next value of a one-byte address counter, and 0 and 255 stay unused.
+const maxNodes = 254
+
+// takeNode claims the next node address for a bridge or host.
+func (w *World) takeNode() error {
+	if w.nextMAC == maxNodes {
+		return fmt.Errorf("node budget: a world holds at most %d bridges and hosts", maxNodes)
+	}
+	w.nextMAC++
+	return nil
+}
+
+// maxPingSize is the largest ICMP echo payload an IPv4 datagram carries.
+const maxPingSize = 65535 - 20 - 8
+
+// intArg parses a decimal command argument and holds it to [lo, hi]; the
+// error names the argument.
+func intArg(name, s string, lo, hi int64) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	if v < lo || v > hi {
+		return 0, fmt.Errorf("%s %d out of range [%d, %d]", name, v, lo, hi)
+	}
+	return v, nil
 }
 
 // setFault cuts or restores one named element: a segment's shared medium

@@ -1,25 +1,25 @@
 package topo
 
 // Graph partitioning for the sharded conservative engine
-// (netsim.Coordinator): assign every declared node to exactly one shard so
-// that the simulation's event load spreads across cores while the cut —
-// the set of segments whose attachments span shards — stays small and
-// falls on high-latency links, which is what gives the conservative
-// synchronization its lookahead.
+// (netsim.Coordinator): assign every declared node to exactly one shard.
+// Sharding is an exactness-preserving mechanism, not a speed-up: at LAN
+// latencies a shard runs a handful of events between hand-offs and two
+// shards run the benchmark's fabric at under half the speed of one
+// engine (README, "Sharded engine"), so nothing here tries to place the
+// cut cleverly.
 
 // DefaultShards is the shard count Build uses when the graph does not
-// set one explicitly with Graph.Shards. It is read once per Build; set
-// it before running scenarios (cmd/abbench -shards, the scenario
-// runner's sharded entry points) and do not mutate it concurrently with
-// builds. The value 0 or 1 means serial.
+// set one explicitly with Graph.Shards: 1, serial. The identity tests
+// raise it (AB_SHARDS) to replay every registered scenario on the sharded
+// engine; it is read once per Build, so do not mutate it concurrently
+// with builds.
 var DefaultShards = 1
 
 // minShardWeight is the minimum modelled work (see nodeWeight) a shard
-// must carry for sharding to pay for its synchronization: graphs below
-// 2*minShardWeight always build serial, and larger graphs get at most
-// totalWeight/minShardWeight shards. Paper-scale nets (a handful of
-// nodes) therefore run on the exact serial engine, and only genuinely
-// large fabrics cross into sharded execution.
+// must carry: graphs below 2*minShardWeight always build serial, and
+// larger graphs get at most totalWeight/minShardWeight shards.
+// Paper-scale nets (a handful of nodes) therefore run on the serial
+// engine whatever shard count is asked for.
 const minShardWeight = 8
 
 // Shards requests that Build partition this graph across n shard engines
@@ -110,36 +110,16 @@ func nodeWeight(r nodeRef, g *Graph) int {
 	}
 }
 
-// Partition computes a deterministic shard assignment of the graph's
-// nodes onto up to shards shard engines, or reports ok=false when the
-// graph should build serial (too small to pay for synchronization, a
-// single shard requested, or no balanced cut exists).
-//
-// The heuristic works in three steps:
-//
-//  1. Affinity groups (Graph.Affine) are contracted into supernodes, so
-//     workload-coupled endpoints can never be separated.
-//  2. Nodes are ordered by a depth-first preorder traversal over the
-//     node–segment incidence graph from the first declared node, which
-//     makes topologically adjacent nodes adjacent in the order (a chain
-//     yields its own path order; a tree yields contiguous subtrees).
-//  3. The traversal order is split into contiguous weight-balanced chunks, one
-//     per shard. Chunk boundaries are then locally adjusted to prefer
-//     cutting few segments with long wire latency (propagation + minimum
-//     frame time): the cut's lookahead is exactly what lets shard clocks
-//     pipeline, so high-latency links make the cheapest cuts.
-//
-// The result is a pure function of the graph declaration — the same
-// graph partitions the same way on every machine and every run.
-func Partition(g *Graph, shards int) (*Plan, bool) {
+// dfsOrder is the partitioner's view of the declaration: refs indexes
+// every node canonically (bridges, repeaters, hosts, taps, each in
+// declaration order — the backbone first, so the traversal starts on
+// it), order lists those indexes in depth-first preorder over the
+// node–segment incidence graph, group maps a node to the representative
+// of its affinity group (itself when it has none), and segNodes lists
+// each segment's attached nodes.
+func (g *Graph) dfsOrder() (refs []nodeRef, order, group []int, segNodes [][]int) {
 	n := len(g.hosts) + len(g.bridges) + len(g.repeaters) + len(g.taps)
-	if shards <= 1 || n == 0 {
-		return nil, false
-	}
-
-	// Canonical node indexing: bridges, repeaters, hosts, taps, each in
-	// declaration order (the backbone first, so BFS starts on it).
-	refs := make([]nodeRef, 0, n)
+	refs = make([]nodeRef, 0, n)
 	for i := range g.bridges {
 		refs = append(refs, nodeRef{nodeBridge, i})
 	}
@@ -152,28 +132,17 @@ func Partition(g *Graph, shards int) (*Plan, bool) {
 	for i := range g.taps {
 		refs = append(refs, nodeRef{nodeTap, i})
 	}
-	index := map[nodeRef]int{}
-	total := 0
+	index := make(map[nodeRef]int, n)
 	for i, r := range refs {
 		index[r] = i
-		total += nodeWeight(r, g)
 	}
 
-	eff := shards
-	if max := total / minShardWeight; eff > max {
-		eff = max
-	}
-	if eff < 2 {
-		return nil, false
-	}
-
-	// Affinity union-find.
+	// Affinity union-find, flattened to one representative per node.
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -187,21 +156,25 @@ func Partition(g *Graph, shards int) (*Plan, bool) {
 			parent[find(a)] = find(b)
 		}
 	}
+	group = make([]int, n)
+	for i := range group {
+		group[i] = find(i)
+	}
 
 	// Incidence lists from the declared links.
 	nodeSegs := make([][]int, n)
-	segNodes := make([][]int, len(g.segments))
+	segNodes = make([][]int, len(g.segments))
 	for _, l := range g.links {
 		ni := index[l.node]
 		nodeSegs[ni] = append(nodeSegs[ni], int(l.seg))
 		segNodes[l.seg] = append(segNodes[l.seg], ni)
 	}
 
-	// Depth-first preorder over the incidence graph: a chain yields its
-	// own path order, and a tree keeps every subtree — an edge bridge and
-	// its hosts, a pod and its leaves — contiguous, so balanced chunks
-	// cut trunks rather than scattering leaves away from their switch.
-	order := make([]int, 0, n)
+	// Depth-first preorder: a chain yields its own path order, and a tree
+	// keeps every subtree — an edge bridge and its hosts, a pod and its
+	// leaves — contiguous, so balanced chunks cut trunks rather than
+	// scattering leaves away from their switch.
+	order = make([]int, 0, n)
 	seen := make([]bool, n)
 	stack := make([]int, 0, n)
 	for start := 0; start < n; start++ {
@@ -227,101 +200,70 @@ func Partition(g *Graph, shards int) (*Plan, bool) {
 			}
 		}
 	}
+	return refs, order, group, segNodes
+}
 
-	// Contiguous weight-balanced chunking of the BFS order. Each of the
-	// eff-1 boundaries starts at its weight-balanced position and then
-	// slides within a small window to the position whose crossing
-	// segments have the highest wire latency (equivalently, the lowest
-	// sum of inverse latencies): those latencies become the cut
-	// lookahead, so long links make the cheapest cuts.
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
+// Partition computes a deterministic shard assignment of the graph's
+// nodes onto up to shards shard engines, or reports ok=false when the
+// graph should build serial (a single shard requested, or too little
+// modelled work for two shards of minShardWeight).
+//
+//  1. Affinity groups (Graph.Affine) are contracted: a group is placed,
+//     whole, where its first member falls in the order below.
+//  2. Nodes are ordered by a depth-first preorder traversal over the
+//     node–segment incidence graph from the first declared node, which
+//     makes topologically adjacent nodes adjacent in the order (a chain
+//     yields its own path order; a tree yields contiguous subtrees).
+//  3. The order is split into contiguous weight-balanced chunks, one per
+//     shard: chunk k starts at the first node with k/shards of the total
+//     weight before it. Where the boundaries fall is not tuned — cut
+//     latency made no measurable difference (README, "Sharded engine").
+//
+// The result is a pure function of the graph declaration — the same
+// graph partitions the same way on every machine and every run.
+func Partition(g *Graph, shards int) (*Plan, bool) {
+	if shards <= 1 {
+		return nil, false
 	}
-	segMin := make([]int, len(g.segments))
-	segMax := make([]int, len(g.segments))
-	for si := range g.segments {
-		segMin[si], segMax[si] = n, -1
-		for _, ni := range segNodes[si] {
-			if p := pos[ni]; p < segMin[si] {
-				segMin[si] = p
-			}
-			if p := pos[ni]; p > segMax[si] {
-				segMax[si] = p
-			}
-		}
+	refs, order, group, segNodes := g.dfsOrder()
+	n := len(refs)
+	total := 0
+	groupWeight := make([]int, n)
+	for i, r := range refs {
+		w := nodeWeight(r, g)
+		total += w
+		groupWeight[group[i]] += w
 	}
-	cutScore := func(p int) float64 {
-		score := 0.0
-		for si := range g.segments {
-			if segMin[si] < p && p <= segMax[si] {
-				score += 1.0 / float64(g.segments[si].latencyNs())
-			}
-		}
-		return score
+	eff := shards
+	if max := total / minShardWeight; eff > max {
+		eff = max
 	}
-	prefix := make([]int, n+1)
-	for i, v := range order {
-		prefix[i+1] = prefix[i] + nodeWeight(refs[v], g)
-	}
-	// The boundary may slide up to ~1/8 of a chunk away from perfect
-	// balance to find a better cut — wide enough to reach a pod or
-	// subtree boundary (where only long trunks cross) instead of slicing
-	// through a leaf LAN.
-	window := n / (8 * eff)
-	if window < 2 {
-		window = 2
-	}
-	boundaries := make([]int, 0, eff-1)
-	prev := 0
-	for k := 1; k < eff; k++ {
-		ideal := prev + 1
-		want := k * total / eff
-		for ideal < n && prefix[ideal] < want {
-			ideal++
-		}
-		best, bestScore := -1, 0.0
-		for p := ideal - window; p <= ideal+window; p++ {
-			if p <= prev || p >= n-(eff-1-k) {
-				continue
-			}
-			if s := cutScore(p); best == -1 || s < bestScore {
-				best, bestScore = p, s
-			}
-		}
-		if best == -1 {
-			return nil, false // no room for a boundary: graph too small
-		}
-		boundaries = append(boundaries, best)
-		prev = best
+	if eff < 2 {
+		return nil, false
 	}
 
-	// Assign by chunk, with affinity groups pinned to the shard of their
-	// first member in BFS order.
-	assign := make([]int, n)
-	groupShard := map[int]int{}
-	shardWeight := make([]int, eff)
-	for i, v := range order {
-		s := 0
-		for _, b := range boundaries {
-			if i >= b {
-				s++
-			}
-		}
-		root := find(v)
-		if pinnedS, pinned := groupShard[root]; pinned {
-			s = pinnedS
-		} else {
-			groupShard[root] = s
-		}
-		assign[v] = s
-		shardWeight[s] += nodeWeight(refs[v], g)
+	// shardOf is indexed by affinity-group representative; -1 until the
+	// group's first member is reached.
+	shardOf := make([]int, n)
+	for i := range shardOf {
+		shardOf[i] = -1
 	}
-	for _, w := range shardWeight {
-		if w == 0 {
-			// Affinity pinning starved a shard; retry with one fewer.
-			return Partition(g, eff-1)
+	chunk, before := 0, 0
+	for _, v := range order {
+		gr := group[v]
+		if shardOf[gr] >= 0 {
+			continue
 		}
+		if chunk < eff-1 && before >= (chunk+1)*total/eff {
+			chunk++
+		}
+		shardOf[gr] = chunk
+		before += groupWeight[gr]
+	}
+	if chunk < eff-1 {
+		// Heavy affinity groups swallowed the later chunks' share; retry
+		// with one shard fewer.
+		return Partition(g, eff-1)
 	}
 
 	plan := &Plan{
@@ -335,13 +277,13 @@ func Partition(g *Graph, shards int) (*Plan, bool) {
 	for i, r := range refs {
 		switch r.kind {
 		case nodeHost:
-			plan.hostShard[r.idx] = assign[i]
+			plan.hostShard[r.idx] = shardOf[group[i]]
 		case nodeBridge:
-			plan.bridgeShard[r.idx] = assign[i]
+			plan.bridgeShard[r.idx] = shardOf[group[i]]
 		case nodeRepeater:
-			plan.repeaterShard[r.idx] = assign[i]
+			plan.repeaterShard[r.idx] = shardOf[group[i]]
 		case nodeTap:
-			plan.tapShard[r.idx] = assign[i]
+			plan.tapShard[r.idx] = shardOf[group[i]]
 		}
 	}
 	// A segment lives in the lowest shard among its attachments, so the
@@ -353,7 +295,7 @@ func Partition(g *Graph, shards int) (*Plan, bool) {
 		if len(segNodes[si]) > 0 {
 			owner = plan.Shards
 			for _, ni := range segNodes[si] {
-				if s := assign[ni]; s < owner {
+				if s := shardOf[group[ni]]; s < owner {
 					owner = s
 				}
 			}

@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/switchware/activebridge/internal/netsim"
@@ -81,10 +82,115 @@ func TestShardedChainMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionProperties pins the partitioner's contract: affinity is
-// honored, every shard is populated, segment owners are the minimum
-// attached shard, and tiny graphs refuse to shard.
+// fatTreeGraph declares the scale-fattree256 shape: one core bridge, 15
+// aggregation bridges, 240 edge bridges, 960 hosts, and the scenario's
+// twenty affine ttcp pairs (pod-local and cross-pod).
+func fatTreeGraph() *topo.Graph {
+	const pods, edgesPerPod, hostsPerEdge = 15, 16, 4
+	g := topo.New("fattree")
+	core := g.AddBridge("core", topo.LearningBridge, pods)
+	var edgeHosts [][]topo.HostID
+	for p := 0; p < pods; p++ {
+		trunk := g.AddSegment(fmt.Sprintf("trunk%d", p), topo.WithPropagation(5*netsim.Microsecond))
+		agg := g.AddBridge(fmt.Sprintf("agg%d", p), topo.LearningBridge, 1+edgesPerPod)
+		g.Link(core, trunk)
+		g.Link(agg, trunk)
+		for e := 0; e < edgesPerPod; e++ {
+			riser := g.AddSegment(fmt.Sprintf("riser%d.%d", p, e), topo.WithPropagation(2*netsim.Microsecond))
+			eb := g.AddBridge(fmt.Sprintf("edge%d.%d", p, e), topo.LearningBridge, 2)
+			lan := g.AddSegment(fmt.Sprintf("lan%d.%d", p, e))
+			g.Link(agg, riser)
+			g.Link(eb, riser)
+			g.Link(eb, lan)
+			var hs []topo.HostID
+			for h := 0; h < hostsPerEdge; h++ {
+				id := g.AddHost("")
+				g.Link(id, lan)
+				hs = append(hs, id)
+			}
+			edgeHosts = append(edgeHosts, hs)
+		}
+	}
+	for p := 0; p < pods; p++ {
+		g.Affine(edgeHosts[p*edgesPerPod+2][0], edgeHosts[p*edgesPerPod+9][1])
+	}
+	for i := 0; i < 4; i++ {
+		g.Affine(edgeHosts[(3*i+1)*edgesPerPod+4][2], edgeHosts[((3*i+8)%pods)*edgesPerPod+11][3])
+	}
+	g.Affine(edgeHosts[0][0], edgeHosts[5][0])
+	return g
+}
+
+// checkPartitionContract states what Partition promises, as properties
+// of the plan laid out along the partitioner's own depth-first order.
+func checkPartitionContract(t *testing.T, g *topo.Graph, shards int) {
+	t.Helper()
+	plan, ok := topo.Partition(g, shards)
+	if !ok || plan.Shards != shards {
+		t.Fatalf("%s: want %d shards, got %+v ok=%v", g.Name, shards, plan, ok)
+	}
+	shard, weight, group := plan.InDFSOrder(g)
+
+	total, maxNode := 0, 0
+	shardWeight := make([]int, shards)
+	groupWeight := map[int]int{}
+	groupShard := map[int]int{}
+	last := 0
+	for i := range shard {
+		total += weight[i]
+		shardWeight[shard[i]] += weight[i]
+		groupWeight[group[i]] += weight[i]
+		if weight[i] > maxNode {
+			maxNode = weight[i]
+		}
+		s, placed := groupShard[group[i]]
+		if placed {
+			// Affinity groups stay whole.
+			if shard[i] != s {
+				t.Errorf("%s/%d: affinity group %d split across shards %d and %d", g.Name, shards, group[i], s, shard[i])
+			}
+			continue
+		}
+		groupShard[group[i]] = shard[i]
+		// Each shard is one contiguous run of the order (a group sits
+		// where its first member falls).
+		if shard[i] != last && shard[i] != last+1 {
+			t.Fatalf("%s/%d: position %d jumps from shard %d to %d", g.Name, shards, i, last, shard[i])
+		}
+		last = shard[i]
+	}
+	maxGroup := 0
+	for _, w := range groupWeight {
+		if w > maxGroup {
+			maxGroup = w
+		}
+	}
+	for s, w := range shardWeight {
+		if w == 0 {
+			t.Errorf("%s/%d: shard %d is empty", g.Name, shards, s)
+		}
+		if d := w - total/shards; d > maxGroup+maxNode || -d > maxGroup+maxNode {
+			t.Errorf("%s/%d: shard %d weighs %d, want %d +/- %d", g.Name, shards, s, w, total/shards, maxGroup+maxNode)
+		}
+	}
+	// A pure function of the declaration.
+	if again, _ := topo.Partition(g, shards); !reflect.DeepEqual(plan, again) {
+		t.Errorf("%s/%d: the same graph partitioned differently twice", g.Name, shards)
+	}
+}
+
+// TestPartitionProperties pins the partitioner's contract: every shard
+// populated, affinity groups whole, shards contiguous in the depth-first
+// order and weight-balanced to within one group plus one node, the same
+// plan every time — on the chain and on the 256-bridge fat-tree — and
+// tiny graphs refuse to shard.
 func TestPartitionProperties(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		chain, _, _ := chainGraph(16, 0)
+		checkPartitionContract(t, chain, shards)
+		checkPartitionContract(t, fatTreeGraph(), shards)
+	}
+
 	g, h1, h2 := chainGraph(16, 0)
 	plan, ok := topo.Partition(g, 4)
 	if !ok {

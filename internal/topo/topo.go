@@ -237,24 +237,11 @@ type segmentSpec struct {
 	faultModel  *fault.Model
 }
 
-// latencyNs is the segment's minimum source-to-sink latency in
-// nanoseconds — the lookahead a cut through this segment would give the
-// sharded engine, from the same definition the engine itself uses.
-func (s *segmentSpec) latencyNs() int64 {
-	prop := s.propagation
-	if prop == 0 {
-		prop = netsim.DefaultPropagation
-	}
-	return int64(netsim.MinWireLatency(netsim.DefaultRateBps, prop))
-}
-
 // SegmentOpt customizes a declared segment.
 type SegmentOpt func(*segmentSpec)
 
 // WithPropagation fixes the segment's one-way propagation delay (default
-// 500ns, a short in-room LAN). Long links — inter-building fiber in a
-// campus fabric — both model their real latency and give the sharded
-// engine more lookahead when the partitioner cuts them.
+// 500ns, a short in-room LAN).
 func WithPropagation(d netsim.Duration) SegmentOpt {
 	return func(s *segmentSpec) { s.propagation = d }
 }

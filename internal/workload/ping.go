@@ -27,8 +27,12 @@ type Pinger struct {
 	rttHist *metrics.Histogram
 }
 
-// NewPinger prepares count echoes of the given ICMP data size from h to dst.
+// NewPinger prepares count echoes of the given ICMP data size from h to
+// dst. A negative size is taken as 0.
 func NewPinger(h *Host, dst ipv4.Addr, size, count int) *Pinger {
+	if size < 0 {
+		size = 0
+	}
 	p := &Pinger{
 		host: h, dst: dst, size: size, id: 0x4242,
 		sentAt: map[uint16]netsim.Time{},

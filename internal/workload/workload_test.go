@@ -117,6 +117,12 @@ func TestPingerCollectsRTTs(t *testing.T) {
 	if p.MeanRTT() > netsim.Millisecond {
 		t.Errorf("direct RTT = %v, suspiciously high", p.MeanRTT())
 	}
+	// A negative size is an empty echo, not a makeslice panic.
+	neg := NewPinger(h1, h2.IP, -5, 2)
+	neg.Run(sim.Now() + netsim.Time(30*netsim.Second))
+	if neg.Completed() != 2 {
+		t.Errorf("size -5: completed = %d, want 2", neg.Completed())
+	}
 }
 
 func TestTtcpTransfersExactly(t *testing.T) {

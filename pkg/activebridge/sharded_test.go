@@ -35,7 +35,7 @@ func buildRing(shards int) (*ab.Net, ab.HostID, ab.HostID) {
 }
 
 // TestSDKShardedMatchesSerial pins the public-API contract of the
-// sharded engine: the Shards option is pure wall-clock — the same
+// sharded engine: the Shards option never changes behaviour — the same
 // topology driven the same way fingerprints identically.
 func TestSDKShardedMatchesSerial(t *testing.T) {
 	drive := func(shards int) string {

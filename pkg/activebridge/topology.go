@@ -54,12 +54,12 @@ const (
 )
 
 // Sharded execution. A Topology is serial by default: Build materializes
-// one single-threaded simulation. Calling Topology.Shards(n) (or setting
-// the process-wide default below) asks Build to partition the net across
-// n shard engines running under a conservative coordinator — results
-// stay byte-identical to serial at any shard count; only the wall clock
-// changes. Small nets refuse to shard (the synchronization would cost
-// more than it buys) and quietly build serial.
+// one single-threaded simulation. Calling Topology.Shards(n) asks Build
+// to partition the net across n shard engines running under a
+// conservative coordinator — results stay byte-identical to serial at
+// any shard count. It is not a speed-up at LAN latencies (two shards run
+// a 256-bridge fabric at under half the speed of one engine; README,
+// "Sharded engine"). Small nets refuse to shard and quietly build serial.
 //
 // Rule of thumb for embedders: declare Topology.Affine(a, b) for any two
 // hosts coupled outside the simulated network — above all the endpoints
@@ -74,14 +74,6 @@ var (
 // Plan is a computed shard assignment: one shard per declared node and
 // an owner shard per segment.
 type Plan = topo.Plan
-
-// DefaultShards is the shard count Build uses when the Topology does not
-// set one explicitly; see topo.DefaultShards.
-func DefaultShards() int { return topo.DefaultShards }
-
-// SetDefaultShards sets the process-wide default shard count. Set it
-// before building; do not mutate it concurrently with builds.
-func SetDefaultShards(n int) { topo.DefaultShards = n }
 
 // Topology declaration options.
 var (
@@ -101,7 +93,6 @@ var (
 	// loads.
 	WithLogSink = topo.WithLogSink
 	// WithPropagation fixes a declared segment's one-way propagation
-	// delay (long links give the sharded engine more lookahead when they
-	// become cuts).
+	// delay.
 	WithPropagation = topo.WithPropagation
 )
