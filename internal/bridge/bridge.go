@@ -543,17 +543,6 @@ func (b *Bridge) After(delayMs int64, fn vm.Value) {
 	})
 }
 
-// AfterNative schedules a one-shot native callback with dispatch charging.
-func (b *Bridge) AfterNative(d netsim.Duration, fn func()) {
-	ep := b.epoch
-	b.sim.After(d, func() {
-		if b.epoch != ep {
-			return
-		}
-		b.runNativeDispatch(fn)
-	})
-}
-
 // Spawn implements env.Threads.
 func (b *Bridge) Spawn(fn vm.Value) { b.spawnQueue = append(b.spawnQueue, fn) }
 

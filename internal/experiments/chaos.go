@@ -9,7 +9,6 @@ import (
 	"github.com/switchware/activebridge/internal/ipv4"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/report"
-	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/switchlets"
 	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/workload"
@@ -43,18 +42,11 @@ func ChaosLossyDeployment(cost netsim.CostModel) (*report.Table, error) {
 	// Same shape as deployment-incremental: admin -- s0 -- b1 -- s1 -- b2
 	// -- s2 -- b3 -- s3, every segment impaired.
 	g := topo.New("chaos-lossy-deployment")
-	segs := make([]topo.SegmentID, n+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i))
-	}
-	bIDs := make([]topo.BridgeID, n)
-	for i := 0; i < n; i++ {
-		bIDs[i] = g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
+	segs, bIDs := span(g, n, false, "s", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
 			topo.WithBridgeID(byte(i+1)),
 			topo.WithNetLoader(ipv4.Addr{10, 0, 0, byte(100 + i)}))
-		g.Link(bIDs[i], segs[i])
-		g.Link(bIDs[i], segs[i+1])
-	}
+	})
 	adminID := g.AddHost("admin")
 	g.Link(adminID, segs[0])
 	g.FaultPlan(fault.NewPlan(0xC4A05).
@@ -83,6 +75,7 @@ func ChaosLossyDeployment(cost netsim.CostModel) (*report.Table, error) {
 		if !up.Done() {
 			status = fmt.Sprintf("FAILED: %v", up.Err())
 		}
+		t.Expect(up.Done(), "upload to %s did not complete: %v", b.Name, up.Err())
 		totalRetx += up.Retransmits()
 		t.AddRow(b.Name, status, fmt.Sprintf("%d", up.Retransmits()),
 			fmt.Sprintf("%.3f", up.Elapsed().Seconds()))
@@ -94,6 +87,7 @@ func ChaosLossyDeployment(cost netsim.CostModel) (*report.Table, error) {
 		corrupts += net.Segment(s).FaultCorrupts
 		dups += net.Segment(s).FaultDups
 	}
+	t.Expect(totalRetx >= 1, "no retransmissions under 5%% loss; fault plane not engaged")
 	t.AddRow("(fabric)", fmt.Sprintf("injected drop=%d corrupt=%d dup=%d", drops, corrupts, dups),
 		fmt.Sprintf("%d", totalRetx), "-")
 	t.AddNote("every transfer survives a fabric that eats ~6%% of frames per hop; loss costs retransmissions, not deployments")
@@ -112,15 +106,9 @@ func ChaosFlappingRing(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chaos-flapping-ring")
-	segs := make([]topo.SegmentID, nBridges)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("r%d", i))
-	}
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[(i+1)%nBridges])
-	}
+	segs, _ := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
+	})
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -203,6 +191,13 @@ func ChaosFlappingRing(cost netsim.CostModel) (*report.Table, error) {
 	sim.Run(sim.Now() + netsim.Time(10*netsim.Second))
 	quiet := frameTotal(net, segs) - quietStart
 
+	// +4 s: one 2 s probe window of quantization plus settle.
+	t.Expect(gap >= 0 && gap <= stpBound+4*netsim.Second, "delivery gap %v exceeds the %v reconvergence bound", gap, stpBound)
+	t.Expect(roots == 1, "tree did not reconverge to one root: %d", roots)
+	t.Expect(loopFree, "forwarding loop after heal")
+	t.Expect(post.Done(), "post-heal transfer did not complete")
+	t.Expect(p.Completed() == 5, "pings incomplete after heal: %d/5", p.Completed())
+	t.Expect(quiet <= 2000, "storm after heal: %d frames in the quiet window", quiet)
 	t.AddRow("ports blocked before cut", fmt.Sprintf("%d", blockedBefore))
 	t.AddRow("ttcp MB delivered before cut", fmt.Sprintf("%.1f", float64(deliveredAtCut)/(1<<20)))
 	t.AddRow("delivery gap after cut (s)", fmt.Sprintf("%.3f", gap.Seconds()))
@@ -229,16 +224,9 @@ func ChaosCrashUpgrade(cost netsim.CostModel) (*report.Table, error) {
 	}
 	// h1 -- s0 -- b1 -- s1 -- b2 -- s2 -- h2, learning + DEC on both.
 	g := topo.New("chaos-crash-upgrade")
-	segs := make([]topo.SegmentID, 3)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i))
-	}
-	bIDs := make([]topo.BridgeID, 2)
-	for i := range bIDs {
-		bIDs[i] = g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
-		g.Link(bIDs[i], segs[i])
-		g.Link(bIDs[i], segs[i+1])
-	}
+	segs, bIDs := span(g, 2, false, "s", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
+	})
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -304,6 +292,12 @@ func ChaosCrashUpgrade(cost netsim.CostModel) (*report.Table, error) {
 	p := workload.NewPinger(net.Host(h1), net.Host(h2).IP, 64, 5)
 	p.Run(sim.Now() + netsim.Time(30*netsim.Second))
 
+	t.Expect(u.State() == bridge.UpgradeRolledBack, "upgrade state %v, want rolled-back", u.State())
+	t.Expect(strings.Contains(u.Reason, "crashed during validation"), "rollback reason %q does not name the crash", u.Reason)
+	t.Expect(b1.Stats.Crashes == 1 && b1.Stats.Restarts == 1, "crash/restart counts %d / %d, want 1 / 1", b1.Stats.Crashes, b1.Stats.Restarts)
+	t.Expect(decRunning == "yes", "DEC not running after restart: %s", decRunning)
+	t.Expect(!ieeeInstalled, "the crashed-away IEEE switchlet reappeared after restart")
+	t.Expect(p.Completed() == 5, "connectivity did not return: %d/5", p.Completed())
 	t.AddRow("upgrade state", u.State().String())
 	t.AddRow("rollback reason", u.Reason)
 	t.AddRow("crashes / restarts", fmt.Sprintf("%d / %d", b1.Stats.Crashes, b1.Stats.Restarts))
@@ -325,15 +319,9 @@ func ChaosPartitionHeal(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chaos-partition-heal")
-	segs := make([]topo.SegmentID, nBridges)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("r%d", i))
-	}
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[(i+1)%nBridges])
-	}
+	segs, _ := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
+	})
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -371,6 +359,12 @@ func ChaosPartitionHeal(cost netsim.CostModel) (*report.Table, error) {
 	sim.Run(sim.Now() + netsim.Time(10*netsim.Second))
 	quiet := frameTotal(net, segs) - quietStart
 
+	t.Expect(downMid, "plan event did not cut the segment")
+	t.Expect(roots == 1, "tree did not reconverge to one root: %d", roots)
+	t.Expect(loopFree, "forwarding loop after heal")
+	t.Expect(blocked >= 1, "healed ring has no blocked port: loop not re-broken")
+	t.Expect(p.Completed() == 5, "pings incomplete after heal: %d/5", p.Completed())
+	t.Expect(quiet <= 2000, "storm after heal: %d frames in the quiet window", quiet)
 	t.AddRow("segment down at t=70s", fmt.Sprintf("%v", downMid))
 	t.AddRow("distinct roots after heal", fmt.Sprintf("%d", roots))
 	t.AddRow("forwarding loop after heal", fmt.Sprintf("%v", !loopFree))
@@ -465,131 +459,4 @@ func forwardingLoopFree(net *topo.Net) bool {
 		}
 	}
 	return true
-}
-
-// registerChaos registers the chaos family; called from RegisterAll after
-// the scale set.
-func registerChaos() {
-	scenario.Register("chaos-lossy-deployment",
-		"incremental switchlet deployment over seeded 5%-loss segments (TFTP retransmission)",
-		ChaosLossyDeployment,
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			for r := 0; r < 3; r++ {
-				if t.Rows[r][1] != "ok" {
-					return fmt.Errorf("upload to %s did not complete: %s", t.Rows[r][0], t.Rows[r][1])
-				}
-			}
-			retx, err := cellFloat(t, 3, 2)
-			if err != nil {
-				return err
-			}
-			if retx < 1 {
-				return fmt.Errorf("no retransmissions under 5%% loss; fault plane not engaged")
-			}
-			return nil
-		})
-
-	scenario.Register("chaos-flapping-ring",
-		"8-bridge STP ring: transit link flap under ttcp, reconvergence within the 802.1D bound",
-		ChaosFlappingRing,
-		func(t *report.Table) error {
-			if err := wantRows(9)(t); err != nil {
-				return err
-			}
-			gap, err := cellFloat(t, 2, 1)
-			if err != nil {
-				return err
-			}
-			// +4 s: one 2 s probe window of quantization plus settle.
-			if gap < 0 || gap > (stpBound+4*netsim.Second).Seconds() {
-				return fmt.Errorf("delivery gap %v s exceeds the %v reconvergence bound", gap, stpBound)
-			}
-			if t.Rows[3][1] != "1" {
-				return fmt.Errorf("tree did not reconverge to one root: %s", t.Rows[3][1])
-			}
-			if t.Rows[4][1] != "false" {
-				return fmt.Errorf("forwarding loop after heal")
-			}
-			if t.Rows[6][1] != "true" {
-				return fmt.Errorf("post-heal transfer did not complete")
-			}
-			if t.Rows[7][1] != "5/5" {
-				return fmt.Errorf("pings incomplete after heal: %s", t.Rows[7][1])
-			}
-			quiet, err := cellFloat(t, 8, 1)
-			if err != nil {
-				return err
-			}
-			if quiet > 2000 {
-				return fmt.Errorf("storm after heal: %v frames in the quiet window", quiet)
-			}
-			return nil
-		}).Slow = true
-
-	scenario.Register("chaos-crash-upgrade",
-		"bridge crash mid-validation: upgrade rolls back, restart restores the old protocol",
-		ChaosCrashUpgrade,
-		func(t *report.Table) error {
-			if err := wantRows(6)(t); err != nil {
-				return err
-			}
-			if t.Rows[0][1] != "rolled-back" {
-				return fmt.Errorf("upgrade state %q, want rolled-back", t.Rows[0][1])
-			}
-			if !strings.Contains(t.Rows[1][1], "crashed during validation") {
-				return fmt.Errorf("rollback reason %q does not name the crash", t.Rows[1][1])
-			}
-			if t.Rows[2][1] != "1 / 1" {
-				return fmt.Errorf("crash/restart counts %q, want 1 / 1", t.Rows[2][1])
-			}
-			if t.Rows[3][1] != "yes" {
-				return fmt.Errorf("DEC not running after restart: %s", t.Rows[3][1])
-			}
-			if t.Rows[4][1] != "false" {
-				return fmt.Errorf("the crashed-away IEEE switchlet reappeared after restart")
-			}
-			if t.Rows[5][1] != "5/5" {
-				return fmt.Errorf("connectivity did not return: %s", t.Rows[5][1])
-			}
-			return nil
-		})
-
-	scenario.Register("chaos-partition-heal",
-		"6-bridge STP ring: plan-scheduled partition and heal, no storm, invariants hold",
-		ChaosPartitionHeal,
-		func(t *report.Table) error {
-			if err := wantRows(6)(t); err != nil {
-				return err
-			}
-			if t.Rows[0][1] != "true" {
-				return fmt.Errorf("plan event did not cut the segment")
-			}
-			if t.Rows[1][1] != "1" {
-				return fmt.Errorf("tree did not reconverge to one root: %s", t.Rows[1][1])
-			}
-			if t.Rows[2][1] != "false" {
-				return fmt.Errorf("forwarding loop after heal")
-			}
-			blocked, err := cellFloat(t, 3, 1)
-			if err != nil {
-				return err
-			}
-			if blocked < 1 {
-				return fmt.Errorf("healed ring has no blocked port: loop not re-broken")
-			}
-			if t.Rows[4][1] != "5/5" {
-				return fmt.Errorf("pings incomplete after heal: %s", t.Rows[4][1])
-			}
-			quiet, err := cellFloat(t, 5, 1)
-			if err != nil {
-				return err
-			}
-			if quiet > 2000 {
-				return fmt.Errorf("storm after heal: %v frames in the quiet window", quiet)
-			}
-			return nil
-		})
 }

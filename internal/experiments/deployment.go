@@ -33,18 +33,11 @@ func IncrementalDeployment(cost netsim.CostModel) (*report.Table, error) {
 	// Topology: admin -- s0 -- b1 -- s1 -- b2 -- s2 -- b3 -- s3
 	// with a probe host on every segment.
 	g := topo.New("incremental-deployment")
-	segs := make([]topo.SegmentID, n+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i))
-	}
-	bIDs := make([]topo.BridgeID, n)
-	for i := 0; i < n; i++ {
-		bIDs[i] = g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
+	segs, bIDs := span(g, n, false, "s", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
 			topo.WithBridgeID(byte(i+1)),
 			topo.WithNetLoader(ipv4.Addr{10, 0, 0, byte(100 + i)}))
-		g.Link(bIDs[i], segs[i])
-		g.Link(bIDs[i], segs[i+1])
-	}
+	})
 	adminID := g.AddHost("admin",
 		topo.WithMAC(ethernet.MAC{2, 0, 0, 0, 0xaa, 0}),
 		topo.WithIP(ipv4.Addr{10, 0, 0, 1}))
@@ -95,14 +88,18 @@ func IncrementalDeployment(cost netsim.CostModel) (*report.Table, error) {
 		return nil
 	}
 
-	t.AddRow("0", "-", "-", fmt.Sprintf("%d (own LAN only)", reachable()))
+	frontier := reachable()
+	t.Expect(frontier == 1, "before any upload %d probes answer, want the admin's own LAN only", frontier)
+	t.AddRow("0", "-", "-", fmt.Sprintf("%d (own LAN only)", frontier))
 	for i, b := range bridges {
 		status := "ok"
 		if err := upload(b); err != nil {
 			status = err.Error()
 		}
-		t.AddRow(fmt.Sprintf("%d", i+1), b.Name, status,
-			fmt.Sprintf("%d", reachable()))
+		frontier = reachable()
+		t.Expect(status == "ok", "step %d: %s", i+1, status)
+		t.Expect(frontier == i+2, "step %d: frontier %d, want %d (one hop per upload)", i+1, frontier, i+2)
+		t.AddRow(fmt.Sprintf("%d", i+1), b.Name, status, fmt.Sprintf("%d", frontier))
 	}
 	t.AddNote("each successful upload extends the extended LAN's diameter by one, unlocking the next switch's loader")
 	return t, nil

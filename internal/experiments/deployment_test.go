@@ -1,31 +1,5 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/switchware/activebridge/internal/netsim"
-)
-
-func TestIncrementalDeploymentFrontier(t *testing.T) {
-	tbl, err := IncrementalDeployment(netsim.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	wantFrontier := []string{"1", "2", "3", "4"}
-	for i, r := range tbl.Rows {
-		got := r[3]
-		if i == 0 {
-			got = got[:1]
-		}
-		if got != wantFrontier[i] {
-			t.Errorf("step %d frontier = %q, want %s", i, r[3], wantFrontier[i])
-		}
-		if i > 0 && r[2] != "ok" {
-			t.Errorf("step %d upload = %q", i, r[2])
-		}
-	}
-}
+func TestIncrementalDeploymentFrontier(t *testing.T) { expectHeld(t, IncrementalDeployment) }

@@ -2,7 +2,10 @@
 // evaluation (§6-§7) on the simulated testbed. Each function returns a
 // report.Table whose rows mirror the series the paper reports, and each
 // table's notes state the paper's value beside ours (README "Running the
-// paper tables" has the commands).
+// paper tables" has the commands). A generator states what must hold of a
+// run — orderings, completions, the paper's numbers with their tolerance —
+// once, with Table.Expect on the value it measured, beside the row that
+// prints it.
 package experiments
 
 import (
@@ -19,19 +22,28 @@ var Fig9Sizes = []int{32, 512, 1024, 2048, 4096}
 // Fig9PingLatency reproduces Figure 9: ping RTT vs packet size for the
 // direct connection, the C buffered repeater, and the active bridge (plus
 // the native-switchlet ablation).
-func Fig9PingLatency(cost netsim.CostModel) *report.Table {
+func Fig9PingLatency(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "Figure 9: ping latencies (ms RTT)",
 		Header: []string{"size(B)", "direct", "repeater", "active-bridge", "native-bridge"},
 	}
 	paths := []testbed.Path{testbed.Direct, testbed.Repeater, testbed.ActiveBridge, testbed.NativeBridge}
+	var prevActive netsim.Duration
 	for _, size := range Fig9Sizes {
 		row := []string{fmt.Sprintf("%d", size)}
-		for _, p := range paths {
+		var rtt [4]netsim.Duration
+		for i, p := range paths {
 			tb := testbed.New(p, cost)
 			tb.Warm()
-			row = append(row, report.Ms(tb.PingRTT(size, 10)))
+			rtt[i] = tb.PingRTT(size, 10)
+			row = append(row, report.Ms(rtt[i]))
 		}
+		direct, repeater, active, native := rtt[0], rtt[1], rtt[2], rtt[3]
+		t.Expect(direct < repeater && repeater < active,
+			"%d B: RTT ordering direct < repeater < active bridge violated: %v, %v, %v", size, direct, repeater, active)
+		t.Expect(native < active, "%d B: native bridge RTT %v not below bytecode %v", size, native, active)
+		t.Expect(active >= prevActive, "%d B: active-bridge RTT %v below the previous size's %v", size, active, prevActive)
+		prevActive = active
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: active bridge adds ~0.34 ms of Caml execution per frame over the repeater path")
@@ -43,7 +55,7 @@ func Fig9PingLatency(cost netsim.CostModel) *report.Table {
 	tbN.Warm()
 	gap := tbA.PingRTT(64, 10) - tbN.PingRTT(64, 10)
 	t.AddNote("measured: VM execution adds %.2f ms per frame (RTT gap/2 vs native)", float64(gap)/2e6)
-	return t
+	return t, nil
 }
 
 // Fig10Sizes are the write sizes of the paper's throughput figure.
@@ -54,37 +66,35 @@ const Fig10Bytes = 4 << 20
 
 // Fig10TtcpThroughput reproduces Figure 10: ttcp throughput vs write size
 // for the three paths (plus the native ablation).
-func Fig10TtcpThroughput(cost netsim.CostModel) *report.Table {
+func Fig10TtcpThroughput(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "Figure 10: ttcp throughput (Mb/s)",
 		Header: []string{"write(B)", "direct", "repeater", "active-bridge", "native-bridge"},
 	}
 	paths := []testbed.Path{testbed.Direct, testbed.Repeater, testbed.ActiveBridge, testbed.NativeBridge}
-	var lastActive, lastRepeater float64
+	var mbps [4]float64 // by path; after the loop, the 8 KB row
 	for _, size := range Fig10Sizes {
 		row := []string{fmt.Sprintf("%d", size)}
-		for _, p := range paths {
+		for i, p := range paths {
 			tb := testbed.New(p, cost)
 			tb.Warm()
-			tr := tb.TtcpRun(size, Fig10Bytes)
-			row = append(row, report.Mbps(tr.ThroughputMbps()))
-			if size == 8192 {
-				switch p {
-				case testbed.ActiveBridge:
-					lastActive = tr.ThroughputMbps()
-				case testbed.Repeater:
-					lastRepeater = tr.ThroughputMbps()
-				}
-			}
+			mbps[i] = tb.TtcpRun(size, Fig10Bytes).ThroughputMbps()
+			row = append(row, report.Mbps(mbps[i]))
 		}
 		t.AddRow(row...)
 	}
+	direct, repeater, active := mbps[0], mbps[1], mbps[2]
+	t.Expect(direct > repeater && repeater > active && active > 0,
+		"8 KB throughput ordering direct > repeater > active bridge > 0 violated: %.1f, %.1f, %.1f", direct, repeater, active)
+	t.Expect(direct >= 60 && direct <= 95, "direct %.1f Mb/s at 8 KB writes, paper 76 (tolerance 60-95)", direct)
+	t.Expect(active >= 10 && active <= 24, "active bridge %.1f Mb/s at 8 KB writes, paper 16 (tolerance 10-24)", active)
+	ratio := active / repeater
+	t.Expect(ratio >= 0.3 && ratio <= 0.6, "active bridge is %.2f of the repeater at 8 KB writes, paper 0.44 (tolerance 0.3-0.6)", ratio)
 	t.AddNote("paper: direct 76 Mb/s, active bridge 16 Mb/s at 8 KB writes; bridge ~44%% of repeater")
-	if lastRepeater > 0 {
-		t.AddNote("measured: active bridge is %.0f%% of the repeater at 8 KB writes",
-			100*lastActive/lastRepeater)
+	if repeater > 0 {
+		t.AddNote("measured: active bridge is %.0f%% of the repeater at 8 KB writes", 100*active/repeater)
 	}
-	return t
+	return t, nil
 }
 
 // FrameRateSizes are the §7.3 frame-size points.
@@ -94,7 +104,7 @@ var FrameRateSizes = []int{50, 128, 256, 512, 1024, 1460}
 // second through the active bridge for each frame size, along with the
 // measured per-frame VM cost and the implied interpretation-limited rate
 // ("a limiting rate of 2100 frames per second or about 32 Mb/s").
-func FrameRates(cost netsim.CostModel) *report.Table {
+func FrameRates(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "§7.3 frame rates through the active bridge",
 		Header: []string{"frame payload(B)", "frames/s", "Mb/s", "VM ms/frame", "VM-limited fps"},
@@ -112,9 +122,12 @@ func FrameRates(cost netsim.CostModel) *report.Table {
 		if vmPer > 0 {
 			limited = 1e9 / vmPer
 		}
+		fps := tr.FramesPerSecond()
+		t.Expect(fps >= 800 && fps <= 3000, "%d B: %.0f frames/s, outside the CPU-bound band 800-3000 (paper ~1790 at 1024 B)", size, fps)
+		t.Expect(vmPer >= 0.2e6 && vmPer <= 0.8e6, "%d B: VM %.2f ms/frame, paper regime 0.3-0.5 (tolerance 0.2-0.8)", size, vmPer/1e6)
 		t.AddRow(
 			fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.0f", tr.FramesPerSecond()),
+			fmt.Sprintf("%.0f", fps),
 			report.Mbps(tr.ThroughputMbps()),
 			fmt.Sprintf("%.2f", vmPer/1e6),
 			fmt.Sprintf("%.0f", limited),
@@ -126,12 +139,12 @@ func FrameRates(cost netsim.CostModel) *report.Table {
 	// table (ROADMAP item 4) replaces the note; what it would have said is
 	// that ttcp acks and per-write syscall cost are not modelled.
 	t.AddNote("paper's 360 fps at ~50 B reflects sender-side small-write overheads the closed-loop model abstracts; see EXPERIMENTS.md")
-	return t
+	return t, nil
 }
 
 // LatencyDecomposition reproduces the Figure 5 / §7.2 instrumentation: the
 // per-stage cost of one forwarded frame.
-func LatencyDecomposition(cost netsim.CostModel) *report.Table {
+func LatencyDecomposition(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "Figure 5 path decomposition (one 1024-byte frame)",
 		Header: []string{"stage", "cost (ms)"},
@@ -145,11 +158,12 @@ func LatencyDecomposition(cost netsim.CostModel) *report.Table {
 	tb.Sim.Run(tb.Sim.Now() + netsim.Time(100*netsim.Millisecond))
 	s := tb.Bridge.LastPath
 	wire := float64(s.FrameLen*8+160) / 100e6 * 1e3
+	t.Expect(s.Exec > s.KernelRecv, "switchlet execution (%v) should dominate the kernel receive stage (%v)", s.Exec, s.KernelRecv)
 	t.AddRow("1-2. wire + adapter (per LAN)", fmt.Sprintf("%.3f", wire))
 	t.AddRow("2-3. ISR + kernel delivery + recvfrom", report.Ms(s.KernelRecv))
 	t.AddRow("4.   switchlet execution (Caml)", report.Ms(s.Exec))
 	t.AddRow("5-6. sendto + kernel queueing", report.Ms(s.KernelSend))
 	t.AddRow("7.   wire out", fmt.Sprintf("%.3f", wire))
 	t.AddNote("paper §7.2: Caml code execution adds 0.34 ms per frame; the rest is the Linux path")
-	return t
+	return t, nil
 }

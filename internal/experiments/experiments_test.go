@@ -1,219 +1,40 @@
 package experiments
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/switchware/activebridge/internal/netsim"
+	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/switchlets"
 )
 
-func cell(t *testing.T, tbl interface{ String() string }, rows [][]string, r, c int) float64 {
+// expectHeld runs one generator and requires every expectation it states
+// about its own measurements to hold. The bounds live in the generators.
+func expectHeld(t *testing.T, run scenario.RunFunc) {
 	t.Helper()
-	v, err := strconv.ParseFloat(rows[r][c], 64)
-	if err != nil {
-		t.Fatalf("cell %d,%d = %q: %v\n%s", r, c, rows[r][c], err, tbl.String())
-	}
-	return v
-}
-
-func TestFig9Shape(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := Fig9PingLatency(cost)
-	if len(tbl.Rows) != len(Fig9Sizes) {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for r := range tbl.Rows {
-		direct := cell(t, tbl, tbl.Rows, r, 1)
-		rep := cell(t, tbl, tbl.Rows, r, 2)
-		act := cell(t, tbl, tbl.Rows, r, 3)
-		nat := cell(t, tbl, tbl.Rows, r, 4)
-		if !(direct < rep && rep < act) {
-			t.Errorf("row %d: ordering direct<repeater<active violated: %v", r, tbl.Rows[r])
-		}
-		if !(nat < act) {
-			t.Errorf("row %d: native should beat bytecode", r)
-		}
-		if r > 0 {
-			prev := cell(t, tbl, tbl.Rows, r-1, 3)
-			if act < prev {
-				t.Errorf("active-bridge RTT not monotone in size at row %d", r)
-			}
-		}
-	}
-}
-
-func TestFig10Shape(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := Fig10TtcpThroughput(cost)
-	if len(tbl.Rows) != len(Fig10Sizes) {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	last := len(tbl.Rows) - 1
-	direct := cell(t, tbl, tbl.Rows, last, 1)
-	rep := cell(t, tbl, tbl.Rows, last, 2)
-	act := cell(t, tbl, tbl.Rows, last, 3)
-	if !(direct > rep && rep > act) {
-		t.Errorf("8KB ordering violated: %v", tbl.Rows[last])
-	}
-	// Paper anchors within tolerance.
-	if direct < 60 || direct > 95 {
-		t.Errorf("direct = %v, want ~76", direct)
-	}
-	if act < 10 || act > 24 {
-		t.Errorf("active = %v, want ~16", act)
-	}
-	if ratio := act / rep; ratio < 0.3 || ratio > 0.6 {
-		t.Errorf("active/repeater = %v, want ~0.44", ratio)
-	}
-}
-
-func TestFrameRatesShape(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := FrameRates(cost)
-	if len(tbl.Rows) != len(FrameRateSizes) {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for r := range tbl.Rows {
-		fps := cell(t, tbl, tbl.Rows, r, 1)
-		if fps < 800 || fps > 3000 {
-			t.Errorf("fps at %s B = %v, outside CPU-bound band", tbl.Rows[r][0], fps)
-		}
-		vmMs := cell(t, tbl, tbl.Rows, r, 3)
-		if vmMs < 0.2 || vmMs > 0.8 {
-			t.Errorf("VM ms/frame = %v, want paper regime 0.3-0.5", vmMs)
-		}
-	}
-}
-
-func TestLatencyDecompositionDominatedByVM(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := LatencyDecomposition(cost)
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	vm := cell(t, tbl, tbl.Rows, 2, 1)
-	kin := cell(t, tbl, tbl.Rows, 1, 1)
-	if vm <= kin {
-		t.Errorf("switchlet execution (%v) should dominate kernel stage (%v)", vm, kin)
-	}
-}
-
-func TestTable1RowsMatchPaperSequence(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := Table1Transition(cost)
-	want := [][3]string{
-		{"running", "loaded", "monitoring"},
-		{"loaded", "running", "transition"},
-		{"loaded", "running", "validating"},
-		{"loaded", "running", "complete"},
-		{"loaded", "running", "complete"},
-	}
-	if len(tbl.Rows) != len(want) {
-		t.Fatalf("rows = %d\n%s", len(tbl.Rows), tbl)
-	}
-	for i, w := range want {
-		got := tbl.Rows[i]
-		if got[1] != w[0] || got[2] != w[1] || got[3] != w[2] {
-			t.Errorf("row %d = %v, want %v", i, got[1:], w)
-		}
-	}
-}
-
-func TestTable1FallbackRow(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := Table1Fallback(cost)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, r := range tbl.Rows {
-		if r[2] != "yes" || r[3] != "no" || r[4] != "fallback" {
-			t.Errorf("fallback row = %v", r)
-		}
-	}
-}
-
-func TestAgilityNumbers(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	_, res, err := AgilityRing(cost)
+	tbl, err := run(netsim.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper: 0.056 s and 30.1 s. Bands: switch-over well under 100 ms;
-	// ping gated by the 2x15 s forward delay plus scheduling slop.
-	if res.StartToIEEE <= 0 || res.StartToIEEE > 100*netsim.Millisecond {
-		t.Errorf("StartToIEEE = %v, want < 0.1 s", res.StartToIEEE)
-	}
-	if res.StartToPing < 29*netsim.Second || res.StartToPing > 36*netsim.Second {
-		t.Errorf("StartToPing = %v, want ~30 s", res.StartToPing)
-	}
-	if res.StartToPing < 100*res.StartToIEEE {
-		t.Errorf("protocol timers should dwarf reconfiguration: %v vs %v",
-			res.StartToPing, res.StartToIEEE)
+	if err := tbl.Err(); err != nil {
+		t.Errorf("%v\n%s", err, tbl)
 	}
 }
 
-func TestNetworkLoadCompletes(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl, err := NetworkLoad(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
-	if !strings.Contains(s, "forwards after load             true") &&
-		!strings.Contains(s, "forwards after load") {
-		t.Fatalf("missing forward row:\n%s", s)
-	}
-	for _, r := range tbl.Rows {
-		if r[0] == "forwards after load" && r[1] != "true" {
-			t.Errorf("bridge does not forward after network load")
-		}
-		if r[0] == "switchlets loaded via network" && r[1] != "1" {
-			t.Errorf("net loads = %s", r[1])
-		}
-	}
-}
+func TestFig9Shape(t *testing.T)                         { expectHeld(t, Fig9PingLatency) }
+func TestFig10Shape(t *testing.T)                        { expectHeld(t, Fig10TtcpThroughput) }
+func TestFrameRatesShape(t *testing.T)                   { expectHeld(t, FrameRates) }
+func TestLatencyDecompositionDominatedByVM(t *testing.T) { expectHeld(t, LatencyDecomposition) }
+func TestTable1RowsMatchPaperSequence(t *testing.T)      { expectHeld(t, Table1Transition) }
+func TestTable1FallbackRow(t *testing.T)                 { expectHeld(t, Table1Fallback) }
+func TestAgilityNumbers(t *testing.T)                    { expectHeld(t, agilityRing) }
+func TestNetworkLoadCompletes(t *testing.T)              { expectHeld(t, NetworkLoad) }
+func TestScalabilitySaturates(t *testing.T)              { expectHeld(t, Scalability) }
 
 func TestAblationShapes(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	nat := AblationNativeVsBytecode(cost)
-	if len(nat.Rows) != 3 {
-		t.Fatalf("native ablation rows = %d", len(nat.Rows))
-	}
-	repeater := cell(t, nat, nat.Rows, 0, 1)
-	native := cell(t, nat, nat.Rows, 1, 1)
-	bytecode := cell(t, nat, nat.Rows, 2, 1)
-	if !(native > bytecode) {
-		t.Error("native must beat bytecode")
-	}
-	if (repeater-native)/repeater > 0.15 {
-		t.Errorf("native should recover most of the repeater gap: rep=%v nat=%v", repeater, native)
-	}
-
-	learn := AblationLearning(cost)
-	if len(learn.Rows) != 2 {
-		t.Fatalf("learning ablation rows = %d", len(learn.Rows))
-	}
-	dumbLeak := cell(t, learn, learn.Rows, 0, 1)
-	learnLeak := cell(t, learn, learn.Rows, 1, 1)
-	if learnLeak >= dumbLeak {
-		t.Errorf("learning should leak fewer frames: dumb=%v learning=%v", dumbLeak, learnLeak)
-	}
-
-	kc := AblationKernelCost(cost)
-	if len(kc.Rows) != 4 {
-		t.Fatalf("kernel ablation rows = %d", len(kc.Rows))
-	}
-	// Throughput decreases as kernel cost grows, for both columns.
-	for r := 1; r < len(kc.Rows); r++ {
-		if cell(t, kc, kc.Rows, r, 1) > cell(t, kc, kc.Rows, r-1, 1) {
-			t.Error("active throughput should fall with kernel cost")
-		}
-		if cell(t, kc, kc.Rows, r, 2) > cell(t, kc, kc.Rows, r-1, 2) {
-			t.Error("repeater throughput should fall with kernel cost")
-		}
-	}
+	expectHeld(t, AblationNativeVsBytecode)
+	expectHeld(t, AblationLearning)
+	expectHeld(t, AblationKernelCost)
 }
 
 func TestTransitionNetQueryUnknown(t *testing.T) {
@@ -223,27 +44,5 @@ func TestTransitionNetQueryUnknown(t *testing.T) {
 	}
 	if got := tn.Query(tn.Bridges[0], "no.such.func"); got != "<unregistered>" {
 		t.Errorf("Query unknown = %q", got)
-	}
-}
-
-func TestScalabilitySaturates(t *testing.T) {
-	cost := netsim.DefaultCostModel()
-	tbl := Scalability(cost)
-	t.Log("\n" + tbl.String())
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	agg1 := cell(t, tbl, tbl.Rows, 0, 2)
-	agg8 := cell(t, tbl, tbl.Rows, 3, 2)
-	// One stream already near-saturates the interpreter; eight streams
-	// must not scale aggregate throughput by more than ~30%.
-	if agg8 > agg1*1.3 {
-		t.Errorf("aggregate scaled from %v to %v: bridge should be CPU-bound", agg1, agg8)
-	}
-	// Per-stream throughput falls as streams share the interpreter.
-	per1 := cell(t, tbl, tbl.Rows, 0, 3)
-	per8 := cell(t, tbl, tbl.Rows, 3, 3)
-	if per8 >= per1 {
-		t.Errorf("per-stream should fall under contention: %v -> %v", per1, per8)
 	}
 }

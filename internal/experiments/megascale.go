@@ -9,7 +9,6 @@ import (
 	"github.com/switchware/activebridge/internal/metrics"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/report"
-	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/switchlets"
 	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/workload"
@@ -212,6 +211,10 @@ func FatTree256(cost netsim.CostModel) (*report.Table, error) {
 		}
 	}
 
+	t.Expect(done == len(streams), "streams incomplete: %d/%d", done, len(streams))
+	t.Expect(pings == 30, "pings incomplete: %d/30", pings)
+	t.Expect(loads == 2, "expected 2 network deployments, got %d", loads)
+	t.Expect(post.Done(), "post-deploy stream incomplete")
 	t.AddRow("bridges", "256 (1 core + 15 agg + 240 edge)")
 	t.AddRow("hosts", fmt.Sprintf("%d", len(edges)*hostsPerEdge))
 	t.AddRow("ttcp streams complete", fmt.Sprintf("%d/%d", done, len(streams)))
@@ -239,16 +242,9 @@ func Ring8RollingUpgrade(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("ring8-upgrade")
-	segs := make([]topo.SegmentID, nBridges)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("r%d", i))
-	}
-	bIDs := make([]topo.BridgeID, nBridges)
-	for i := 0; i < nBridges; i++ {
-		bIDs[i] = g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
-		g.Link(bIDs[i], segs[i])
-		g.Link(bIDs[i], segs[(i+1)%nBridges])
-	}
+	segs, bIDs := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
+	})
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -324,16 +320,13 @@ func Ring8RollingUpgrade(cost netsim.CostModel) (*report.Table, error) {
 			rolledBack++
 		}
 	}
-	blocked := 0
-	for _, id := range bIDs {
-		b := net.Bridge(id)
-		for port := 0; port < b.NumPorts(); port++ {
-			if b.PortBlocked(port) {
-				blocked++
-			}
-		}
-	}
+	blocked := blockedPorts(net)
 
+	t.Expect(committed == nBridges, "upgrades incomplete: %d/%d", committed, nBridges)
+	t.Expect(rolledBack == 0, "unexpected rollbacks: %d", rolledBack)
+	t.Expect(blocked >= 1, "IEEE tree left the loop unbroken")
+	t.Expect(deliveredDuringRoll > 1<<20, "stream starved across the roll: %d bytes", deliveredDuringRoll)
+	t.Expect(p.Completed() == 5, "post-roll pings incomplete: %d/5", p.Completed())
 	t.AddRow("bridges upgraded (committed)", fmt.Sprintf("%d/%d", committed, nBridges))
 	t.AddRow("rollbacks", fmt.Sprintf("%d", rolledBack))
 	t.AddRow("ports blocked after roll", fmt.Sprintf("%d", blocked))
@@ -448,6 +441,12 @@ func StormContainment(cost netsim.CostModel) (*report.Table, error) {
 	loopUtil := float64(loopBridge.CPU().Busy-loopBusy0) / float64(window)
 	farUtil := float64(farBridge.CPU().Busy-farBusy0) / float64(window)
 
+	t.Expect(stormFrames >= 1000, "no storm ignited (%d frames)", stormFrames)
+	t.Expect(2*backboneFrames <= stormFrames, "storm not contained: %d backbone vs %d pod frames", backboneFrames, stormFrames)
+	t.Expect(loopUtil >= 0.9, "loop interpreters not melted (%.0f%% util); storm too weak", 100*loopUtil)
+	// farUtil is reported only; liveness is what the ping and the stream prove.
+	t.Expect(p.Completed() == 3, "far-pod pings failed during storm: %d/3", p.Completed())
+	t.Expect(tr.Done(), "far-pod stream failed during storm")
 	t.AddRow("storm frames inside pod 0", fmt.Sprintf("%d", stormFrames))
 	t.AddRow("frames on the backbone", fmt.Sprintf("%d", backboneFrames))
 	t.AddRow("containment ratio", fmt.Sprintf("%.1fx", float64(stormFrames)/float64(backboneFrames+1)))
@@ -457,104 +456,4 @@ func StormContainment(cost netsim.CostModel) (*report.Table, error) {
 	t.AddRow("far-pod stream complete", fmt.Sprintf("%v", tr.Done()))
 	t.AddNote("the storm saturates every interpreter it reaches, but the boundary's service rate caps what escapes: far pods run hot yet keep carrying their own traffic")
 	return t, nil
-}
-
-// registerMegaScale registers the sharded-engine flagship scenarios;
-// called from RegisterAll after the paper set and the scale set.
-func registerMegaScale() {
-	scenario.Register("scale-fattree256",
-		"256-bridge fat-tree, 960 hosts: mixed ttcp/tftp/ping plus live deployment",
-		FatTree256,
-		func(t *report.Table) error {
-			if err := wantRows(8)(t); err != nil {
-				return err
-			}
-			if got := t.Rows[2][1]; got != "19/19" {
-				return fmt.Errorf("streams incomplete: %s", got)
-			}
-			if got := t.Rows[4][1]; got != "30/30" {
-				return fmt.Errorf("pings incomplete: %s", got)
-			}
-			if got := t.Rows[6][1]; got != "2" {
-				return fmt.Errorf("expected 2 network deployments, got %s", got)
-			}
-			if got := t.Rows[7][1]; got != "true" {
-				return fmt.Errorf("post-deploy stream incomplete")
-			}
-			return nil
-		}).Slow = true
-
-	scenario.Register("scale-ring8-upgrade",
-		"rolling DEC→IEEE Manager upgrade across an 8-bridge STP ring under load",
-		Ring8RollingUpgrade,
-		func(t *report.Table) error {
-			if err := wantRows(5)(t); err != nil {
-				return err
-			}
-			if got := t.Rows[0][1]; got != "8/8" {
-				return fmt.Errorf("upgrades incomplete: %s", got)
-			}
-			if got := t.Rows[1][1]; got != "0" {
-				return fmt.Errorf("unexpected rollbacks: %s", got)
-			}
-			blocked, err := cellFloat(t, 2, 1)
-			if err != nil {
-				return err
-			}
-			if blocked < 1 {
-				return fmt.Errorf("IEEE tree left the loop unbroken")
-			}
-			mb, err := cellFloat(t, 3, 1)
-			if err != nil {
-				return err
-			}
-			if mb <= 1 {
-				return fmt.Errorf("stream starved across the roll: %.1f MB", mb)
-			}
-			if got := t.Rows[4][1]; got != "5/5" {
-				return fmt.Errorf("post-roll pings incomplete: %s", got)
-			}
-			return nil
-		})
-
-	scenario.Register("scale-storm-containment",
-		"broadcast storm raging inside one pod while far pods keep working",
-		StormContainment,
-		func(t *report.Table) error {
-			if err := wantRows(7)(t); err != nil {
-				return err
-			}
-			storm, err := cellFloat(t, 0, 1)
-			if err != nil {
-				return err
-			}
-			backbone, err := cellFloat(t, 1, 1)
-			if err != nil {
-				return err
-			}
-			if storm < 1000 {
-				return fmt.Errorf("no storm ignited (%v frames)", storm)
-			}
-			if backbone*2 > storm {
-				return fmt.Errorf("storm not contained: %v backbone vs %v pod frames", backbone, storm)
-			}
-			var loopUtil, farUtil float64
-			if _, err := fmt.Sscanf(t.Rows[3][1], "%f%%", &loopUtil); err != nil {
-				return fmt.Errorf("loop util cell %q: %w", t.Rows[3][1], err)
-			}
-			if _, err := fmt.Sscanf(t.Rows[4][1], "%f%%", &farUtil); err != nil {
-				return fmt.Errorf("far util cell %q: %w", t.Rows[4][1], err)
-			}
-			if loopUtil < 90 {
-				return fmt.Errorf("loop interpreters not melted (%v%% util); storm too weak", loopUtil)
-			}
-			_ = farUtil // reported for the table; liveness is what the ping/stream rows prove
-			if got := t.Rows[5][1]; got != "3/3" {
-				return fmt.Errorf("far-pod pings failed during storm: %s", got)
-			}
-			if got := t.Rows[6][1]; got != "true" {
-				return fmt.Errorf("far-pod stream failed during storm")
-			}
-			return nil
-		})
 }

@@ -53,6 +53,7 @@ func NetworkLoad(cost netsim.CostModel) (*report.Table, error) {
 	up := workload.NewUploader(h1, b.NetLoaderAddr(), "learning.swo", enc)
 	sim.Schedule(sim.Now()+1, func() { up.Start() })
 	sim.Run(sim.Now() + netsim.Time(10*netsim.Second))
+	t.Expect(up.Done(), "upload incomplete (err=%v)", up.Err())
 	if !up.Done() {
 		t.AddNote("WARNING: upload incomplete (err=%v)", up.Err())
 		return t, nil
@@ -63,6 +64,8 @@ func NetworkLoad(cost netsim.CostModel) (*report.Table, error) {
 	sim.Schedule(sim.Now()+1, func() { _ = h1.SendTest(h2.MAC, make([]byte, 64)) })
 	sim.Run(sim.Now() + netsim.Time(200*netsim.Millisecond))
 	forwardedAfter := h2.FramesIn > got
+	t.Expect(forwardedAfter, "bridge does not forward after the network load")
+	t.Expect(b.NetLoads() == 1, "expected exactly 1 network load, got %d", b.NetLoads())
 
 	t.AddRow("switchlet object size", fmt.Sprintf("%d bytes", len(enc)))
 	t.AddRow("TFTP blocks", fmt.Sprintf("%d", len(enc)/512+1))

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/switchware/activebridge/internal/netsim"
@@ -11,254 +8,61 @@ import (
 	"github.com/switchware/activebridge/internal/scenario"
 )
 
-// tableOnly adapts an infallible table generator to a scenario RunFunc.
-func tableOnly(fn func(netsim.CostModel) *report.Table) scenario.RunFunc {
-	return func(cost netsim.CostModel) (*report.Table, error) { return fn(cost), nil }
+// agilityRing drops AgilityRing's typed result (examples/ringagility
+// reads it) to fit the registry's shape.
+func agilityRing(cost netsim.CostModel) (*report.Table, error) {
+	t, _, err := AgilityRing(cost)
+	return t, err
 }
 
-// cellFloat parses one table cell as a float64.
-func cellFloat(t *report.Table, row, col int) (float64, error) {
-	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
-		return 0, fmt.Errorf("table %q: no cell (%d,%d)", t.Title, row, col)
-	}
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		return 0, fmt.Errorf("table %q cell (%d,%d) = %q: %w", t.Title, row, col, t.Rows[row][col], err)
-	}
-	return v, nil
-}
+// registry lists every scenario in the order abbench prints them: the
+// paper's figures and tables in the paper's order, then the scale, mega
+// and chaos families. slow marks the parameter sweeps abbench -short skips.
+var registry = []struct {
+	name, desc string
+	run        scenario.RunFunc
+	slow       bool
+}{
+	{"table1-transition", "Table 1: automatic DEC→IEEE protocol transition on a 2-bridge line", Table1Transition, false},
+	{"table1-fallback", "Table 1 failure row: buggy IEEE switchlet triggers automatic fallback to DEC", Table1Fallback, false},
+	{"fig9-ping-latency", "Figure 9: ping RTT vs packet size across the four measured paths", Fig9PingLatency, false},
+	{"fig10-ttcp-throughput", "Figure 10: ttcp throughput vs write size across the four measured paths", Fig10TtcpThroughput, false},
+	{"frame-rates", "§7.3: delivered frame rate through the active bridge per frame size", FrameRates, false},
+	{"fig5-decomposition", "Figure 5 / §7.2: per-stage cost decomposition of one forwarded frame", LatencyDecomposition, false},
+	{"agility-ring", "§7.5 function agility: 3-bridge chain switches DEC→IEEE live", agilityRing, false},
+	{"netload-tftp", "§5.2 network switchlet loading over Ethernet/IP/UDP/TFTP", NetworkLoad, false},
+	{"deployment-incremental", "§5.2 incremental deployment: frontier grows one hop per switchlet upload", IncrementalDeployment, false},
+	{"scalability", "§7.4 aggregate throughput vs attached LAN pairs through one bridge", Scalability, true},
+	{"ablation-native-vs-bytecode", "Ablation: native-code switchlets vs bytecode interpretation", AblationNativeVsBytecode, true},
+	{"ablation-learning", "Ablation: dumb vs learning switchlet flood containment", AblationLearning, true},
+	{"ablation-kernel-cost", "Ablation: kernel-crossing cost sweep (the U-Net optimization axis)", AblationKernelCost, true},
+	{"ablation-gc-pressure", "Ablation: GC pressure sweep on bridge throughput", AblationGCPressure, true},
 
-// wantRows checks the table has exactly n data rows.
-func wantRows(n int) scenario.CheckFunc {
-	return func(t *report.Table) error {
-		if len(t.Rows) != n {
-			return fmt.Errorf("table %q: %d rows, want %d", t.Title, len(t.Rows), n)
-		}
-		return nil
-	}
+	{"scale-chain16", "16-bridge linear chain: latency adds per hop, throughput pipelines", Chain16, false},
+	{"scale-stp-ring", "6-bridge ring: 802.1D blocks the redundant link, traffic survives", STPRing, false},
+	{"scale-tree64", "3-level tree, 64 hosts: cross-tree reachability with subtree isolation", Tree64, false},
+	{"scale-mixed-fabric", "heterogeneous 5-hop path: repeaters + bytecode + native bridges", MixedFabric, false},
+	{"scale-hotswap", "dumb→learning switchlet swap under a live ttcp stream (§5.2 loader)", HotSwap, false},
+	{"scale-broadcast-storm", "control for stp-ring: the same loop with no spanning tree melts down", BroadcastStorm, false},
+
+	{"scale-fattree256", "256-bridge fat-tree, 960 hosts: mixed ttcp/tftp/ping plus live deployment", FatTree256, true},
+	{"scale-ring8-upgrade", "rolling DEC→IEEE Manager upgrade across an 8-bridge STP ring under load", Ring8RollingUpgrade, false},
+	{"scale-storm-containment", "broadcast storm raging inside one pod while far pods keep working", StormContainment, false},
+
+	{"chaos-lossy-deployment", "incremental switchlet deployment over seeded 5%-loss segments (TFTP retransmission)", ChaosLossyDeployment, false},
+	{"chaos-flapping-ring", "8-bridge STP ring: transit link flap under ttcp, reconvergence within the 802.1D bound", ChaosFlappingRing, true},
+	{"chaos-crash-upgrade", "bridge crash mid-validation: upgrade rolls back, restart restores the old protocol", ChaosCrashUpgrade, false},
+	{"chaos-partition-heal", "6-bridge STP ring: plan-scheduled partition and heal, no storm, invariants hold", ChaosPartitionHeal, false},
 }
 
 var registerOnce sync.Once
 
-// RegisterAll registers every reproduced paper figure/table plus the
-// large-scale scenarios with the scenario registry, in the paper's
-// presentation order. It is safe to call from multiple packages; only
-// the first call registers.
+// RegisterAll registers every scenario with the scenario registry. It is
+// safe to call from multiple packages; only the first call registers.
 func RegisterAll() {
-	registerOnce.Do(registerAll)
-}
-
-func registerAll() {
-	scenario.Register("table1-transition",
-		"Table 1: automatic DEC→IEEE protocol transition on a 2-bridge line",
-		tableOnly(Table1Transition),
-		func(t *report.Table) error {
-			if err := wantRows(5)(t); err != nil {
-				return err
-			}
-			if got := t.Rows[len(t.Rows)-1][3]; got != "complete" {
-				return fmt.Errorf("final control phase = %q, want complete", got)
-			}
-			return nil
-		})
-
-	scenario.Register("table1-fallback",
-		"Table 1 failure row: buggy IEEE switchlet triggers automatic fallback to DEC",
-		tableOnly(Table1Fallback),
-		func(t *report.Table) error {
-			if err := wantRows(2)(t); err != nil {
-				return err
-			}
-			for _, r := range t.Rows {
-				if r[2] != "yes" || r[3] != "no" || r[4] != "fallback" {
-					return fmt.Errorf("bridge %s did not fall back to DEC: %v", r[1], r)
-				}
-			}
-			return nil
-		})
-
-	scenario.Register("fig9-ping-latency",
-		"Figure 9: ping RTT vs packet size across the four measured paths",
-		tableOnly(Fig9PingLatency),
-		func(t *report.Table) error {
-			if err := wantRows(len(Fig9Sizes))(t); err != nil {
-				return err
-			}
-			for r := range t.Rows {
-				direct, err := cellFloat(t, r, 1)
-				if err != nil {
-					return err
-				}
-				act, err := cellFloat(t, r, 3)
-				if err != nil {
-					return err
-				}
-				if !(direct < act) {
-					return fmt.Errorf("row %d: direct RTT %v not below active bridge %v", r, direct, act)
-				}
-			}
-			return nil
-		})
-
-	scenario.Register("fig10-ttcp-throughput",
-		"Figure 10: ttcp throughput vs write size across the four measured paths",
-		tableOnly(Fig10TtcpThroughput),
-		func(t *report.Table) error {
-			if err := wantRows(len(Fig10Sizes))(t); err != nil {
-				return err
-			}
-			last := len(t.Rows) - 1
-			direct, err := cellFloat(t, last, 1)
-			if err != nil {
-				return err
-			}
-			act, err := cellFloat(t, last, 3)
-			if err != nil {
-				return err
-			}
-			if !(direct > act && act > 0) {
-				return fmt.Errorf("8KB throughput ordering violated: direct %v, active %v", direct, act)
-			}
-			return nil
-		})
-
-	scenario.Register("frame-rates",
-		"§7.3: delivered frame rate through the active bridge per frame size",
-		tableOnly(FrameRates),
-		func(t *report.Table) error {
-			if err := wantRows(len(FrameRateSizes))(t); err != nil {
-				return err
-			}
-			fps, err := cellFloat(t, 0, 1)
-			if err != nil {
-				return err
-			}
-			if fps <= 0 {
-				return fmt.Errorf("frame rate not positive: %v", fps)
-			}
-			return nil
-		})
-
-	scenario.Register("fig5-decomposition",
-		"Figure 5 / §7.2: per-stage cost decomposition of one forwarded frame",
-		tableOnly(LatencyDecomposition),
-		wantRows(5))
-
-	scenario.Register("agility-ring",
-		"§7.5 function agility: 3-bridge chain switches DEC→IEEE live",
-		func(cost netsim.CostModel) (*report.Table, error) {
-			t, _, err := AgilityRing(cost)
-			return t, err
-		},
-		func(t *report.Table) error {
-			if err := wantRows(2)(t); err != nil {
-				return err
-			}
-			var ieee, ping float64
-			if _, err := fmt.Sscanf(t.Rows[0][1], "%f s", &ieee); err != nil {
-				return fmt.Errorf("start-to-IEEE cell %q: %w", t.Rows[0][1], err)
-			}
-			if _, err := fmt.Sscanf(t.Rows[1][1], "%f s", &ping); err != nil {
-				return fmt.Errorf("start-to-ping cell %q: %w", t.Rows[1][1], err)
-			}
-			// Paper: transition in well under a second; pings resume only
-			// after the ~30 s forward-delay timers.
-			if ieee <= 0 || ieee > 1 || ping < 25 {
-				return fmt.Errorf("agility out of expected range: ieee=%v s ping=%v s", ieee, ping)
-			}
-			for _, n := range t.Notes {
-				if strings.HasPrefix(n, "WARNING") {
-					return fmt.Errorf("experiment incomplete: %s", n)
-				}
-			}
-			return nil
-		})
-
-	scenario.Register("netload-tftp",
-		"§5.2 network switchlet loading over Ethernet/IP/UDP/TFTP",
-		func(cost netsim.CostModel) (*report.Table, error) { return NetworkLoad(cost) },
-		func(t *report.Table) error {
-			if err := wantRows(6)(t); err != nil {
-				return err
-			}
-			if t.Rows[4][1] != "true" {
-				return fmt.Errorf("bridge did not forward after load: %v", t.Rows[4])
-			}
-			if t.Rows[5][1] != "1" {
-				return fmt.Errorf("expected exactly 1 network load, got %v", t.Rows[5])
-			}
-			return nil
-		})
-
-	scenario.Register("deployment-incremental",
-		"§5.2 incremental deployment: frontier grows one hop per switchlet upload",
-		func(cost netsim.CostModel) (*report.Table, error) { return IncrementalDeployment(cost) },
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			if got := t.Rows[3][3]; got != "4" {
-				return fmt.Errorf("final frontier %q, want all 4 probes reachable", got)
-			}
-			return nil
-		})
-
-	scenario.Register("scalability",
-		"§7.4 aggregate throughput vs attached LAN pairs through one bridge",
-		tableOnly(Scalability),
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			agg1, err := cellFloat(t, 0, 2)
-			if err != nil {
-				return err
-			}
-			agg8, err := cellFloat(t, 3, 2)
-			if err != nil {
-				return err
-			}
-			// Aggregate must saturate, not scale linearly with pairs.
-			if agg8 > 4*agg1 {
-				return fmt.Errorf("aggregate scaled from %v to %v over 8 pairs; expected interpreter saturation", agg1, agg8)
-			}
-			return nil
-		}).Slow = true
-
-	scenario.Register("ablation-native-vs-bytecode",
-		"Ablation: native-code switchlets vs bytecode interpretation",
-		tableOnly(AblationNativeVsBytecode), wantRows(3)).Slow = true
-
-	scenario.Register("ablation-learning",
-		"Ablation: dumb vs learning switchlet flood containment",
-		tableOnly(AblationLearning),
-		func(t *report.Table) error {
-			if err := wantRows(2)(t); err != nil {
-				return err
-			}
-			dumb, err := cellFloat(t, 0, 1)
-			if err != nil {
-				return err
-			}
-			learn, err := cellFloat(t, 1, 1)
-			if err != nil {
-				return err
-			}
-			if !(learn < dumb) {
-				return fmt.Errorf("learning leaked %v frames vs dumb %v; expected containment", learn, dumb)
-			}
-			return nil
-		}).Slow = true
-
-	scenario.Register("ablation-kernel-cost",
-		"Ablation: kernel-crossing cost sweep (the U-Net optimization axis)",
-		tableOnly(AblationKernelCost), wantRows(4)).Slow = true
-
-	scenario.Register("ablation-gc-pressure",
-		"Ablation: GC pressure sweep on bridge throughput",
-		tableOnly(AblationGCPressure), wantRows(4)).Slow = true
-
-	registerScale()
-	registerMegaScale()
-	registerChaos()
+	registerOnce.Do(func() {
+		for _, s := range registry {
+			scenario.Register(s.name, s.desc, s.run).Slow = s.slow
+		}
+	})
 }

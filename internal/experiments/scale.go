@@ -7,7 +7,6 @@ import (
 	"github.com/switchware/activebridge/internal/ipv4"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/report"
-	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/switchlets"
 	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/vm"
@@ -18,6 +17,29 @@ import (
 // measured configurations: multi-bridge fabrics the physical testbed
 // could not build, declared with the topology layer and registered like
 // every reproduced figure.
+
+// span declares n two-port bridges in a line (n+1 segments) or, when
+// closed, a ring (n segments), with bridge i between segments i and i+1.
+// Segments are declared before bridges and each bridge is linked to its
+// low segment first: declaration and Link order are part of the topology
+// contract, so they are part of every golden built on this.
+func span(g *topo.Graph, n int, closed bool, segPrefix string, bridge func(i int) topo.BridgeID) ([]topo.SegmentID, []topo.BridgeID) {
+	nSegs := n + 1
+	if closed {
+		nSegs = n
+	}
+	segs := make([]topo.SegmentID, nSegs)
+	for i := range segs {
+		segs[i] = g.AddSegment(fmt.Sprintf("%s%d", segPrefix, i))
+	}
+	brs := make([]topo.BridgeID, n)
+	for i := range brs {
+		brs[i] = bridge(i)
+		g.Link(brs[i], segs[i])
+		g.Link(brs[i], segs[(i+1)%nSegs])
+	}
+	return segs, brs
+}
 
 // Chain16 runs a 16-bridge linear extended LAN — the paper's two-LAN
 // testbed stretched to 17 segments — and measures end-to-end latency and
@@ -31,17 +53,9 @@ func Chain16(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chain16")
-	segs := make([]topo.SegmentID, nBridges+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i))
-	}
+	segs, _ := span(g, nBridges, false, "s", func(int) topo.BridgeID { return g.AddBridge("", topo.LearningBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge("", topo.LearningBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[i+1])
-	}
 	g.Link(h1, segs[0])
 	g.Link(h2, segs[nBridges])
 	// The ttcp stream is closed-loop (delivery at h2 releases h1's next
@@ -61,6 +75,8 @@ func Chain16(cost netsim.CostModel) (*report.Table, error) {
 	tr := workload.NewTtcp(net.Host(h1), net.Host(h2), 8192, 1<<20)
 	tr.Run(net.Sim.Now() + netsim.Time(600*netsim.Second))
 
+	t.Expect(tr.Done(), "chain transfer did not complete")
+	t.Expect(rtt > 0 && tr.ThroughputMbps() > 0, "degenerate chain metrics: rtt=%v mbps=%v", rtt, tr.ThroughputMbps())
 	t.AddRow("bridges in path", fmt.Sprintf("%d", nBridges))
 	t.AddRow("ping RTT 64B (ms)", report.Ms(rtt))
 	t.AddRow("ttcp Mb/s (8KB writes)", report.Mbps(tr.ThroughputMbps()))
@@ -81,15 +97,7 @@ func STPRing(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("stp-ring")
-	segs := make([]topo.SegmentID, nBridges)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("r%d", i))
-	}
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge("", topo.STPBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[(i+1)%nBridges])
-	}
+	segs, _ := span(g, nBridges, true, "r", func(int) topo.BridgeID { return g.AddBridge("", topo.STPBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -105,19 +113,14 @@ func STPRing(cost netsim.CostModel) (*report.Table, error) {
 	sim.MaxEvents = 5_000_000
 	sim.Run(netsim.Time(45 * netsim.Second)) // protocol convergence
 
-	blocked := 0
-	for _, b := range net.Bridges() {
-		for p := 0; p < b.NumPorts(); p++ {
-			if b.PortBlocked(p) {
-				blocked++
-			}
-		}
-	}
+	blocked := blockedPorts(net)
 
 	net.Warm(h1, h2)
 	p := workload.NewPinger(net.Host(h1), net.Host(h2).IP, 64, 5)
 	p.Run(sim.Now() + netsim.Time(60*netsim.Second))
 
+	t.Expect(blocked >= 1, "spanning tree blocked no ports: loop not broken")
+	t.Expect(p.Completed() == 5, "pings incomplete across ring: %d/5", p.Completed())
 	t.AddRow("bridges in ring", fmt.Sprintf("%d", nBridges))
 	t.AddRow("ports blocked by STP", fmt.Sprintf("%d", blocked))
 	t.AddRow("pings completed", fmt.Sprintf("%d/5", p.Completed()))
@@ -183,6 +186,8 @@ func Tree64(cost netsim.CostModel) (*report.Table, error) {
 	exch.Run(net.Sim.Now() + netsim.Time(60*netsim.Second))
 	leaked := bystander.Frames - before
 
+	t.Expect(p.Completed() == 5, "cross-tree pings incomplete: %d/5", p.Completed())
+	t.Expect(leaked == 0, "settled unicast leaked %d frames into another subtree", leaked)
 	t.AddRow("hosts", fmt.Sprintf("%d", len(hosts)))
 	t.AddRow("bridges", fmt.Sprintf("%d", 1+nMids))
 	t.AddRow("leaf LANs", fmt.Sprintf("%d", len(leaves)))
@@ -234,6 +239,7 @@ func MixedFabric(cost netsim.CostModel) (*report.Table, error) {
 	tr := workload.NewTtcp(net.Host(h1), net.Host(h2), 8192, 1<<20)
 	tr.Run(net.Sim.Now() + netsim.Time(600*netsim.Second))
 
+	t.Expect(tr.Done(), "fabric transfer did not complete")
 	t.AddRow("path", "host-rep-swl.bridge-rep-native.bridge-host")
 	t.AddRow("ping RTT 64B (ms)", report.Ms(p.MeanRTT()))
 	t.AddRow("ttcp Mb/s (8KB writes)", report.Mbps(tr.ThroughputMbps()))
@@ -305,6 +311,10 @@ func HotSwap(cost netsim.CostModel) (*report.Table, error) {
 	sim.Run(sim.Now() + netsim.Time(600*netsim.Second))
 	leakedAfter := third.Frames - leakedBefore
 
+	t.Expect(tr.Done(), "stream did not survive the swap")
+	t.Expect(b.NetLoads() == 1, "expected exactly one network load, got %d", b.NetLoads())
+	t.Expect(leakedBefore >= 10, "dumb phase leaked only %d frames; stream not flooding as expected", leakedBefore)
+	t.Expect(2*leakedAfter < leakedBefore, "swap did not contain the flood: %d leaked after vs %d before", leakedAfter, leakedBefore)
 	t.AddRow("stream complete", fmt.Sprintf("%v", tr.Done()))
 	t.AddRow("ttcp Mb/s (8KB writes)", report.Mbps(tr.ThroughputMbps()))
 	t.AddRow("switchlets loaded via network", fmt.Sprintf("%d", b.NetLoads()))
@@ -326,15 +336,7 @@ func BroadcastStorm(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("broadcast-storm")
-	segs := make([]topo.SegmentID, 3)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("loop%d", i))
-	}
-	for i := 0; i < 3; i++ {
-		b := g.AddBridge("", topo.DumbBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[(i+1)%3])
-	}
+	segs, _ := span(g, 3, true, "loop", func(int) topo.BridgeID { return g.AddBridge("", topo.DumbBridge, 2) })
 	tap := g.AddTap("storm-source", ethernet.MAC{2, 0, 0, 0, 0xdd, 1})
 	g.Link(tap, segs[0])
 	net, err := g.Build(cost)
@@ -354,143 +356,12 @@ func BroadcastStorm(cost netsim.CostModel) (*report.Table, error) {
 	sim.Schedule(1, func() { net.Tap(tap).Send(raw) })
 	executed := sim.Run(netsim.Time(10 * netsim.Second))
 
-	var frames uint64
-	for _, s := range segs {
-		frames += net.Segment(s).Frames
-	}
+	frames := frameTotal(net, segs)
+	t.Expect(frames >= 1000, "expected a storm (>1000 frames from one broadcast), got %d", frames)
 	t.AddRow("broadcasts injected", "1")
 	t.AddRow("events executed", fmt.Sprintf("%d (cap %d)", executed, eventCap))
 	t.AddRow("frames on the loop", fmt.Sprintf("%d", frames))
 	t.AddRow("virtual time elapsed (ms)", fmt.Sprintf("%.3f", float64(sim.Now())/1e6))
 	t.AddNote("one frame multiplies without bound and circulates at wire speed until the run is cut off; compare scale-stp-ring")
 	return t, nil
-}
-
-// registerScale registers the beyond-the-paper scenarios; called from
-// RegisterAll after the paper set so abbench prints the reproduction
-// first.
-func registerScale() {
-	scenario.Register("scale-chain16",
-		"16-bridge linear chain: latency adds per hop, throughput pipelines",
-		Chain16,
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			if t.Rows[3][1] != "true" {
-				return fmt.Errorf("chain transfer did not complete")
-			}
-			rtt, err := cellFloat(t, 1, 1)
-			if err != nil {
-				return err
-			}
-			mbps, err := cellFloat(t, 2, 1)
-			if err != nil {
-				return err
-			}
-			if rtt <= 0 || mbps <= 0 {
-				return fmt.Errorf("degenerate chain metrics: rtt=%v mbps=%v", rtt, mbps)
-			}
-			return nil
-		})
-
-	scenario.Register("scale-stp-ring",
-		"6-bridge ring: 802.1D blocks the redundant link, traffic survives",
-		STPRing,
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			blocked, err := cellFloat(t, 1, 1)
-			if err != nil {
-				return err
-			}
-			if blocked < 1 {
-				return fmt.Errorf("spanning tree blocked no ports: loop not broken")
-			}
-			if t.Rows[2][1] != "5/5" {
-				return fmt.Errorf("pings incomplete across ring: %s", t.Rows[2][1])
-			}
-			return nil
-		})
-
-	scenario.Register("scale-tree64",
-		"3-level tree, 64 hosts: cross-tree reachability with subtree isolation",
-		Tree64,
-		func(t *report.Table) error {
-			if err := wantRows(6)(t); err != nil {
-				return err
-			}
-			if t.Rows[4][1] != "5/5" {
-				return fmt.Errorf("cross-tree pings incomplete: %s", t.Rows[4][1])
-			}
-			leaked, err := cellFloat(t, 5, 1)
-			if err != nil {
-				return err
-			}
-			if leaked != 0 {
-				return fmt.Errorf("settled unicast leaked %v frames into another subtree", leaked)
-			}
-			return nil
-		})
-
-	scenario.Register("scale-mixed-fabric",
-		"heterogeneous 5-hop path: repeaters + bytecode + native bridges",
-		MixedFabric,
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			if t.Rows[3][1] != "true" {
-				return fmt.Errorf("fabric transfer did not complete")
-			}
-			return nil
-		})
-
-	scenario.Register("scale-hotswap",
-		"dumb→learning switchlet swap under a live ttcp stream (§5.2 loader)",
-		HotSwap,
-		func(t *report.Table) error {
-			if err := wantRows(6)(t); err != nil {
-				return err
-			}
-			if t.Rows[0][1] != "true" {
-				return fmt.Errorf("stream did not survive the swap")
-			}
-			if t.Rows[2][1] != "1" {
-				return fmt.Errorf("expected exactly one network load, got %s", t.Rows[2][1])
-			}
-			before, err := cellFloat(t, 4, 1)
-			if err != nil {
-				return err
-			}
-			after, err := cellFloat(t, 5, 1)
-			if err != nil {
-				return err
-			}
-			if before < 10 {
-				return fmt.Errorf("dumb phase leaked only %v frames; stream not flooding as expected", before)
-			}
-			if after >= before/2 {
-				return fmt.Errorf("swap did not contain the flood: %v leaked after vs %v before", after, before)
-			}
-			return nil
-		})
-
-	scenario.Register("scale-broadcast-storm",
-		"control for stp-ring: the same loop with no spanning tree melts down",
-		BroadcastStorm,
-		func(t *report.Table) error {
-			if err := wantRows(4)(t); err != nil {
-				return err
-			}
-			frames, err := cellFloat(t, 2, 1)
-			if err != nil {
-				return err
-			}
-			if frames < 1000 {
-				return fmt.Errorf("expected a storm (>1000 frames from one broadcast), got %v", frames)
-			}
-			return nil
-		})
 }

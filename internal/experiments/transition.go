@@ -32,18 +32,11 @@ func NewTransitionNet(n int, spanningSrc string, cost netsim.CostModel) (*Transi
 		tn.Logs = append(tn.Logs, fmt.Sprintf("%8.3fs %s: %s", at.Seconds(), br, msg))
 	}
 	g := topo.New("transition")
-	segs := make([]topo.SegmentID, n+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("lan%d", i))
-	}
-	bIDs := make([]topo.BridgeID, n)
-	for i := 0; i < n; i++ {
-		bIDs[i] = g.AddBridge(fmt.Sprintf("b%d", i+1), topo.AgilityBridge, 2,
+	segs, bIDs := span(g, n, false, "lan", func(i int) topo.BridgeID {
+		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.AgilityBridge, 2,
 			topo.WithSpanningSrc(spanningSrc),
 			topo.WithLogSink(sink))
-		g.Link(bIDs[i], segs[i])
-		g.Link(bIDs[i], segs[i+1])
-	}
+	})
 	inj := g.AddTap("injector", ethernet.MAC{2, 0, 0, 0, 0, 0x99})
 	g.Link(inj, segs[0])
 	net, err := g.Build(cost)
@@ -60,20 +53,7 @@ func NewTransitionNet(n int, spanningSrc string, cost netsim.CostModel) (*Transi
 
 // InjectIEEE sends the triggering 802.1D configuration BPDU.
 func (tn *TransitionNet) InjectIEEE() {
-	v := stp.Vector{
-		RootID: stp.MakeBridgeID(0x8000, tn.Injector.MAC),
-		Bridge: stp.MakeBridgeID(0x8000, tn.Injector.MAC),
-	}
-	fr := ethernet.Frame{
-		Dst: ethernet.AllBridges, Src: tn.Injector.MAC,
-		Type:    ethernet.TypeBPDU,
-		Payload: stp.EncodeIEEE(v, stp.Config{}.DefaultTimers()),
-	}
-	raw, err := fr.Marshal()
-	if err != nil {
-		panic(err) // static frame construction cannot fail
-	}
-	tn.Injector.Send(raw)
+	tn.Injector.Send(stp.RootClaimFrame(tn.Injector.MAC))
 }
 
 // Query invokes a registered Func on a bridge through its lifecycle
@@ -95,56 +75,58 @@ func (tn *TransitionNet) snapshot(b *bridge.Bridge) (dec, ieee, control string) 
 
 // Table1Transition reproduces the automatic protocol transition state
 // table. The rows sample bridge 1 at the same points Table 1 lists.
-func Table1Transition(cost netsim.CostModel) *report.Table {
+func Table1Transition(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "Table 1: automatic protocol transition (bridge 1)",
 		Header: []string{"action", "DEC", "IEEE", "control"},
 	}
 	tn, err := NewTransitionNet(2, switchlets.SpanningSrc, cost)
 	if err != nil {
-		t.AddNote("setup failed: %v", err)
-		return t
+		return nil, err
 	}
 	b := tn.Bridges[0]
-	row := func(action string) {
+	// row samples bridge 1 and holds it to the paper's Table 1 line.
+	row := func(action, wantDEC, wantIEEE, wantControl string) {
 		dec, ieee, ctl := tn.snapshot(b)
 		decS := map[string]string{"yes": "running", "no": "loaded"}[dec]
 		ieeeS := map[string]string{"yes": "running", "no": "loaded"}[ieee]
+		t.Expect(decS == wantDEC && ieeeS == wantIEEE && ctl == wantControl,
+			"%s: DEC %s, IEEE %s, control %s; paper Table 1 has %s, %s, %s",
+			action, decS, ieeeS, ctl, wantDEC, wantIEEE, wantControl)
 		t.AddRow(action, decS, ieeeS, ctl)
 	}
 
 	tn.Sim.Run(netsim.Time(40 * netsim.Second)) // DEC converges
-	row("load/start")
+	row("load/start", "running", "loaded", "monitoring")
 
 	at := tn.Sim.Now()
 	tn.Sim.Schedule(at+1, func() { tn.InjectIEEE() })
 	tn.Sim.Run(at + netsim.Time(2*netsim.Second))
-	row("recv IEEE packet")
+	row("recv IEEE packet", "loaded", "running", "transition")
 
 	tn.Sim.Run(at + netsim.Time(31*netsim.Second))
-	row("30 seconds")
+	row("30 seconds", "loaded", "running", "validating")
 
 	tn.Sim.Run(at + netsim.Time(61*netsim.Second))
-	row("60 seconds")
+	row("60 seconds", "loaded", "running", "complete")
 
 	tn.Sim.Run(at + netsim.Time(70*netsim.Second))
-	row("pass tests")
+	row("pass tests", "loaded", "running", "complete")
 
 	t.AddNote("paper Table 1 sequence: running/loaded -> suspend+capture -> start IEEE -> suppress -> tests -> terminate")
-	return t
+	return t, nil
 }
 
 // Table1Fallback runs the same experiment with the buggy 802.1D switchlet:
 // validation fails and the bridges return to the DEC protocol.
-func Table1Fallback(cost netsim.CostModel) *report.Table {
+func Table1Fallback(cost netsim.CostModel) (*report.Table, error) {
 	t := &report.Table{
 		Title:  "Table 1 (failure row): buggy IEEE switchlet triggers automatic fallback",
 		Header: []string{"when", "bridge", "DEC", "IEEE", "control"},
 	}
 	tn, err := NewTransitionNet(2, switchlets.BuggySpanningSrc, cost)
 	if err != nil {
-		t.AddNote("setup failed: %v", err)
-		return t
+		return nil, err
 	}
 	tn.Sim.Run(netsim.Time(40 * netsim.Second))
 	at := tn.Sim.Now()
@@ -152,8 +134,10 @@ func Table1Fallback(cost netsim.CostModel) *report.Table {
 	tn.Sim.Run(at + netsim.Time(90*netsim.Second))
 	for i, b := range tn.Bridges {
 		dec, ieee, ctl := tn.snapshot(b)
+		t.Expect(dec == "yes" && ieee == "no" && ctl == "fallback",
+			"b%d did not fall back to DEC: dec.running=%s ieee.running=%s control.phase=%s", i+1, dec, ieee, ctl)
 		t.AddRow("after tests", fmt.Sprintf("b%d", i+1), dec, ieee, ctl)
 	}
 	t.AddNote("paper: 'fail tests or fallback' row — stop IEEE; start DEC; no further transition without human intervention")
-	return t
+	return t, nil
 }

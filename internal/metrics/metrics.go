@@ -269,8 +269,6 @@ type Registry struct {
 
 	// publishedWall is the wall-clock instant of the last Publish.
 	publishedWall atomic.Int64
-	// publishes counts Publish calls (quiescent points observed).
-	publishes atomic.Uint64
 }
 
 // NewRegistry creates an empty registry for the named net.
@@ -462,11 +460,7 @@ func (r *Registry) Publish() {
 		}
 	}
 	r.publishedWall.Store(time.Now().UnixNano())
-	r.publishes.Add(1)
 }
-
-// Publishes reports how many quiescent-point publishes have run.
-func (r *Registry) Publishes() uint64 { return r.publishes.Load() }
 
 // --- rendering ---------------------------------------------------------------
 

@@ -1,9 +1,11 @@
-// Package trace provides the measurement plumbing of the experiment
+// Package report provides the measurement plumbing of the experiment
 // harness: aligned text tables (the form in which every reproduced figure
-// and table is emitted) and small statistics helpers.
+// and table is emitted) and the expectations a scenario states about the
+// values it put in them.
 package report
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -17,6 +19,11 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+
+	// failed holds the unmet expectations. String never renders it, so an
+	// expectation cannot move a fingerprint and a table whose run
+	// disappointed still prints.
+	failed []string
 }
 
 // AddRow appends a data row.
@@ -25,6 +32,22 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // AddNote appends an explanatory note.
 func (t *Table) AddNote(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// Expect states an invariant of the run on the measured value itself, at
+// the point the scenario has it; an unmet one is recorded for Err.
+func (t *Table) Expect(ok bool, format string, args ...interface{}) {
+	if !ok {
+		t.failed = append(t.failed, fmt.Sprintf(format, args...))
+	}
+}
+
+// Err reports the unmet expectations, nil when every one held.
+func (t *Table) Err() error {
+	if t == nil || len(t.failed) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(t.failed, "; "))
 }
 
 // String renders the table with aligned columns.
@@ -81,75 +104,3 @@ func Ms(d netsim.Duration) string { return fmt.Sprintf("%.2f", float64(d)/1e6) }
 
 // Mbps renders a float megabit rate with one decimal.
 func Mbps(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// Series accumulates samples for summary statistics.
-type Series struct {
-	vals []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N returns the sample count.
-func (s *Series) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Min returns the smallest sample (0 when empty).
-func (s *Series) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample (0 when empty).
-func (s *Series) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (nearest-rank, p in [0,100]).
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}

@@ -3,7 +3,6 @@ package report
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"github.com/switchware/activebridge/internal/netsim"
 )
@@ -52,50 +51,21 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestSeriesStats(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
-		t.Error("empty series should return zeros")
+func TestExpectIsUnrendered(t *testing.T) {
+	tbl := &Table{Title: "demo", Header: []string{"k", "v"}}
+	tbl.AddRow("rtt", "1.50")
+	clean := tbl.String()
+	tbl.Expect(true, "held")
+	if err := tbl.Err(); err != nil {
+		t.Fatalf("Err with every expectation held = %v", err)
 	}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		s.Add(v)
+	tbl.Expect(false, "rtt %d ms too slow", 7)
+	tbl.Expect(false, "second")
+	err := tbl.Err()
+	if err == nil || !strings.Contains(err.Error(), "rtt 7 ms too slow") || !strings.Contains(err.Error(), "second") {
+		t.Fatalf("Err = %v, want both unmet expectations named", err)
 	}
-	if s.N() != 5 {
-		t.Errorf("N = %d", s.N())
-	}
-	if s.Mean() != 3 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if got := s.Percentile(50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-}
-
-func TestSeriesBoundsProperty(t *testing.T) {
-	f := func(raw []int32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		// Bounded inputs: summation of extreme float64s overflows, which
-		// is not a property the measurement pipeline needs.
-		var s Series
-		for _, v := range raw {
-			s.Add(float64(v))
-		}
-		return s.Min() <= s.Mean() && s.Mean() <= s.Max() &&
-			s.Min() <= s.Percentile(50) && s.Percentile(50) <= s.Max()
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	if tbl.String() != clean {
+		t.Errorf("an unmet expectation changed the rendered table:\n%s", tbl)
 	}
 }

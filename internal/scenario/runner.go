@@ -21,7 +21,7 @@ type Result struct {
 	Fingerprint string
 	// Err is the run error (including recovered panics).
 	Err error
-	// CheckErr is the validation failure, if the scenario has a check.
+	// CheckErr names the expectations the run did not meet (Table.Err).
 	CheckErr error
 	// Wall is real elapsed time for this build on this machine; it is
 	// the only non-deterministic field.
@@ -48,9 +48,7 @@ func runOne(s *Scenario, cost netsim.CostModel) (res Result) {
 	res.Err = err
 	if err == nil {
 		res.Fingerprint = Fingerprint(tbl)
-		if s.Check != nil {
-			res.CheckErr = s.Check(tbl)
-		}
+		res.CheckErr = tbl.Err()
 	}
 	return res
 }

@@ -1,7 +1,8 @@
 // Package scenario is the registry and runner for named, self-describing
 // experiment scenarios. A scenario is a deterministic function of a cost
 // model: it builds its own simulation (typically via internal/topo),
-// drives it, and returns a rendered report.Table. Because every scenario
+// drives it, and returns a report.Table carrying both the rendered rows
+// and the expectations the run stated about them. Because every scenario
 // owns a single-threaded simulation and shares no mutable state with any
 // other, N scenarios can run concurrently across cores while each one's
 // virtual-time output stays byte-identical — only the wall clock changes.
@@ -25,12 +26,9 @@ import (
 
 // RunFunc builds, drives and reports one experiment. It must be a pure
 // function of the cost model: fresh simulation, no package-level mutable
-// state, deterministic output.
+// state, deterministic output. It states its invariants (orderings,
+// completions, paper bounds) on the values it measured with Table.Expect.
 type RunFunc func(cost netsim.CostModel) (*report.Table, error)
-
-// CheckFunc validates a scenario's finished table (shape and physical
-// invariants — orderings, completions, bounds). nil means no check.
-type CheckFunc func(t *report.Table) error
 
 // Scenario is one registered experiment.
 type Scenario struct {
@@ -40,8 +38,6 @@ type Scenario struct {
 	Desc string
 	// Run produces the scenario's table.
 	Run RunFunc
-	// Check validates the finished table; nil skips validation.
-	Check CheckFunc
 	// Slow marks scenarios skipped by abbench -short (parameter sweeps).
 	Slow bool
 }
@@ -60,7 +56,7 @@ func NewRegistry() *Registry { return &Registry{} }
 // Register adds a scenario and returns it (so callers can set Slow).
 // Registering an empty name, a nil run function, or a duplicate name is
 // a programming bug and panics.
-func (r *Registry) Register(name, desc string, run RunFunc, check CheckFunc) *Scenario {
+func (r *Registry) Register(name, desc string, run RunFunc) *Scenario {
 	if name == "" || run == nil {
 		panic("scenario: Register needs a name and a run function")
 	}
@@ -72,7 +68,7 @@ func (r *Registry) Register(name, desc string, run RunFunc, check CheckFunc) *Sc
 	if _, dup := r.byKey[name]; dup {
 		panic(fmt.Sprintf("scenario: %q registered twice", name))
 	}
-	s := &Scenario{Name: name, Desc: desc, Run: run, Check: check}
+	s := &Scenario{Name: name, Desc: desc, Run: run}
 	r.byKey[name] = s
 	r.order = append(r.order, s)
 	return s
@@ -126,8 +122,8 @@ func (r *Registry) Match(pattern string) ([]*Scenario, error) {
 var Default = NewRegistry()
 
 // Register adds a scenario to the Default registry.
-func Register(name, desc string, run RunFunc, check CheckFunc) *Scenario {
-	return Default.Register(name, desc, run, check)
+func Register(name, desc string, run RunFunc) *Scenario {
+	return Default.Register(name, desc, run)
 }
 
 // Lookup finds a scenario in the Default registry.

@@ -1,8 +1,8 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/switchware/activebridge/internal/netsim"
@@ -22,8 +22,8 @@ func fakeRun(name string) RunFunc {
 
 func TestRegistryOrderAndLookup(t *testing.T) {
 	r := NewRegistry()
-	r.Register("b-second", "2", fakeRun("b"), nil)
-	r.Register("a-first", "1", fakeRun("a"), nil)
+	r.Register("b-second", "2", fakeRun("b"))
+	r.Register("a-first", "1", fakeRun("a"))
 	all := r.All()
 	if len(all) != 2 || all[0].Name != "b-second" || all[1].Name != "a-first" {
 		t.Fatalf("All() not in registration order: %v", all)
@@ -46,13 +46,13 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 
 func TestRegisterDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Register("dup", "", fakeRun("dup"), nil)
+	r.Register("dup", "", fakeRun("dup"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on duplicate registration")
 		}
 	}()
-	r.Register("dup", "", fakeRun("dup"), nil)
+	r.Register("dup", "", fakeRun("dup"))
 }
 
 func TestRunAllOrderAndFingerprints(t *testing.T) {
@@ -118,18 +118,28 @@ func TestRunAllRecoversPanic(t *testing.T) {
 }
 
 func TestRunAllChecks(t *testing.T) {
-	wantErr := errors.New("shape wrong")
 	scs := []*Scenario{{
-		Name:  "checked",
-		Run:   fakeRun("checked"),
-		Check: func(*report.Table) error { return wantErr },
+		Name: "checked",
+		Run: func(netsim.CostModel) (*report.Table, error) {
+			tbl := fakeTable("checked")
+			tbl.Expect(true, "held")
+			tbl.Expect(false, "shape wrong: got %d", 7)
+			return tbl, nil
+		},
 	}}
-	rs := RunAll(scs, netsim.DefaultCostModel(), 1)
-	if !errors.Is(rs[0].CheckErr, wantErr) || rs[0].OK() {
-		t.Fatalf("check error not propagated: %+v", rs[0])
+	r := RunAll(scs, netsim.DefaultCostModel(), 1)[0]
+	if r.Err != nil {
+		t.Fatalf("an unmet expectation must not be a run error: %v", r.Err)
 	}
-	if rs[0].Err != nil {
-		t.Fatalf("check failure must not be a run error: %v", rs[0].Err)
+	if r.CheckErr == nil || !strings.Contains(r.CheckErr.Error(), "shape wrong: got 7") || r.OK() {
+		t.Fatalf("unmet expectation not reported: %+v", r)
+	}
+	if r.Table == nil {
+		t.Fatal("table dropped: a disappointed run must still print")
+	}
+	// Expectations are unrendered: the failure cannot move the digest.
+	if want := Fingerprint(fakeTable("checked")); r.Fingerprint == "" || r.Fingerprint != want {
+		t.Fatalf("fingerprint %q, want the clean table's %q", r.Fingerprint, want)
 	}
 }
 

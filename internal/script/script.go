@@ -283,14 +283,7 @@ func (w *World) Exec(f []string) error {
 		}
 		nic := netsim.NewNIC(w.Sim, "injector", ethernet.MAC{2, 0, 0, 0, 0xff, 0xfe})
 		seg.Attach(nic)
-		v := stp.Vector{RootID: stp.MakeBridgeID(0x8000, nic.MAC), Bridge: stp.MakeBridgeID(0x8000, nic.MAC)}
-		fr := ethernet.Frame{Dst: ethernet.AllBridges, Src: nic.MAC, Type: ethernet.TypeBPDU,
-			Payload: stp.EncodeIEEE(v, stp.Config{}.DefaultTimers())}
-		raw, err := fr.Marshal()
-		if err != nil {
-			return err
-		}
-		w.Sim.Schedule(w.Sim.Now()+1, func() { nic.Send(raw) })
+		w.Sim.Schedule(w.Sim.Now()+1, func() { nic.Send(stp.RootClaimFrame(nic.MAC)) })
 		w.Sim.Run(w.Sim.Now() + netsim.Time(100*netsim.Millisecond))
 	case "query":
 		if len(f) != 3 {
@@ -356,14 +349,15 @@ func (w *World) Exec(f []string) error {
 		if len(f) == 2 {
 			return w.bridgeStats(f[1])
 		}
-		for name, b := range w.Bridges {
-			s := b.Stats
+		for _, name := range sortedNames(w.Bridges) {
+			s := w.Bridges[name].Stats
 			w.printf("%s: in=%d delivered=%d sent=%d suppressed=%d/%d drops=%d traps=%d vm=%v kernel=%v\n",
 				name, s.FramesIn, s.FramesDelivered, s.FramesSent,
 				s.InputSuppressed, s.OutputBlocked, s.NoHandlerDrops, s.HandlerTraps,
 				s.VMTime, s.KernelTime)
 		}
-		for name, h := range w.Hosts {
+		for _, name := range sortedNames(w.Hosts) {
+			h := w.Hosts[name]
 			w.printf("%s: out=%d in=%d echoes-answered=%d\n", name, h.FramesOut, h.FramesIn, h.EchoRequests)
 		}
 	case "fail", "heal":
@@ -453,7 +447,7 @@ func (w *World) setFault(name string, down bool) error {
 		seg.SetDown(down)
 		fault.NoteFlap()
 		if down {
-			for _, bn := range w.sortedBridgeNames() {
+			for _, bn := range sortedNames(w.Bridges) {
 				b := w.Bridges[bn]
 				for p := 0; p < b.NumPorts(); p++ {
 					if b.Port(p).Segment() == seg {
@@ -501,17 +495,12 @@ func downWord(down bool) string {
 // listFaults prints the fault state of every element, sorted by name so
 // scripts can assert on the output.
 func (w *World) listFaults() {
-	names := make([]string, 0, len(w.Segments))
-	for n := range w.Segments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(w.Segments) {
 		seg := w.Segments[n]
 		w.printf("segment %s: %s dropped=%d corrupted=%d duplicated=%d\n",
 			n, downWord(seg.Down()), seg.FaultDrops, seg.FaultCorrupts, seg.FaultDups)
 	}
-	for _, n := range w.sortedBridgeNames() {
+	for _, n := range sortedNames(w.Bridges) {
 		b := w.Bridges[n]
 		state := "running"
 		if b.Crashed() {
@@ -522,9 +511,11 @@ func (w *World) listFaults() {
 	}
 }
 
-func (w *World) sortedBridgeNames() []string {
-	names := make([]string, 0, len(w.Bridges))
-	for n := range w.Bridges {
+// sortedNames lists a name-keyed node table in name order, so scripts can
+// assert on whatever is printed from it.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m { //ab:mapiter-ok keys are sorted before use
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -369,3 +369,31 @@ verify spanning
 		t.Error("verify of an unknown switchlet must fail")
 	}
 }
+
+// TestStatsOutputIsOrdered pins `stats` to name order, bridges before
+// hosts: twenty fresh worlds (twenty map seeds) must print identical bytes.
+func TestStatsOutputIsOrdered(t *testing.T) {
+	const src = `
+segment lan
+bridge br2 lan
+bridge br0 lan
+bridge br1 lan
+host h3 lan 10.0.0.3
+host h1 lan 10.0.0.1
+host h2 lan 10.0.0.2
+stats
+`
+	first := mustRun(t, src)
+	var order []string
+	for _, ln := range strings.Split(strings.TrimSpace(first), "\n") {
+		order = append(order, ln[:strings.Index(ln, ":")])
+	}
+	if got, want := strings.Join(order, " "), "br0 br1 br2 h1 h2 h3"; got != want {
+		t.Fatalf("stats order %q, want %q\n%s", got, want, first)
+	}
+	for i := 1; i < 20; i++ {
+		if out := mustRun(t, src); out != first {
+			t.Fatalf("world %d printed stats differently:\n%s\nfirst:\n%s", i, out, first)
+		}
+	}
+}

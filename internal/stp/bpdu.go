@@ -3,6 +3,8 @@ package stp
 import (
 	"encoding/binary"
 	"errors"
+
+	"github.com/switchware/activebridge/internal/ethernet"
 )
 
 // IEEE 802.1D configuration BPDU layout (35 bytes):
@@ -52,6 +54,20 @@ func EncodeIEEE(v Vector, c Config) []byte {
 	put256ths(31, int64(c.HelloTime))
 	put256ths(33, int64(c.ForwardDelay))
 	return b
+}
+
+// RootClaimFrame is the frame that starts the §5.4 transition: an 802.1D
+// configuration BPDU, marshalled to the All Bridges address, from a
+// station claiming to be root at the default priority and timers.
+func RootClaimFrame(station ethernet.MAC) []byte {
+	id := MakeBridgeID(0x8000, station)
+	fr := ethernet.Frame{Dst: ethernet.AllBridges, Src: station, Type: ethernet.TypeBPDU,
+		Payload: EncodeIEEE(Vector{RootID: id, Bridge: id}, Config{}.DefaultTimers())}
+	raw, err := fr.Marshal()
+	if err != nil {
+		panic(err) // a 35-byte payload cannot be a long frame
+	}
+	return raw
 }
 
 // DecodeIEEE parses an 802.1D configuration BPDU.

@@ -14,18 +14,7 @@ import (
 // and proposes compiling switchlets to native code; these implementations
 // are that design point, charged at CostModel.NativePerFrame instead of by
 // interpreter accounting. The benchmarks use them as the ablation baseline
-// (BenchmarkAblationNativeVsBytecode).
-
-// InstallNativeDumb installs a native buffered repeater.
-func InstallNativeDumb(b *bridge.Bridge) {
-	b.SetNativeHandler("native-dumb", func(data []byte, inPort int) {
-		for i := 0; i < b.NumPorts(); i++ {
-			if i != inPort {
-				b.SendBytes(i, data, false)
-			}
-		}
-	})
-}
+// (the ablation-native-vs-bytecode scenario).
 
 // NativeLearning is the native self-learning bridge.
 type NativeLearning struct {

@@ -64,9 +64,6 @@ func (p *Plan) HostShard(id HostID) int { return p.hostShard[id] }
 // BridgeShard reports a bridge's assigned shard.
 func (p *Plan) BridgeShard(id BridgeID) int { return p.bridgeShard[id] }
 
-// SegmentOwner reports the shard a segment lives in.
-func (p *Plan) SegmentOwner(id SegmentID) int { return p.segOwner[id] }
-
 // Cuts reports how many segments the plan cuts (attachments in more than
 // one shard).
 func (p *Plan) Cuts(g *Graph) int {

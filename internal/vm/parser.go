@@ -36,24 +36,6 @@ func ParseModule(name, src string) (*Module, error) {
 	return m, nil
 }
 
-// ParseExpr parses a single expression (used by tests and the REPL-style
-// helpers).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tokEOF, "") {
-		return nil, p.errf("trailing input %q", p.cur().text)
-	}
-	return e, nil
-}
-
 func (p *parser) cur() token  { return p.toks[p.i] }
 func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
 

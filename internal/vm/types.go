@@ -52,9 +52,6 @@ var (
 // TRef builds the reference type (t) ref.
 func TRef(t Type) Type { return &TCon{Name: "ref", Args: []Type{t}} }
 
-// THashtbl builds the (k, v) hashtbl type.
-func THashtbl(k, v Type) Type { return &TCon{Name: "hashtbl", Args: []Type{k, v}} }
-
 // TTuple builds a tuple type.
 func TTuple(elems ...Type) Type { return &TCon{Name: "tuple", Args: elems} }
 

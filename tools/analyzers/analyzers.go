@@ -82,8 +82,10 @@ func All() []*Analyzer {
 }
 
 // deterministicSet lists the package path suffixes (relative to the module
-// root) whose behavior feeds the golden fingerprints: everything that runs
-// under virtual time. An exact-path match or any nested package counts.
+// root) whose behavior feeds the golden fingerprints or a transcript a
+// script asserts on: everything that runs under virtual time and everything
+// that prints what it measured. An exact-path match or any nested package
+// counts.
 var deterministicSet = []string{
 	"internal/netsim",
 	"internal/vm",
@@ -91,6 +93,10 @@ var deterministicSet = []string{
 	"internal/topo",
 	"internal/fault",
 	"internal/scenario",
+	"internal/script",
+	"internal/experiments",
+	"internal/report",
+	"internal/workload",
 }
 
 // InDeterministicSet reports whether importPath is part of the virtual-time
