@@ -1,5 +1,8 @@
 // abbench regenerates the tables and figures of the paper's evaluation
-// from the scenario registry and prints them.
+// from the scenario registry and prints them. It is only the table
+// printer: the metrics and tracing planes are switched on and read
+// through the SDK (activebridge.EnableMetrics/ServeMetrics,
+// EnableTracing/WriteTrace).
 //
 //	-list          print every registered scenario and exit
 //	-run regexp    run only scenarios whose names match
@@ -9,23 +12,12 @@
 //	-json          emit one entry per scenario (fingerprint, wall time,
 //	               ok) as machine-readable JSON; timing that backs a
 //	               claim is bench/'s job, not this tool's
-//	-metrics-addr A  serve the live metrics plane on A while scenarios
-//	               run: Prometheus text on /metrics, JSON on /snapshot
-//	-metrics-linger D  keep serving -metrics-addr for D after the run,
-//	               so external scrapers (CI curl) can't lose the race
-//	               against a fast batch
 //	-faults seed   apply the blanket chaos profile (1% loss, 0.2%
 //	               corruption, 0.2% duplication on every segment) to
 //	               every scenario, seeded for exact replay; injected
 //	               totals land in the JSON "faults" section. Scenario
 //	               self-checks may legitimately fail under chaos — the
 //	               fingerprints stay deterministic per seed regardless
-//	-trace F       enable the causal tracing plane for every scenario and
-//	               write one Chrome trace-event JSON (open in Perfetto or
-//	               chrome://tracing) covering every traced net to F
-//	-trace-sample P  head-based sampling probability for -trace; the
-//	               decision is deterministic per trace ID, so a sampled
-//	               transcript is identical at any shard count
 //
 // All virtual-time metrics are deterministic and identical on any
 // machine and any -parallel setting; the wall times in -json output
@@ -37,15 +29,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/switchware/activebridge/internal/experiments"
 	"github.com/switchware/activebridge/internal/fault"
-	"github.com/switchware/activebridge/internal/metrics"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/topo"
-	"github.com/switchware/activebridge/internal/tracing"
 )
 
 // scenarioResult is one registry scenario's outcome.
@@ -84,11 +73,7 @@ func main() {
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	runPat := flag.String("run", "", "run only scenarios whose names match this regexp")
 	parallel := flag.Int("parallel", 1, "scenarios run concurrently (0 = one per core)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live metrics plane on this address (/metrics, /snapshot)")
-	metricsLinger := flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the run")
 	faultsSeed := flag.Uint64("faults", 0, "apply the seeded blanket chaos profile to every scenario (0 = off)")
-	traceOut := flag.String("trace", "", "enable the causal tracing plane and write a Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
-	traceSample := flag.Float64("trace-sample", 1.0, "head-based sampling probability for -trace (0..1, deterministic per trace ID)")
 	flag.Parse()
 	cost := netsim.DefaultCostModel()
 
@@ -98,38 +83,6 @@ func main() {
 			Model: fault.DefaultChaosModel(),
 		}
 		fault.ResetTotals()
-	}
-
-	if *traceOut != "" {
-		tracing.SetDefaultConfig(tracing.Config{Seed: 1, SampleProb: *traceSample})
-		tracing.Enable()
-		defer func() {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "abbench: -trace: %v\n", err)
-				return
-			}
-			defer f.Close()
-			trs := tracing.DefaultHub.Tracers()
-			for _, tr := range trs {
-				tr.Flush()
-			}
-			if err := tracing.WriteChromeAll(f, trs); err != nil {
-				fmt.Fprintf(os.Stderr, "abbench: -trace: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "abbench: wrote trace for %d net(s) to %s\n", len(trs), *traceOut)
-		}()
-	}
-	if *metricsAddr != "" {
-		metrics.Enable()
-		srv, err := metrics.Serve(*metricsAddr, metrics.DefaultHub)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abbench: -metrics-addr: %v\n", err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "abbench: metrics on http://%s/metrics (json: /snapshot)\n", srv.Addr())
 	}
 
 	experiments.RegisterAll()
@@ -184,13 +137,6 @@ func main() {
 			Crashes: tot.Crashes, Restarts: tot.Restarts,
 		}
 	}
-	linger := func() {
-		if *metricsAddr != "" && *metricsLinger > 0 {
-			fmt.Fprintf(os.Stderr, "abbench: lingering %v for scrapers\n", *metricsLinger)
-			time.Sleep(*metricsLinger)
-		}
-	}
-
 	if *jsonOut {
 		results := scenario.RunAll(scs, cost, *parallel)
 		rep := benchReport{Schema: "abbench/v3"}
@@ -214,7 +160,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		linger()
 		// A failed scenario must fail the process in JSON mode too, so CI
 		// cannot commit a BENCH_*.json with broken entries.
 		for _, sr := range rep.Scenarios {
@@ -249,7 +194,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "faults (seed %d): dropped=%d corrupted=%d duplicated=%d flaps=%d crashes=%d restarts=%d\n",
 			fr.Seed, fr.Drops, fr.Corrupts, fr.Dups, fr.Flaps, fr.Crashes, fr.Restarts)
 	}
-	linger()
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "abbench: %d of %d scenarios failed\n", failed, len(scs))
 		os.Exit(1)

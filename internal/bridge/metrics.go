@@ -86,7 +86,7 @@ func (b *Bridge) Instrument(reg *metrics.Registry, ls metrics.Labels) {
 	// re-enumerated at every publish. The value is the install instant
 	// in virtual seconds.
 	reg.Dynamic("ab_bridge_switchlet_info", "installed switchlet versions (value: install time, virtual seconds)",
-		metrics.KindGauge, func(emit func(metrics.Labels, float64)) {
+		func(emit func(metrics.Labels, float64)) {
 			for _, inst := range m.List() {
 				emit(ls.With("module", inst.Manifest.Name).With("version", inst.Manifest.Version.String()),
 					inst.At.Seconds())

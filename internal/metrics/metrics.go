@@ -1,29 +1,30 @@
-// Package metrics is the live telemetry plane of the reproduction: an
-// allocation-conscious registry of typed instruments every layer
-// publishes into, served to wall-clock observers without perturbing
-// virtual time.
+// Package metrics is the live telemetry plane of the reproduction: a
+// registry of instruments every layer publishes into, served to
+// wall-clock observers without perturbing virtual time.
 //
-// The design splits every instrument into two storages:
+// Nearly every instrument is a sampler: a closure over state the
+// simulation already keeps (bridge.Stats, NIC and engine counters),
+// read by Registry.Publish at quiescent points only — after a serial
+// Sim.Run drains, or in a netsim.Coordinator.OnQuiesce callback when
+// the simulation is sharded — into an atomically published cell.
+// Dynamic gauge families are sampled the same way, for populations that
+// change during a run.
 //
-//   - a live cell, written only by the engine goroutine that owns the
-//     instrumented component (plain stores, no locks, no allocation —
-//     Counter.Add/Gauge.Set/Histogram.Observe are safe on the frame fast
-//     path and cost nothing the event loop can notice);
-//   - a published cell (atomics), copied from the live cell by
-//     Registry.Publish at quiescent points only — after a serial
-//     Sim.Run drains, or in a netsim.Coordinator.OnQuiesce callback
-//     when the simulation is sharded.
+// Histograms are the one instrument with two storages: a live cell
+// written only by the goroutine that owns the observing component
+// (Histogram.Observe: plain stores, no locks, no allocation), copied
+// into a published snapshot by Publish. Their two producers are the
+// ping reply path and the tracer's quiescent merge.
 //
 // Wall-clock readers (the /metrics and /snapshot HTTP endpoints, the
 // in-process Snapshot API) touch only the published cells, so a scraper
 // can never contend with a running simulation: the hot path takes no
 // lock, and collection happens exactly when every shard is parked.
-// Because instruments either observe existing state through sample
-// closures or are plain Go counter increments, enabling metrics never
-// schedules an event, never advances a clock, and never changes a
-// virtual-time output — the golden-fingerprint suite pins that a
-// metrics-on run is byte-identical to a metrics-off run at any shard
-// count.
+// Because samplers only read and histogram observations are plain Go
+// stores, enabling metrics never schedules an event, never advances a
+// clock, and never changes a virtual-time output — the
+// golden-fingerprint suite pins that a metrics-on run is byte-identical
+// to a metrics-off run at any shard count.
 //
 // # Naming scheme
 //
@@ -42,16 +43,14 @@
 // # Adding a metric
 //
 // From a scenario or switchlet harness, grab the net's registry and
-// register either a live instrument or a sampler:
+// register samplers over state the component already keeps:
 //
 //	reg := net.Metrics() // non-nil once EnableMetrics ran
-//	hits := reg.Counter("ab_myproto_hits_total", "frames my handler claimed",
-//	    metrics.Labels{{Name: "net", Value: "demo"}})
-//	...
-//	hits.Inc() // from the handler: single-writer, 0 allocs
-//
+//	ls := metrics.Labels{{Name: "net", Value: "demo"}}
+//	reg.SampleCounter("ab_myproto_hits_total", "frames my handler claimed",
+//	    ls, func() float64 { return float64(proto.hits) })
 //	reg.SampleGauge("ab_myproto_table_size", "entries in my table",
-//	    labels, func() float64 { return float64(len(table)) })
+//	    ls, func() float64 { return float64(len(table)) })
 //
 // Samplers run at quiescent points on the publishing goroutine, so they
 // may read any simulation state without synchronization.
@@ -138,40 +137,11 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// Counter is a monotonically increasing count. It is single-writer: only
-// the goroutine owning the instrumented component may call Add/Inc (the
-// engine-local discipline every simulation component already follows).
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the live count (owner goroutine only).
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a point-in-time value. Single-writer, like Counter.
-type Gauge struct {
-	v float64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the live value (owner goroutine only).
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram is a fixed-bucket distribution. The bucket layout is frozen
 // at registration; Observe is a bounded linear scan over a slice that
 // never reallocates, so steady-state observation is allocation-free.
-// Single-writer, like Counter.
+// It is single-writer: only the goroutine owning the observing
+// component may call Observe.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf is implicit
 	counts []uint64  // len(bounds)+1, cumulative only at render time
@@ -204,9 +174,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the live observation count (owner goroutine only).
-func (h *Histogram) Count() uint64 { return h.count }
-
 // histSnap is an immutable published copy of a histogram.
 type histSnap struct {
 	counts []uint64
@@ -214,21 +181,13 @@ type histSnap struct {
 	count  uint64
 }
 
-// DynamicPoint is one series emitted by a dynamic family's callback.
-type DynamicPoint struct {
-	Labels Labels
-	Value  float64
-}
-
 // series is one registered time series of a family.
 type series struct {
 	labels string // rendered
 
-	// Exactly one live source is set.
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	sample  func() float64
+	// Exactly one source is set.
+	hist   *Histogram
+	sample func() float64
 
 	// Published cells, written by Publish, read by renderers.
 	pub     atomic.Uint64 // math.Float64bits of the scalar value
@@ -349,20 +308,6 @@ func (r *Registry) addSeries(name, help string, kind Kind, ls Labels, s *series)
 	f.series = append(f.series, s)
 }
 
-// Counter registers and returns a live counter series.
-func (r *Registry) Counter(name, help string, ls Labels) *Counter {
-	c := &Counter{}
-	r.addSeries(name, help, KindCounter, ls, &series{counter: c})
-	return c
-}
-
-// Gauge registers and returns a live gauge series.
-func (r *Registry) Gauge(name, help string, ls Labels) *Gauge {
-	g := &Gauge{}
-	r.addSeries(name, help, KindGauge, ls, &series{gauge: g})
-	return g
-}
-
 // Histogram registers a live histogram with the given ascending bucket
 // upper bounds (+Inf is implicit).
 func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Histogram {
@@ -403,19 +348,15 @@ func (r *Registry) SampleGauge(name, help string, ls Labels, fn func() float64) 
 	r.addSeries(name, help, KindGauge, ls, &series{sample: fn})
 }
 
-// Dynamic registers an emitter into a family whose series set is
+// Dynamic registers an emitter into a gauge family whose series set is
 // re-enumerated at every Publish — for populations that change during a
 // run, like the installed-switchlet version set of a bridge. Several
 // components may register emitters into the same family (one per
-// bridge, say); each emitter's label sets must stay distinct. kind must
-// be KindGauge or KindCounter.
-func (r *Registry) Dynamic(name, help string, kind Kind, fn func(emit func(Labels, float64))) {
-	if kind == KindHistogram {
-		panic("metrics: dynamic histogram families are not supported")
-	}
+// bridge, say); each emitter's label sets must stay distinct.
+func (r *Registry) Dynamic(name, help string, fn func(emit func(Labels, float64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kind)
+	f := r.familyFor(name, help, KindGauge)
 	if len(f.series) > 0 {
 		panic("metrics: " + name + " already has static series")
 	}
@@ -450,11 +391,7 @@ func (r *Registry) Publish() {
 					count:  s.hist.count,
 				}
 				s.histPub.Store(snap)
-			case s.counter != nil:
-				s.pub.Store(math.Float64bits(float64(s.counter.v)))
-			case s.gauge != nil:
-				s.pub.Store(math.Float64bits(s.gauge.v))
-			case s.sample != nil:
+			default:
 				s.pub.Store(math.Float64bits(s.sample()))
 			}
 		}
@@ -535,12 +472,22 @@ func flattenHist(f *family, s *series, visit func(name, labels string, v float64
 // cells; it never blocks a running simulation.
 func (r *Registry) RenderText(sb *strings.Builder) {
 	r.renderFamilies(func(name, help string, kind Kind, rows []string) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for _, row := range rows {
-			sb.WriteString(row)
-			sb.WriteByte('\n')
-		}
+		writeFamily(sb, name, help, kind, rows)
 	})
+}
+
+// helpEscaper escapes HELP text the way exposition format 0.0.4
+// requires: backslash as \\ and newline as \n.
+var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+
+// writeFamily writes one family's # HELP and # TYPE lines followed by
+// its sample rows — the one writer behind both text expositions.
+func writeFamily(sb *strings.Builder, name, help string, kind Kind, rows []string) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, kind)
+	for _, row := range rows {
+		sb.WriteString(row)
+		sb.WriteByte('\n')
+	}
 }
 
 // withLe splices an le="<bound>" label into a rendered label set.
@@ -708,24 +655,20 @@ func (h *Hub) RenderText() string {
 	var sb strings.Builder
 	for _, name := range order {
 		fe := fams[name]
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", name, fe.help, name, fe.kind)
-		for _, row := range fe.rows {
-			sb.WriteString(row)
-			sb.WriteByte('\n')
-		}
+		writeFamily(&sb, name, fe.help, fe.kind, fe.rows)
 	}
 	return sb.String()
 }
 
-// DefaultHub is the process-wide hub abbench and the SDK serve.
+// DefaultHub is the process-wide hub the SDK's ServeMetrics serves.
 var DefaultHub = &Hub{}
 
 // enabled is the process-wide opt-in: when set, topo.Build instruments
 // every materialized net and attaches it to DefaultHub.
 var enabled atomic.Bool
 
-// Enable turns the metrics plane on process-wide (abbench
-// -metrics-addr/-metrics-out, activebridge.EnableMetrics).
+// Enable turns the metrics plane on process-wide
+// (activebridge.EnableMetrics).
 func Enable() { enabled.Store(true) }
 
 // SetEnabled sets the process-wide opt-in explicitly (tests restore the

@@ -15,15 +15,18 @@ func testLabels() Labels {
 	return Labels{{Name: "net", Value: "t"}}
 }
 
+func zero() float64 { return 0 }
+
 func TestCounterGaugeHistogramPublish(t *testing.T) {
 	r := NewRegistry("t")
-	c := r.Counter("ab_test_frames_total", "frames", testLabels())
-	g := r.Gauge("ab_test_depth", "depth", testLabels())
+	frames, depth := uint64(0), 0.0
+	r.SampleCounter("ab_test_frames_total", "frames", testLabels(), func() float64 { return float64(frames) })
+	r.SampleGauge("ab_test_depth", "depth", testLabels(), func() float64 { return depth })
 	h := r.Histogram("ab_test_rtt_ms", "rtt", testLabels(), []float64{1, 5, 10})
 
-	c.Add(3)
-	c.Inc()
-	g.Set(7.5)
+	frames += 3
+	frames++
+	depth = 7.5
 	h.Observe(0.5)
 	h.Observe(6)
 	h.Observe(100)
@@ -78,7 +81,7 @@ func TestSampledInstrumentsReadAtPublish(t *testing.T) {
 func TestDynamicFamily(t *testing.T) {
 	r := NewRegistry("t")
 	mods := []string{"learning"}
-	r.Dynamic("ab_test_switchlet_info", "installed", KindGauge, func(emit func(Labels, float64)) {
+	r.Dynamic("ab_test_switchlet_info", "installed", func(emit func(Labels, float64)) {
 		for _, m := range mods {
 			emit(Labels{{Name: "module", Value: m}}, 1)
 		}
@@ -99,21 +102,21 @@ func TestRegistrationMisusePanics(t *testing.T) {
 		name string
 		fn   func(r *Registry)
 	}{
-		{"bad name", func(r *Registry) { r.Gauge("1bad", "", nil) }},
-		{"counter without _total", func(r *Registry) { r.Counter("ab_test_frames", "", nil) }},
+		{"bad name", func(r *Registry) { r.SampleGauge("1bad", "", nil, zero) }},
+		{"counter without _total", func(r *Registry) { r.SampleCounter("ab_test_frames", "", nil, zero) }},
 		{"duplicate series", func(r *Registry) {
-			r.Gauge("ab_test_g", "", nil)
-			r.Gauge("ab_test_g", "", nil)
+			r.SampleGauge("ab_test_g", "", nil, zero)
+			r.SampleGauge("ab_test_g", "", nil, zero)
 		}},
 		{"kind clash", func(r *Registry) {
-			r.Gauge("ab_test_g", "", nil)
-			r.SampleCounter("ab_test_g", "", testLabels(), func() float64 { return 0 })
+			r.SampleGauge("ab_test_g", "", nil, zero)
+			r.SampleCounter("ab_test_g", "", testLabels(), zero)
 		}},
-		{"bad label", func(r *Registry) { r.Gauge("ab_test_g", "", Labels{{Name: "1x", Value: "v"}}) }},
+		{"bad label", func(r *Registry) { r.SampleGauge("ab_test_g", "", Labels{{Name: "1x", Value: "v"}}, zero) }},
 		{"descending bounds", func(r *Registry) { r.Histogram("ab_test_h", "", nil, []float64{2, 1}) }},
 		{"help clash", func(r *Registry) {
-			r.Gauge("ab_test_g", "one thing", testLabels())
-			r.Gauge("ab_test_g", "another thing", testLabels().With("x", "y"))
+			r.SampleGauge("ab_test_g", "one thing", testLabels(), zero)
+			r.SampleGauge("ab_test_g", "another thing", testLabels().With("x", "y"), zero)
 		}},
 		{"bucket layout clash", func(r *Registry) {
 			r.Histogram("ab_test_h", "", testLabels(), []float64{1, 2, 3})
@@ -132,51 +135,55 @@ func TestRegistrationMisusePanics(t *testing.T) {
 	}
 }
 
-// TestInstrumentUpdateAllocBudget pins the hot-path contract: updating a
-// live instrument allocates nothing, so instruments may sit on the frame
-// fast path without perturbing the zero-allocation budgets.
+// TestInstrumentUpdateAllocBudget pins the hot-path contract of the one
+// live instrument: observing into a histogram allocates nothing, so the
+// ping reply path and the tracer's merge may feed it without perturbing
+// the zero-allocation budgets.
 func TestInstrumentUpdateAllocBudget(t *testing.T) {
 	r := NewRegistry("t")
-	c := r.Counter("ab_test_frames_total", "", nil)
-	g := r.Gauge("ab_test_depth", "", nil)
 	h := r.Histogram("ab_test_rtt_ms", "", nil, []float64{1, 2, 4, 8, 16, 32, 64})
 	if allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(1.5)
 		h.Observe(7)
 	}); allocs != 0 {
-		t.Fatalf("instrument updates alloc %v/op, want 0", allocs)
+		t.Fatalf("histogram observation allocs %v/op, want 0", allocs)
 	}
 }
 
 func TestRenderTextLintsClean(t *testing.T) {
 	r := NewRegistry("t")
-	c := r.Counter("ab_test_frames_total", "frames seen", testLabels())
-	r.Gauge("ab_test_depth", "queue depth", testLabels().With("shard", "0"))
+	r.SampleCounter("ab_test_frames_total", "frames seen", testLabels(), func() float64 { return 9 })
+	r.SampleGauge("ab_test_depth", "queue depth", testLabels().With("shard", "0"), zero)
+	// Exposition format 0.0.4 escapes HELP text: backslash as \\, newline as \n.
+	r.SampleGauge("ab_test_help_escape", "line one\nline two \\ back", testLabels(), zero)
 	h := r.Histogram("ab_test_rtt_ms", "rtt distribution", testLabels(), []float64{1, 10})
-	r.Dynamic("ab_test_info", "installed modules", KindGauge, func(emit func(Labels, float64)) {
+	r.Dynamic("ab_test_info", "installed modules", func(emit func(Labels, float64)) {
 		emit(Labels{{Name: "module", Value: `we"ird\valu` + "\ne"}}, 1)
 	})
-	c.Add(9)
 	h.Observe(3)
 	r.Publish()
 
+	const wantHelp = `# HELP ab_test_help_escape line one\nline two \\ back` + "\n"
 	var sb strings.Builder
 	r.RenderText(&sb)
 	if err := LintString(sb.String()); err != nil {
 		t.Fatalf("rendered text fails lint: %v\n%s", err, sb.String())
 	}
+	if !strings.Contains(sb.String(), wantHelp) {
+		t.Fatalf("HELP text not escaped:\n%s", sb.String())
+	}
 
 	hub := &Hub{}
 	hub.Attach(r)
 	r2 := NewRegistry("u")
-	r2.Counter("ab_test_frames_total", "frames seen", Labels{{Name: "net", Value: "u"}}).Inc()
+	r2.SampleCounter("ab_test_frames_total", "frames seen", Labels{{Name: "net", Value: "u"}}, func() float64 { return 1 })
 	r2.Publish()
 	hub.Attach(r2)
 	merged := hub.RenderText()
 	if err := LintString(merged); err != nil {
 		t.Fatalf("merged hub text fails lint: %v\n%s", err, merged)
+	}
+	if !strings.Contains(merged, wantHelp) {
+		t.Fatalf("merged HELP text not escaped:\n%s", merged)
 	}
 	if strings.Count(merged, "# TYPE ab_test_frames_total") != 1 {
 		t.Fatalf("family not merged across nets:\n%s", merged)
@@ -188,8 +195,8 @@ func TestRenderTextLintsClean(t *testing.T) {
 // family walk, and this keeps them from ever drifting apart.
 func TestTextAndSnapshotAgree(t *testing.T) {
 	r := NewRegistry("t")
-	r.Counter("ab_test_frames_total", "frames", testLabels()).Add(7)
-	r.Gauge("ab_test_depth", "depth", testLabels()).Set(2.5)
+	r.SampleCounter("ab_test_frames_total", "frames", testLabels(), func() float64 { return 7 })
+	r.SampleGauge("ab_test_depth", "depth", testLabels(), func() float64 { return 2.5 })
 	h := r.Histogram("ab_test_rtt_ms", "rtt", testLabels(), []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(3)
@@ -250,7 +257,7 @@ func TestLintCatchesMalformedDocuments(t *testing.T) {
 func TestHandlerServesMetricsAndSnapshot(t *testing.T) {
 	hub := &Hub{}
 	r := NewRegistry("t")
-	r.Counter("ab_test_frames_total", "frames", testLabels()).Add(5)
+	r.SampleCounter("ab_test_frames_total", "frames", testLabels(), func() float64 { return 5 })
 	r.Publish()
 	hub.Attach(r)
 
@@ -312,10 +319,13 @@ func TestHubReplacesSameNet(t *testing.T) {
 // the whole hub.
 func TestPanickedRegistrationDoesNotPoisonRegistry(t *testing.T) {
 	r := NewRegistry("t")
-	r.Gauge("ab_test_g", "g", testLabels())
+	r.SampleGauge("ab_test_g", "g", testLabels(), zero)
 	for _, bad := range []func(){
 		func() { r.Histogram("ab_test_g", "g", nil, []float64{1}) }, // kind clash inside Histogram's lock
-		func() { r.Counter("ab_test_g_total", "", nil); r.Counter("ab_test_g_total", "x", nil) },
+		func() {
+			r.SampleCounter("ab_test_g_total", "", nil, zero)
+			r.SampleCounter("ab_test_g_total", "x", nil, zero)
+		},
 	} {
 		func() {
 			defer func() {

@@ -126,7 +126,8 @@ func TestMetricsOnShardedMegaMatchesGolden(t *testing.T) {
 // TestLiveScrapeDuringFatTree drives scale-fattree256 in the background
 // and scrapes /metrics and /snapshot through its registry's HTTP
 // surface while it executes: the text must pass the Prometheus lint,
-// the JSON must decode, and neither may perturb the run (the final
+// the JSON must decode strictly into HubSnapshot with every net named
+// and carrying series, and neither may perturb the run (the final
 // fingerprint still matches the golden). Run under -race (the CI
 // scenario jobs) this also proves scraping shares no unsynchronized
 // state with a sharded simulation.
@@ -186,11 +187,19 @@ func TestLiveScrapeDuringFatTree(t *testing.T) {
 		t.Fatalf("/metrics fails lint mid-run: %v", err)
 	}
 	var hs metrics.HubSnapshot
-	if err := json.Unmarshal([]byte(get("/snapshot")), &hs); err != nil {
-		t.Fatalf("/snapshot not JSON mid-run: %v", err)
+	dec := json.NewDecoder(strings.NewReader(get("/snapshot")))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&hs); err != nil {
+		t.Fatalf("/snapshot does not decode as HubSnapshot mid-run: %v", err)
 	}
 	found := false
 	for _, n := range hs.Nets {
+		if n.Net == "" {
+			t.Errorf("/snapshot carries a net with an empty name")
+		}
+		if len(n.Series) == 0 {
+			t.Errorf("/snapshot net %q has no series", n.Net)
+		}
 		if n.Net == "fattree256" {
 			found = true
 		}

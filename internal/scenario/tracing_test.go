@@ -149,58 +149,59 @@ func TestTracedSamplingIsShardInvariant(t *testing.T) {
 	}
 }
 
-// TestTracedChaosChromeExportLints runs the seeded chaos family at 4
-// shards with every built net traced at 25% head sampling, exports all
-// of their tracers as one Chrome trace-event document and holds it to
-// the Perfetto-shape lint — the in-process form of
-// `abbench -run chaos- -trace F -trace-sample 0.25` + `promlint -chrome F`
-// — and requires the traced fingerprints to equal the untraced goldens.
+// TestTracedChaosChromeExportLints runs the seeded chaos family serially
+// and at 4 shards with every built net traced at 25% head sampling,
+// exports all of their tracers as one Chrome trace-event document and
+// holds it to the Perfetto-shape lint (tracing.LintChrome), and requires
+// the traced fingerprints to equal the untraced goldens.
 func TestTracedChaosChromeExportLints(t *testing.T) {
 	runSerial() // ensure the registry is populated
 	scs, err := scenario.Match("^chaos-")
 	if err != nil || len(scs) == 0 {
 		t.Fatalf("chaos scenario selection: %v (%d found)", err, len(scs))
 	}
-	prevShards, prevCfg, prevOn := topo.DefaultShards, tracing.GetDefaultConfig(), tracing.Enabled()
-	before := map[*tracing.Tracer]bool{}
-	for _, tr := range tracing.DefaultHub.Tracers() {
-		before[tr] = true
-	}
-	topo.DefaultShards = 4
-	tracing.SetDefaultConfig(tracing.Config{Seed: 1, SampleProb: 0.25})
-	tracing.Enable()
-	results := scenario.RunAll(scs, netsim.DefaultCostModel(), 1)
-	topo.DefaultShards = prevShards
-	tracing.SetDefaultConfig(prevCfg)
-	tracing.SetEnabled(prevOn)
+	for _, shards := range []int{1, 4} {
+		prevShards, prevCfg, prevOn := topo.DefaultShards, tracing.GetDefaultConfig(), tracing.Enabled()
+		before := map[*tracing.Tracer]bool{}
+		for _, tr := range tracing.DefaultHub.Tracers() {
+			before[tr] = true
+		}
+		topo.DefaultShards = shards
+		tracing.SetDefaultConfig(tracing.Config{Seed: 1, SampleProb: 0.25})
+		tracing.Enable()
+		results := scenario.RunAll(scs, netsim.DefaultCostModel(), 1)
+		topo.DefaultShards = prevShards
+		tracing.SetDefaultConfig(prevCfg)
+		tracing.SetEnabled(prevOn)
 
-	for i := range results {
-		r := &results[i]
-		if !r.OK() {
-			t.Errorf("%s (traced, 4 shards): run=%v check=%v", r.Name, r.Err, r.CheckErr)
-		} else if want := goldenFingerprints[r.Name]; r.Fingerprint != want {
-			t.Errorf("%s: traced fingerprint %s != golden %s", r.Name, r.Fingerprint, want)
+		for i := range results {
+			r := &results[i]
+			if !r.OK() {
+				t.Errorf("%s (traced, %d shards): run=%v check=%v", r.Name, shards, r.Err, r.CheckErr)
+			} else if want := goldenFingerprints[r.Name]; r.Fingerprint != want {
+				t.Errorf("%s (%d shards): traced fingerprint %s != golden %s", r.Name, shards, r.Fingerprint, want)
+			}
 		}
-	}
-	var trs []*tracing.Tracer
-	events := 0
-	for _, tr := range tracing.DefaultHub.Tracers() {
-		if before[tr] {
-			continue
+		var trs []*tracing.Tracer
+		events := 0
+		for _, tr := range tracing.DefaultHub.Tracers() {
+			if before[tr] {
+				continue
+			}
+			tracing.DefaultHub.Detach(tr)
+			tr.Flush()
+			events += len(tr.Transcript())
+			trs = append(trs, tr)
 		}
-		tracing.DefaultHub.Detach(tr)
-		tr.Flush()
-		events += len(tr.Transcript())
-		trs = append(trs, tr)
-	}
-	if len(trs) < len(scs) || events == 0 {
-		t.Fatalf("%d chaos scenarios left %d tracers with %d events", len(scs), len(trs), events)
-	}
-	var doc bytes.Buffer
-	if err := tracing.WriteChromeAll(&doc, trs); err != nil {
-		t.Fatalf("WriteChromeAll: %v", err)
-	}
-	if err := tracing.LintChrome(&doc); err != nil {
-		t.Fatalf("Chrome export of %d nets (%d events) fails lint: %v", len(trs), events, err)
+		if len(trs) < len(scs) || events == 0 {
+			t.Fatalf("%d shards: %d chaos scenarios left %d tracers with %d events", shards, len(scs), len(trs), events)
+		}
+		var doc bytes.Buffer
+		if err := tracing.WriteChromeAll(&doc, trs); err != nil {
+			t.Fatalf("%d shards: WriteChromeAll: %v", shards, err)
+		}
+		if err := tracing.LintChrome(&doc); err != nil {
+			t.Fatalf("%d shards: Chrome export of %d nets (%d events) fails lint: %v", shards, len(trs), events, err)
+		}
 	}
 }

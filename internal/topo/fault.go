@@ -20,41 +20,14 @@ var DefaultFaultProfile *fault.Profile
 // instants. A nil plan (the default) takes none of the fault code paths.
 func (g *Graph) FaultPlan(p *fault.Plan) { g.faultPlan = p }
 
-// WithSegmentFault attaches an impairment model to this segment's medium,
-// overriding any model the graph's FaultPlan resolves for it. The stream
-// is still seeded from the plan seed (or 0 when the graph has no plan),
-// so the annotation alone is enough to make a segment lossy.
-func WithSegmentFault(m fault.Model) SegmentOpt {
-	return func(s *segmentSpec) { s.faultModel = &m }
-}
-
-// WithBridgeFault attaches a receive-side impairment model to every port
-// of this bridge (a flaky adapter rather than a flaky wire), overriding
-// any model from the graph's FaultPlan.
-func WithBridgeFault(m fault.Model) BridgeOpt {
-	return func(b *bridgeSpec) { b.faultModel = &m }
-}
-
 // effectiveFaultPlan resolves the plan a build applies: the graph's own,
-// else one derived from the process-wide profile, else nil — unless some
-// spec carries a fault annotation, which forces an empty plan so the
-// annotations have a seed to derive streams from.
+// else one derived from the process-wide profile, else nil.
 func (g *Graph) effectiveFaultPlan() *fault.Plan {
 	if g.faultPlan != nil {
 		return g.faultPlan
 	}
 	if DefaultFaultProfile != nil {
 		return DefaultFaultProfile.PlanFor(g.Name)
-	}
-	for i := range g.segments {
-		if g.segments[i].faultModel != nil {
-			return fault.NewPlan(0)
-		}
-	}
-	for i := range g.bridges {
-		if g.bridges[i].faultModel != nil {
-			return fault.NewPlan(0)
-		}
 	}
 	return nil
 }
@@ -67,19 +40,12 @@ func (n *Net) applyFaults(plan *fault.Plan) error {
 	n.faultPlan = plan
 
 	for i, seg := range n.segments {
-		m, ok := plan.SegmentModel(g.segments[i].name)
-		if sm := g.segments[i].faultModel; sm != nil {
-			m, ok = *sm, true
-		}
-		if ok && !m.Zero() {
+		if m, ok := plan.SegmentModel(g.segments[i].name); ok && !m.Zero() {
 			seg.SetFault(plan.SegmentStream(g.segments[i].name, m).Verdict)
 		}
 	}
 	for i, br := range n.bridges {
 		m, ok := plan.BridgeModel(g.bridges[i].name)
-		if bm := g.bridges[i].faultModel; bm != nil {
-			m, ok = *bm, true
-		}
 		if !ok || m.Zero() {
 			continue
 		}

@@ -10,10 +10,10 @@ import (
 
 // EnableMetrics builds the net's telemetry registry: per-shard engine
 // gauges, every bridge's counters (labeled with net/bridge/shard
-// identity from the build plan), and a publish hook at the engine's
-// quiescent points. The registry is attached to metrics.DefaultHub so a
-// process-wide endpoint (abbench -metrics-addr, activebridge.ServeMetrics)
-// serves it with no further wiring. Idempotent; returns the registry.
+// identity from the build plan), and a publish at the engine's quiescent
+// points. The registry is attached to metrics.DefaultHub so the
+// process-wide endpoint (activebridge.ServeMetrics) serves it with no
+// further wiring. Idempotent; returns the registry.
 //
 // Build calls this automatically when the process-wide metrics plane is
 // enabled (metrics.Enable); embedders may also call it directly on one
@@ -68,15 +68,13 @@ func (n *Net) EnableMetrics() *metrics.Registry {
 		ls := base.With("shard", "0")
 		reg.SampleGauge("ab_engine_shards", "shard engines this net runs on", base,
 			func() float64 { return 1 })
-		// Serial engines quiesce too (each Run end); count them here so
-		// the family exists at any shard count. The hook registers
-		// before reg.Publish below, so the count a publish samples
-		// already includes the point being published — matching the
-		// coordinator, which increments before its quiesce callbacks.
-		var quiesces uint64
-		sim.OnQuiesce(func() { quiesces++ })
+		// Serial engines quiesce too (each Run end); the planes' hook
+		// counts them so the family exists at any shard count. It counts
+		// before it publishes, so a publish samples a count that already
+		// includes the point being published — matching the coordinator,
+		// which increments before its quiesce callbacks.
 		reg.SampleCounter("ab_engine_quiesce_total", "quiescent points reached by the engine", base,
-			func() float64 { return float64(quiesces) })
+			func() float64 { return float64(n.quiesces) })
 		// Help texts match the sharded branch exactly: the hub serves
 		// one HELP line per family, whichever net registered it.
 		reg.SampleGauge("ab_shard_clock_seconds", "engine virtual clock (aligned at quiescence)", ls,
@@ -122,17 +120,38 @@ func (n *Net) EnableMetrics() *metrics.Registry {
 		}
 	}
 
-	// Publish at every quiescent point (serial Run end / coordinator
-	// quiescence), and once now so a scraper arriving before the first
-	// Run sees the registered series instead of an empty document.
-	n.Sim.OnQuiesce(reg.Publish)
-	reg.Publish()
-	metrics.DefaultHub.Attach(reg)
-	n.metricsReg = reg
 	if n.tracer != nil {
 		n.instrumentTracer(reg, n.tracer)
 	}
+	// Publish at every quiescent point (serial Run end / coordinator
+	// quiescence), and once now so a scraper arriving before the first
+	// Run sees the registered series instead of an empty document.
+	n.hookQuiescence()
+	reg.Publish()
+	metrics.DefaultHub.Attach(reg)
+	n.metricsReg = reg
 	return reg
+}
+
+// hookQuiescence registers the planes' one quiescence hook. Both
+// EnableMetrics and EnableTracing call it before setting their own
+// field, so only the first call registers. At every quiescent point the
+// tracer merges before the registry publishes, so the ab_trace_*
+// samplers read the window that just closed, whichever plane was
+// enabled first.
+func (n *Net) hookQuiescence() {
+	if n.metricsReg != nil || n.tracer != nil {
+		return
+	}
+	n.Sim.OnQuiesce(func() {
+		n.quiesces++
+		if n.tracer != nil {
+			n.tracer.Flush()
+		}
+		if n.metricsReg != nil {
+			n.metricsReg.Publish()
+		}
+	})
 }
 
 // Metrics returns the net's telemetry registry, or nil when metrics

@@ -41,6 +41,10 @@ type Net struct {
 	// ran (see tracing.go).
 	tracer *tracing.Tracer
 
+	// quiesces counts the quiescent points the planes' hook has seen
+	// (see hookQuiescence).
+	quiesces uint64
+
 	// faultPlan is the fault schedule the net was built with (see
 	// fault.go), nil for a clean build.
 	faultPlan *fault.Plan

@@ -143,7 +143,6 @@ type bridgeSpec struct {
 	hasNetLoader bool
 	spanningSrc  string
 	logSink      func(at netsim.Time, bridge, msg string)
-	faultModel   *fault.Model
 	linkCursor   int
 }
 
@@ -234,7 +233,6 @@ type Graph struct {
 type segmentSpec struct {
 	name        string
 	propagation netsim.Duration
-	faultModel  *fault.Model
 }
 
 // SegmentOpt customizes a declared segment.
@@ -624,23 +622,23 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 
 	// Fault plane last: impairment streams install on already-wired
 	// entities, and scheduled events are the plan's only build-time
-	// events. A clean build (no plan, no annotations, no process-wide
-	// profile) skips this entirely.
+	// events. A clean build (no plan, no process-wide profile) skips
+	// this entirely.
 	if plan := g.effectiveFaultPlan(); plan != nil {
 		if err := n.applyFaults(plan); err != nil {
 			return nil, fmt.Errorf("topo %q: %w", g.Name, err)
 		}
 	}
 
-	// Telemetry is opt-in process-wide (abbench -metrics-addr, the SDK's
-	// EnableMetrics): every net built while it is on publishes into the
-	// default hub. Instruments only observe at quiescent points, so the
-	// built simulation's virtual-time behaviour is identical either way.
+	// Telemetry is opt-in process-wide (the SDK's EnableMetrics): every
+	// net built while it is on publishes into the default hub.
+	// Instruments only observe at quiescent points, so the built
+	// simulation's virtual-time behaviour is identical either way.
 	if metrics.Enabled() {
 		n.EnableMetrics()
 	}
-	// Same opt-in shape for the causal tracing plane (abbench -trace, the
-	// SDK's EnableTracing); events never feed back into the simulation.
+	// Same opt-in shape for the causal tracing plane (the SDK's
+	// EnableTracing); events never feed back into the simulation.
 	if tracing.Enabled() {
 		n.EnableTracing(tracing.GetDefaultConfig())
 	}

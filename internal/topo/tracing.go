@@ -9,8 +9,8 @@ import (
 // per shard engine (plus the coordinator's control engine, which runs
 // fault-plane and barrier work), merged into a single virtual-time
 // transcript at every quiescent point. The tracer is attached to
-// tracing.DefaultHub so a process-wide exporter (abbench -trace,
-// activebridge.WriteTrace) can drain it with no further wiring.
+// tracing.DefaultHub so the process-wide exporter
+// (activebridge.WriteTrace) can drain it with no further wiring.
 // Idempotent; returns the tracer.
 //
 // Build calls this automatically when the process-wide tracing plane is
@@ -35,7 +35,7 @@ func (n *Net) EnableTracing(cfg tracing.Config) *tracing.Tracer {
 	} else {
 		n.Sim.SetTraceEngine(tr.Engine(0))
 	}
-	n.Sim.OnQuiesce(tr.Flush)
+	n.hookQuiescence()
 	if n.metricsReg != nil {
 		n.instrumentTracer(n.metricsReg, tr)
 	}

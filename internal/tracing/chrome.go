@@ -7,8 +7,12 @@ import (
 	"sort"
 )
 
-// WriteChrome writes the merged transcript (Flush first) in the Chrome
-// trace-event JSON format, loadable in Perfetto / chrome://tracing.
+// WriteChromeAll writes the merged transcripts (Flush first) of several
+// tracers — typically every net attached to a Hub — as one Chrome
+// trace-event JSON document, loadable in Perfetto / chrome://tracing,
+// with one process (pid) per tracer, in slice order. Events are globally
+// sorted by virtual timestamp so the document passes LintChrome
+// regardless of how the per-net transcripts interleave.
 //
 // Virtual nanoseconds map onto the format's microsecond ts field with
 // three decimals, so one simulated nanosecond is one displayed
@@ -17,13 +21,6 @@ import (
 // node legitimately overlap (the bridge CPU pipelines frames) and the
 // synchronous B/E form demands strict nesting. Every node gets its own
 // tid plus a thread_name metadata record.
-func (t *Tracer) WriteChrome(w io.Writer) error { return WriteChromeAll(w, []*Tracer{t}) }
-
-// WriteChromeAll writes one Chrome trace-event document covering several
-// tracers — typically every net attached to a Hub — as one process
-// (pid) per tracer, in slice order. Events are globally sorted by
-// virtual timestamp so the document passes LintChrome regardless of how
-// the per-net transcripts interleave.
 func WriteChromeAll(w io.Writer, tracers []*Tracer) error {
 	type rec struct {
 		ts  int64 // virtual ns
@@ -126,8 +123,8 @@ type chromeEvent struct {
 	Tid  json.RawMessage `json:"tid"`
 }
 
-// LintChrome validates a Chrome trace-event document the way
-// cmd/promlint validates an exposition document: the JSON must decode,
+// LintChrome validates a Chrome trace-event document the way Lint in
+// internal/metrics validates an exposition document: the JSON must decode,
 // every event needs a name and a known phase, non-metadata timestamps
 // must be monotone non-decreasing in file order (virtual time never
 // runs backwards), and async begin/end events must match one-to-one

@@ -482,7 +482,7 @@ var (
 )
 
 // SetDefaultConfig sets the config used when topo.Build auto-enables
-// tracing (abbench -trace, AB_TRACE in tests).
+// tracing (activebridge.SetTraceConfig, AB_TRACE in tests).
 func SetDefaultConfig(c Config) {
 	defMu.Lock()
 	defCfg = c
@@ -496,8 +496,8 @@ func GetDefaultConfig() Config {
 	return defCfg
 }
 
-// Hub collects the tracers of every traced net in the process so the
-// surfaces (abbench -trace) can export them all at exit.
+// Hub collects the tracers of every traced net in the process so an
+// exporter (activebridge.WriteTrace) can write them all at once.
 type Hub struct {
 	mu      sync.Mutex
 	tracers []*Tracer

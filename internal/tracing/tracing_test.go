@@ -193,7 +193,7 @@ func TestEventTextWording(t *testing.T) {
 	tr.Flush()
 	var text, chrome bytes.Buffer
 	tr.RenderTranscript(&text)
-	if err := tr.WriteChrome(&chrome); err != nil {
+	if err := WriteChromeAll(&chrome, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n")
@@ -241,7 +241,7 @@ func TestChromeExportLints(t *testing.T) {
 	e.Emit(Event{VT: 2100, Trace: id, Kind: KindVM, Node: "br", Dur: 400, Form: FormNative, Name: `"x"`})
 	tr.Flush()
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChromeAll(&buf, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintChrome(bytes.NewReader(buf.Bytes())); err != nil {

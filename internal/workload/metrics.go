@@ -78,36 +78,3 @@ func (p *Pinger) observeRTT(rtt netsim.Duration) {
 		p.rttHist.Observe(float64(rtt) / 1e6)
 	}
 }
-
-// UploadRetransmitBuckets is the fixed bucket layout of the per-transfer
-// retransmission histogram: 0 on a clean LAN, tens under the chaos
-// plane's lossy profiles.
-var UploadRetransmitBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64}
-
-// Instrument registers the uploader's live counters and a per-transfer
-// retransmission histogram (observed once, at completion) under the given
-// labels.
-func (u *Uploader) Instrument(reg *metrics.Registry, ls metrics.Labels) {
-	if u.retxHist != nil {
-		panic("workload: Uploader already instrumented")
-	}
-	h := reg.Histogram("ab_upload_retransmits", "retransmissions per completed TFTP transfer",
-		ls, UploadRetransmitBuckets)
-	u.retxHist = func(v float64) { h.Observe(v) }
-	reg.SampleCounter("ab_upload_retransmits_total", "TFTP datagrams re-sent on timeout", ls,
-		func() float64 { return float64(u.put.Retransmits) })
-	reg.SampleGauge("ab_upload_done", "1 once the upload completed", ls,
-		func() float64 {
-			if u.put.Done() {
-				return 1
-			}
-			return 0
-		})
-	reg.SampleGauge("ab_upload_failed", "1 if the upload terminally failed", ls,
-		func() float64 {
-			if u.err != nil {
-				return 1
-			}
-			return 0
-		})
-}

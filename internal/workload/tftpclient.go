@@ -44,13 +44,7 @@ type Uploader struct {
 	started  netsim.Time
 	finished netsim.Time
 	err      error
-
-	retxHist histObserver
 }
-
-// histObserver decouples the uploader from the metrics package: Instrument
-// (in metrics.go) supplies the histogram's Observe.
-type histObserver func(v float64)
 
 // NewUploader prepares an upload of data as filename to the TFTP server.
 func NewUploader(h *Host, server ipv4.Addr, filename string, data []byte) *Uploader {
@@ -117,9 +111,6 @@ func (u *Uploader) onReply(src ipv4.Addr, srcPort uint16, payload []byte) {
 	// datagram is still outstanding and the running timer must stay armed.
 	if u.put.Done() && u.finished == 0 {
 		u.finished = u.host.sim.Now()
-		if u.retxHist != nil {
-			u.retxHist(float64(u.put.Retransmits))
-		}
 	}
 	if err := u.put.Err(); err != nil {
 		u.err = err

@@ -2,7 +2,6 @@ package activebridge
 
 import (
 	"github.com/switchware/activebridge/internal/fault"
-	"github.com/switchware/activebridge/internal/topo"
 )
 
 // Deterministic fault injection. A FaultPlan attaches chaos to a
@@ -54,16 +53,6 @@ type FaultEvent = fault.Event
 // (1% loss, 0.2% corruption, 0.2% duplication) abbench's -faults flag
 // applies to every segment.
 func DefaultChaosModel() FaultModel { return fault.DefaultChaosModel() }
-
-// Per-node fault options for Topology declarations.
-var (
-	// WithSegmentFault attaches an impairment model to one declared
-	// segment (overrides the plan's blanket AllSegments model).
-	WithSegmentFault = topo.WithSegmentFault
-	// WithBridgeFault attaches a per-port receive impairment model to
-	// one declared bridge.
-	WithBridgeFault = topo.WithBridgeFault
-)
 
 // FaultTotals is the process-wide tally of injected faults: frame
 // impairments from every stream plus flap/crash/restart event counts.

@@ -5,8 +5,9 @@ import (
 )
 
 // Live telemetry. The metrics plane observes a running simulation
-// without perturbing it: every instrument is either a plain Go counter
-// or a sampler read at the engine's quiescent points, so virtual-time
+// without perturbing it: every instrument is a sampler read at the
+// engine's quiescent points or a histogram of values the simulation
+// already computes, published at the same points, so virtual-time
 // outputs are byte-identical with metrics on or off, at any shard
 // count. Scrapers read atomically published cells and never contend
 // with the event loop.
