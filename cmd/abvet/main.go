@@ -5,12 +5,9 @@
 //
 //	go run ./cmd/abvet ./...
 //
-// It must run from inside the module (any directory at or below go.mod):
-// the stdlib source importer — the only importer available in a module with
-// no compiled export data and no third-party dependencies — resolves
-// in-module imports through the go command. Findings print one per line as
-// file:line:col: analyzer: message; the exit status is 1 if any survive
-// their suppression markers.
+// It vets the module whose go.mod is nearest at or above the working
+// directory. Findings print one per line as file:line:col: analyzer:
+// message; the exit status is 1 if any survive their suppression markers.
 package main
 
 import (
@@ -28,14 +25,11 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := os.Chdir(root); err != nil {
-		fatal("%v", err)
-	}
-	_, pkgs, err := analyzers.ModulePackages(root)
+	modPath, pkgs, err := analyzers.ModulePackages(root)
 	if err != nil {
 		fatal("%v", err)
 	}
-	loader := analyzers.NewLoader()
+	loader := analyzers.NewLoader(root, modPath)
 	suite := analyzers.All()
 	bad := false
 	for _, p := range pkgs {

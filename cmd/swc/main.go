@@ -166,7 +166,7 @@ func main() {
 			if err != nil {
 				fatal("decode: %v", err)
 			}
-			if err := obj.Verify(); err != nil {
+			if _, err := vm.VerifyObject(obj); err != nil {
 				fmt.Fprintf(os.Stderr, "warning: %v\n", err)
 			} else if optLevel > 0 {
 				// Quicken exactly as the loader would.

@@ -110,12 +110,7 @@ type Bridge struct {
 
 	defaultHandler FrameHandler
 	dstHandlers    map[ethernet.MAC]FrameHandler
-	// unicastDsts counts non-multicast registrations in dstHandlers. In
-	// steady-state forwarding every data frame has a unicast destination
-	// while registrations are almost always multicast (the All Bridges
-	// address), so the per-frame map lookup is skipped entirely.
-	unicastDsts int
-	timers      map[string]*timerState
+	timers         map[string]*timerState
 
 	inDispatch   bool
 	pendingSends []pendingSend
@@ -149,8 +144,6 @@ type Bridge struct {
 	// reference keeps the identity test sound against address reuse.
 	lastFrameRaw []byte
 	lastFrameVal vm.Value
-	// portVals are the boxed per-port integers for frame dispatch.
-	portVals []vm.Value
 	// curRaw is the frame being dispatched; a switchlet send of the
 	// identical bytes (the forwarding fast path) reuses this buffer
 	// instead of copying and re-validating the FCS.
@@ -235,10 +228,6 @@ func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostMo
 		panic(err) // static environment construction cannot fail
 	}
 	b.txqDrops = make([]uint64, numPorts)
-	b.portVals = make([]vm.Value, numPorts)
-	for i := range b.portVals {
-		b.portVals[i] = b.intBox.Box(int64(i))
-	}
 	for i := 0; i < numPorts; i++ {
 		nic := netsim.NewNIC(sim, fmt.Sprintf("%s.eth%d", name, i), b.mac)
 		// Paper: "whenever an input port is bound, it is put into
@@ -471,20 +460,12 @@ func (b *Bridge) SetDstHandler(m ethernet.MAC, h FrameHandler) error {
 		return fmt.Errorf("destination %v %w", m, ErrDstBound)
 	}
 	b.dstHandlers[m] = h
-	if !m.IsMulticast() {
-		b.unicastDsts++
-	}
 	return nil
 }
 
 // ClearDstHandler removes a registration by address.
 func (b *Bridge) ClearDstHandler(m ethernet.MAC) {
-	if _, ok := b.dstHandlers[m]; ok {
-		delete(b.dstHandlers, m)
-		if !m.IsMulticast() {
-			b.unicastDsts--
-		}
-	}
+	delete(b.dstHandlers, m)
 }
 
 // BindDst implements env.Demux: register a switchlet function for frames
@@ -636,14 +617,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	if err != nil {
 		return
 	}
-	// Unicast fast path: data frames are unicast and destination
-	// registrations are (almost always) multicast, so the map is rarely
-	// consulted.
-	var h FrameHandler
-	isDst := false
-	if len(b.dstHandlers) > 0 && (b.unicastDsts > 0 || dst.IsMulticast()) {
-		h, isDst = b.dstHandlers[dst]
-	}
+	h, isDst := b.dstHandlers[dst]
 	if !isDst {
 		if b.blocked[inPort] {
 			// A blocked port still receives control traffic (through dst
@@ -686,7 +660,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 			b.frameArgs[0] = b.strBox.Box(frameString(raw))
 			b.lastFrameRaw, b.lastFrameVal = raw, b.frameArgs[0]
 		}
-		b.frameArgs[1] = b.portVals[inPort]
+		b.frameArgs[1] = b.intBox.Box(int64(inPort))
 		sends, trapped = b.invokeVM(h.VM, b.frameArgs[:])
 		execCost = b.lastVMCost
 		if trapped {
@@ -866,13 +840,6 @@ func (b *Bridge) drainSpawns() {
 }
 
 // --- fault plane ------------------------------------------------------------
-
-// clearAllDstHandlers drops every destination registration (cold-restart
-// wipe; individual unbinds go through ClearDstHandler).
-func (b *Bridge) clearAllDstHandlers() {
-	b.dstHandlers = map[ethernet.MAC]FrameHandler{}
-	b.unicastDsts = 0
-}
 
 // Crashed reports whether the node is currently frozen by a fault-plane
 // crash.

@@ -122,10 +122,7 @@ func (m *Manager) compile(sw env.Manifest) (enc []byte, name string, obj *vm.Obj
 		if err != nil {
 			return nil, "", nil, nil, err
 		}
-		name, enc = ent.name, ent.enc
-		if obj, err = ent.decoded(); err != nil {
-			return nil, "", nil, nil, fmt.Errorf("switchlet %s: %w", name, err)
-		}
+		name, enc, obj = ent.name, ent.enc, ent.obj
 	}
 	rep, err = verify.Manifest(obj, name, sw.Capabilities)
 	if err != nil {
@@ -158,9 +155,6 @@ func (m *Manager) Install(sw env.Manifest) (*Installed, error) {
 	if err := m.b.LoadDecodedObject(obj); err != nil {
 		return nil, err
 	}
-	// The loaded-module set changed: inline caches must not carry values
-	// across the epoch.
-	m.b.Loader.FlushAllICs()
 	sw.Name = name
 	inst := &Installed{Manifest: sw, At: m.b.sim.Now(), Warnings: rep.Warnings()}
 	m.installed[name] = inst
@@ -243,7 +237,6 @@ func (m *Manager) Uninstall(name string) error {
 		}
 	}
 	m.b.Loader.Unload(name)
-	m.b.Loader.FlushAllICs()
 	delete(m.installed, name)
 	for i, n := range m.order {
 		if n == name {
@@ -489,7 +482,6 @@ func (u *Upgrade) rollback(reason string) {
 	u.state = UpgradeRolledBack
 	u.Reason = reason
 	u.m.lifecycle.Rollbacks++
-	u.m.b.Loader.FlushAllICs()
 	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
 	u.m.b.traceDump(tracing.KindMark, tracing.FormRollback, reason, "rollback at "+u.m.b.Name+": "+reason)
 	u.releaseGuard()
@@ -620,7 +612,7 @@ func (m *Manager) coldRestart() error {
 	m.installed = map[string]*Installed{}
 	m.order = nil
 	m.b.ClearHandler()
-	m.b.clearAllDstHandlers()
+	clear(m.b.dstHandlers) // every destination registration goes with the cold restart
 	if cs == nil {
 		return nil
 	}

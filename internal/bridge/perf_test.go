@@ -98,8 +98,9 @@ func TestForwardingFastPathReusesFrame(t *testing.T) {
 	}
 }
 
-// TestUnicastFastPathStillHonorsDstHandlers guards the map-skip: unicast
-// destination registrations must still intercept frames when present.
+// TestUnicastFastPathStillHonorsDstHandlers pins unicast demux: a unicast
+// destination registration intercepts its frames, and clearing it returns
+// them to the default handler.
 func TestUnicastFastPathStillHonorsDstHandlers(t *testing.T) {
 	r := newRig(t)
 	r.load(t, "Fwd", forwardSwitchlet)

@@ -166,13 +166,13 @@ func LogUnit(h Logger) (*vm.Signature, map[string]vm.Value) {
 }
 
 // SafeunixUnit builds the heavily thinned Safeunix module: "access to some
-// time related functions" and nothing else. Both functions cache the last
+// time related functions" and nothing else. gettimeofday caches its last
 // boxed result: virtual time is constant within an event, so repeated
 // clock reads in one dispatch reuse one boxed int instead of re-boxing a
 // large int64 per call (the VM's small-int cache cannot hold timestamps).
 func SafeunixUnit(h Clock) (*vm.Signature, map[string]vm.Value) {
-	var lastUs, lastS int64 = -1, -1
-	var lastUsBox, lastSBox vm.Value
+	var lastUs int64 = -1
+	var lastUsBox vm.Value
 	var boxer vm.IntBoxer
 	return vm.BuildUnit("Safeunix", []vm.BuiltinDef{
 		{Name: "gettimeofday", Type: "unit -> int", Arity: 1,
@@ -184,10 +184,7 @@ func SafeunixUnit(h Clock) (*vm.Signature, map[string]vm.Value) {
 			}},
 		{Name: "time", Type: "unit -> int", Arity: 1,
 			Fn: func(_ *vm.Ctx, _ []vm.Value) (vm.Value, error) {
-				if now := h.NowMicros() / 1_000_000; now != lastS {
-					lastS, lastSBox = now, boxer.Box(now)
-				}
-				return lastSBox, nil
+				return boxer.Box(h.NowMicros() / 1_000_000), nil
 			}},
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Opcodes of the swl stack machine.
@@ -57,7 +56,7 @@ const (
 )
 
 // Quickened opcodes. These never appear on the wire: DecodeObject and
-// Verify reject any opcode >= opMax, so a hostile .swo cannot smuggle a
+// VerifyObject reject any opcode >= opMax, so a hostile .swo cannot smuggle a
 // superinstruction with unchecked operands. They exist only in Chunk.Quick
 // code produced by OptimizeObject from already-verified wire code, which is
 // why their operands can be trusted by construction. Each carries a step
@@ -93,10 +92,9 @@ const (
 	qStrSub
 	// qStrGet: predicted String.get call, inlined. A is argc.
 	qStrGet
-	// qHtblFind: predicted Hashtbl.find call with a (table, version, key)
-	// inline cache. A packs argc | icIdx<<8.
+	// qHtblFind: predicted Hashtbl.find call, inlined. A is argc.
 	qHtblFind
-	// qHtblMem: predicted Hashtbl.mem call with the same cache shape.
+	// qHtblMem: predicted Hashtbl.mem call, inlined. A is argc.
 	qHtblMem
 	// qHtblAdd: predicted Hashtbl.add call, inlined. A is argc.
 	qHtblAdd
@@ -237,17 +235,11 @@ type Object struct {
 
 	// verifyOnce caches the static verification verdict (see static.go):
 	// objects are immutable once shared between bridges, so one proof
-	// serves every install. verified is the bit the object cache's
-	// shared-object shortcut requires; atomic because shared objects are
-	// installed from concurrent shard goroutines.
+	// serves every install.
 	verifyOnce sync.Once
 	verifyInfo *VerifyInfo
 	verifyErr  error
-	verified   atomic.Bool
 }
-
-// Verified reports whether VerifyObject has accepted this object.
-func (o *Object) Verified() bool { return o.verified.Load() }
 
 // SigDigest computes the MD5 digest of a signature's canonical text,
 // cached on the signature (signatures are immutable once in use).
@@ -550,86 +542,4 @@ func DecodeObject(b []byte) (*Object, error) {
 		return nil, fmt.Errorf("vm: export signature digest mismatch in %s", o.ModName)
 	}
 	return o, nil
-}
-
-// Verify performs structural validation of chunk code: operand bounds,
-// jump targets, and stack-safety of slot references. Loading runs it so a
-// corrupted or hand-forged object cannot make the interpreter index out of
-// bounds. (Type safety of well-formed objects comes from the compiler;
-// Verify defends the interpreter itself.)
-func (o *Object) Verify() error {
-	for ci, c := range o.Chunks {
-		if c.NParams < 0 || c.NParams > 255 {
-			return fmt.Errorf("vm: chunk %d implausible parameter count", ci)
-		}
-		if c.NLocals < 0 || c.NLocals > 1<<16 {
-			return fmt.Errorf("vm: chunk %d implausible local count", ci)
-		}
-		if c.NParams > c.NLocals {
-			return fmt.Errorf("vm: chunk %d params exceed locals", ci)
-		}
-		for pc, ins := range c.Code {
-			// Wire code must stay below opMax: quickened superinstructions
-			// are an in-memory form only, and their operands are trusted by
-			// construction — so they must never arrive from outside.
-			if ins.Op >= opMax {
-				return fmt.Errorf("vm: chunk %d pc %d: unknown opcode %d", ci, pc, ins.Op)
-			}
-			switch ins.Op {
-			case opConstStr:
-				if ins.A < 0 || int(ins.A) >= len(o.StrPool) {
-					return fmt.Errorf("vm: chunk %d pc %d: string index out of range", ci, pc)
-				}
-			case opLocalGet, opLocalSet:
-				if ins.A < 0 || int(ins.A) >= c.NLocals {
-					return fmt.Errorf("vm: chunk %d pc %d: local slot out of range", ci, pc)
-				}
-			case opGlobalGet, opGlobalSet:
-				if ins.A < 0 || int(ins.A) >= o.NGlobals {
-					return fmt.Errorf("vm: chunk %d pc %d: global slot out of range", ci, pc)
-				}
-			case opClosure:
-				if ins.A < 0 || int(ins.A) >= len(o.Chunks) {
-					return fmt.Errorf("vm: chunk %d pc %d: closure chunk out of range", ci, pc)
-				}
-				if ins.B < 0 || int(ins.B) >= len(o.CapSpecs) {
-					return fmt.Errorf("vm: chunk %d pc %d: capture spec out of range", ci, pc)
-				}
-			case opJump, opJumpIfFalse, opJumpIfTrue, opPushHandler:
-				tgt := pc + 1 + int(ins.A)
-				if tgt < 0 || tgt > len(c.Code) {
-					return fmt.Errorf("vm: chunk %d pc %d: jump out of range", ci, pc)
-				}
-			case opCall, opTailCall:
-				if ins.A < 1 || ins.A > 255 {
-					return fmt.Errorf("vm: chunk %d pc %d: bad call arity", ci, pc)
-				}
-			case opTuple:
-				if ins.A < 2 || ins.A > 4 {
-					return fmt.Errorf("vm: chunk %d pc %d: bad tuple arity", ci, pc)
-				}
-			}
-		}
-	}
-	// Sorted so a multi-error object always reports the same export first.
-	for _, name := range sortedKeys(o.GlobalNames) {
-		if slot := o.GlobalNames[name]; slot < 0 || slot >= o.NGlobals {
-			return fmt.Errorf("vm: export %s: global slot out of range", name)
-		}
-	}
-	if o.NGlobals < 0 || o.NGlobals > 1<<20 {
-		return fmt.Errorf("vm: implausible global count %d", o.NGlobals)
-	}
-	var nImports int
-	for _, im := range o.Imports {
-		nImports += len(im.Names)
-	}
-	for ci, c := range o.Chunks {
-		for pc, ins := range c.Code {
-			if ins.Op == opImportGet && (ins.A < 0 || int(ins.A) >= nImports) {
-				return fmt.Errorf("vm: chunk %d pc %d: import index out of range", ci, pc)
-			}
-		}
-	}
-	return nil
 }

@@ -17,7 +17,7 @@ func Compile(modName, src string, sigs *SigEnv) (*Object, *Signature, error) {
 
 // CompileLevel compiles at an explicit optimization level: 0 emits the
 // naive bytecode only, 1 additionally quickens it in memory
-// (superinstructions and inline caches — see optimize.go). Levels never
+// (superinstructions and specialized calls — see optimize.go). Levels never
 // change what the switchlet computes or how its execution is metered.
 func CompileLevel(modName, src string, sigs *SigEnv, level int) (*Object, *Signature, error) {
 	mod, err := ParseModule(modName, src)
@@ -33,8 +33,8 @@ func CompileLevel(modName, src string, sigs *SigEnv, level int) (*Object, *Signa
 		return nil, nil, err
 	}
 	// Every compiled object must pass the same static verification a
-	// decoded one would: the verifier both defends against codegen bugs
-	// and earns the object its verified bit (see Object.Verified).
+	// decoded one would: the verifier defends against codegen bugs, and
+	// the cached verdict serves every later load of the object.
 	if _, err := VerifyObject(obj); err != nil {
 		return nil, nil, fmt.Errorf("vm: compiler emitted unverifiable code: %w", err)
 	}

@@ -65,7 +65,7 @@ func Disassemble(o *Object) string {
 
 // formatInstr renders one wire instruction. Opcodes outside the known
 // range (possible when dumping a hand-built or corrupted chunk before
-// Verify has rejected it) fall back to a raw operand dump rather than
+// VerifyObject has rejected it) fall back to a raw operand dump rather than
 // indexing any table, so the disassembler never panics on bad input.
 func formatInstr(o *Object, pc int, ins Instr) string {
 	out := fmt.Sprintf("  %4d  %-14s", pc, opName(ins.Op))
@@ -118,9 +118,9 @@ func formatQuick(o *Object, c *Chunk, pc int, ins Instr) string {
 		out += fmt.Sprintf(" local %d += %d", ins.A, ins.B)
 	case qGetFieldSet:
 		out += fmt.Sprintf(" local %d = local %d.%d", (ins.B>>8)&0xffffff, ins.A, ins.B&0xff)
-	case qStrSub, qHtblFind, qHtblMem:
+	case qStrSub:
 		out += fmt.Sprintf(" argc=%d ic=%d", ins.A&0xff, ins.A>>8)
-	case qStrGet, qHtblAdd:
+	case qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 		out += fmt.Sprintf(" argc=%d", ins.A)
 	default:
 		if ins.Op < opMax {

@@ -7,7 +7,7 @@ import (
 
 // disasmSrc exercises every disassembler-relevant shape: a for loop (fused
 // head and counter increment), string and hashtable natives (predicted call
-// sites with inline caches) and tuples.
+// sites) and tuples.
 const disasmSrc = `
 let tbl = Hashtbl.create 16
 
@@ -71,7 +71,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if err := dec.Verify(); err != nil {
+	if _, err := VerifyObject(dec); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	OptimizeObject(dec, false)
@@ -94,7 +94,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 			// does, the disassembler must still cope with it.
 			t.Logf("prefix of %d/%d bytes decoded without error", i, len(enc))
 		}
-		if err := tr.Verify(); err == nil {
+		if _, err := VerifyObject(tr); err == nil {
 			OptimizeObject(tr, false)
 		}
 		_ = Disassemble(tr)
@@ -112,7 +112,7 @@ func TestDisassembleHostileBytes(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if err := obj.Verify(); err == nil {
+		if _, err := VerifyObject(obj); err == nil {
 			OptimizeObject(obj, false)
 		}
 		_ = Disassemble(obj)

@@ -204,15 +204,6 @@ func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	return lm, nil
 }
 
-// FlushAllICs clears the inline caches of every loaded module. The Manager
-// calls this around Install/Upgrade/Rollback (the epoch bump): caches must
-// not carry values across a change of the loaded-module set.
-func (l *Loader) FlushAllICs() {
-	for _, lm := range l.modules { //ab:mapiter-ok independent per-module cache clears; order cannot escape
-		lm.FlushICs()
-	}
-}
-
 // Unload removes a loaded module's signature and exports from the
 // namespace. Values already registered with the host environment remain
 // reachable (as in the paper, unloading is not revocation; the bridge's

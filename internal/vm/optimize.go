@@ -5,8 +5,8 @@ package vm
 // OptimizeObject rewrites each chunk's wire code into an in-memory
 // quickened form (Chunk.Quick): hot instruction sequences are fused into
 // superinstructions, and call sites whose callee is statically a well-known
-// native are specialized into inlined fast paths with per-site monomorphic
-// inline caches. There is one rule set: every rewrite is checkable from the
+// native are specialized into inlined fast paths (String.sub sites also get
+// a per-site result cache). There is one rule set: every rewrite is checkable from the
 // wire code alone, so compiled and decoded objects quicken identically.
 //
 // Invariants the rewrite must preserve exactly, because virtual time is
@@ -59,22 +59,22 @@ func (t *optimizer) chunk(c *Chunk) {
 	c.quickSrc = src
 }
 
-// specialOps maps an import's full name and call arity to its quickened
-// opcode and whether the site gets an inline-cache slot.
-func specialOp(name string, argc int) (op byte, needIC bool, ok bool) {
+// specialOp maps an import's full name and call arity to its quickened
+// opcode. Only q.str_sub sites get an inline-cache slot.
+func specialOp(name string, argc int) (op byte, ok bool) {
 	switch {
 	case name == "String.sub" && argc == 3:
-		return qStrSub, true, true
+		return qStrSub, true
 	case name == "String.get" && argc == 2:
-		return qStrGet, false, true
+		return qStrGet, true
 	case name == "Hashtbl.find" && argc == 2:
-		return qHtblFind, true, true
+		return qHtblFind, true
 	case name == "Hashtbl.mem" && argc == 2:
-		return qHtblMem, true, true
+		return qHtblMem, true
 	case name == "Hashtbl.add" && argc == 3:
-		return qHtblAdd, false, true
+		return qHtblAdd, true
 	}
-	return 0, false, false
+	return 0, false
 }
 
 // specializeCalls rewrites opCall instructions whose callee is statically
@@ -129,9 +129,9 @@ func (t *optimizer) specializeCalls(code []Instr) bool {
 			if len(stack) >= n+1 {
 				prod := stack[len(stack)-n-1]
 				if code[prod].Op == opImportGet && int(code[prod].A) < len(t.impName) {
-					if op, needIC, ok := specialOp(t.impName[code[prod].A], n); ok {
+					if op, ok := specialOp(t.impName[code[prod].A], n); ok {
 						a := int64(n)
-						if needIC {
+						if op == qStrSub {
 							a |= int64(t.nIC) << 8
 							t.nIC++
 						}

@@ -284,11 +284,11 @@ let get k = (Hashtbl.find t k, Hashtbl.mem t k)
 			}
 			res = append(res, o)
 		}
-		call("get", "missing") // Not_found trap, cold cache
+		call("get", "missing") // Not_found trap
 		call("put", "a", int64(1))
-		call("get", "a")           // hit, cold cache
-		call("get", "a")           // hit, warm cache
-		call("put", "a", int64(2)) // version bump invalidates the IC
+		call("get", "a")
+		call("get", "a")           // the same lookup twice
+		call("put", "a", int64(2)) // overwrite
 		call("get", "a")           // must observe the new value
 		call("get", int64(7))      // int key, miss
 		call("put", int64(7), int64(8))
@@ -345,8 +345,8 @@ func TestSpecializedCallMispredictDeopts(t *testing.T) {
 
 // TestInlinedNativeParity pins the contract claimed in builtins.go: the
 // interpreter-inlined fast paths of the tagged natives replicate the Go
-// implementations' results AND their AllocBytes metering exactly, both on
-// inline-cache hits and misses.
+// implementations' results AND their AllocBytes metering exactly, on
+// String.sub inline-cache hits and misses alike.
 func TestInlinedNativeParity(t *testing.T) {
 	src := `
 let t = Hashtbl.create 4

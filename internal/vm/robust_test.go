@@ -93,9 +93,9 @@ let g = (1, "two", true)
 			}()
 			o, err := DecodeObject(b)
 			if err == nil {
-				// Structurally valid after mutation: Verify and even
+				// Structurally valid after mutation: verification and even
 				// loading must still never panic the host.
-				_ = o.Verify()
+				_, _ = VerifyObject(o)
 			}
 		}()
 	}

@@ -102,16 +102,11 @@ type VerifyInfo struct {
 // keeps verification of garbage as cheap as verification of real code.
 const maxVerifyDepth = 1 << 12
 
-// VerifyObject runs the full static check and, on success, marks the object
-// verified (Object.Verified). The result is cached: objects are immutable
-// once shared between bridges, so one proof serves every install.
+// VerifyObject runs the full static check. The result is cached: objects
+// are immutable once shared between bridges, so one proof serves every
+// install.
 func VerifyObject(o *Object) (*VerifyInfo, error) {
-	o.verifyOnce.Do(func() {
-		o.verifyInfo, o.verifyErr = verifyObject(o)
-		if o.verifyErr == nil {
-			o.verified.Store(true)
-		}
-	})
+	o.verifyOnce.Do(func() { o.verifyInfo, o.verifyErr = verifyObject(o) })
 	return o.verifyInfo, o.verifyErr
 }
 
@@ -843,8 +838,14 @@ func structuralPass(o *Object, ci int, c *Chunk, code []Instr, quick bool) error
 			if n := ins.A & 0xff; n < 1 {
 				return fail(VerifyBadOperand, "specialized call arity %d", n)
 			}
-			if ic := ins.A >> 8; ic < 0 || int(ic) > o.NICSites {
+			// Only q.str_sub sites own a cache slot; every other specialized
+			// op must carry none.
+			ic := ins.A >> 8
+			if ins.Op == qStrSub && (ic < 0 || int(ic) >= o.NICSites) {
 				return fail(VerifyBadOperand, "inline-cache site %d outside table of %d", ic, o.NICSites)
+			}
+			if ins.Op != qStrSub && ic != 0 {
+				return fail(VerifyBadOperand, "%s carries inline-cache site %d", opName(ins.Op), ic)
 			}
 		}
 	}

@@ -80,32 +80,76 @@ func TestHostileCorpus(t *testing.T) {
 			hobj(func(o *Object) { o.Init = 5 }, &Chunk{Name: "init", Code: ret()})},
 	}
 
+	// Inline-cache site operands of specialized calls: only q.str_sub owns
+	// a slot, and it must index below NICSites. These repeat the
+	// bad-operand kind, so they stay out of the distinct-kinds count.
+	siteCases := []struct {
+		name string
+		obj  *Object
+	}{
+		{"str-sub-site-at-table-end", specCallObj(qStrSub, 3, 1, 1, "String", "sub")},
+		{"htbl-find-carries-site", specCallObj(qHtblFind, 2, 1, 2, "Hashtbl", "find")},
+	}
+
 	seenKinds := map[string]string{}
+	reject := func(t *testing.T, kind string, obj *Object) {
+		t.Helper()
+		_, err := VerifyObject(obj)
+		var verr *VerifyError
+		if !errors.As(err, &verr) {
+			t.Fatalf("VerifyObject = %v (%T), want *VerifyError", err, err)
+		}
+		if verr.Kind != kind {
+			t.Fatalf("Kind = %q (%v), want %q", verr.Kind, verr, kind)
+		}
+		if verr.Module != "hostile" {
+			t.Errorf("Module = %q", verr.Module)
+		}
+		if _, again := VerifyObject(obj); again != err {
+			t.Errorf("second VerifyObject = %v, want the cached rejection", again)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := VerifyObject(tc.obj)
-			var verr *VerifyError
-			if !errors.As(err, &verr) {
-				t.Fatalf("VerifyObject = %v (%T), want *VerifyError", err, err)
-			}
-			if verr.Kind != tc.kind {
-				t.Fatalf("Kind = %q (%v), want %q", verr.Kind, verr, tc.kind)
-			}
-			if verr.Module != "hostile" {
-				t.Errorf("Module = %q", verr.Module)
-			}
-			if tc.obj.Verified() {
-				t.Error("rejected object carries the verified bit")
-			}
+			reject(t, tc.kind, tc.obj)
 			if prev, dup := seenKinds[tc.kind]; dup && tc.kind != VerifyFallOff {
 				t.Errorf("kind %q already used by case %q — corpus kinds must be distinct", tc.kind, prev)
 			}
 			seenKinds[tc.kind] = tc.name
 		})
 	}
+	for _, tc := range siteCases {
+		t.Run(tc.name, func(t *testing.T) { reject(t, VerifyBadOperand, tc.obj) })
+	}
 	if len(seenKinds) < 10 {
 		t.Errorf("corpus covers %d distinct kinds, want >= 10", len(seenKinds))
 	}
+	// The same shape with the site inside the table verifies, so the
+	// site cases above fail on their operand and nothing else.
+	if _, err := VerifyObject(specCallObj(qStrSub, 3, 0, 1, "String", "sub")); err != nil {
+		t.Errorf("well-formed q.str_sub rejected: %v", err)
+	}
+}
+
+// specCallObj is a one-chunk object whose quickened stream makes one
+// specialized call of module.name with argc int arguments, carrying
+// inline-cache site ic, in an object of nIC sites.
+func specCallObj(op byte, argc, ic int64, nIC int, module, name string) *Object {
+	code := []Instr{{Op: opImportGet}}
+	for i := int64(0); i < argc; i++ {
+		code = append(code, Instr{Op: opConstInt, A: i})
+	}
+	code = append(code, Instr{Op: opCall, A: argc}, Instr{Op: opReturn})
+	quick := append([]Instr(nil), code...)
+	quick[argc+1] = Instr{Op: op, W: 1, A: argc | ic<<8}
+	src := make([]int32, len(code))
+	for i := range src {
+		src[i] = int32(i)
+	}
+	return hobj(func(o *Object) {
+		o.Imports = []ImportRef{{Module: module, Names: []string{name}}}
+		o.NICSites = nIC
+	}, &Chunk{Name: "init", Code: code, Quick: quick, quickSrc: src})
 }
 
 // TestVerifyErrorRendering pins the diagnostic format operators see.
@@ -125,9 +169,6 @@ func TestVerifyCaching(t *testing.T) {
 	info1, err := VerifyObject(o)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !o.Verified() {
-		t.Fatal("verified bit not set")
 	}
 	info2, err := VerifyObject(o)
 	if err != nil || info2 != info1 {

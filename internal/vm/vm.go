@@ -319,28 +319,20 @@ func (m *Machine) unwind(frameFloor int) bool {
 	return false
 }
 
-// icache is one monomorphic inline-cache site, allocated per linked module
-// (sites are assigned by the optimizer, counted in Object.NICSites). The
-// string fields form a two-way cache of String.sub results so repeated
-// extraction of the same header bytes — the destination-locality pattern of
-// real frame streams — reuses one boxed value instead of re-boxing per
-// frame. The table fields cache one (table identity, version, key) lookup
-// for Hashtbl.find/mem; any table write bumps Hashtbl.Version, so stale
-// hits are impossible, and the Manager additionally flushes all caches on
-// Install/Upgrade/Rollback.
+// icache is the inline cache of one q.str_sub site, allocated per linked
+// module (sites are assigned by the optimizer, counted in Object.NICSites):
+// a two-way cache of String.sub results, so repeated extraction of the same
+// header bytes — the destination-locality pattern of real frame streams —
+// reuses one boxed value instead of re-boxing per frame. A hit compares the
+// string contents, and boxed strings are immutable, so a hit can never be
+// stale and nothing ever needs flushing.
 type icache struct {
 	s1, s2 string
 	b1, b2 Value
-
-	tbl *Hashtbl
-	ver uint64
-	key Value
-	val Value
-	has bool
 }
 
 // icAt returns the inline-cache slot idx of mod, or nil when the module
-// carries no such site (hand-built objects).
+// carries no such site (hand-built objects that were never verified).
 func icAt(mod *LinkedModule, idx int) *icache {
 	if idx >= 0 && idx < len(mod.ics) {
 		return &mod.ics[idx]
@@ -892,18 +884,7 @@ frames:
 						callErr = kerr.(*Trap)
 						break
 					}
-					var v Value
-					var has bool
-					if ic := icAt(mod, int(ins.A>>8)); ic != nil {
-						if ic.tbl == t && ic.ver == t.Version && ic.key == k {
-							v, has = ic.val, ic.has
-						} else {
-							v, has = t.M[k]
-							ic.tbl, ic.ver, ic.key, ic.val, ic.has = t, t.Version, k, v, has
-						}
-					} else {
-						v, has = t.M[k]
-					}
+					v, has := t.M[k]
 					if ins.Op == qHtblFind {
 						if has {
 							res = v
@@ -982,7 +963,7 @@ func cmpBranch(a, b Value, cmpOp byte) (bool, *Trap) {
 }
 
 // pop removes and returns the top of the current operand stack. The
-// compiler guarantees balance; Verify guards slot indices; a nil fallback
+// compiler guarantees balance; VerifyObject guards slot indices; a nil fallback
 // keeps a corrupted object from panicking the host.
 func (m *Machine) pop(opBase int) Value {
 	if len(m.vals) <= opBase {
@@ -1001,31 +982,9 @@ type LinkedModule struct {
 	Globals []Value
 	Imports []Value
 
-	// ics holds the module's inline-cache sites (Object.NICSites of them),
-	// written by the quickened opcodes and flushed by the Manager around
-	// Install/Upgrade/Rollback.
+	// ics holds the module's q.str_sub cache sites (Object.NICSites of
+	// them).
 	ics []icache
-}
-
-// FlushICs clears every inline-cache site of the module.
-func (lm *LinkedModule) FlushICs() {
-	for i := range lm.ics {
-		lm.ics[i] = icache{}
-	}
-}
-
-// LiveICs reports how many of the module's inline-cache sites currently
-// hold a cached entry — introspection for tests and telemetry; the count
-// has no semantic weight.
-func (lm *LinkedModule) LiveICs() int {
-	n := 0
-	for i := range lm.ics {
-		ic := &lm.ics[i]
-		if ic.b1 != nil || ic.b2 != nil || ic.tbl != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Global returns the value of an exported binding.

@@ -3,8 +3,9 @@
 // module deliberately has no third-party requirements) and three passes that
 // encode the invariants the simulation's reproducibility rests on:
 //
-//   - nowallclock: the deterministic core (netsim, vm, bridge, topo, fault,
-//     scenario) must never read the wall clock or a nondeterministic RNG;
+//   - nowallclock: the deterministic core (every package that runs under
+//     virtual time, listed in deterministicSet) must never read the wall
+//     clock or a nondeterministic RNG;
 //     virtual time is the only time. Escape hatch: //ab:wallclock-ok with a
 //     justification on or above the offending line.
 //   - mapiter: Go map iteration order is randomized, so a range over a map
@@ -85,13 +86,27 @@ func All() []*Analyzer {
 // root) whose behavior feeds the golden fingerprints or a transcript a
 // script asserts on: everything that runs under virtual time and everything
 // that prints what it measured. An exact-path match or any nested package
-// counts.
+// counts. internal/metrics is deliberately absent: it stamps each publish
+// with the wall clock by design, and its map ranges run outside any
+// simulation.
 var deterministicSet = []string{
 	"internal/netsim",
 	"internal/vm",
 	"internal/bridge",
+	"internal/env",
+	"internal/switchlets",
+	"internal/stp",
+	"internal/ethernet",
+	"internal/tftp",
+	"internal/ipv4",
+	"internal/udp",
+	"internal/icmp",
+	"internal/arp",
 	"internal/topo",
 	"internal/fault",
+	"internal/tracing",
+	"internal/baseline",
+	"internal/testbed",
 	"internal/scenario",
 	"internal/script",
 	"internal/experiments",

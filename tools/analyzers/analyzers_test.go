@@ -15,7 +15,7 @@ func loadSnippet(t *testing.T, importPath, src string) []Finding {
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := NewLoader().Load(dir, importPath)
+	pkg, err := NewLoader(dir, "").Load(dir, importPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +160,8 @@ func TestInDeterministicSet(t *testing.T) {
 		"github.com/switchware/activebridge/internal/vm":        true,
 		"github.com/switchware/activebridge/internal/vm/verify": true,
 		"github.com/switchware/activebridge/internal/bridge":    true,
+		"github.com/switchware/activebridge/internal/env":       true,
+		"github.com/switchware/activebridge/internal/stp":       true,
 		"github.com/switchware/activebridge/internal/metrics":   false,
 		"github.com/switchware/activebridge/cmd/abvet":          false,
 		"github.com/switchware/activebridge/tools/analyzers":    false,

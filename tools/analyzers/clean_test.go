@@ -7,7 +7,7 @@ import (
 )
 
 // TestRepositoryClean runs the whole suite over every package of the module
-// — the same sweep cmd/abvet performs in CI — and fails on any finding that
+// — the same sweep cmd/abvet performs — and fails on any finding that
 // survives its suppression marker. New wall-clock reads, unsorted map
 // iterations in the deterministic core, or allocations in //ab:allocfree
 // functions fail `go test` directly.
@@ -19,19 +19,11 @@ func TestRepositoryClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The source importer resolves in-module paths through the go command,
-	// which needs the working directory inside the module.
-	wd, _ := os.Getwd()
-	if err := os.Chdir(root); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-
-	_, pkgs, err := ModulePackages(root)
+	modPath, pkgs, err := ModulePackages(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := NewLoader()
+	loader := NewLoader(root, modPath)
 	for _, p := range pkgs {
 		pkg, err := loader.Load(p[0], p[1])
 		if err != nil {

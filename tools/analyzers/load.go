@@ -37,27 +37,49 @@ func (p *Package) suppressed(pos token.Position, marker string) bool {
 		strings.Contains(lines[pos.Line-1], marker)
 }
 
-// Loader parses and type-checks packages of one module. The shared source
-// importer (stdlib go/importer in "source" mode — the only importer that
-// works in a module with no compiled export data) caches transitively
-// checked dependencies, so loading every package of the repo costs roughly
-// one whole-repo type-check.
+// Loader parses and type-checks each package of one module once: it is its
+// own importer for in-module paths (Load, memoised by import path) and sends
+// only the standard library to go/importer's "source" mode, which reads
+// GOROOT and needs neither the go command nor a working directory.
 type Loader struct {
-	Fset *token.FileSet
-	imp  types.Importer
+	Fset          *token.FileSet
+	root, modPath string
+	std           types.Importer
+	pkgs          map[string]*Package
 }
 
-// NewLoader creates a loader. It must run with the module root (or below)
-// as working directory: the source importer resolves in-module import paths
-// through the go command's view of the main module.
-func NewLoader() *Loader {
+// NewLoader creates a loader for the module modPath rooted at root. With an
+// empty modPath every import is resolved as standard library.
+func NewLoader(root, modPath string) *Loader {
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{Fset: fset, root: root, modPath: modPath,
+		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*Package{}}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importPkg resolves one import of a package being type-checked.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.modPath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	p, err := l.Load(filepath.Join(l.root, rel), path)
+	if err != nil {
+		return nil, err
+	}
+	return p.Pkg, nil
 }
 
 // Load parses every non-test .go file in dir and type-checks the package
-// under importPath.
+// under importPath, or returns the package already loaded under that path.
 func (l *Loader) Load(dir, importPath string) (*Package, error) {
+	if p, ok := l.pkgs[importPath]; ok {
+		return p, nil
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -94,19 +116,21 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	cfg := &types.Config{Importer: l.imp}
+	cfg := &types.Config{Importer: importerFunc(l.importPkg)}
 	pkg, err := cfg.Check(importPath, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
 	}
-	return &Package{
+	p := &Package{
 		Path:         importPath,
 		Fset:         l.Fset,
 		Files:        files,
 		Pkg:          pkg,
 		Info:         info,
 		commentLines: commentLines,
-	}, nil
+	}
+	l.pkgs[importPath] = p
+	return p, nil
 }
 
 // ModulePackages finds every package directory under root (the module root,
