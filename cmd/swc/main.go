@@ -6,25 +6,29 @@
 //
 //	swc [flags] file.swl            compile to file.swo
 //	swc -builtin learning -o l.swo  emit a bundled switchlet
-//	swc -d file.swo                 disassemble an object file
-//	swc -d -O1 file.swo             ... including the quickened form
-//	swc -d -O1 file.swl             compile in-process and disassemble
+//	swc -d file.swo                 disassemble an object file and its quickened form
+//	swc -d -O0 file.swo             ... the wire code only
+//	swc -d file.swl                 compile in-process and disassemble
 //	swc -sig file.swl               print the inferred export signature
 //	swc -env                        list the available module signatures
 //	swc -verify file.swl|file.swo   run the load-time static verifier
 //	swc -verify -builtin learning   ... on a bundled switchlet
 //
-// -verify replays exactly the proof a node performs before linking: the
-// wire bytecode is decoded and checked (control-flow integrity, stack
-// discipline, type soundness, capture bounds), and at -O1 the object is
-// additionally quickened as the loader would and the quickened stream —
-// superinstruction operands, deopt source map, step weights — is proven
-// too. Exit status 1 with the typed diagnostic on any rejection.
+// -verify replays the proof a node performs before linking: the wire
+// bytecode is decoded and checked (control-flow integrity, stack
+// discipline, type soundness, capture bounds). Unless -O0 is given, swc
+// then quickens a fresh decode as the loader would and proves the
+// quickened stream too — superinstruction operands, deopt source map,
+// step weights. A node never makes that second check: it verifies the
+// wire stream before quickening and runs the optimizer's output
+// unchecked, so its reports say quick-checked=false. Exit status 1 with
+// the typed diagnostic on any rejection.
 //
-// -O0 and -O1 select the optimization level (default -O1). The .swo wire
-// format is identical at either level — quickening is an in-memory form the
-// loader derives — so the level only changes what -d shows and what the
-// in-process interpreter would run.
+// -O0 selects the naive bytecode (the default is the quickened level 1).
+// The .swo wire format is identical at either level — quickening is an
+// in-memory form the loader derives — so the level only changes what -d
+// shows, what -verify proves and what the in-process interpreter would
+// run.
 //
 // The module name defaults to the capitalized base name of the source file.
 package main
@@ -51,14 +55,10 @@ func main() {
 		sigOnly = flag.Bool("sig", false, "type check and print the export signature only")
 		envList = flag.Bool("env", false, "list the node environment's module signatures")
 		builtin = flag.String("builtin", "", "emit a bundled switchlet: dumb|learning|spanning|dec|control|spanbug")
-		o0      = flag.Bool("O0", false, "compile/disassemble the naive bytecode only")
-		o1      = flag.Bool("O1", false, "quicken: superinstructions and inline caches (default; wire bytes are identical)")
+		o0      = flag.Bool("O0", false, "compile/disassemble/verify the naive bytecode only (default: also the quickened form; wire bytes are identical)")
 		verifyF = flag.Bool("verify", false, "run the load-time static verifier on a source, object file or builtin")
 	)
 	flag.Parse()
-	if *o0 && *o1 {
-		fatal("-O0 and -O1 are mutually exclusive")
-	}
 	optLevel := 1
 	if *o0 {
 		optLevel = 0
@@ -108,7 +108,7 @@ func main() {
 				fatal("%v", err)
 			}
 		default:
-			fatal("usage: swc -verify [-O0|-O1] file.swl|file.swo (or -builtin <key>)")
+			fatal("usage: swc -verify [-O0] file.swl|file.swo (or -builtin <key>)")
 		}
 		verifyWire(target, enc, optLevel)
 		return
@@ -139,7 +139,7 @@ func main() {
 
 	case *disasm:
 		if flag.NArg() != 1 {
-			fatal("usage: swc -d [-O1] file.swo|file.swl")
+			fatal("usage: swc -d [-O0] file.swo|file.swl")
 		}
 		arg := flag.Arg(0)
 		var obj *vm.Object
@@ -223,9 +223,10 @@ func builtinSource(key string) (name, src string, ok bool) {
 	return "", "", false
 }
 
-// verifyWire replays the load-time proof on the wire bytes: decode, verify
-// the wire stream, and at -O1 quicken a second fresh decode as the loader
-// would and verify the quickened stream as well.
+// verifyWire replays the load-time proof on the wire bytes: decode and
+// verify the wire stream; then, above -O0, quicken a second fresh decode
+// as the loader would and verify the quickened stream as well, which a
+// node does not do.
 func verifyWire(target string, enc []byte, optLevel int) {
 	fresh, err := vm.DecodeObject(enc)
 	if err != nil {

@@ -57,7 +57,6 @@ type timerState struct {
 type pendingSend struct {
 	port int
 	data []byte
-	ctl  bool
 }
 
 // Stats aggregates the node's observable behaviour.
@@ -112,19 +111,19 @@ type Bridge struct {
 	dstHandlers    map[ethernet.MAC]FrameHandler
 	timers         map[string]*timerState
 
-	inDispatch   bool
+	// pendingSends collects a dispatch's frames between beginSends and
+	// endSends. It is nil outside a dispatch, where a send leaves at once.
 	pendingSends []pendingSend
 	spawnQueue   []vm.Value
-	// lastVMCost is the metered cost of the most recent VM dispatch.
-	lastVMCost netsim.Duration
 
 	// sendBufs is a free-list of pendingSend buffers; each dispatch
 	// borrows one and returns it after its sends are emitted.
 	sendBufs [][]pendingSend
 	// doneQueue holds collected send lists awaiting their CPU completion.
 	// CPU completions fire in submission order (the CPU is a FIFO
-	// resource), so every dispatch — frame, timer, one-shot, spawn — uses
-	// one cached callback (emitHeadFn) instead of allocating a closure.
+	// resource), so every job charge books — frame, timer, one-shot,
+	// spawn, loader reply — uses one cached callback (emitHeadFn) instead
+	// of allocating a closure.
 	doneQueue     [][]pendingSend
 	doneQueueHead int
 	emitHeadFn    func()
@@ -278,59 +277,30 @@ func (b *Bridge) CostModel() netsim.CostModel { return b.cost }
 // NumPorts implements env.NetPorts.
 func (b *Bridge) NumPorts() int { return len(b.ports) }
 
-// Send implements env.NetPorts: queue a frame for transmission. During a
-// dispatch the send is collected and charged as part of the frame path;
-// outside dispatch (shouldn't happen from switchlet code) it is sent
-// directly. Failures are the typed sentinels ErrNoSuchPort,
-// ErrFrameTooLong and ErrFrameTooShort.
+// Send implements env.NetPorts: SendBytes over the string's bytes. The
+// view may be queued as-is because swl strings are immutable: arena
+// chunks are never recycled, and frame strings view immutable wire
+// buffers.
 func (b *Bridge) Send(port int, data string, ctl bool) error {
-	if port < 0 || port >= len(b.ports) {
-		return fmt.Errorf("%w %d", ErrNoSuchPort, port)
-	}
-	if len(data) > ethernet.MaxFrameLen {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLong, len(data))
-	}
-	if b.ports[port].Segment() == nil {
-		return nil // link down: drop, as a real driver would
-	}
-	if !ctl && b.blocked[port] {
-		b.Stats.OutputBlocked++
-		return nil // silently suppressed, like a filtering bridge port
-	}
-	var raw []byte
-	if b.curRaw != nil && len(data) == len(b.curRaw) && string(b.curRaw) == data {
-		// Forwarding fast path: the switchlet is sending the frame it is
-		// currently dispatching, unmodified. The received frame already
-		// carries a valid FCS, so reuse its buffer — no copy, no
-		// re-validation. (string(b.curRaw) == data compiles to an
-		// allocation-free comparison.)
-		raw = b.curRaw
-	} else {
-		// view reads the string's bytes in place and does not outlive this
-		// call: the wire frame is built from it in one allocation.
-		view := unsafe.Slice(unsafe.StringData(data), len(data))
-		if wireValid(view) {
-			raw = []byte(data)
-		} else {
-			var err error
-			if raw, err = sealFrame(view); err != nil {
-				return err
-			}
-		}
-	}
-	ps := pendingSend{port: port, data: raw, ctl: ctl}
-	if b.inDispatch {
-		b.pendingSends = append(b.pendingSends, ps)
-		return nil
-	}
-	b.emit(ps)
-	return nil
+	return b.SendBytes(port, unsafe.Slice(unsafe.StringData(data), len(data)), ctl)
 }
 
-// SendBytes is Send for native code that already holds the frame as a
-// byte slice: identical semantics and accounting, without the per-frame
-// string conversion. The slice must not be mutated after the call (the
-// bridge may queue it as-is).
+// SendBytes is the node's one send rule, for swl and native switchlets
+// and the network loader alike. A send to a port without a segment is
+// dropped, as a real driver would; a data (non-ctl) send to a blocked
+// port is suppressed and counted. The frame is then one of three things:
+//   - the frame being dispatched, unmodified (the forwarding fast path):
+//     its received buffer already carries a valid FCS and is reused;
+//   - a complete wire frame with a valid FCS, queued as-is (a bridge must
+//     not modify a frame it forwards);
+//   - a bare header+payload, padded and sealed with a fresh FCS — the
+//     paper's driver behaviour: "The CRC is returned on a read, but
+//     cannot be specified on a write."
+//
+// During a dispatch the frame is collected and leaves when the dispatch's
+// CPU job completes (see charge); outside one it leaves at once. data
+// must not be mutated after the call. Failures are the typed sentinels
+// ErrNoSuchPort, ErrFrameTooLong and ErrFrameTooShort.
 func (b *Bridge) SendBytes(port int, data []byte, ctl bool) error {
 	if port < 0 || port >= len(b.ports) {
 		return fmt.Errorf("%w %d", ErrNoSuchPort, port)
@@ -339,7 +309,7 @@ func (b *Bridge) SendBytes(port int, data []byte, ctl bool) error {
 		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLong, len(data))
 	}
 	if b.ports[port].Segment() == nil {
-		return nil // link down: drop, as a real driver would
+		return nil
 	}
 	if !ctl && b.blocked[port] {
 		b.Stats.OutputBlocked++
@@ -349,15 +319,14 @@ func (b *Bridge) SendBytes(port int, data []byte, ctl bool) error {
 	if b.curRaw != nil && len(data) == len(b.curRaw) &&
 		(&data[0] == &b.curRaw[0] || string(b.curRaw) == string(data)) {
 		raw = b.curRaw
-	} else {
+	} else if !wireValid(data) {
 		var err error
-		raw, err = normalizeFrame(data)
-		if err != nil {
+		if raw, err = sealFrame(data); err != nil {
 			return err
 		}
 	}
-	ps := pendingSend{port: port, data: raw, ctl: ctl}
-	if b.inDispatch {
+	ps := pendingSend{port: port, data: raw}
+	if b.pendingSends != nil {
 		b.pendingSends = append(b.pendingSends, ps)
 		return nil
 	}
@@ -365,24 +334,13 @@ func (b *Bridge) SendBytes(port int, data []byte, ctl bool) error {
 	return nil
 }
 
+// emit is the only place a frame leaves the node.
 func (b *Bridge) emit(ps pendingSend) {
 	if b.crashed {
 		return // queued work dies with the node
 	}
 	b.Stats.FramesSent++
 	b.ports[ps.port].Send(ps.data)
-}
-
-// normalizeFrame accepts either a complete wire frame (valid FCS — the
-// forwarding case, where the bridge must not modify the frame) or a bare
-// header+payload built by a switchlet, which is padded and gets a fresh
-// FCS — the paper's driver behaviour: "The CRC is returned on a read, but
-// cannot be specified on a write."
-func normalizeFrame(data []byte) ([]byte, error) {
-	if wireValid(data) {
-		return data, nil
-	}
-	return sealFrame(data)
 }
 
 // wireValid reports whether data is a complete wire frame with a valid FCS.
@@ -573,16 +531,49 @@ func (b *Bridge) putSendBuf(buf []pendingSend) {
 	}
 }
 
-// emitSends transmits a dispatch's collected frames and recycles the
-// buffer; it runs as the CPU completion callback.
-func (b *Bridge) emitSends(sends []pendingSend) {
-	for i := range sends {
-		b.emit(sends[i])
-	}
-	b.putSendBuf(sends)
+// beginSends opens a dispatch's send collection: until the matching
+// endSends, the node's sends are collected instead of leaving at once. It
+// returns the enclosing collection (nil outside a dispatch), which
+// endSends restores, so dispatches nest.
+func (b *Bridge) beginSends() (outer []pendingSend) {
+	outer = b.pendingSends
+	b.pendingSends = b.getSendBuf()
+	return outer
 }
 
-// emitHead emits the oldest queued send list (see doneQueue).
+// endSends closes the collection beginSends opened, schedules the spawns
+// queued during it, and returns its frames. The slice is pooled: pass it
+// to charge (or putSendBuf) exactly once.
+func (b *Bridge) endSends(outer []pendingSend) []pendingSend {
+	sends := b.pendingSends
+	b.pendingSends = outer
+	b.drainSpawns()
+	return sends
+}
+
+// charge books one dispatch as one job on the node's CPU: recv (the
+// kernel receive crossing), exec (the handler's run) and the kernel send
+// crossing of each collected frame. The frames leave when the job
+// completes, through emitHead, so a crash before then drops them. metered
+// adds the job to Stats.VMTime and Stats.KernelTime; native timers and
+// the network loader are not metered. It returns the send crossings'
+// cost.
+func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered bool) netsim.Duration {
+	var send netsim.Duration
+	for i := range sends {
+		send += b.cost.KernelCrossing(len(sends[i].data))
+	}
+	if metered {
+		b.Stats.VMTime += exec
+		b.Stats.KernelTime += recv + send
+	}
+	b.doneQueue = append(b.doneQueue, sends)
+	b.cpu.Exec(recv+exec+send, b.emitHeadFn)
+	return send
+}
+
+// emitHead emits the oldest queued send list (see doneQueue) and recycles
+// its buffer; it is the completion callback of every job charge books.
 func (b *Bridge) emitHead() {
 	if b.discardEmits > 0 {
 		// This completion's sends were dropped by a crash; consume the
@@ -602,7 +593,10 @@ func (b *Bridge) emitHead() {
 		b.doneQueue = b.doneQueue[:copy(b.doneQueue, b.doneQueue[b.doneQueueHead:])]
 		b.doneQueueHead = 0
 	}
-	b.emitSends(sends)
+	for i := range sends {
+		b.emit(sends[i])
+	}
+	b.putSendBuf(sends)
 }
 
 func (b *Bridge) onFrame(inPort int, raw []byte) {
@@ -651,7 +645,9 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	var trapped bool
 	b.curRaw = raw
 	if h.Native != nil {
-		sends = b.collectSends(func() { h.Native(raw, inPort) })
+		outer := b.beginSends()
+		h.Native(raw, inPort)
+		sends = b.endSends(outer)
 		execCost = b.cost.NativePerFrame
 	} else {
 		if len(raw) == len(b.lastFrameRaw) && &raw[0] == &b.lastFrameRaw[0] {
@@ -661,11 +657,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 			b.lastFrameRaw, b.lastFrameVal = raw, b.frameArgs[0]
 		}
 		b.frameArgs[1] = b.intBox.Box(int64(inPort))
-		sends, trapped = b.invokeVM(h.VM, b.frameArgs[:])
-		execCost = b.lastVMCost
-		if trapped {
-			b.Stats.HandlerTraps++
-		}
+		sends, execCost, trapped = b.invokeVM(h.VM, b.frameArgs[:])
 	}
 	b.curRaw = nil
 
@@ -685,13 +677,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 		}
 	}
 
-	var sendCost netsim.Duration
-	for i := range sends {
-		sendCost += b.cost.KernelCrossing(len(sends[i].data))
-	}
-	b.Stats.VMTime += execCost
-	b.Stats.KernelTime += recvCost + sendCost
-
+	sendCost := b.charge(recvCost, execCost, sends, true)
 	if b.TracePath {
 		b.LastPath = PathSample{
 			When: b.sim.Now(), FrameLen: len(raw),
@@ -699,10 +685,6 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 			Sends: len(sends),
 		}
 	}
-
-	total := recvCost + execCost + sendCost
-	b.doneQueue = append(b.doneQueue, sends)
-	b.cpu.Exec(total, b.emitHeadFn)
 }
 
 // traceEvent records one bridge instant when the net is traced. It takes
@@ -744,82 +726,49 @@ func (s vmTraceSink) TraceDeopt(reason string) {
 	s.b.traceEvent(tracing.KindDeopt, tracing.FormLabel, reason)
 }
 
-// collectSends runs fn with send collection enabled and returns the frames
-// it queued. The returned slice is pooled: pass it to emitSends (or
-// putSendBuf) exactly once.
-func (b *Bridge) collectSends(fn func()) []pendingSend {
-	wasIn := b.inDispatch
-	b.inDispatch = true
-	saved := b.pendingSends
-	b.pendingSends = b.getSendBuf()
-	fn()
-	out := b.pendingSends
-	b.pendingSends = saved
-	b.inDispatch = wasIn
-	b.drainSpawns()
-	return out
-}
-
-// invokeVM runs a switchlet function, metering VM cost into lastVMCost.
-// args may be a caller-owned scratch buffer (the VM does not retain it).
-func (b *Bridge) invokeVM(fn vm.Value, args []vm.Value) (sends []pendingSend, trapped bool) {
+// invokeVM runs a switchlet function, collecting its sends and metering
+// its VM cost. args may be a caller-owned scratch buffer (the VM does not
+// retain it).
+func (b *Bridge) invokeVM(fn vm.Value, args []vm.Value) (sends []pendingSend, cost netsim.Duration, trapped bool) {
 	steps0, alloc0 := b.Machine.Steps, b.Machine.AllocBytes
-	wasIn := b.inDispatch
-	b.inDispatch = true
-	saved := b.pendingSends
-	b.pendingSends = b.getSendBuf()
+	outer := b.beginSends()
 	if _, err := b.Machine.InvokeArgs(fn, args); err != nil {
 		trapped = true
+		b.Stats.HandlerTraps++
 		b.Log("switchlet trap: " + err.Error())
 		b.traceDump(tracing.KindTrap, tracing.FormLabel, err.Error(), "vm trap at "+b.Name+": "+err.Error())
 	}
-	sends = b.pendingSends
-	b.pendingSends = saved
-	b.inDispatch = wasIn
-	b.drainSpawns()
-	b.lastVMCost = b.cost.VMCost(b.Machine.Steps-steps0, b.Machine.AllocBytes-alloc0)
+	sends = b.endSends(outer)
+	cost = b.cost.VMCost(b.Machine.Steps-steps0, b.Machine.AllocBytes-alloc0)
 	if trapped {
 		// A trapped handler forwards nothing: drop its queued sends, the
 		// conservative failure mode.
 		b.putSendBuf(sends)
 		sends = nil
 	}
-	return sends, trapped
+	return sends, cost, trapped
 }
 
 // runVMDispatch runs a VM callback of unit outside the frame path (timers,
-// one-shots, spawns) and charges its cost plus its sends to the CPU. The
-// sends ride the frame path's doneQueue, so a crash drops them the same way.
+// one-shots, spawns) and charges it like a frame without the receive
+// crossing.
 func (b *Bridge) runVMDispatch(fn vm.Value) {
 	if b.crashed {
 		return
 	}
-	sends, trapped := b.invokeVM(fn, b.unitArg[:])
-	if trapped {
-		b.Stats.HandlerTraps++
-	}
-	var sendCost netsim.Duration
-	for i := range sends {
-		sendCost += b.cost.KernelCrossing(len(sends[i].data))
-	}
-	b.Stats.VMTime += b.lastVMCost
-	b.Stats.KernelTime += sendCost
-	b.doneQueue = append(b.doneQueue, sends)
-	b.cpu.Exec(b.lastVMCost+sendCost, b.emitHeadFn)
+	sends, cost, _ := b.invokeVM(fn, b.unitArg[:])
+	b.charge(0, cost, sends, true)
 }
 
-// runNativeDispatch is runVMDispatch for native callbacks.
+// runNativeDispatch is runVMDispatch for native callbacks: charged
+// NativePerFrame, and not metered.
 func (b *Bridge) runNativeDispatch(fn func()) {
 	if b.crashed {
 		return
 	}
-	sends := b.collectSends(fn)
-	var sendCost netsim.Duration
-	for i := range sends {
-		sendCost += b.cost.KernelCrossing(len(sends[i].data))
-	}
-	b.doneQueue = append(b.doneQueue, sends)
-	b.cpu.Exec(b.cost.NativePerFrame+sendCost, b.emitHeadFn)
+	outer := b.beginSends()
+	fn()
+	b.charge(0, b.cost.NativePerFrame, b.endSends(outer), false)
 }
 
 func (b *Bridge) drainSpawns() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/netsim"
@@ -388,28 +389,48 @@ func TestDstBindReturnsTypedError(t *testing.T) {
 	}
 }
 
-func TestNormalizeFrame(t *testing.T) {
-	// A wire-valid frame passes through untouched.
+// TestSendRuleNormalizesFrames pins the one send rule Send and SendBytes
+// share: a wire-valid frame is queued as-is, from a byte slice or a
+// string alike; a bare header+payload is padded and sealed; garbage is
+// rejected with the typed sentinel.
+func TestSendRuleNormalizesFrames(t *testing.T) {
+	r := newRig(t)
+	collect := func(send func() error) ([]pendingSend, error) {
+		outer := r.b.beginSends()
+		err := send()
+		return r.b.endSends(outer), err
+	}
 	fr := ethernet.Frame{Dst: ethernet.Broadcast, Src: ethernet.MAC{2, 0, 0, 0, 0, 1},
 		Type: ethernet.TypeTest, Payload: make([]byte, 80)}
 	raw, _ := fr.Marshal()
-	out, err := normalizeFrame(raw)
-	if err != nil || &out[0] != &raw[0] {
-		t.Errorf("valid frame should pass through")
+	sends, err := collect(func() error { return r.b.SendBytes(0, raw, false) })
+	if err != nil || len(sends) != 1 || &sends[0].data[0] != &raw[0] {
+		t.Errorf("SendBytes: valid frame should be queued as-is")
+	}
+	str := string(raw)
+	sends, err = collect(func() error { return r.b.Send(0, str, false) })
+	if err != nil || len(sends) != 1 || &sends[0].data[0] != unsafe.StringData(str) {
+		t.Errorf("Send: valid frame should be queued as a view of the string")
 	}
 	// A bare header+payload gets padded and an FCS appended.
-	bare := raw[:ethernet.HeaderLen+10]
-	out, err = normalizeFrame(append([]byte(nil), bare...))
-	if err != nil {
-		t.Fatal(err)
+	bare := string(raw[:ethernet.HeaderLen+10])
+	sends, err = collect(func() error { return r.b.Send(1, bare, true) })
+	if err != nil || len(sends) != 1 {
+		t.Fatalf("bare frame: sends = %d, err = %v", len(sends), err)
 	}
 	var check ethernet.Frame
-	if err := check.Unmarshal(out); err != nil {
-		t.Errorf("normalized frame invalid: %v", err)
+	if err := check.Unmarshal(sends[0].data); err != nil {
+		t.Errorf("sealed frame invalid: %v", err)
 	}
-	// Garbage is rejected with the typed sentinel.
-	if _, err := normalizeFrame([]byte{1, 2, 3}); !errors.Is(err, ErrFrameTooShort) {
-		t.Errorf("short data: err = %v, want ErrFrameTooShort", err)
+	if sends[0].port != 1 {
+		t.Errorf("sealed frame queued on port %d, want 1", sends[0].port)
+	}
+	// Garbage is rejected with the typed sentinel by both entry points.
+	if _, err := collect(func() error { return r.b.SendBytes(0, []byte{1, 2, 3}, false) }); !errors.Is(err, ErrFrameTooShort) {
+		t.Errorf("SendBytes short data: err = %v, want ErrFrameTooShort", err)
+	}
+	if _, err := collect(func() error { return r.b.Send(0, "", false) }); !errors.Is(err, ErrFrameTooShort) {
+		t.Errorf("Send empty string: err = %v, want ErrFrameTooShort", err)
 	}
 }
 

@@ -13,9 +13,6 @@ import (
 // mutation of the handler set — direct, Manager lifecycle, or crash — must
 // take effect on the very next frame, and nothing a handler computes (a
 // learning table lookup that ages out) may be remembered on its behalf.
-// The tests keep the names they had when a per-bridge flow cache fronted
-// this path: what they pin — which handler a frame reaches — is the demux
-// contract with or without a cache in front of it.
 
 // fwdManifest is a Manager-installed data-path owner: a forwarder with a
 // full lifecycle so it participates in Upgrade/Rollback and cold restart.
@@ -68,10 +65,10 @@ func (r *rig) burst(t *testing.T, n int) {
 	r.run(50 * netsim.Millisecond)
 }
 
-// TestFlowCacheDemuxRebind pins the effect of every direct mutation of
+// TestDemuxFollowsHandlerRebinds pins the effect of every direct mutation of
 // the handler set: set_handler replacement, a destination claim shadowing
 // the default handler, releasing that claim, and clearing the data path.
-func TestFlowCacheDemuxRebind(t *testing.T) {
+func TestDemuxFollowsHandlerRebinds(t *testing.T) {
 	r := newRig(t)
 	var defaults, dsts int
 	r.b.SetNativeHandler("count-default", func(data []byte, inPort int) { defaults++ })
@@ -104,11 +101,11 @@ func TestFlowCacheDemuxRebind(t *testing.T) {
 	}
 }
 
-// TestFlowCacheDoesNotPinLearningDecisions proves the demux remembers
+// TestDemuxDoesNotPinLearningDecisions proves the demux remembers
 // nothing of the handler's own forwarding decision: a learning bridge's
 // table entry ages out and the same (dst → handler) binding must now
 // produce a flood instead of a unicast.
-func TestFlowCacheDoesNotPinLearningDecisions(t *testing.T) {
+func TestDemuxDoesNotPinLearningDecisions(t *testing.T) {
 	sim := netsim.New()
 	b := New(sim, "br", 1, 3, netsim.DefaultCostModel())
 	var nics [3]*netsim.NIC
@@ -175,11 +172,11 @@ func TestFlowCacheDoesNotPinLearningDecisions(t *testing.T) {
 	}
 }
 
-// TestFlowCacheManagerEpochs pins the demux across the Manager's
+// TestDemuxFollowsManagerEpochs pins the demux across the Manager's
 // lifecycle epochs: Install claims the data path, Upgrade hands it off
 // atomically, and a failed validation Rollback hands it back — each after
 // traffic has been flowing through the previous epoch's handler.
-func TestFlowCacheManagerEpochs(t *testing.T) {
+func TestDemuxFollowsManagerEpochs(t *testing.T) {
 	r := newRig(t)
 	man := r.b.Manager()
 	if _, err := man.Install(fwdManifest()); err != nil {
@@ -216,10 +213,10 @@ func TestFlowCacheManagerEpochs(t *testing.T) {
 	}
 }
 
-// TestFlowCacheCrashRestart pins the demux across the fault plane: a
+// TestDemuxAcrossCrashRestart pins the demux across the fault plane: a
 // crashed node forwards nothing, and after the cold restart frames reach
 // the re-installed handler.
-func TestFlowCacheCrashRestart(t *testing.T) {
+func TestDemuxAcrossCrashRestart(t *testing.T) {
 	r := newRig(t)
 	man := r.b.Manager()
 	if _, err := man.Install(fwdManifest()); err != nil {

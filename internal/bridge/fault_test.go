@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"github.com/switchware/activebridge/internal/env"
+	"github.com/switchware/activebridge/internal/ethernet"
+	"github.com/switchware/activebridge/internal/ipv4"
 	"github.com/switchware/activebridge/internal/netsim"
+	"github.com/switchware/activebridge/internal/tftp"
 )
 
 // counter2Manifest clones counterManifest into a second, API-compatible
@@ -211,5 +214,45 @@ func TestCrashRestartColdState(t *testing.T) {
 	}
 	if r.b.Stats.Restarts != 1 {
 		t.Errorf("double restart counted: %d", r.b.Stats.Restarts)
+	}
+}
+
+// TestCrashDropsQueuedNetLoaderReply pins that the network loader's
+// replies leave through the same crash-safe completion path as a
+// switchlet's frames: a WRQ's ack still waiting for its CPU job when the
+// node crashes dies with the node, even though the node restarts before
+// that job completes.
+func TestCrashDropsQueuedNetLoaderReply(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		sim := netsim.New()
+		b := New(sim, "br", 1, 2, netsim.DefaultCostModel())
+		loaderIP := ipv4.Addr{10, 0, 0, 100}
+		b.EnableNetLoader(loaderIP)
+		lan := netsim.NewSegment(sim, "lan")
+		peer := netsim.NewNIC(sim, "peer", ethernet.MAC{2, 0, 0, 0, 0, 1})
+		rx := 0
+		peer.SetRecv(func(*netsim.NIC, []byte) { rx++ })
+		lan.Attach(peer)
+		lan.Attach(b.Port(0))
+
+		wrq := tftp.Marshal(&tftp.Request{Write: true, Filename: "sw.swo", Mode: "octet"})
+		b.onFrame(0, loaderFrameTo(t, b.MAC(), loaderIP, tftp.Port, wrq))
+		if b.CPU().Backlog() == 0 {
+			t.Fatal("the WRQ booked no CPU job")
+		}
+		sent := b.Stats.FramesSent
+		want, wantSent := 1, sent+1
+		if crash {
+			b.Crash()
+			if err := b.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			want, wantSent = 0, sent
+		}
+		sim.Run(sim.Now() + netsim.Time(100*netsim.Millisecond))
+		if rx != want || b.Stats.FramesSent != wantSent {
+			t.Errorf("crash=%v: peer received %d, FramesSent %d → %d; want %d, %d",
+				crash, rx, sent, b.Stats.FramesSent, want, wantSent)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"github.com/switchware/activebridge/internal/arp"
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/ipv4"
+	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/tftp"
 	"github.com/switchware/activebridge/internal/udp"
 )
@@ -119,28 +120,31 @@ func (nl *netLoader) maybeHandle(inPort int, raw []byte) bool {
 	from := tftp.Endpoint{Addr: ip.Src, Port: dg.SrcPort}
 	nl.peers[from] = peerInfo{mac: fr.Src, port: inPort}
 
-	// Charge the loader's packet processing like any native dispatch.
+	// Each reply is its own CPU job; the first also carries the frame's
+	// receive crossing and the loader's processing.
 	replies := nl.srv.Handle(from, dg.DstPort, dg.Payload)
-	cost := nl.b.cost.KernelCrossing(len(raw)) + nl.b.cost.NativePerFrame
+	recv, exec := nl.b.cost.KernelCrossing(len(raw)), nl.b.cost.NativePerFrame
 	for _, rep := range replies {
 		frame, err := nl.encodeReply(rep)
 		if err != nil {
 			continue
 		}
-		cost += nl.b.cost.KernelCrossing(len(frame))
-		peer := nl.peers[rep.To]
-		frameCopy := frame
-		port := peer.port
-		nl.b.cpu.Exec(cost, func() {
-			nl.b.Stats.FramesSent++
-			nl.b.ports[port].Send(frameCopy)
-		})
-		cost = 0 // subsequent replies ride the same charge chain
+		nl.reply(nl.peers[rep.To].port, frame, recv, exec)
+		recv, exec = 0, 0
 	}
 	if len(replies) == 0 {
-		nl.b.cpu.Hold(cost)
+		nl.b.cpu.Hold(recv + exec)
 	}
 	return true
+}
+
+// reply sends one loader frame as a ctl send through the node's send rule
+// and charges it as its own job, so it leaves (or dies with a crash) like
+// any switchlet's frame.
+func (nl *netLoader) reply(port int, frame []byte, recv, exec netsim.Duration) {
+	outer := nl.b.beginSends()
+	_ = nl.b.SendBytes(port, frame, true) // a marshaled reply is a valid frame
+	nl.b.charge(recv, exec, nl.b.endSends(outer), false)
 }
 
 // maybeAnswerARP replies to who-has queries for the loader's IP address.
@@ -159,12 +163,7 @@ func (nl *netLoader) maybeAnswerARP(inPort int, raw []byte) {
 	if err != nil {
 		return
 	}
-	cost := nl.b.cost.KernelCrossing(len(raw)) + nl.b.cost.NativePerFrame + nl.b.cost.KernelCrossing(len(outRaw))
-	port := inPort
-	nl.b.cpu.Exec(cost, func() {
-		nl.b.Stats.FramesSent++
-		nl.b.ports[port].Send(outRaw)
-	})
+	nl.reply(inPort, outRaw, nl.b.cost.KernelCrossing(len(raw)), nl.b.cost.NativePerFrame)
 }
 
 func (nl *netLoader) encodeReply(rep tftp.Reply) ([]byte, error) {

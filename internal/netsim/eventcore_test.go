@@ -312,10 +312,8 @@ func idBytes(id uint32) []byte { return binary.LittleEndian.AppendUint32(nil, id
 
 func (c *simCore) plain(at Time, id uint32, how byte) {
 	switch how % 6 {
-	case 0, 1:
+	case 0, 1, 2:
 		c.sim.Schedule(at, func() { c.fire(id) })
-	case 2:
-		c.sim.ScheduleBytes(at, c.bfn, idBytes(id))
 	case 3:
 		c.sim.scheduleDeliver(at, c.nics[id%3], idBytes(id))
 	case 4:

@@ -119,12 +119,8 @@ type NIC struct {
 
 	// Promiscuous controls filtering: bridges set it (the paper: "whenever
 	// an input port is bound, it is put into promiscuous mode"); hosts
-	// leave it off and receive only unicast-to-self, broadcast, and
-	// subscribed multicast frames.
+	// leave it off and receive only unicast-to-self and broadcast frames.
 	Promiscuous bool
-
-	// multicast subscriptions (host mode only).
-	groups map[ethernet.MAC]bool
 
 	recv RecvFunc
 
@@ -173,19 +169,13 @@ type NIC struct {
 
 // NewNIC creates an interface with the given MAC bound to the simulation.
 func NewNIC(sim *Sim, name string, mac ethernet.MAC) *NIC {
-	n := &NIC{Name: name, MAC: mac, sim: sim, TxQueueLimit: 128, groups: make(map[ethernet.MAC]bool)}
+	n := &NIC{Name: name, MAC: mac, sim: sim, TxQueueLimit: 128}
 	n.drainFn = n.drain
 	return n
 }
 
 // SetRecv installs the receive handler.
 func (n *NIC) SetRecv(fn RecvFunc) { n.recv = fn }
-
-// Join subscribes the (non-promiscuous) NIC to a multicast group.
-func (n *NIC) Join(group ethernet.MAC) { n.groups[group] = true }
-
-// Leave removes a multicast subscription.
-func (n *NIC) Leave(group ethernet.MAC) { delete(n.groups, group) }
 
 // Segment returns the attached segment, or nil.
 func (n *NIC) Segment() *Segment { return n.segment }
@@ -282,10 +272,7 @@ func (n *NIC) accepts(raw []byte) bool {
 	if err != nil {
 		return false
 	}
-	if dst == n.MAC || dst.IsBroadcast() {
-		return true
-	}
-	return dst.IsMulticast() && n.groups[dst]
+	return dst == n.MAC || dst.IsBroadcast()
 }
 
 // Send queues an encoded frame for transmission. It reports whether the
@@ -344,15 +331,6 @@ func (n *NIC) mintTrace() uint64 {
 	}
 	n.traceSends++
 	return t.TraceID(n.traceSeed, n.traceSends)
-}
-
-// SendFrame marshals and queues a frame.
-func (n *NIC) SendFrame(f *ethernet.Frame) (bool, error) {
-	raw, err := f.Marshal()
-	if err != nil {
-		return false, err
-	}
-	return n.Send(raw), nil
 }
 
 func (n *NIC) drain() {

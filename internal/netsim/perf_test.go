@@ -64,26 +64,6 @@ func forwardingZeroAllocs(t *testing.T, te *tracing.Engine) {
 	}
 }
 
-// TestScheduleBytesOrdering verifies the closure-free scheduling variants
-// interleave with Schedule in strict (time, scheduling-order) sequence —
-// the determinism contract every experiment depends on.
-func TestScheduleBytesOrdering(t *testing.T) {
-	sim := New()
-	var order []int
-	sim.Schedule(10, func() { order = append(order, 0) })
-	sim.ScheduleBytes(10, func([]byte) { order = append(order, 1) }, nil)
-	sim.Schedule(5, func() { order = append(order, 2) })
-	sim.ScheduleBytes(10, func([]byte) { order = append(order, 3) }, nil)
-	sim.Schedule(10, func() { order = append(order, 4) })
-	sim.RunAll()
-	want := []int{2, 0, 1, 3, 4}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("dispatch order = %v, want %v", order, want)
-		}
-	}
-}
-
 // TestHeapOrderingRandomized cross-checks the 4-ary heap against the
 // (time, seq) total order with an adversarial schedule: many ties, past
 // timestamps, and interleaved pops.
@@ -180,11 +160,11 @@ func BenchmarkEventCoreSaturatedCPU(b *testing.B) {
 			cpu := NewCPU(sim)
 			raw := make([]byte, 1024)
 			frames := 0
-			var hop func([]byte)
+			var hop func()
 			hops := 0
-			hop = func(raw []byte) {
+			hop = func() {
 				if hops++; hops%6 != 0 {
-					sim.ScheduleBytes(sim.Now().Add(service/10), hop, raw)
+					sim.Schedule(sim.Now().Add(service/10), hop)
 				}
 			}
 			var complete func([]byte)
@@ -192,7 +172,7 @@ func BenchmarkEventCoreSaturatedCPU(b *testing.B) {
 				if frames++; frames+backlog <= b.N {
 					cpu.ExecBytes(service, complete, raw)
 				}
-				sim.ScheduleBytes(sim.Now().Add(service/10), hop, raw)
+				sim.Schedule(sim.Now().Add(service/10), hop)
 			}
 			for i := 0; i < backlog && i < b.N; i++ {
 				cpu.ExecBytes(service, complete, raw)

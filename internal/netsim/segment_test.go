@@ -86,6 +86,9 @@ func TestPromiscuousSeesEverything(t *testing.T) {
 	}
 }
 
+// TestMulticastSubscription pins that a non-promiscuous (host) NIC
+// subscribes to no multicast group: it accepts only unicast-to-self and
+// broadcast, so a multicast frame such as a BPDU never reaches it.
 func TestMulticastSubscription(t *testing.T) {
 	s := New()
 	seg := NewSegment(s, "lan1")
@@ -99,19 +102,7 @@ func TestMulticastSubscription(t *testing.T) {
 	s.Schedule(0, func() { a.Send(raw) })
 	s.RunAll()
 	if got != 0 {
-		t.Errorf("unsubscribed NIC received multicast")
-	}
-	b.Join(ethernet.AllBridges)
-	s.Schedule(s.Now()+1, func() { a.Send(raw) })
-	s.RunAll()
-	if got != 1 {
-		t.Errorf("subscribed NIC got %d, want 1", got)
-	}
-	b.Leave(ethernet.AllBridges)
-	s.Schedule(s.Now()+1, func() { a.Send(raw) })
-	s.RunAll()
-	if got != 1 {
-		t.Errorf("after Leave got %d, want still 1", got)
+		t.Errorf("host NIC received multicast")
 	}
 }
 

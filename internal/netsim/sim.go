@@ -19,16 +19,10 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/switchware/activebridge/internal/tracing"
 )
-
-// ErrPastEvent tags the panic raised when a StrictPast engine sees an
-// event scheduled strictly before the current instant (use errors.Is on
-// the recovered value).
-var ErrPastEvent = errors.New("netsim: event scheduled in the past")
 
 // eventKey is a heap entry: the ordering key plus the index of the
 // event's payload in the simulation's payload slab. Keys are
@@ -263,12 +257,6 @@ type Sim struct {
 	MaxEvents uint64
 	executed  uint64
 
-	// StrictPast makes scheduling strictly in the past panic with an error
-	// wrapping ErrPastEvent instead of silently clamping to now — a debug
-	// mode for flushing out causality bugs, which sharded execution
-	// depends on never happening.
-	StrictPast bool
-
 	// coord/shard bind this engine into a sharded simulation (nil/-1 for
 	// the control engine; nil/0 value for a plain serial Sim). lastAt is
 	// the time of the last executed event, which the coordinator uses to
@@ -347,28 +335,15 @@ func (s *Sim) TraceEngine() *tracing.Engine { return s.trc }
 // dispatching on this engine — zero when untraced.
 func (s *Sim) CurTrace() uint64 { return s.curTrace }
 
-// pastEvent handles an event scheduled strictly in the past: it is
-// clamped to run at the current instant (after already pending events for
-// that instant), or panics in StrictPast mode. Sharded execution depends
-// on this invariant: a conservative shard clock never runs backwards, so
-// an event scheduled behind now is always a causality bug in the caller.
-func (s *Sim) pastEvent(at Time) Time {
-	if s.StrictPast {
-		if s.trc != nil {
-			s.trc.DumpFlight("invariant: event scheduled in the past", int64(s.now))
-		}
-		panic(fmt.Errorf("%w: scheduled %v behind %v", ErrPastEvent, at, s.now))
-	}
-	return s.now
-}
-
 // newEvent mints the ordering key of an event scheduled now for at, and
 // reserves its payload slot, stamped with the ambient trace context. The
 // caller fills in the slot's kind and operands, then pushes the key (or,
-// for a busy CPU, parks it).
+// for a busy CPU, parks it). An event scheduled strictly in the past is
+// clamped to run at the current instant, after already pending events for
+// that instant.
 func (s *Sim) newEvent(at Time) (eventKey, *eventPayload) {
 	if at < s.now {
-		at = s.pastEvent(at)
+		at = s.now
 	}
 	s.nextID++
 	idx, p := s.queue.alloc(s.curTrace)
@@ -377,20 +352,11 @@ func (s *Sim) newEvent(at Time) (eventKey, *eventPayload) {
 
 // Schedule runs fn at the given absolute time. Scheduling in the past (or at
 // the present instant) runs the event at the current time, after already
-// pending events for that time (see StrictPast). Events scheduled at the
-// same instant run in scheduling order.
+// pending events for that time. Events scheduled at the same instant run
+// in scheduling order.
 func (s *Sim) Schedule(at Time, fn func()) {
 	k, p := s.newEvent(at)
 	p.kind, p.fn, p.cpu = evFunc, fn, nil
-	s.queue.push(k)
-}
-
-// ScheduleBytes runs fn(raw) at the given absolute time without allocating
-// a closure; fn is typically a callback cached once per component.
-// Ordering is identical to Schedule with the same timestamp.
-func (s *Sim) ScheduleBytes(at Time, fn func([]byte), raw []byte) {
-	k, p := s.newEvent(at)
-	p.kind, p.bfn, p.raw, p.cpu = evBytes, fn, raw, nil
 	s.queue.push(k)
 }
 
@@ -644,14 +610,6 @@ func (c *CPU) Backlog() int {
 
 // Hold occupies the CPU for cost without a completion callback.
 func (c *CPU) Hold(cost Duration) { c.Exec(cost, func() {}) }
-
-// QueueDelay reports how long newly submitted work would wait before starting.
-func (c *CPU) QueueDelay() Duration {
-	if c.busyUntil <= c.sim.Now() {
-		return 0
-	}
-	return c.busyUntil.Sub(c.sim.Now())
-}
 
 // Utilization is the one busy-window computation every consumer
 // shares: busy time over an observation window, clamped to [0, 1]

@@ -143,8 +143,9 @@ func TestCPUQueueDelayAndUtilization(t *testing.T) {
 	c := NewCPU(s)
 	s.Schedule(0, func() {
 		c.Exec(500, func() {})
-		if d := c.QueueDelay(); d != 500 {
-			t.Errorf("QueueDelay = %v, want 500", d)
+		// Work submitted behind a 500 ns job waits for it.
+		if done := c.Exec(0, func() {}); done != 500 {
+			t.Errorf("queued job completes at %v, want 500", done)
 		}
 	})
 	s.RunAll()

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -86,28 +85,6 @@ func TestSchedulePastOrdering(t *testing.T) {
 	if got := fmt.Sprintf("%v", order); got != want {
 		t.Fatalf("order %v, want %v", got, want)
 	}
-}
-
-// TestStrictPastPanics pins the ErrPastEvent debug mode.
-func TestStrictPastPanics(t *testing.T) {
-	sim := New()
-	sim.StrictPast = true
-	sim.Schedule(30, func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Fatal("StrictPast did not panic on a past event")
-			}
-			err, ok := p.(error)
-			if !ok || !errors.Is(err, ErrPastEvent) {
-				t.Fatalf("panic %v does not wrap ErrPastEvent", p)
-			}
-		}()
-		sim.Schedule(10, func() {})
-	})
-	// Scheduling at the current instant stays legal in strict mode.
-	sim.Schedule(30, func() { sim.Schedule(30, func() {}) })
-	sim.Run(Time(100))
 }
 
 // TestSegmentUtilizationShardedAccounting drives a cut segment from both

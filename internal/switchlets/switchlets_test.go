@@ -54,9 +54,11 @@ func newHost(sim *netsim.Sim, name string, mac ethernet.MAC) *testHost {
 func (h *testHost) send(t *testing.T, dst ethernet.MAC, payload int) {
 	t.Helper()
 	fr := ethernet.Frame{Dst: dst, Src: h.nic.MAC, Type: ethernet.TypeTest, Payload: make([]byte, payload)}
-	if _, err := h.nic.SendFrame(&fr); err != nil {
+	raw, err := fr.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
+	h.nic.Send(raw)
 }
 
 // twoLANs builds host1 -- LAN1 -- bridge -- LAN2 -- host2 (paper Figure 7).

@@ -90,9 +90,11 @@ func (n *transitionNet) injectIEEE(t *testing.T) {
 		Type:    ethernet.TypeBPDU,
 		Payload: stp.EncodeIEEE(v, stp.Config{}.DefaultTimers()),
 	}
-	if _, err := n.injector.nic.SendFrame(&fr); err != nil {
+	raw, err := fr.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
+	n.injector.nic.Send(raw)
 }
 
 func TestProtocolTransitionTable1(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // Disassemble renders an object file in a human-readable form: header,
 // imports with digests, export signature, and each chunk's instructions.
 // When a chunk carries quickened code (the object went through
-// OptimizeObject — e.g. swc -d -O1), the quickened form is printed after
+// OptimizeObject — e.g. swc -d), the quickened form is printed after
 // the wire form, with each superinstruction's step weight and the wire pc
 // it covers, so the two listings can be read side by side.
 // cmd/swc uses it; it is also invaluable when debugging switchlets.

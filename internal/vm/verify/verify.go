@@ -2,9 +2,17 @@
 // bytecode verifier (internal/vm's VerifyObject), producing the whole-object
 // static argument the paper makes with Caml's type system: a switchlet is
 // accepted only when every proof obligation — control-flow integrity, stack
-// discipline, optimizer-metadata type soundness, capture bounds, and
-// capability coverage of every reachable import — holds before any VM state
-// for the module exists.
+// discipline, type soundness, capture bounds, and capability coverage of
+// every reachable import — holds for its wire code before any VM state for
+// the module exists.
+//
+// A node proves the wire stream only. The compiler and the loader verify
+// before they quicken, and VerifyObject caches that verdict, so the
+// quickened stream's checks (superinstruction operands, deopt map, step
+// weights) run only on an object that arrives already quickened: on a
+// node none does, and Report.QuickChecked is false for every installed
+// switchlet. swc -verify quickens a fresh decode and proves that stream
+// as a separate, offline check.
 //
 // The split between the two layers is deliberate: the abstract interpreter
 // lives in package vm because it speaks raw opcodes, while this package

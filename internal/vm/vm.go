@@ -62,10 +62,6 @@ type Machine struct {
 	frames   []frameSlot
 	frameTop int
 
-	// argBufs is a free-list of argument buffers for the slow apply path
-	// (natives, partials, arity mismatches).
-	argBufs [][]Value
-
 	// tupleSlab bump-allocates tuple storage in blocks so that opTuple
 	// costs one Go allocation per block instead of one per tuple. Each
 	// tuple is carved with a full slice expression (capacity == length),
@@ -153,36 +149,6 @@ func (m *Machine) nativeCtx() *Ctx {
 		m.ctx.M = m
 	}
 	return &m.ctx
-}
-
-// getArgBuf returns a pooled argument buffer of length n. Callers must
-// release it with putArgBuf once no callee can reference it; every code
-// path below does, because neither run (which copies into the arena) nor
-// Partial construction (which copies) nor natives (which must not retain
-// their argument slice) keep the buffer.
-func (m *Machine) getArgBuf(n int) []Value {
-	for i := len(m.argBufs) - 1; i >= 0; i-- {
-		if cap(m.argBufs[i]) >= n {
-			buf := m.argBufs[i]
-			m.argBufs[i] = m.argBufs[len(m.argBufs)-1]
-			m.argBufs = m.argBufs[:len(m.argBufs)-1]
-			return buf[:n]
-		}
-	}
-	c := n
-	if c < 8 {
-		c = 8
-	}
-	return make([]Value, n, c)
-}
-
-func (m *Machine) putArgBuf(buf []Value) {
-	for i := range buf {
-		buf[i] = nil
-	}
-	if len(m.argBufs) < 16 {
-		m.argBufs = append(m.argBufs, buf)
-	}
 }
 
 // apply implements the full curried application rules. Zero-parameter
@@ -532,15 +498,15 @@ frames:
 					}
 					break
 				}
-				// Slow path: partials, arity mismatches, non-functions.
-				cargs := m.getArgBuf(n)
-				copy(cargs, m.vals[len(m.vals)-n:])
+				// Slow path: partials, arity mismatches, non-functions. No
+				// bundled switchlet reaches it, so the arguments get a
+				// fresh copy (apply re-enters run, which reuses the arena).
+				cargs := append([]Value(nil), m.vals[len(m.vals)-n:]...)
 				m.vals = m.vals[:len(m.vals)-n-1]
 				m.fuel, m.Steps = fuel, m.Steps+steps
 				steps = 0
 				res, err := m.apply(fnv, cargs)
 				fuel = m.fuel
-				m.putArgBuf(cargs)
 				if err != nil {
 					var t *Trap
 					if errors.As(err, &t) {
