@@ -129,9 +129,6 @@ func ChaosFlappingRing(cost netsim.CostModel) (*report.Table, error) {
 	}
 	sim := net.Sim
 	sim.MaxEvents = 20_000_000 // storm guard
-	// Static neighbors (no ARP): each probe is one unknown-unicast frame.
-	net.Host(h3).AddNeighbor(net.Host(h4).IP, net.Host(h4).MAC)
-	net.Host(h4).AddNeighbor(net.Host(h3).IP, net.Host(h3).MAC)
 	sim.Run(netsim.Time(45 * netsim.Second))
 	blockedBefore := blockedPorts(net)
 
@@ -159,7 +156,8 @@ func ChaosFlappingRing(cost netsim.CostModel) (*report.Table, error) {
 	sim.Schedule(healAt, func() { net.SetSegmentDown(cutID, false) })
 
 	// Probe for delivery resumption: one ping per 2 s window until one
-	// completes. The alternate arc must open within stpBound of the cut
+	// completes. Build's static neighbor directory spares the probe ARP,
+	// so each probe is one unknown-unicast frame. The alternate arc must open within stpBound of the cut
 	// (the gap is quantized up to the window end, so checks allow +2 s).
 	sim.Run(cutAt + 1)
 	deliveredAtCut := tr.DeliveredBytes()

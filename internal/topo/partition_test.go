@@ -82,11 +82,12 @@ func TestShardedChainMatchesSerial(t *testing.T) {
 	}
 }
 
-// fatTreeGraph declares the scale-fattree256 shape: one core bridge, 15
-// aggregation bridges, 240 edge bridges, 960 hosts, and the scenario's
-// twenty affine ttcp pairs (pod-local and cross-pod).
-func fatTreeGraph() *topo.Graph {
-	const pods, edgesPerPod, hostsPerEdge = 15, 16, 4
+// fatTreeGraph declares the scale-fattree256 shape at 15 pods: one core
+// bridge, 15 aggregation bridges, 240 edge bridges, 960 hosts, and the
+// scenario's twenty affine ttcp pairs (pod-local and cross-pod). Each pod
+// adds one aggregation bridge, 16 edge bridges and 64 hosts.
+func fatTreeGraph(pods int) *topo.Graph {
+	const edgesPerPod, hostsPerEdge = 16, 4
 	g := topo.New("fattree")
 	core := g.AddBridge("core", topo.LearningBridge, pods)
 	var edgeHosts [][]topo.HostID
@@ -115,7 +116,7 @@ func fatTreeGraph() *topo.Graph {
 		g.Affine(edgeHosts[p*edgesPerPod+2][0], edgeHosts[p*edgesPerPod+9][1])
 	}
 	for i := 0; i < 4; i++ {
-		g.Affine(edgeHosts[(3*i+1)*edgesPerPod+4][2], edgeHosts[((3*i+8)%pods)*edgesPerPod+11][3])
+		g.Affine(edgeHosts[((3*i+1)%pods)*edgesPerPod+4][2], edgeHosts[((3*i+8)%pods)*edgesPerPod+11][3])
 	}
 	g.Affine(edgeHosts[0][0], edgeHosts[5][0])
 	return g
@@ -188,7 +189,7 @@ func TestPartitionProperties(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		chain, _, _ := chainGraph(16, 0)
 		checkPartitionContract(t, chain, shards)
-		checkPartitionContract(t, fatTreeGraph(), shards)
+		checkPartitionContract(t, fatTreeGraph(15), shards)
 	}
 
 	g, h1, h2 := chainGraph(16, 0)

@@ -452,20 +452,26 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
-	// Address uniqueness: learning tables and neighbor tables key on
-	// these, so collisions are declaration bugs.
+	// Address uniqueness: learning tables and the neighbor directory key
+	// on these, so collisions are declaration bugs.
+	//
+	// The directory is the measurement LANs' static neighbor table (no
+	// ARP): every host's and every network loader's IP -> MAC, built once
+	// here and shared read-only by every host, which skips its own IP. A
+	// colliding IP's owner is named through macs, since MACs are checked
+	// unique before the IP is.
 	macs := map[ethernet.MAC]string{}
-	ips := map[ipv4.Addr]string{}
+	dir := make(map[ipv4.Addr]ethernet.MAC, len(g.hosts))
 	for i := range g.hosts {
 		h := &g.hosts[i]
 		if prev, dup := macs[h.mac]; dup {
 			return nil, fmt.Errorf("topo %q: host %s: MAC %v already used by %s", g.Name, h.name, h.mac, prev)
 		}
 		macs[h.mac] = h.name
-		if prev, dup := ips[h.ip]; dup {
-			return nil, fmt.Errorf("topo %q: host %s: IP %v already used by %s", g.Name, h.name, h.ip, prev)
+		if prev, dup := dir[h.ip]; dup {
+			return nil, fmt.Errorf("topo %q: host %s: IP %v already used by %s", g.Name, h.name, h.ip, macs[prev])
 		}
-		ips[h.ip] = h.name
+		dir[h.ip] = h.mac
 	}
 	for i := range g.taps {
 		t := &g.taps[i]
@@ -485,10 +491,10 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 		}
 		macs[bmac] = b.name
 		if b.hasNetLoader {
-			if prev, dup := ips[b.netLoader]; dup {
-				return nil, fmt.Errorf("topo %q: bridge %s: loader IP %v already used by %s", g.Name, b.name, b.netLoader, prev)
+			if prev, dup := dir[b.netLoader]; dup {
+				return nil, fmt.Errorf("topo %q: bridge %s: loader IP %v already used by %s", g.Name, b.name, b.netLoader, macs[prev])
 			}
-			ips[b.netLoader] = b.name
+			dir[b.netLoader] = bmac
 		}
 	}
 
@@ -542,7 +548,9 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 	}
 	for i := range g.hosts {
 		h := &g.hosts[i]
-		n.hosts = append(n.hosts, workload.NewHost(nodeSim(nodeRef{nodeHost, i}), h.name, h.mac, h.ip, cost))
+		host := workload.NewHost(nodeSim(nodeRef{nodeHost, i}), h.name, h.mac, h.ip, cost)
+		host.SetDirectory(dir)
+		n.hosts = append(n.hosts, host)
 	}
 	for i := range g.repeaters {
 		n.repeaters = append(n.repeaters, baseline.NewRepeater(nodeSim(nodeRef{nodeRepeater, i}), g.repeaters[i].name, cost))
@@ -601,22 +609,6 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 	for i := range g.bridges {
 		if err := loadKind(n.bridges[i], &g.bridges[i]); err != nil {
 			return nil, fmt.Errorf("topo %q: bridge %s (%v): %w", g.Name, g.bridges[i].name, g.bridges[i].kind, err)
-		}
-	}
-
-	// Static neighbor tables: the measurement LANs are fully known (no
-	// ARP), so every host knows every other host and every network
-	// loader. Extra entries are inert — they only suppress ARP.
-	for i, hi := range n.hosts {
-		for j, hj := range n.hosts {
-			if i != j {
-				hi.AddNeighbor(hj.IP, hj.MAC)
-			}
-		}
-		for k, br := range n.bridges {
-			if g.bridges[k].hasNetLoader {
-				hi.AddNeighbor(br.NetLoaderAddr(), br.MAC())
-			}
 		}
 	}
 

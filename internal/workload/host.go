@@ -6,7 +6,7 @@
 // Hosts model the paper's "Intel Pentiums running ... Linux": a full
 // protocol stack charged per packet through the host CPU, IPv4
 // fragmentation/reassembly for large ICMP payloads, and a static neighbor
-// table in place of ARP (the measurement LANs are fully known).
+// directory in front of ARP (the measurement LANs are fully known).
 package workload
 
 import (
@@ -54,7 +54,10 @@ type Host struct {
 	lastTestDst  ethernet.MAC
 	lastTestPlen int
 
+	// neighbors holds this host's own entries (AddNeighbor and ARP);
+	// directory is the network-wide read-only table behind them.
 	neighbors map[ipv4.Addr]ethernet.MAC
+	directory map[ipv4.Addr]ethernet.MAC
 	// arpPending queues IP sends awaiting resolution, keyed by next hop.
 	arpPending map[ipv4.Addr][]pendingIP
 	ipID       uint16
@@ -88,8 +91,17 @@ func NewHost(sim *netsim.Sim, name string, mac ethernet.MAC, ip ipv4.Addr, cost 
 	return h
 }
 
-// AddNeighbor installs a static IP -> MAC mapping (no ARP in the testbed).
+// AddNeighbor installs a static IP -> MAC mapping of this host's own; it
+// wins over the directory.
 func (h *Host) AddNeighbor(ip ipv4.Addr, mac ethernet.MAC) { h.neighbors[ip] = mac }
+
+// SetDirectory installs a shared IP -> MAC directory consulted after the
+// host's own entries, so an AddNeighbor or ARP-learned entry wins over it.
+// The host never resolves its own IP from the directory. One map serves
+// every host of a network, and on the sharded engine shard goroutines
+// read it concurrently, so it is never written once installed: topo.Build
+// fills it before handing it out and never after.
+func (h *Host) SetDirectory(dir map[ipv4.Addr]ethernet.MAC) { h.directory = dir }
 
 // CPU exposes the host CPU for utilization reporting.
 func (h *Host) CPU() *netsim.CPU { return h.cpu }
@@ -212,11 +224,14 @@ func (h *Host) sendARPRequest(dst ipv4.Addr) {
 }
 
 // SendIP transmits an IP payload to dst, fragmenting at the MTU; each
-// resulting frame is charged through the host CPU. An unresolved
-// destination triggers ARP; the packet is queued and transmitted when the
-// reply arrives.
+// resulting frame is charged through the host CPU. A destination found
+// in neither the host's own entries nor the directory triggers ARP; the
+// packet is queued and transmitted when the reply arrives.
 func (h *Host) SendIP(dst ipv4.Addr, proto byte, payload []byte) error {
 	mac, ok := h.neighbors[dst]
+	if !ok && dst != h.IP {
+		mac, ok = h.directory[dst]
+	}
 	if !ok {
 		pend := h.arpPending[dst]
 		if len(pend) >= 64 {

@@ -9,6 +9,7 @@ import (
 	"github.com/switchware/activebridge/internal/ipv4"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/switchlets"
+	"github.com/switchware/activebridge/internal/udp"
 )
 
 func pair(t *testing.T) (*netsim.Sim, *Host, *Host) {
@@ -283,5 +284,97 @@ func TestARPAcrossActiveBridge(t *testing.T) {
 	sim.Run(netsim.Time(2 * netsim.Second))
 	if got == nil {
 		t.Fatal("ARP + ping did not cross the bridge")
+	}
+}
+
+// TestNeighborLookupOrder pins SendIP's resolution order: the host's own
+// entries (AddNeighbor, ARP-learned) first, then the shared directory,
+// which never resolves the host's own IP; anything else goes to ARP.
+func TestNeighborLookupOrder(t *testing.T) {
+	bogus := ethernet.MAC{2, 0, 0, 0, 9, 9}
+	cases := []struct {
+		name string
+		// prepare runs before h1's send; dir is h1's directory.
+		prepare   func(sim *netsim.Sim, h1, h2 *Host, dir map[ipv4.Addr]ethernet.MAC)
+		dst       func(h1, h2 *Host) ipv4.Addr
+		wantARP   uint64 // ARP frames from h1 seen on the LAN
+		wantDatum bool   // h2 receives h1's datagram
+	}{
+		{
+			name:    "directory entry, no ARP",
+			prepare: func(_ *netsim.Sim, _, h2 *Host, dir map[ipv4.Addr]ethernet.MAC) { dir[h2.IP] = h2.MAC },
+			dst:     func(_, h2 *Host) ipv4.Addr { return h2.IP },
+			wantARP: 0, wantDatum: true,
+		},
+		{
+			name:    "own IP never from the directory",
+			prepare: func(_ *netsim.Sim, h1, _ *Host, dir map[ipv4.Addr]ethernet.MAC) { dir[h1.IP] = bogus },
+			dst:     func(h1, _ *Host) ipv4.Addr { return h1.IP },
+			wantARP: 1, wantDatum: false,
+		},
+		{
+			name: "ARP-learned entry wins",
+			prepare: func(sim *netsim.Sim, h1, h2 *Host, dir map[ipv4.Addr]ethernet.MAC) {
+				dir[h2.IP] = bogus
+				// h2 has no entries, so its send ARPs for h1; the request
+				// teaches h1 h2's real MAC and h1 answers (1 ARP frame).
+				_ = h2.SendIP(h1.IP, ipv4.ProtoUDP, []byte("hello"))
+				sim.Run(sim.Now() + netsim.Time(netsim.Second))
+			},
+			dst:     func(_, h2 *Host) ipv4.Addr { return h2.IP },
+			wantARP: 1, wantDatum: true,
+		},
+		{
+			name: "AddNeighbor entry wins",
+			prepare: func(_ *netsim.Sim, h1, h2 *Host, dir map[ipv4.Addr]ethernet.MAC) {
+				dir[h2.IP] = bogus
+				h1.AddNeighbor(h2.IP, h2.MAC)
+			},
+			dst:     func(_, h2 *Host) ipv4.Addr { return h2.IP },
+			wantARP: 0, wantDatum: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := netsim.New()
+			cost := netsim.DefaultCostModel()
+			h1 := NewHost(sim, "h1", ethernet.MAC{2, 0, 0, 0, 3, 1}, ipv4.Addr{10, 3, 0, 1}, cost)
+			h2 := NewHost(sim, "h2", ethernet.MAC{2, 0, 0, 0, 3, 2}, ipv4.Addr{10, 3, 0, 2}, cost)
+			dir := map[ipv4.Addr]ethernet.MAC{}
+			h1.SetDirectory(dir)
+			lan := netsim.NewSegment(sim, "lan")
+			lan.Attach(h1.NIC)
+			lan.Attach(h2.NIC)
+			var arpFromH1 uint64
+			tap := netsim.NewNIC(sim, "tap", ethernet.MAC{2, 0, 0, 0, 3, 3})
+			tap.Promiscuous = true
+			tap.SetRecv(func(_ *netsim.NIC, raw []byte) {
+				var fr ethernet.Frame
+				if fr.Unmarshal(raw) == nil && fr.Type == ethernet.TypeARP && fr.Src == h1.MAC {
+					arpFromH1++
+				}
+			})
+			lan.Attach(tap)
+			var got []byte
+			h2.BindUDP(7, func(_ ipv4.Addr, _ uint16, payload []byte) { got = append(got, payload...) })
+
+			tc.prepare(sim, h1, h2, dir)
+			dg := udp.Datagram{SrcPort: 7, DstPort: 7, Payload: []byte("datum")}
+			dst := tc.dst(h1, h2)
+			raw, err := dg.Marshal(h1.IP, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h1.SendIP(dst, ipv4.ProtoUDP, raw); err != nil {
+				t.Fatalf("SendIP: %v", err)
+			}
+			sim.Run(sim.Now() + netsim.Time(netsim.Second))
+			if arpFromH1 != tc.wantARP {
+				t.Errorf("h1 sent %d ARP frames, want %d", arpFromH1, tc.wantARP)
+			}
+			if gotDatum := string(got) == "datum"; gotDatum != tc.wantDatum {
+				t.Errorf("h2 received %q, want datum delivered = %v", got, tc.wantDatum)
+			}
+		})
 	}
 }

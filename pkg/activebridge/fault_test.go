@@ -31,7 +31,6 @@ func lossyLineFingerprint(t *testing.T, seed uint64) (fp string, s1Down bool, dr
 	// A steady broadcast-learnable stream: enough frames that a 20% drop
 	// model is statistically certain to fire.
 	src, dst := net.Host(h1), net.Host(h2)
-	src.AddNeighbor(dst.IP, dst.MAC)
 	for i := 0; i < 100; i++ {
 		at := net.Sim.Now() + ab.Time(i)*ab.Time(10*ab.Millisecond)
 		net.Sim.Schedule(at, func() { src.SendTest(dst.MAC, make([]byte, 200)) })
