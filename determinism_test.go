@@ -10,12 +10,12 @@ import (
 // frameRatesRun executes the §7.3 frame-rate experiment at
 // the 1024-byte point and returns its full determinism fingerprint plus
 // the two headline metrics.
-func frameRatesRun() (testbed.Fingerprint, float64, float64) {
+func frameRatesRun() (string, float64, float64) {
 	cost := netsim.DefaultCostModel()
 	tb := testbed.New(testbed.ActiveBridge, cost)
 	tb.Warm()
 	tr := tb.TtcpRun(1024, 2<<20)
-	return tb.Fingerprint(), tr.FramesPerSecond(), tr.ThroughputMbps()
+	return tb.Net.Fingerprint(), tr.FramesPerSecond(), tr.ThroughputMbps()
 }
 
 // TestFrameRatesDeterministic runs the experiment twice in one process:
@@ -26,7 +26,7 @@ func TestFrameRatesDeterministic(t *testing.T) {
 	fp1, fps1, mbps1 := frameRatesRun()
 	fp2, fps2, mbps2 := frameRatesRun()
 	if fp1 != fp2 {
-		t.Fatalf("fingerprints differ across runs:\n run1 %+v\n run2 %+v", fp1, fp2)
+		t.Fatalf("fingerprints differ across runs:\n run1 %s\n run2 %s", fp1, fp2)
 	}
 	if fps1 != fps2 || mbps1 != mbps2 {
 		t.Fatalf("metrics differ across runs: fps %v vs %v, mbps %v vs %v", fps1, fps2, mbps1, mbps2)
@@ -40,17 +40,9 @@ func TestFrameRatesDeterministic(t *testing.T) {
 // switchlets must update these values with justification.
 func TestFrameRatesGolden(t *testing.T) {
 	fp, fps, mbps := frameRatesRun()
-	want := testbed.Fingerprint{
-		Now:        600100000000,
-		Steps:      172264,
-		AllocBytes: 156120,
-		FramesIn:   2050,
-		FramesSent: 2050,
-		VMTimeNs:   758353400,
-		KernelNs:   580731520,
-	}
+	const want = "t=600100000000 br0[steps=172264 alloc=156120 in=2050 sent=2050 vm=758353400 kern=580731520]"
 	if fp != want {
-		t.Fatalf("fingerprint deviates from pre-optimization golden:\n got %+v\nwant %+v", fp, want)
+		t.Fatalf("fingerprint deviates from pre-optimization golden:\n got %s\nwant %s", fp, want)
 	}
 	const wantFps, wantMbps = 1530.287330, 12.536114
 	if !close6(fps, wantFps) || !close6(mbps, wantMbps) {

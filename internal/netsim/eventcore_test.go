@@ -55,8 +55,8 @@ var (
 // delivery fires once per receiving NIC, twice with dup).
 type coreSide interface {
 	now() Time
-	// plain schedules an ordinary event through one of the four Schedule
-	// helpers, chosen by how.
+	// plain schedules an ordinary event, chosen by how: a closure or a
+	// segment delivery with one, two or four receptions.
 	plain(at Time, id uint32, how byte)
 	// exec submits a job to a CPU.
 	exec(cpu int, cost Duration, id uint32, bytes bool)
@@ -259,7 +259,8 @@ func (r *refCore) heapEntries() int {
 }
 
 // plainDeliveries is how many times a plain event of the given flavour
-// fires: the batched segment flavours reach both other NICs of the
+// fires: flavour 3 is a segment delivery to the one other NIC of a
+// two-NIC segment, and flavours 4 and 5 reach both other NICs of the
 // three-NIC test segment, twice each with dup.
 func plainDeliveries(how byte) int {
 	switch how % 6 {
@@ -278,6 +279,8 @@ type simCore struct {
 	cpus [coreCPUs]*CPU
 	seg  *Segment
 	nics [3]*NIC
+	pair *Segment // two NICs: every delivery on it has one receiver
+	pnic [2]*NIC
 	bfn  func([]byte)
 	subs map[uint32]int
 	log  []fired
@@ -288,13 +291,20 @@ func newSimCore(prog *coreProgram) *simCore {
 	for i := range c.cpus {
 		c.cpus[i] = NewCPU(c.sim)
 	}
-	c.seg = NewSegment(c.sim, "lan")
-	for i := range c.nics {
+	attach := func(g *Segment, i int) *NIC {
 		n := NewNIC(c.sim, fmt.Sprintf("n%d", i), mac(byte(i+1)))
 		n.Promiscuous = true
 		n.SetRecv(func(_ *NIC, raw []byte) { c.fire(binary.LittleEndian.Uint32(raw)) })
-		c.seg.Attach(n)
-		c.nics[i] = n
+		g.Attach(n)
+		return n
+	}
+	c.seg = NewSegment(c.sim, "lan")
+	for i := range c.nics {
+		c.nics[i] = attach(c.seg, i)
+	}
+	c.pair = NewSegment(c.sim, "pair")
+	for i := range c.pnic {
+		c.pnic[i] = attach(c.pair, len(c.nics)+i)
 	}
 	c.bfn = func(raw []byte) { c.fire(binary.LittleEndian.Uint32(raw)) }
 	return c
@@ -315,7 +325,7 @@ func (c *simCore) plain(at Time, id uint32, how byte) {
 	case 0, 1, 2:
 		c.sim.Schedule(at, func() { c.fire(id) })
 	case 3:
-		c.sim.scheduleDeliver(at, c.nics[id%3], idBytes(id))
+		c.sim.scheduleDeliverSeg(at, c.pair, c.pnic[id%2], idBytes(id), false)
 	case 4:
 		c.sim.scheduleDeliverSeg(at, c.seg, c.nics[id%3], idBytes(id), false)
 	case 5:
@@ -468,6 +478,13 @@ var coreHandPrograms = map[string][]byte{
 	"cap inside backlog": program(
 		drvIssue(2), opExec(0, 3, 3, 3, 3), opPlain(5, 0),
 		drvCap(2), drvCap(1), drvRun(3), drvCap(7), drvFar()),
+	// A cap of 1 whose head event is a dup batch: the batch runs whole,
+	// Executed advances by 4 and the run stops before the plain event
+	// due at the same instant.
+	"cap inside a batch": program(
+		drvIssue(2), opPlain(0, 5), opPlain(0, 0),
+		drvCap(1), 0, 0, 0, 0, // four receptions, each issuing nothing
+		drvFar(), 0),
 }
 
 func FuzzEventCoreOrder(f *testing.F) {

@@ -107,6 +107,12 @@ func (g *Segment) wireTime(rawLen int) Duration {
 // delivers it to every other attached NIC after the wire time plus
 // propagation delay. It returns the time the transmission completes.
 //
+// The local receivers share one delivery event, whatever their number
+// and whether or not an event cap is set: it counts once per delivery
+// (see Sim.MaxEvents). A transmission no local NIC receives schedules
+// nothing. Receivers bound to another shard engine each get their copy
+// through the coordinator, in attach order.
+//
 // Collisions are modelled as queueing (CSMA/CD with ideal arbitration):
 // back-to-back senders each get the medium in FIFO order. This matches the
 // paper's lightly loaded measurement LANs, where capture effects are not the
@@ -158,43 +164,19 @@ func (g *Segment) transmit(from *NIC, raw []byte) Time {
 			Kind: tracing.KindWire, Node: g.Name, Form: tracing.FormLen, N: [4]int64{int64(len(raw))},
 		})
 	}
-	local := 0
 	for _, nic := range g.nics {
 		if nic != from && nic.sim == g.sim {
-			local++
+			g.sim.scheduleDeliverSeg(arrive, g, from, raw, dup)
+			break
 		}
-	}
-	if local >= 2 && !g.sim.capped() {
-		// Batch the same-instant local deliveries into one event (their
-		// per-NIC events would carry consecutive seqs under an identical
-		// (at, genAt, src) — see eventPayload). Cross-shard deliveries
-		// still post individually, in the same attach order as before.
-		g.sim.scheduleDeliverSeg(arrive, g, from, raw, dup)
-		for _, nic := range g.nics {
-			if nic == from || nic.sim == g.sim {
-				continue
-			}
-			g.sim.coord.postDelivery(g, nic, arrive, raw)
-			if dup {
-				g.sim.coord.postDelivery(g, nic, arrive, raw)
-			}
-		}
-		return end
 	}
 	for _, nic := range g.nics {
-		if nic == from {
+		if nic == from || nic.sim == g.sim {
 			continue
 		}
-		if nic.sim != g.sim {
-			g.sim.coord.postDelivery(g, nic, arrive, raw)
-			if dup {
-				g.sim.coord.postDelivery(g, nic, arrive, raw)
-			}
-			continue
-		}
-		g.sim.scheduleDeliver(arrive, nic, raw)
+		g.sim.coord.postDelivery(g, nic, arrive, raw)
 		if dup {
-			g.sim.scheduleDeliver(arrive, nic, raw)
+			g.sim.coord.postDelivery(g, nic, arrive, raw)
 		}
 	}
 	return end
@@ -211,9 +193,11 @@ func (g *Segment) traceFault(label string) {
 	}
 }
 
-// deliverLocal performs a batched delivery scheduled by transmit: raw goes
-// to the first nn attached NICs except from, in attach order, twice per
-// NIC when dup. It returns the number of deliveries performed.
+// deliverLocal performs the one delivery event transmit scheduled: raw
+// goes to the first nn attached NICs of this engine except from, in
+// attach order, twice per NIC when dup. It returns the number of
+// deliveries performed, which is what the event counts towards
+// Executed and MaxEvents.
 func (g *Segment) deliverLocal(from *NIC, raw []byte, nn int32, dup bool) int {
 	nics := g.nics
 	if int(nn) < len(nics) {

@@ -91,7 +91,7 @@ type evKind uint8
 const (
 	evFunc    evKind = iota // fn()
 	evBytes                 // bfn(raw)
-	evDeliver               // nic.deliver(raw)
+	evDeliver               // nic.deliver(raw): a copy folded in from another shard
 	evSegment               // seg.deliverLocal(nic, raw, nn, dup)
 )
 
@@ -109,12 +109,13 @@ type eventPayload struct {
 	bfn func([]byte)
 	nic *NIC // evDeliver: the receiver; evSegment: the transmitter
 	raw []byte
-	// seg makes an evSegment event a batched same-instant delivery of raw
-	// to the first nn locally attached NICs of seg except nic, in attach
-	// order; dup delivers each copy twice. One such event replaces a run
-	// of per-NIC delivery events that would all carry the same (at, genAt,
-	// src) and consecutive seqs — nothing can order between them — so
-	// dispatch order is serial-identical.
+	// seg makes an evSegment event the one delivery of a transmission:
+	// raw goes to the first nn locally attached NICs of seg except nic, in
+	// attach order, twice each when dup. It is the only way a local frame
+	// arrives, for one receiver or many. Per-receiver events would carry
+	// the same (at, genAt, src) and consecutive seqs, so nothing could
+	// order between them, and the batch dispatches in the same order.
+	// It counts once per delivery (see Sim.MaxEvents).
 	seg *Segment
 	// cpu, on an evFunc or evBytes event, marks the completion of a job on
 	// that CPU: dispatching it first promotes the CPU's next parked job
@@ -250,10 +251,14 @@ type Sim struct {
 	// Halted is set by Stop and ends Run early.
 	halted bool
 	// MaxEvents guards runaway simulations (e.g. broadcast storms in the
-	// loop-without-spanning-tree experiments). Zero means no limit. On a
-	// sharded simulation the cap is enforced globally but the exact
-	// stopping event is not serial-identical; treat it as a guard, not a
-	// measurement.
+	// loop-without-spanning-tree experiments). Zero means no limit. A
+	// Run or RunAll stops after the event that brings its own count of
+	// executed events to MaxEvents. A segment delivery is one event that
+	// counts once per receiving NIC, so the count can pass the cap by
+	// the rest of that delivery. A cap that is never reached changes
+	// nothing. A sharded simulation applies the same rule to its global
+	// count, but its shards run concurrently, so which event reaches the
+	// cap is not serial-identical: treat it as a guard, not a measurement.
 	MaxEvents uint64
 	executed  uint64
 
@@ -360,40 +365,21 @@ func (s *Sim) Schedule(at Time, fn func()) {
 	s.queue.push(k)
 }
 
-// scheduleDeliver schedules delivery of raw to nic without allocating a
-// closure; ordering is identical to Schedule with the same timestamp.
-func (s *Sim) scheduleDeliver(at Time, nic *NIC, raw []byte) {
-	k, p := s.newEvent(at)
-	p.kind, p.nic, p.raw = evDeliver, nic, raw
-	s.queue.push(k)
-}
-
-// scheduleDeliverSeg schedules one batched delivery of raw to every local
-// NIC of g except from (snapshotting the current attachment count — NICs
-// attached later must not see earlier frames).
+// scheduleDeliverSeg schedules a transmission's one delivery event: raw
+// to every local NIC of g except from (snapshotting the current attachment
+// count — NICs attached later must not see earlier frames).
 func (s *Sim) scheduleDeliverSeg(at Time, g *Segment, from *NIC, raw []byte, dup bool) {
 	k, p := s.newEvent(at)
 	p.kind, p.seg, p.nic, p.raw, p.nn, p.dup = evSegment, g, from, raw, int32(len(g.nics)), dup
 	s.queue.push(k)
 }
 
-// capped reports whether an event-count cap is in force, either on this
-// engine or (for a shard of a coordinated simulation) globally. Batched
-// deliveries count as several executed events at once, which would move a
-// cap's exact stopping point, so segments only batch when uncapped.
-func (s *Sim) capped() bool {
-	if s.MaxEvents != 0 {
-		return true
-	}
-	return s.coord != nil && s.coord.control.MaxEvents != 0
-}
-
 // dispatch runs the popped event whose payload is in slot idx, under its
 // trace context, then releases the slot. It returns how many logical
-// events that was: 1, except for batched segment deliveries, which count
-// one per frame delivery so Executed totals stay serial-identical. The
-// payload is read where it lies; the operands are loaded before the call,
-// so a callback that grows the slab under it is harmless.
+// events that was: 1, except for a segment delivery, which counts one
+// per frame delivered (see Sim.MaxEvents). The payload is read where it
+// lies; the operands are loaded before the call, so a callback that
+// grows the slab under it is harmless.
 func (s *Sim) dispatch(idx int32) int {
 	e := &s.queue.payloads[idx]
 	s.curTrace = e.trace
@@ -430,18 +416,32 @@ func (s *Sim) Stop() {
 }
 
 // Run executes events until the queue is empty, the deadline passes, Stop is
-// called, or MaxEvents is exceeded. It returns the number of events executed.
+// called, or MaxEvents is reached. It returns the number of events executed.
+// A run that drains the queue leaves the clock at the deadline.
 // On an engine belonging to a sharded simulation, Run drives the whole
 // coordinated simulation (all shards plus control) to the deadline.
 func (s *Sim) Run(until Time) uint64 {
 	if s.coord != nil {
 		return s.coord.Run(until)
 	}
+	return s.run(until)
+}
+
+// RunAll executes events until the queue is empty, Stop is called, or
+// MaxEvents is reached. Unlike Run it has no deadline, so the clock stays
+// at the last executed event.
+func (s *Sim) RunAll() uint64 {
+	if s.coord != nil {
+		return s.coord.RunAll()
+	}
+	return s.run(maxTime)
+}
+
+// run is the serial event loop behind Run and RunAll; until == maxTime
+// means no deadline, and then the clock stays where it is.
+func (s *Sim) run(until Time) uint64 {
 	start := s.executed
-	for s.queue.len() > 0 && !s.halted {
-		if s.queue.keys[0].at > until {
-			break
-		}
+	for s.queue.len() > 0 && !s.halted && s.queue.keys[0].at <= until {
 		k := s.queue.pop()
 		s.now = k.at
 		s.executed += uint64(s.dispatch(k.idx))
@@ -450,7 +450,7 @@ func (s *Sim) Run(until Time) uint64 {
 		}
 	}
 	s.curTrace = 0
-	if s.now < until && !s.halted && s.queue.len() == 0 {
+	if until != maxTime && s.now < until && !s.halted && s.queue.len() == 0 {
 		s.now = until
 	}
 	s.quiesced()
@@ -463,25 +463,6 @@ func (s *Sim) peekKey() (eventKey, bool) {
 		return eventKey{}, false
 	}
 	return s.queue.keys[0], true
-}
-
-// RunAll executes events until the queue is empty or Stop is called.
-func (s *Sim) RunAll() uint64 {
-	if s.coord != nil {
-		return s.coord.RunAll()
-	}
-	start := s.executed
-	for s.queue.len() > 0 && !s.halted {
-		k := s.queue.pop()
-		s.now = k.at
-		s.executed += uint64(s.dispatch(k.idx))
-		if s.MaxEvents != 0 && s.executed-start >= s.MaxEvents {
-			break
-		}
-	}
-	s.curTrace = 0
-	s.quiesced()
-	return s.executed - start
 }
 
 // Pending reports the number of events scheduled but not yet executed:

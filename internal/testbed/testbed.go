@@ -68,11 +68,8 @@ type Testbed struct {
 	h1, h2 topo.HostID
 }
 
-// Addresses of the two hosts (the topo auto-assignment for hosts 1 and 2).
-var (
-	H1IP = ipv4.Addr{10, 0, 0, 1}
-	H2IP = ipv4.Addr{10, 0, 0, 2}
-)
+// H2IP is host 2's address (the topo auto-assignment).
+var H2IP = ipv4.Addr{10, 0, 0, 2}
 
 // New builds the configuration. An error can only come from switchlet
 // compilation, which is deterministic; it panics because it means the
@@ -139,35 +136,6 @@ func (tb *Testbed) Manager() *bridge.Manager {
 		panic("testbed: configuration has no bridge")
 	}
 	return tb.Bridge.Manager()
-}
-
-// Fingerprint is the determinism-relevant state of a finished experiment:
-// if any optimization changes scheduling order, interpreter accounting or
-// frame handling, some field here moves. All values are virtual-time
-// quantities, identical on any machine.
-type Fingerprint struct {
-	Now        netsim.Time
-	Steps      uint64
-	AllocBytes uint64
-	FramesIn   uint64
-	FramesSent uint64
-	VMTimeNs   int64
-	KernelNs   int64
-}
-
-// Fingerprint captures the bridge-path determinism state (zero-valued for
-// configurations without a bridge).
-func (tb *Testbed) Fingerprint() Fingerprint {
-	fp := Fingerprint{Now: tb.Sim.Now()}
-	if tb.Bridge != nil {
-		fp.Steps = tb.Bridge.Machine.Steps
-		fp.AllocBytes = tb.Bridge.Machine.AllocBytes
-		fp.FramesIn = tb.Bridge.Stats.FramesIn
-		fp.FramesSent = tb.Bridge.Stats.FramesSent
-		fp.VMTimeNs = int64(tb.Bridge.Stats.VMTime)
-		fp.KernelNs = int64(tb.Bridge.Stats.KernelTime)
-	}
-	return fp
 }
 
 // PingRTT measures the mean ICMP round-trip time for the given data size.

@@ -71,6 +71,48 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 }
 
+// TestUnreachedCapChangesNothing runs one net with no event cap and with
+// a cap it never reaches: the run must be identical. The net is a 4-bridge
+// spanning-tree ring with h1 and h2 sharing lan r0 and h3 on r2, so it
+// has both one-receiver segments (the bridge-to-bridge lans) and a
+// multi-receiver one (r0).
+func TestUnreachedCapChangesNothing(t *testing.T) {
+	run := func(maxEvents uint64) (fp string, executed uint64, now netsim.Time) {
+		const n = 4
+		g := New("capped-ring")
+		var segs [n]SegmentID
+		for i := range segs {
+			segs[i] = g.AddSegment("")
+		}
+		for i := 0; i < n; i++ {
+			br := g.AddBridge("", STPBridge, 2)
+			g.Link(br, segs[i])
+			g.Link(br, segs[(i+1)%n])
+		}
+		h1, h2, h3 := g.AddHost(""), g.AddHost(""), g.AddHost("")
+		g.Link(h1, segs[0])
+		g.Link(h2, segs[0])
+		g.Link(h3, segs[2])
+		net := g.MustBuild(netsim.DefaultCostModel())
+		net.Sim.MaxEvents = maxEvents
+		net.Sim.Run(netsim.Time(45 * netsim.Second)) // spanning-tree convergence
+		for _, pair := range [][2]HostID{{h1, h3}, {h2, h1}} {
+			p := workload.NewPinger(net.Host(pair[0]), net.Host(pair[1]).IP, 64, 3)
+			p.Run(net.Sim.Now() + netsim.Time(10*netsim.Second))
+			if p.Completed() != 3 {
+				t.Fatalf("MaxEvents=%d: pings %v completed %d/3", maxEvents, pair, p.Completed())
+			}
+		}
+		return net.Fingerprint(), net.Sim.Executed(), net.Sim.Now()
+	}
+	fp0, ex0, now0 := run(0)
+	fp1, ex1, now1 := run(1 << 40)
+	if fp0 != fp1 || ex0 != ex1 || now0 != now1 {
+		t.Fatalf("an unreached cap changed the run:\n uncapped %s executed=%d now=%v\n capped   %s executed=%d now=%v",
+			fp0, ex0, now0, fp1, ex1, now1)
+	}
+}
+
 func TestWarmPrimesLearning(t *testing.T) {
 	// A third LAN on the bridge sees the initial flood but nothing after
 	// the warm-up settles the learning table.

@@ -9,7 +9,8 @@ import (
 // per shard engine (plus the coordinator's control engine, which runs
 // fault-plane and barrier work), merged into a single virtual-time
 // transcript at every quiescent point. The tracer is attached to
-// tracing.DefaultHub so the process-wide exporter
+// tracing.DefaultHub under the net's name, replacing the tracer of an
+// earlier net of that name, so the process-wide exporter
 // (activebridge.WriteTrace) can drain it with no further wiring.
 // Idempotent; returns the tracer.
 //
@@ -39,7 +40,7 @@ func (n *Net) EnableTracing(cfg tracing.Config) *tracing.Tracer {
 	if n.metricsReg != nil {
 		n.instrumentTracer(n.metricsReg, tr)
 	}
-	tracing.DefaultHub.Attach(tr)
+	tracing.DefaultHub.Attach(n.Graph.Name, tr)
 	n.tracer = tr
 	return tr
 }

@@ -497,29 +497,43 @@ func GetDefaultConfig() Config {
 }
 
 // Hub collects the tracers of every traced net in the process so an
-// exporter (activebridge.WriteTrace) can write them all at once.
+// exporter (activebridge.WriteTrace) can write them all at once. It
+// holds one tracer per net name, the ownership rule metrics.Hub follows
+// too: a tracer keeps its whole transcript and flight rings, so
+// rebuilding a net under the same name releases the previous one's.
 type Hub struct {
 	mu      sync.Mutex
 	tracers []*Tracer
+	nets    []string // nets[i] names the net tracers[i] observes
 }
 
 // DefaultHub is the process-wide hub topo.EnableTracing attaches to.
 var DefaultHub = &Hub{}
 
-// Attach adds a tracer to the hub.
-func (h *Hub) Attach(t *Tracer) {
+// Attach adds net's tracer to the hub, replacing the tracer of an
+// earlier net of the same name in place.
+func (h *Hub) Attach(net string, t *Tracer) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, n := range h.nets {
+		if n == net {
+			h.tracers[i] = t
+			return
+		}
+	}
+	h.nets = append(h.nets, net)
 	h.tracers = append(h.tracers, t)
-	h.mu.Unlock()
 }
 
-// Detach removes a tracer from the hub.
+// Detach removes a tracer from the hub and reports whether it was
+// attached.
 func (h *Hub) Detach(t *Tracer) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, x := range h.tracers {
 		if x == t {
 			h.tracers = append(h.tracers[:i], h.tracers[i+1:]...)
+			h.nets = append(h.nets[:i], h.nets[i+1:]...)
 			return true
 		}
 	}

@@ -69,6 +69,6 @@ func WriteTrace(w io.Writer) error {
 }
 
 // DetachTracing removes a finished net's tracer from the default hub
-// (the tracing analogue of DetachMetrics). Reports whether it was
-// attached.
+// (the tracing analogue of DetachMetrics: rebuilding a net under the
+// same name also replaces its tracer). Reports whether it was attached.
 func DetachTracing(t *Tracer) bool { return tracing.DefaultHub.Detach(t) }
