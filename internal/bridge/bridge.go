@@ -47,7 +47,6 @@ type timerState struct {
 	name   string
 	period netsim.Duration
 	fn     vm.Value
-	native func()
 	gen    uint64
 	// fire is the timer's event callback, built once at install: every
 	// re-arm schedules the same func value.
@@ -437,31 +436,18 @@ func (b *Bridge) UnbindDst(m ethernet.MAC) { b.ClearDstHandler(m) }
 
 // SetTimer implements env.Demux.
 func (b *Bridge) SetTimer(name string, periodMs int64, fn vm.Value) {
-	b.installTimer(name, netsim.Duration(periodMs)*netsim.Millisecond, fn, nil)
-}
-
-// SetNativeTimer installs a periodic native callback.
-func (b *Bridge) SetNativeTimer(name string, period netsim.Duration, fn func()) {
-	b.installTimer(name, period, nil, fn)
-}
-
-func (b *Bridge) installTimer(name string, period netsim.Duration, fn vm.Value, native func()) {
 	// Generations are issued from a node-wide counter and never reused,
 	// so a pending arm can never fire a namesake timer installed after a
 	// crash cleared the table.
 	b.timerGen++
-	ts := &timerState{name: name, period: period, fn: fn, native: native, gen: b.timerGen}
+	ts := &timerState{name: name, period: netsim.Duration(periodMs) * netsim.Millisecond, fn: fn, gen: b.timerGen}
 	ts.fire = func() {
 		cur, ok := b.timers[ts.name]
 		if !ok || cur.gen != ts.gen {
 			return // cancelled or replaced
 		}
 		b.Stats.TimerFires++
-		if ts.native != nil {
-			b.runNativeDispatch(ts.native)
-		} else {
-			b.runVMDispatch(ts.fn)
-		}
+		b.runVMDispatch(ts.fn)
 		b.sim.After(ts.period, ts.fire)
 	}
 	b.timers[name] = ts
@@ -555,9 +541,8 @@ func (b *Bridge) endSends(outer []pendingSend) []pendingSend {
 // kernel receive crossing), exec (the handler's run) and the kernel send
 // crossing of each collected frame. The frames leave when the job
 // completes, through emitHead, so a crash before then drops them. metered
-// adds the job to Stats.VMTime and Stats.KernelTime; native timers and
-// the network loader are not metered. It returns the send crossings'
-// cost.
+// adds the job to Stats.VMTime and Stats.KernelTime; only the network
+// loader's replies are not metered. It returns the send crossings' cost.
 func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered bool) netsim.Duration {
 	var send netsim.Duration
 	for i := range sends {
@@ -758,17 +743,6 @@ func (b *Bridge) runVMDispatch(fn vm.Value) {
 	}
 	sends, cost, _ := b.invokeVM(fn, b.unitArg[:])
 	b.charge(0, cost, sends, true)
-}
-
-// runNativeDispatch is runVMDispatch for native callbacks: charged
-// NativePerFrame, and not metered.
-func (b *Bridge) runNativeDispatch(fn func()) {
-	if b.crashed {
-		return
-	}
-	outer := b.beginSends()
-	fn()
-	b.charge(0, b.cost.NativePerFrame, b.endSends(outer), false)
 }
 
 func (b *Bridge) drainSpawns() {

@@ -449,21 +449,6 @@ func TestLoadedModuleListAndMachine(t *testing.T) {
 	}
 }
 
-func TestNativeTimer(t *testing.T) {
-	r := newRig(t)
-	n := 0
-	r.b.SetNativeTimer("nt", 100*netsim.Millisecond, func() { n++ })
-	r.run(550 * netsim.Millisecond)
-	if n != 5 {
-		t.Errorf("native timer fired %d times, want 5", n)
-	}
-	r.b.CancelTimer("nt")
-	r.run(netsim.Second)
-	if n != 5 {
-		t.Errorf("cancelled native timer kept firing: %d", n)
-	}
-}
-
 func TestVMHandlerReceivesCorrectArgs(t *testing.T) {
 	r := newRig(t)
 	r.load(t, "Args", `

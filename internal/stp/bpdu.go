@@ -2,7 +2,6 @@ package stp
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"github.com/switchware/activebridge/internal/ethernet"
 )
@@ -23,23 +22,12 @@ import (
 //	31     2    hello time
 //	33     2    forward delay
 //
-// The DEC-style format used as the paper's "old" protocol is deliberately
-// incompatible: different length, different field order, a magic byte, and
-// it travels to a different multicast address with a different EtherType.
-const (
-	IEEEBPDULen = 35
-	DECBPDULen  = 26
-	decMagic    = 0xe1
-)
-
-// Codec errors.
-var (
-	ErrBadBPDU = errors.New("stp: malformed BPDU")
-	ErrNotBPDU = errors.New("stp: not a configuration BPDU")
-)
+// The DEC-style format of the paper's "old" protocol is encoded only in
+// swl, by the Decspan switchlet (internal/switchlets).
+const IEEEBPDULen = 35
 
 // EncodeIEEE renders a configuration vector as an 802.1D config BPDU with
-// the machine's timer values.
+// c's timer values.
 func EncodeIEEE(v Vector, c Config) []byte {
 	b := make([]byte, IEEEBPDULen)
 	// protocol id, version, type already zero.
@@ -68,50 +56,4 @@ func RootClaimFrame(station ethernet.MAC) []byte {
 		panic(err) // a 35-byte payload cannot be a long frame
 	}
 	return raw
-}
-
-// DecodeIEEE parses an 802.1D configuration BPDU.
-func DecodeIEEE(b []byte) (Vector, error) {
-	if len(b) < IEEEBPDULen {
-		return Vector{}, ErrBadBPDU
-	}
-	if binary.BigEndian.Uint16(b[0:2]) != 0 || b[2] != 0 {
-		return Vector{}, ErrBadBPDU
-	}
-	if b[3] != 0 {
-		return Vector{}, ErrNotBPDU // e.g. a TCN
-	}
-	return Vector{
-		RootID: BridgeID(binary.BigEndian.Uint64(b[5:13])),
-		Cost:   binary.BigEndian.Uint32(b[13:17]),
-		Bridge: BridgeID(binary.BigEndian.Uint64(b[17:25])),
-		Port:   binary.BigEndian.Uint16(b[25:27]),
-	}, nil
-}
-
-// EncodeDEC renders the vector in the DEC-style format.
-func EncodeDEC(v Vector) []byte {
-	b := make([]byte, DECBPDULen)
-	b[0] = decMagic
-	b[1] = 1 // version
-	// Deliberately different field order: bridge, port, root, cost.
-	binary.BigEndian.PutUint64(b[2:10], uint64(v.Bridge))
-	binary.BigEndian.PutUint16(b[10:12], v.Port)
-	binary.BigEndian.PutUint64(b[12:20], uint64(v.RootID))
-	binary.BigEndian.PutUint32(b[20:24], v.Cost)
-	// b[24:26] reserved.
-	return b
-}
-
-// DecodeDEC parses a DEC-style configuration frame.
-func DecodeDEC(b []byte) (Vector, error) {
-	if len(b) < DECBPDULen || b[0] != decMagic || b[1] != 1 {
-		return Vector{}, ErrBadBPDU
-	}
-	return Vector{
-		Bridge: BridgeID(binary.BigEndian.Uint64(b[2:10])),
-		Port:   binary.BigEndian.Uint16(b[10:12]),
-		RootID: BridgeID(binary.BigEndian.Uint64(b[12:20])),
-		Cost:   binary.BigEndian.Uint32(b[20:24]),
-	}, nil
 }

@@ -1,17 +1,19 @@
-// Package stp implements the IEEE 802.1D spanning tree protocol used by
-// the third bridge switchlet (paper §5.3) and the DEC-style variant used
-// as the "old" protocol in the automatic protocol transition experiment
-// (§5.4). The state machine is transport-agnostic: the caller feeds
-// received configuration vectors in and transmits the emitted ones.
+// Package stp holds what the two spanning tree switchlets share outside
+// swl: the 802.1D identifiers and priority order, the configuration BPDU
+// encoder the experiments use to inject a root claim (§5.4's transition
+// trigger), and Converged, the tree 802.1D settles on for a given live
+// topology.
 //
-// The DEC variant follows the paper's construction exactly: "We simply
-// required an incompatible packet format so that we could make a
-// transition" — same algorithm, different multicast address and frame
-// format.
+// The protocol itself runs only as bytecode: the swl Spanning switchlet
+// (paper §5.3) and its DEC-style twin Decspan (§5.4), "the same
+// algorithm" with an incompatible frame format. Converged is the oracle
+// they are checked against after every fault; it computes the fixed point
+// directly from the graph instead of running a second state machine.
 package stp
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/switchware/activebridge/internal/ethernet"
@@ -61,24 +63,8 @@ func (v Vector) Better(w Vector) bool {
 	return v.Port < w.Port
 }
 
-// PortState is a spanning tree port state.
-type PortState int
-
-// Port states in increasing readiness. Listening and Learning are the
-// forward-delay stages that produce the ~30 s gap the paper measures in
-// §7.5.
-const (
-	Blocking PortState = iota
-	Listening
-	Learning
-	Forwarding
-)
-
-var stateNames = [...]string{"blocking", "listening", "learning", "forwarding"}
-
-func (s PortState) String() string { return stateNames[s] }
-
-// Role is the port's topology role.
+// Role is the port's topology role. The values are the ones the swl
+// switchlets print in their tree probes.
 type Role int
 
 // Port roles.
@@ -92,19 +78,16 @@ var roleNames = [...]string{"blocked", "root", "designated"}
 
 func (r Role) String() string { return roleNames[r] }
 
-// Config parameterizes a bridge's spanning tree instance. The defaults
-// are the 802.1D recommended timer values, which produce the paper's
-// observed 30-second forwarding delay.
+// Config holds the 802.1D timer values and per-port path cost. The
+// defaults produce the paper's observed 30-second forwarding delay.
 type Config struct {
-	BridgeID     BridgeID
-	NumPorts     int
 	HelloTime    netsim.Duration // default 2 s
 	MaxAge       netsim.Duration // default 20 s
 	ForwardDelay netsim.Duration // default 15 s
 	PathCost     uint32          // per-port cost; 19 is 802.1D for 100 Mb/s
 }
 
-// DefaultTimers fills unset timer fields with the 802.1D defaults.
+// DefaultTimers fills unset fields with the 802.1D defaults.
 func (c Config) DefaultTimers() Config {
 	if c.HelloTime == 0 {
 		c.HelloTime = 2 * netsim.Second
@@ -121,219 +104,126 @@ func (c Config) DefaultTimers() Config {
 	return c
 }
 
-type portInfo struct {
-	// best is the best configuration heard on this port, valid while
-	// heardAt + MaxAge is in the future.
-	best    Vector
-	hasBest bool
-	heardAt netsim.Time
-
-	role  Role
-	state PortState
-	// stateSince timestamps the current state for forward-delay advances.
-	stateSince netsim.Time
+// Graph is the live topology Converged reads. Bridges holds one ID per
+// live bridge; Ports[i][p] is the LAN bridge i's port p is on, as an index
+// from 0, or -1 when the port's link or its LAN is down.
+type Graph struct {
+	Bridges []BridgeID
+	Ports   [][]int
 }
 
-// Emit is a configuration BPDU to transmit.
-type Emit struct {
-	Port int
-	V    Vector
+// View is one bridge's share of a converged spanning tree.
+type View struct {
+	Root     BridgeID
+	Cost     uint32
+	RootPort int // -1 at the root
+	Roles    []Role
 }
 
-// Machine is one bridge's spanning tree computation.
-type Machine struct {
-	cfg   Config
-	now   func() netsim.Time
-	ports []portInfo
-
-	// Topology outputs.
-	root     BridgeID
-	rootCost uint32
-	rootPort int // -1 when this bridge is root
-
-	// Stats.
-	Elections uint64
-	RxConfigs uint64
-}
-
-// New creates a machine; now supplies virtual time.
-func New(cfg Config, now func() netsim.Time) *Machine {
-	cfg = cfg.DefaultTimers()
-	m := &Machine{cfg: cfg, now: now, ports: make([]portInfo, cfg.NumPorts), rootPort: -1}
-	m.root = cfg.BridgeID
-	t := now()
-	for i := range m.ports {
-		// A fresh bridge believes itself root and its ports designated;
-		// they still walk through listening/learning before forwarding.
-		m.ports[i] = portInfo{role: RoleDesignated, state: Listening, stateSince: t}
-	}
-	return m
-}
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// ReceiveConfig processes a configuration vector heard on a port.
-func (m *Machine) ReceiveConfig(port int, v Vector) {
-	if port < 0 || port >= len(m.ports) {
-		return
-	}
-	m.RxConfigs++
-	p := &m.ports[port]
-	if !p.hasBest || v.Better(p.best) || v.Bridge == p.best.Bridge {
-		// Better information, or a refresh from the same designated
-		// bridge (which may be worse than before, e.g. after it lost
-		// the root): replace.
-		p.best = v
-		p.hasBest = true
-		p.heardAt = m.now()
-		m.recompute()
-	}
-}
-
-// myVector is the configuration this bridge transmits on designated ports.
-func (m *Machine) myVector(port int) Vector {
-	return Vector{RootID: m.root, Cost: m.rootCost, Bridge: m.cfg.BridgeID, Port: uint16(port)}
-}
-
-// recompute runs root election and role assignment.
-func (m *Machine) recompute() {
-	now := m.now()
-	oldRoot, oldRootPort := m.root, m.rootPort
-
-	// Expire stale information.
-	for i := range m.ports {
-		p := &m.ports[i]
-		if p.hasBest && now.Sub(p.heardAt) > m.cfg.MaxAge {
-			p.hasBest = false
-		}
-	}
-
-	// Root election: the best of our own ID and every heard vector.
-	m.root = m.cfg.BridgeID
-	m.rootCost = 0
-	m.rootPort = -1
-	var bestThrough Vector
-	for i := range m.ports {
-		p := &m.ports[i]
-		if !p.hasBest {
-			continue
-		}
-		cand := p.best
-		if cand.RootID < m.root ||
-			(cand.RootID == m.root && m.rootPort >= 0 && throughBetter(cand, i, bestThrough, m.rootPort)) ||
-			(cand.RootID == m.root && m.rootPort == -1 && cand.RootID != m.cfg.BridgeID) {
-			m.root = cand.RootID
-			m.rootCost = cand.Cost + m.cfg.PathCost
-			m.rootPort = i
-			bestThrough = cand
-		}
-	}
-
-	// Role assignment.
-	for i := range m.ports {
-		p := &m.ports[i]
-		var role Role
-		switch {
-		case i == m.rootPort:
-			role = RoleRoot
-		case !p.hasBest || m.myVector(i).Better(p.best):
-			// No better designated bridge heard: we are designated.
-			role = RoleDesignated
-		default:
-			role = RoleBlocked
-		}
-		m.setRole(i, role, now)
-	}
-
-	if m.root != oldRoot || m.rootPort != oldRootPort {
-		m.Elections++
-	}
-}
-
-// throughBetter compares two candidate root paths (same root).
-func throughBetter(a Vector, aPort int, b Vector, bPort int) bool {
-	av := Vector{RootID: a.RootID, Cost: a.Cost, Bridge: a.Bridge, Port: uint16(aPort)}
-	bv := Vector{RootID: b.RootID, Cost: b.Cost, Bridge: b.Bridge, Port: uint16(bPort)}
-	return av.Better(bv)
-}
-
-func (m *Machine) setRole(i int, role Role, now netsim.Time) {
-	p := &m.ports[i]
-	if p.role == role {
-		return
-	}
-	p.role = role
-	if role == RoleBlocked {
-		p.state = Blocking
-	} else if p.state == Blocking {
-		p.state = Listening
-	}
-	p.stateSince = now
-}
-
-// Tick advances timers: expiry, state transitions, and periodic
-// configuration transmission on designated ports. Call it every HelloTime.
-func (m *Machine) Tick() []Emit {
-	now := m.now()
-	m.recompute()
-	for i := range m.ports {
-		p := &m.ports[i]
-		if p.role == RoleBlocked {
-			continue
-		}
-		// Listening -> Learning -> Forwarding, one ForwardDelay each.
-		for p.state < Forwarding && now.Sub(p.stateSince) >= m.cfg.ForwardDelay {
-			p.stateSince = p.stateSince.Add(m.cfg.ForwardDelay)
-			p.state++
-		}
-	}
-	var out []Emit
-	for i := range m.ports {
-		if m.ports[i].role == RoleDesignated {
-			out = append(out, Emit{Port: i, V: m.myVector(i)})
-		}
-	}
-	return out
-}
-
-// PortRole returns the port's role.
-func (m *Machine) PortRole(i int) Role { return m.ports[i].role }
-
-// PortState returns the port's state.
-func (m *Machine) PortState(i int) PortState { return m.ports[i].state }
-
-// ShouldForward reports whether data traffic may cross the port.
-func (m *Machine) ShouldForward(i int) bool {
-	return m.ports[i].role != RoleBlocked && m.ports[i].state == Forwarding
-}
-
-// ShouldLearn reports whether addresses may be learned from the port.
-func (m *Machine) ShouldLearn(i int) bool {
-	return m.ports[i].role != RoleBlocked && m.ports[i].state >= Learning
-}
-
-// RootID returns the elected root.
-func (m *Machine) RootID() BridgeID { return m.root }
-
-// RootCost returns the path cost to the root (0 at the root).
-func (m *Machine) RootCost() uint32 { return m.rootCost }
-
-// RootPort returns the root port index, or -1 at the root bridge.
-func (m *Machine) RootPort() int { return m.rootPort }
-
-// IsRoot reports whether this bridge is the spanning tree root.
-func (m *Machine) IsRoot() bool { return m.rootPort == -1 }
-
-// TreeInfo renders the local view of the spanning tree canonically; the
-// control switchlet compares this across protocols (paper §5.4: "the
-// portion of the spanning tree computed at each node should be identical
-// for the old and the new protocols").
-func (m *Machine) TreeInfo() string {
+// String renders the view in the format of the switchlets' ieee.tree and
+// dec.tree probes, so the two compare as strings.
+func (v View) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "root=%v cost=%d rootport=%d", m.root, m.rootCost, m.rootPort)
-	for i := range m.ports {
-		fmt.Fprintf(&sb, " p%d=%v", i, m.ports[i].role)
+	fmt.Fprintf(&sb, "root=%016x cost=%d rp=%d", uint64(v.Root), v.Cost, v.RootPort)
+	for p, r := range v.Roles {
+		fmt.Fprintf(&sb, " p%d=%d", p, int(r))
 	}
 	return sb.String()
+}
+
+// Converged returns the 802.1D fixed point of g, one View per bridge in
+// g.Bridges order. In each connected component the lowest bridge ID is
+// the root, and a bridge's cost is one default path cost per bridge hop
+// to it. Each LAN's designated port is the best (root, cost, bridge, port)
+// attached to it. A bridge's root port is the port whose LAN has the best
+// designated vector, its own port number breaking a tie; every other port
+// is designated if it is its LAN's designated port or is on no live LAN,
+// and blocked otherwise.
+func Converged(g Graph) []View {
+	pathCost := Config{}.DefaultTimers().PathCost
+	n := len(g.Bridges)
+	// lans[l] lists the (bridge, port) pairs attached to LAN l.
+	type attachment struct{ b, p int }
+	var lans [][]attachment
+	for b, ports := range g.Ports {
+		for p, l := range ports {
+			if l < 0 {
+				continue
+			}
+			for len(lans) <= l {
+				lans = append(lans, nil)
+			}
+			lans[l] = append(lans[l], attachment{b, p})
+		}
+	}
+
+	// Each component is searched breadth first from its lowest ID, so hops
+	// counts bridge hops to the root.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return g.Bridges[order[i]] < g.Bridges[order[j]] })
+	root := make([]BridgeID, n)
+	hops := make([]uint32, n)
+	seen := make([]bool, n)
+	for _, r := range order {
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
+		root[r] = g.Bridges[r]
+		for queue := []int{r}; len(queue) > 0; queue = queue[1:] {
+			b := queue[0]
+			for _, l := range g.Ports[b] {
+				if l < 0 {
+					continue
+				}
+				for _, a := range lans[l] {
+					if !seen[a.b] {
+						seen[a.b] = true
+						root[a.b], hops[a.b] = root[r], hops[b]+1
+						queue = append(queue, a.b)
+					}
+				}
+			}
+		}
+	}
+	vector := func(b, p int) Vector {
+		return Vector{RootID: root[b], Cost: hops[b] * pathCost, Bridge: g.Bridges[b], Port: uint16(p)}
+	}
+
+	designated := make([]Vector, len(lans))
+	for l, as := range lans {
+		for i, a := range as {
+			if v := vector(a.b, a.p); i == 0 || v.Better(designated[l]) {
+				designated[l] = v
+			}
+		}
+	}
+
+	views := make([]View, n)
+	for b, ports := range g.Ports {
+		v := View{Root: root[b], Cost: hops[b] * pathCost, RootPort: -1, Roles: make([]Role, len(ports))}
+		if root[b] != g.Bridges[b] {
+			for p, l := range ports {
+				if l >= 0 && designated[l].Bridge != g.Bridges[b] &&
+					(v.RootPort < 0 || designated[l].Better(designated[ports[v.RootPort]])) {
+					v.RootPort = p
+				}
+			}
+		}
+		for p, l := range ports {
+			switch {
+			case p == v.RootPort:
+				v.Roles[p] = RoleRoot
+			case l < 0 || designated[l] == vector(b, p):
+				v.Roles[p] = RoleDesignated
+			default:
+				v.Roles[p] = RoleBlocked
+			}
+		}
+		views[b] = v
+	}
+	return views
 }

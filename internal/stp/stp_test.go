@@ -1,11 +1,11 @@
 package stp
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"github.com/switchware/activebridge/internal/ethernet"
-	"github.com/switchware/activebridge/internal/netsim"
 )
 
 func bid(prio uint16, last byte) BridgeID {
@@ -61,262 +61,128 @@ func TestVectorOrderingTotalProperty(t *testing.T) {
 }
 
 func TestBPDUIEEERoundTrip(t *testing.T) {
+	// Read each field back at the offset bpdu.go's layout table gives.
 	cfg := Config{}.DefaultTimers()
 	f := func(r uint64, c uint32, b uint64, p uint16) bool {
 		v := Vector{RootID: BridgeID(r), Cost: c, Bridge: BridgeID(b), Port: p}
-		got, err := DecodeIEEE(EncodeIEEE(v, cfg))
-		return err == nil && got == v
+		raw := EncodeIEEE(v, cfg)
+		be := binary.BigEndian
+		got := Vector{
+			RootID: BridgeID(be.Uint64(raw[5:13])),
+			Cost:   be.Uint32(raw[13:17]),
+			Bridge: BridgeID(be.Uint64(raw[17:25])),
+			Port:   be.Uint16(raw[25:27]),
+		}
+		return len(raw) == IEEEBPDULen && be.Uint32(raw[0:4]) == 0 && got == v &&
+			be.Uint16(raw[29:31]) == 20*256 && be.Uint16(raw[31:33]) == 2*256 && be.Uint16(raw[33:35]) == 15*256
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestBPDUDECRoundTrip(t *testing.T) {
-	f := func(r uint64, c uint32, b uint64, p uint16) bool {
-		v := Vector{RootID: BridgeID(r), Cost: c, Bridge: BridgeID(b), Port: p}
-		got, err := DecodeDEC(EncodeDEC(v))
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBPDUFormatsIncompatible(t *testing.T) {
-	cfg := Config{}.DefaultTimers()
-	v := Vector{RootID: bid(0x8000, 1), Cost: 19, Bridge: bid(0x8000, 2), Port: 3}
-	if _, err := DecodeIEEE(EncodeDEC(v)); err == nil {
-		t.Error("DEC frame must not parse as IEEE")
-	}
-	if _, err := DecodeDEC(EncodeIEEE(v, cfg)); err == nil {
-		t.Error("IEEE frame must not parse as DEC")
-	}
-	if _, err := DecodeIEEE(nil); err == nil {
-		t.Error("nil must not parse")
-	}
-	if _, err := DecodeDEC([]byte{1, 2}); err == nil {
-		t.Error("short must not parse")
-	}
-}
-
-// cluster wires n bridges into a topology given as adjacency: links[i] is a
-// list of (bridge, port, bridge, port) tuples. It runs hello ticks and
-// exchanges emitted BPDUs instantly (zero-delay control plane) for the
-// given number of rounds.
-type link struct{ a, ap, b, bp int }
-
-type cluster struct {
-	ms    []*Machine
-	links []link
-	now   netsim.Time
-}
-
-func newCluster(prios []uint16, links []link) *cluster {
-	c := &cluster{links: links}
-	nports := make([]int, len(prios))
-	for _, l := range links {
-		if l.ap+1 > nports[l.a] {
-			nports[l.a] = l.ap + 1
-		}
-		if l.bp+1 > nports[l.b] {
-			nports[l.b] = l.bp + 1
-		}
-	}
+// converged builds a Graph from per-bridge priorities (bridge i gets MAC
+// byte i+1) and port-to-LAN lists, and returns its views.
+func converged(prios []uint16, ports ...[]int) []View {
+	g := Graph{Ports: ports}
 	for i, p := range prios {
-		cfg := Config{BridgeID: bid(p, byte(i+1)), NumPorts: nports[i]}
-		i := i
-		_ = i
-		c.ms = append(c.ms, New(cfg, func() netsim.Time { return c.now }))
+		g.Bridges = append(g.Bridges, bid(p, byte(i+1)))
 	}
-	return c
+	return Converged(g)
 }
 
-// round advances time by HelloTime and exchanges all emitted BPDUs.
-func (c *cluster) round() {
-	c.now = c.now.Add(2 * netsim.Second)
-	type msg struct {
-		to, port int
-		v        Vector
+func wantViews(t *testing.T, got []View, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d views, want %d", len(got), len(want))
 	}
-	var msgs []msg
-	for i, m := range c.ms {
-		for _, e := range m.Tick() {
-			for _, l := range c.links {
-				if l.a == i && l.ap == e.Port {
-					msgs = append(msgs, msg{to: l.b, port: l.bp, v: e.V})
-				}
-				if l.b == i && l.bp == e.Port {
-					msgs = append(msgs, msg{to: l.a, port: l.ap, v: e.V})
-				}
-			}
+	for i := range want {
+		if got[i].String() != want[i] {
+			t.Errorf("bridge %d:\n got %s\nwant %s", i, got[i], want[i])
 		}
-	}
-	for _, m := range msgs {
-		c.ms[m.to].ReceiveConfig(m.port, m.v)
-	}
-}
-
-func (c *cluster) rounds(n int) {
-	for i := 0; i < n; i++ {
-		c.round()
 	}
 }
 
 func TestTwoBridgeElection(t *testing.T) {
-	// Bridge 0 has lower priority -> root.
-	c := newCluster([]uint16{100, 200}, []link{{a: 0, ap: 0, b: 1, bp: 0}})
-	c.rounds(3)
-	if !c.ms[0].IsRoot() {
-		t.Error("bridge 0 should be root")
-	}
-	if c.ms[1].IsRoot() {
-		t.Error("bridge 1 should not be root")
-	}
-	if c.ms[1].RootID() != c.ms[0].Config().BridgeID {
-		t.Errorf("bridge 1 sees root %v", c.ms[1].RootID())
-	}
-	if c.ms[1].RootPort() != 0 {
-		t.Errorf("bridge 1 root port = %d", c.ms[1].RootPort())
-	}
-	if c.ms[1].RootCost() != 19 {
-		t.Errorf("bridge 1 root cost = %d", c.ms[1].RootCost())
-	}
-}
-
-func TestTriangleBlocksOnePort(t *testing.T) {
-	// Three bridges in a triangle: exactly one port in the whole network
-	// must end up blocked to break the loop.
-	c := newCluster([]uint16{100, 200, 300}, []link{
-		{a: 0, ap: 0, b: 1, bp: 0},
-		{a: 1, ap: 1, b: 2, bp: 0},
-		{a: 2, ap: 1, b: 0, bp: 1},
-	})
-	c.rounds(25) // past forward delay twice
-	blocked := 0
-	forwarding := 0
-	for i, m := range c.ms {
-		for p := 0; p < m.Config().NumPorts; p++ {
-			switch {
-			case m.PortRole(p) == RoleBlocked:
-				blocked++
-			case m.ShouldForward(p):
-				forwarding++
-			default:
-				t.Errorf("bridge %d port %d neither blocked nor forwarding after convergence: %v/%v",
-					i, p, m.PortRole(p), m.PortState(p))
-			}
-		}
-	}
-	if blocked != 1 {
-		t.Errorf("blocked ports = %d, want exactly 1", blocked)
-	}
-	if forwarding != 5 {
-		t.Errorf("forwarding ports = %d, want 5", forwarding)
-	}
-	// All agree on the root.
-	for i, m := range c.ms {
-		if m.RootID() != c.ms[0].Config().BridgeID {
-			t.Errorf("bridge %d root = %v", i, m.RootID())
-		}
-	}
-}
-
-func TestForwardDelayStaging(t *testing.T) {
-	c := newCluster([]uint16{100, 200}, []link{{a: 0, ap: 0, b: 1, bp: 0}})
-	// Immediately after start: listening, not forwarding.
-	c.round()
-	if c.ms[0].ShouldForward(0) {
-		t.Error("port forwarding immediately; must wait 2x forward delay")
-	}
-	if c.ms[0].PortState(0) != Listening {
-		t.Errorf("state = %v, want listening", c.ms[0].PortState(0))
-	}
-	// After ~15s: learning.
-	c.rounds(7) // 16s total
-	if got := c.ms[0].PortState(0); got != Learning {
-		t.Errorf("state after 16s = %v, want learning", got)
-	}
-	if c.ms[0].ShouldForward(0) {
-		t.Error("must not forward while learning")
-	}
-	if !c.ms[0].ShouldLearn(0) {
-		t.Error("should learn in learning state")
-	}
-	// After 30s: forwarding.
-	c.rounds(8) // 32s total
-	if got := c.ms[0].PortState(0); got != Forwarding {
-		t.Errorf("state after 32s = %v, want forwarding", got)
-	}
-	if !c.ms[0].ShouldForward(0) {
-		t.Error("should forward after 2x forward delay")
-	}
-}
-
-func TestRootFailureReelection(t *testing.T) {
-	c := newCluster([]uint16{100, 200, 300}, []link{
-		{a: 0, ap: 0, b: 1, bp: 0},
-		{a: 1, ap: 1, b: 2, bp: 0},
-	})
-	c.rounds(5)
-	if !c.ms[0].IsRoot() || c.ms[2].RootID() != c.ms[0].Config().BridgeID {
-		t.Fatal("initial election failed")
-	}
-	// Kill bridge 0: its information ages out (MaxAge 20s) and bridge 1
-	// should take over as root.
-	dead := c.ms[0]
-	c.ms[0] = New(Config{BridgeID: bid(0xffff, 99), NumPorts: 1}, func() netsim.Time { return c.now })
-	_ = dead
-	// Disconnect: remove links touching 0.
-	c.links = []link{{a: 1, ap: 1, b: 2, bp: 0}}
-	c.rounds(15) // 30s, past max age
-	if !c.ms[1].IsRoot() {
-		t.Errorf("bridge 1 should become root after old root ages out; sees %v", c.ms[1].RootID())
-	}
-	if c.ms[2].RootID() != c.ms[1].Config().BridgeID {
-		t.Errorf("bridge 2 sees root %v", c.ms[2].RootID())
-	}
-}
-
-func TestTreeInfoStableAcrossProtocolsAndDeterministic(t *testing.T) {
-	mk := func() *cluster {
-		return newCluster([]uint16{100, 200, 300}, []link{
-			{a: 0, ap: 0, b: 1, bp: 0},
-			{a: 1, ap: 1, b: 2, bp: 0},
-			{a: 2, ap: 1, b: 0, bp: 1},
-		})
-	}
-	c1 := mk()
-	c2 := mk()
-	c1.rounds(25)
-	c2.rounds(25)
-	for i := range c1.ms {
-		if c1.ms[i].TreeInfo() != c2.ms[i].TreeInfo() {
-			t.Errorf("bridge %d tree info not deterministic:\n%s\n%s",
-				i, c1.ms[i].TreeInfo(), c2.ms[i].TreeInfo())
-		}
+	// One shared LAN: the lower priority is root, the other reaches it in
+	// one hop through its only port.
+	v := converged([]uint16{200, 100}, []int{0}, []int{0})
+	wantViews(t, v,
+		"root=006402bb00000200 cost=19 rp=0 p0=1",
+		"root=006402bb00000200 cost=0 rp=-1 p0=2")
+	if v[0].Root != bid(100, 2) {
+		t.Errorf("root = %v", v[0].Root)
 	}
 }
 
 func TestLineTopologyCosts(t *testing.T) {
-	// 0 -- 1 -- 2 -- 3 line: costs accumulate.
-	c := newCluster([]uint16{100, 200, 300, 400}, []link{
-		{a: 0, ap: 0, b: 1, bp: 0},
-		{a: 1, ap: 1, b: 2, bp: 0},
-		{a: 2, ap: 1, b: 3, bp: 0},
-	})
-	c.rounds(6)
-	for i, want := range []uint32{0, 19, 38, 57} {
-		if got := c.ms[i].RootCost(); got != want {
-			t.Errorf("bridge %d root cost = %d, want %d", i, got, want)
-		}
-	}
-	// A line has no loops: no port should be blocked.
-	for i, m := range c.ms {
-		for p := 0; p < m.Config().NumPorts; p++ {
-			if m.PortRole(p) == RoleBlocked {
-				t.Errorf("bridge %d port %d blocked in loop-free topology", i, p)
+	// 0 -- 1 -- 2 over LANs 0 and 1: costs accumulate one path cost per
+	// hop, and a line has no loop, so no port is blocked.
+	wantViews(t, converged([]uint16{100, 200, 300}, []int{0}, []int{0, 1}, []int{1}),
+		"root=006402bb00000100 cost=0 rp=-1 p0=2",
+		"root=006402bb00000100 cost=19 rp=0 p0=1 p1=2",
+		"root=006402bb00000100 cost=38 rp=0 p0=1")
+}
+
+func TestTriangleBlocksOnePort(t *testing.T) {
+	// Three bridges, three point-to-point LANs: exactly one port in the
+	// whole network is blocked, on the LAN between the two non-roots,
+	// at the higher bridge.
+	v := converged([]uint16{100, 200, 300}, []int{0, 2}, []int{0, 1}, []int{1, 2})
+	wantViews(t, v,
+		"root=006402bb00000100 cost=0 rp=-1 p0=2 p1=2",
+		"root=006402bb00000100 cost=19 rp=0 p0=1 p1=2",
+		"root=006402bb00000100 cost=19 rp=1 p0=0 p1=1")
+	blocked := 0
+	for _, view := range v {
+		for _, r := range view.Roles {
+			if r == RoleBlocked {
+				blocked++
 			}
 		}
 	}
+	if blocked != 1 {
+		t.Errorf("blocked ports = %d, want 1", blocked)
+	}
+}
+
+func TestParallelLANsRootPortFollowsDesignatedPort(t *testing.T) {
+	// Two bridges joined by two LANs. The root port is the one whose LAN
+	// the root designates through its lower port, whichever of the
+	// non-root's own ports that is: 802.1D compares the designated port
+	// ID before the receiving port's.
+	wantViews(t, converged([]uint16{100, 200}, []int{0, 1}, []int{0, 1}),
+		"root=006402bb00000100 cost=0 rp=-1 p0=2 p1=2",
+		"root=006402bb00000100 cost=19 rp=0 p0=1 p1=0")
+	wantViews(t, converged([]uint16{100, 200}, []int{0, 1}, []int{1, 0}),
+		"root=006402bb00000100 cost=0 rp=-1 p0=2 p1=2",
+		"root=006402bb00000100 cost=19 rp=1 p0=0 p1=1")
+}
+
+func TestThreeBridgesOneLAN(t *testing.T) {
+	// On a shared LAN only the root's port is designated; the others take
+	// it as root port and nothing is blocked.
+	wantViews(t, converged([]uint16{300, 100, 200}, []int{0}, []int{0}, []int{0}),
+		"root=006402bb00000200 cost=19 rp=0 p0=1",
+		"root=006402bb00000200 cost=0 rp=-1 p0=2",
+		"root=006402bb00000200 cost=19 rp=0 p0=1")
+}
+
+func TestRootFailureReelection(t *testing.T) {
+	// A line 0 -- 1 -- 2 whose root has gone: it is absent from the
+	// graph, its port's LAN still up, and the next lowest ID takes over.
+	v := converged([]uint16{200, 300}, []int{0, 1}, []int{1})
+	wantViews(t, v,
+		"root=00c802bb00000100 cost=0 rp=-1 p0=2 p1=2",
+		"root=00c802bb00000100 cost=19 rp=0 p0=1")
+}
+
+func TestPartitionHasTwoRoots(t *testing.T) {
+	// A cut LAN (-1) splits the line into two components, each electing
+	// its own lowest ID; a port on no live LAN is designated.
+	wantViews(t, converged([]uint16{100, 200, 300, 400}, []int{0}, []int{0, -1}, []int{-1, 1}, []int{1}),
+		"root=006402bb00000100 cost=0 rp=-1 p0=2",
+		"root=006402bb00000100 cost=19 rp=0 p0=1 p1=2",
+		"root=012c02bb00000300 cost=0 rp=-1 p0=2 p1=2",
+		"root=012c02bb00000300 cost=19 rp=0 p0=1")
 }

@@ -3,8 +3,8 @@
 // self-learning bridge, 802.1D spanning tree), the DEC-style "old protocol"
 // variant and the protocol-transition control switchlet of §5.4 — each
 // written in swl (compiled to bytecode and loaded through the switchlet
-// loader) — plus native-O implementations of the same programs used as the
-// paper's envisioned native-code-compilation ablation.
+// loader) — plus a native-code learning bridge, the paper's envisioned
+// native-code-compilation ablation.
 package switchlets
 
 // DumbSrc is switchlet 1: "a minimal 'dumb' bridge ... actually performing

@@ -436,36 +436,6 @@ func TestNativeLearningMatchesDSLBehaviour(t *testing.T) {
 	}
 }
 
-func TestNativeSTPRingConverges(t *testing.T) {
-	r := buildRing(t, 3)
-	var stps []*NativeSTP
-	for _, b := range r.bridges {
-		InstallNativeLearning(b)
-		ns, err := InstallNativeSTP(b, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stps = append(stps, ns)
-	}
-	r.sim.Run(netsim.Time(40 * netsim.Second))
-	blocked := 0
-	for _, b := range r.bridges {
-		for p := 0; p < b.NumPorts(); p++ {
-			if b.PortBlocked(p) {
-				blocked++
-			}
-		}
-	}
-	if blocked != 1 {
-		t.Errorf("native STP blocked ports = %d, want 1", blocked)
-	}
-	for i := 1; i < len(stps); i++ {
-		if stps[i].Machine().RootID() != stps[0].Machine().RootID() {
-			t.Error("native STP bridges disagree on root")
-		}
-	}
-}
-
 func TestVMCostChargedOnDataPath(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
 	if err := loadLearning(b); err != nil {
