@@ -146,6 +146,8 @@ type Bridge struct {
 	// identical bytes (the forwarding fast path) reuses this buffer
 	// instead of copying and re-validating the FCS.
 	curRaw []byte
+	// slab holds every frame the node seals, in sealBlock-sized blocks.
+	slab ethernet.Slab
 
 	// LogSink receives switchlet log output; nil discards.
 	LogSink func(at netsim.Time, bridge, msg string)
@@ -215,6 +217,7 @@ func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostMo
 		dstHandlers: map[ethernet.MAC]FrameHandler{},
 		timers:      map[string]*timerState{},
 	}
+	b.slab.MaxBlock = sealBlock
 	b.emitHeadFn = b.emitHead
 	b.unitArg[0] = vm.Unit{}
 	b.Machine = vm.NewMachine()
@@ -292,9 +295,9 @@ func (b *Bridge) Send(port int, data string, ctl bool) error {
 //     its received buffer already carries a valid FCS and is reused;
 //   - a complete wire frame with a valid FCS, queued as-is (a bridge must
 //     not modify a frame it forwards);
-//   - a bare header+payload, padded and sealed with a fresh FCS — the
-//     paper's driver behaviour: "The CRC is returned on a read, but
-//     cannot be specified on a write."
+//   - a bare header+payload, padded and sealed with an FCS into the
+//     node's frame slab — the paper's driver behaviour: "The CRC is
+//     returned on a read, but cannot be specified on a write."
 //
 // During a dispatch the frame is collected and leaves when the dispatch's
 // CPU job completes (see charge); outside one it leaves at once. data
@@ -320,7 +323,7 @@ func (b *Bridge) SendBytes(port int, data []byte, ctl bool) error {
 		raw = b.curRaw
 	} else if !wireValid(data) {
 		var err error
-		if raw, err = sealFrame(data); err != nil {
+		if raw, err = b.sealFrame(data); err != nil {
 			return err
 		}
 	}
@@ -348,9 +351,14 @@ func wireValid(data []byte) bool {
 	return f.Unmarshal(data) == nil
 }
 
-// sealFrame marshals a bare header+payload into a fresh wire frame; data
-// is only read.
-func sealFrame(data []byte) ([]byte, error) {
+// sealBlock bounds the node's frame slab: 2 KB holds 32 minimum-size
+// frames (a configuration BPDU pads to 64 bytes), and a receiver that
+// keeps one of them pins no more than that.
+const sealBlock = 2 << 10
+
+// sealFrame marshals a bare header+payload into a wire frame carved from
+// the node's slab; data is only read.
+func (b *Bridge) sealFrame(data []byte) ([]byte, error) {
 	if len(data) < ethernet.HeaderLen {
 		return nil, ErrFrameTooShort
 	}
@@ -359,7 +367,7 @@ func sealFrame(data []byte) ([]byte, error) {
 	copy(f.Src[:], data[6:12])
 	f.Type = uint16(data[12])<<8 | uint16(data[13])
 	f.Payload = data[ethernet.HeaderLen:]
-	return f.Marshal()
+	return f.MarshalSlab(&b.slab)
 }
 
 // PortUp implements env.NetPorts.

@@ -18,6 +18,7 @@ type rig struct {
 	n1, n2 *netsim.NIC
 	rx1    int
 	rx2    int
+	last2  []byte // the last frame n2 received
 	logs   []string
 }
 
@@ -33,7 +34,7 @@ func newRig(t *testing.T) *rig {
 	r.n1.Promiscuous = true
 	r.n2.Promiscuous = true
 	r.n1.SetRecv(func(*netsim.NIC, []byte) { r.rx1++ })
-	r.n2.SetRecv(func(*netsim.NIC, []byte) { r.rx2++ })
+	r.n2.SetRecv(func(_ *netsim.NIC, b []byte) { r.rx2++; r.last2 = b })
 	lan1.Attach(r.n1)
 	lan1.Attach(r.b.Port(0))
 	lan2.Attach(r.n2)
@@ -486,5 +487,60 @@ let warm =
 	}
 	if r.b.CPU().Busy-busy0 < netsim.Millisecond {
 		t.Errorf("module evaluation cost not charged: %v", r.b.CPU().Busy-busy0)
+	}
+}
+
+// TestSealMatchesMarshal pins what sealing into the node's slab may not
+// change: for every bare length from a header alone to a full frame, the
+// sealed bytes equal Frame.Marshal's. Minimum-frame padding is zero only
+// because slab blocks are fresh and never reused, so the sweep also seals
+// a padded frame right after a full-size one in the same block. Last, the
+// blocks must keep their 2 KB bound: receivers keep views of these frames.
+func TestSealMatchesMarshal(t *testing.T) {
+	b := New(netsim.New(), "br", 1, 1, netsim.DefaultCostModel())
+	bare := make([]byte, ethernet.HeaderLen+ethernet.MaxPayload)
+	for i := range bare {
+		bare[i] = byte(i*7 + 1)
+	}
+	check := func(n int) []byte {
+		t.Helper()
+		got, err := b.sealFrame(bare[:n])
+		if err != nil {
+			t.Fatalf("seal %d bytes: %v", n, err)
+		}
+		f := ethernet.Frame{Type: uint16(bare[12])<<8 | uint16(bare[13]), Payload: bare[ethernet.HeaderLen:n]}
+		copy(f.Dst[:], bare[0:6])
+		copy(f.Src[:], bare[6:12])
+		want, _ := f.Marshal()
+		if string(got) != string(want) || cap(got) != len(got) {
+			t.Fatalf("seal of %d bytes = %x (cap %d), want %x", n, got, cap(got), want)
+		}
+		return got
+	}
+	for n := ethernet.HeaderLen; n <= len(bare); n++ {
+		check(n)
+	}
+	// A full frame either fits what is left of the block or opens a new
+	// one; either way the second try is followed in its block by the
+	// padded frame.
+	adjacent := false
+	for i := 0; i < 2 && !adjacent; i++ {
+		full := check(len(bare))
+		small := check(ethernet.HeaderLen)
+		adjacent = unsafe.Add(unsafe.Pointer(&full[0]), len(full)) == unsafe.Pointer(&small[0])
+	}
+	if !adjacent {
+		t.Fatal("a padded frame never followed a full-size one in the same slab block")
+	}
+	// The node's blocks stay at sealBlock, whatever it has sealed: no two
+	// full-size frames ever share one.
+	for i := 0; i < 64; i++ {
+		a, c := check(len(bare)), check(len(bare))
+		if unsafe.Add(unsafe.Pointer(&a[0]), len(a)) == unsafe.Pointer(&c[0]) {
+			t.Fatal("two full-size frames share a slab block: the node's blocks grew past sealBlock")
+		}
+	}
+	if _, err := b.sealFrame(bare[:ethernet.HeaderLen-1]); !errors.Is(err, ErrFrameTooShort) {
+		t.Fatalf("seal of a short header: err = %v, want ErrFrameTooShort", err)
 	}
 }

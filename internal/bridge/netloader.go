@@ -1,6 +1,8 @@
 package bridge
 
 import (
+	"encoding/binary"
+
 	"github.com/switchware/activebridge/internal/arp"
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/ipv4"
@@ -143,7 +145,7 @@ func (nl *netLoader) maybeHandle(inPort int, raw []byte) bool {
 // any switchlet's frame.
 func (nl *netLoader) reply(port int, frame []byte, recv, exec netsim.Duration) {
 	outer := nl.b.beginSends()
-	_ = nl.b.SendBytes(port, frame, true) // a marshaled reply is a valid frame
+	_ = nl.b.SendBytes(port, frame, true)
 	nl.b.charge(recv, exec, nl.b.endSends(outer), false)
 }
 
@@ -158,12 +160,8 @@ func (nl *netLoader) maybeAnswerARP(inPort int, raw []byte) {
 		return
 	}
 	rep := arp.Reply(&req, nl.b.mac)
-	out := ethernet.Frame{Dst: req.SenderHA, Src: nl.b.mac, Type: ethernet.TypeARP, Payload: rep.Marshal()}
-	outRaw, err := out.Marshal()
-	if err != nil {
-		return
-	}
-	nl.reply(inPort, outRaw, nl.b.cost.KernelCrossing(len(raw)), nl.b.cost.NativePerFrame)
+	nl.reply(inPort, bareFrame(req.SenderHA, nl.b.mac, ethernet.TypeARP, rep.Marshal()),
+		nl.b.cost.KernelCrossing(len(raw)), nl.b.cost.NativePerFrame)
 }
 
 func (nl *netLoader) encodeReply(rep tftp.Reply) ([]byte, error) {
@@ -180,7 +178,16 @@ func (nl *netLoader) encodeReply(rep tftp.Reply) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	peer := nl.peers[rep.To]
-	fr := ethernet.Frame{Dst: peer.mac, Src: nl.b.mac, Type: ethernet.TypeIPv4, Payload: ipBytes}
-	return fr.Marshal()
+	return bareFrame(nl.peers[rep.To].mac, nl.b.mac, ethernet.TypeIPv4, ipBytes), nil
+}
+
+// bareFrame lays out a header+payload with no padding or FCS: what a
+// reply hands SendBytes, which seals it like any switchlet's frame.
+func bareFrame(dst, src ethernet.MAC, typ uint16, payload []byte) []byte {
+	b := make([]byte, ethernet.HeaderLen+len(payload))
+	copy(b[0:6], dst[:])
+	copy(b[6:12], src[:])
+	binary.BigEndian.PutUint16(b[12:14], typ)
+	copy(b[ethernet.HeaderLen:], payload)
+	return b
 }

@@ -15,6 +15,15 @@ let handle pkt inport = Unixnet.send_pkt_out (1 - inport) pkt
 let _ = Bridge.set_handler handle
 `
 
+// sealSwitchlet ctl-sends a freshly concatenated 49-byte bare frame (an
+// 802.1D configuration BPDU's length) on every dispatch: the spanning
+// tree's hello path, which SendBytes pads and seals into the node's slab.
+const sealSwitchlet = `
+let hdr = "\x01\x80\xc2\x00\x00\x00\x02\xbb\x00\x00\x01\x00\x88\xf5"
+let handle pkt inport = Unixnet.send_ctl_out (1 - inport) (hdr ^ String.sub pkt 14 35)
+let _ = Bridge.set_handler handle
+`
+
 // TestFrameDispatchAllocBudget is the allocation-budget regression test
 // for the bridge frame path: steady-state VM forwarding of one frame —
 // kernel-cost accounting, VM invocation, pooled send collection, CPU
@@ -25,17 +34,45 @@ let _ = Bridge.set_handler handle
 // zero-allocation overhaul this path cost hundreds of allocations per
 // frame; before the optimizing-tier PR it was 2 (frame-string box and
 // invoke residue).
-func TestFrameDispatchAllocBudget(t *testing.T) { frameDispatchAllocBudget(t, nil) }
+func TestFrameDispatchAllocBudget(t *testing.T) { frameDispatchAllocBudget(t, nil, forwardSwitchlet) }
 
 // TestTracedFrameDispatchAllocBudget is the tracing plane's overhead
 // budget on the same path: with a tracer attached whose traces are not
 // sampled, every emit site still records into the flight ring, and the
 // budget stays 0 allocs/frame — events carry operands, so nothing is
 // formatted for a ring that overwrites it 256 events later.
-func TestTracedFrameDispatchAllocBudget(t *testing.T) {
+func TestTracedFrameDispatchAllocBudget(t *testing.T) { tracedAllocBudget(t, forwardSwitchlet) }
+
+// TestSealedFrameAllocBudget is the budget of a frame the bridge builds
+// itself: a switchlet concatenates a bare header+payload and SendBytes
+// seals it. The budget is 0 allocs/frame: the wire buffer is carved from
+// the node's frame slab, one 2 KB block per 32 frames. A Marshal per
+// sealed frame cost 1.
+func TestSealedFrameAllocBudget(t *testing.T) {
+	checkSealed(t, frameDispatchAllocBudget(t, nil, sealSwitchlet))
+}
+
+// TestTracedSealedFrameAllocBudget is the same budget with a tracer
+// attached and nothing sampled.
+func TestTracedSealedFrameAllocBudget(t *testing.T) {
+	checkSealed(t, tracedAllocBudget(t, sealSwitchlet))
+}
+
+// checkSealed asserts the last frame the far station received is
+// sealSwitchlet's 49 bytes, padded to the minimum and carrying a valid FCS.
+func checkSealed(t *testing.T, r *rig) {
+	t.Helper()
+	var f ethernet.Frame
+	if len(r.last2) != ethernet.MinFrameLen || f.Unmarshal(r.last2) != nil ||
+		f.Dst != ethernet.AllBridges || f.Type != ethernet.TypeBPDU {
+		t.Fatalf("far station got %x, want a sealed 49-byte BPDU-sized frame", r.last2)
+	}
+}
+
+func tracedAllocBudget(t *testing.T, src string) *rig {
 	tr := tracing.New(tracing.Config{Seed: 5, SampleProb: 1e-12})
 	te := tr.Engine(0)
-	frameDispatchAllocBudget(t, te)
+	r := frameDispatchAllocBudget(t, te, src)
 	tr.Flush()
 	if n := len(tr.Transcript()); n != 0 {
 		t.Fatalf("unsampled run put %d events in the transcript", n)
@@ -47,12 +84,13 @@ func TestTracedFrameDispatchAllocBudget(t *testing.T) {
 			t.Errorf("flight ring has no %s event: the traced path was not exercised", k)
 		}
 	}
+	return r
 }
 
-func frameDispatchAllocBudget(t *testing.T, te *tracing.Engine) {
+func frameDispatchAllocBudget(t *testing.T, te *tracing.Engine, src string) *rig {
 	r := newRig(t)
 	r.sim.SetTraceEngine(te)
-	r.load(t, "Fwd", forwardSwitchlet)
+	r.load(t, "Fwd", src)
 
 	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}
 	raw, err := fr.Marshal()
@@ -71,6 +109,7 @@ func frameDispatchAllocBudget(t *testing.T, te *tracing.Engine) {
 	if r.rx2 == 0 {
 		t.Fatal("no frames forwarded")
 	}
+	return r
 }
 
 // TestForwardingFastPathReusesFrame verifies the forwarding fast path

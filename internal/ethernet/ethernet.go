@@ -261,25 +261,31 @@ const (
 // pointer-free buffers collapse into a few big ones). Carved buffers are
 // capped with full slice expressions and the slab never reuses their
 // bytes, so they are exactly as independent as individual allocations.
+//
+// A carved frame pins its whole block for as long as anyone holds it.
+// Hosts drop what they send, so their blocks grow to 64 KB. A bridge's
+// own frames are held by the receivers: a spanning-tree switchlet keeps
+// a zero-copy view of the last BPDU it heard, and a bridge keeps the
+// last frame it dispatched. Each retained BPDU could pin up to 64 KB,
+// so bridges bound their blocks at 2 KB (MaxBlock).
 type Slab struct {
+	// MaxBlock bounds block growth; zero means 64 KB. A frame larger
+	// than the bound still gets a block of its own size.
+	MaxBlock int
+
 	buf  []byte
 	next int
 }
 
 func (s *Slab) take(n int) []byte {
 	if n > len(s.buf) {
-		sz := s.next
-		if sz < slabMinBlock {
-			sz = slabMinBlock
+		limit := s.MaxBlock
+		if limit <= 0 {
+			limit = slabMaxBlock
 		}
-		if n > sz {
-			sz = n
-		}
-		if next := sz * 4; next < slabMaxBlock {
-			s.next = next
-		} else {
-			s.next = slabMaxBlock
-		}
+		sz := min(max(s.next, slabMinBlock), limit)
+		sz = max(sz, n) // a frame larger than the bound gets its own block
+		s.next = min(sz*4, limit)
 		s.buf = make([]byte, sz)
 	}
 	b := s.buf[:n:n]

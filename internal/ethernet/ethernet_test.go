@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMACPredicates(t *testing.T) {
@@ -240,6 +241,47 @@ func BenchmarkUnmarshal(b *testing.B) {
 		var got Frame
 		if err := got.Unmarshal(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSlabBlocks pins the slab's carving rule. A carve that fits the
+// current block comes from it, right after the previous carve; only a
+// carve that does not fit opens a block. A bounded slab's blocks never
+// exceed MaxBlock unless one frame needs more, and an unbounded one grows
+// to 64 KB and stops. Every carve has cap == len, so no holder can append
+// into its neighbour.
+func TestSlabBlocks(t *testing.T) {
+	sizes := []int{64, 1518, 64, 100, 64, 1518, 1518, 700, 64, 3000, 64}
+	for _, bound := range []int{2 << 10, 0, 512} {
+		s := Slab{MaxBlock: bound}
+		limit := bound
+		if limit == 0 {
+			limit = slabMaxBlock
+		}
+		var prevEnd unsafe.Pointer
+		reached := false
+		for round := 0; round < 200; round++ {
+			for _, n := range sizes {
+				left := len(s.buf)
+				b := s.take(n)
+				if len(b) != n || cap(b) != n {
+					t.Fatalf("bound %d: carve of %d has len %d cap %d", bound, n, len(b), cap(b))
+				}
+				if n <= left {
+					if unsafe.Pointer(&b[0]) != prevEnd {
+						t.Fatalf("bound %d: a %d-byte carve opened a block with %d bytes left", bound, n, left)
+					}
+				} else if block := n + len(s.buf); block > max(limit, n) {
+					t.Fatalf("bound %d: a %d-byte carve opened a %d-byte block", bound, n, block)
+				} else {
+					reached = reached || block == limit
+				}
+				prevEnd = unsafe.Add(unsafe.Pointer(&b[0]), n)
+			}
+		}
+		if !reached {
+			t.Errorf("bound %d: no block of %d bytes was opened", bound, limit)
 		}
 	}
 }
