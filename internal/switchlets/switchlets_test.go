@@ -1,6 +1,7 @@
 package switchlets
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -326,19 +327,15 @@ func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 	}
 }
 
-// TestSTPTickAllocBudget is the control path's allocation budget, the
-// counterpart of TestFrameDispatchAllocBudget for the dispatches that carry
-// no data: a converged three-port 802.1D bridge (port 0 towards the root,
-// ports 1 and 2 designated) takes one configuration BPDU from its root port
-// and one hello tick per cycle. The two dispatches build some two hundred
-// strings between them — vectors, BPDUs, a hash key per table access — and
-// the budget is 1 host allocation: the slabs and arena chunks everything
-// is carved from, amortized, including the two wire frames the tick seals
-// into the bridge's frame slab. Before the string arena one cycle cost
-// about two hundred; while each sealed frame was its own allocation, 2.
-func TestSTPTickAllocBudget(t *testing.T) {
+// stpTickRig builds a converged three-port 802.1D bridge at the given
+// switchlet optimization level (port 0 towards the root, ports 1 and 2
+// designated) and returns it with one cycle of its steady state: one
+// configuration BPDU from the root port, then one hello tick.
+func stpTickRig(t *testing.T, optLevel int) (*bridge.Bridge, func()) {
+	t.Helper()
 	sim := netsim.New()
 	b := bridge.New(sim, "br", 9, 3, netsim.DefaultCostModel())
+	b.Loader.OptLevel = optLevel
 	rootNIC := netsim.NewNIC(sim, "root", ethernet.MAC{2, 0, 0, 0, 0, 1})
 	for p := 0; p < 3; p++ {
 		seg := netsim.NewSegment(sim, "lan"+string(rune('0'+p)))
@@ -371,6 +368,26 @@ func TestSTPTickAllocBudget(t *testing.T) {
 	if b.PortBlocked(0) || b.PortBlocked(1) || b.PortBlocked(2) {
 		t.Fatalf("not converged: blocked = %v %v %v", b.PortBlocked(0), b.PortBlocked(1), b.PortBlocked(2))
 	}
+	return b, cycle
+}
+
+// TestSTPTickAllocBudget is the control path's allocation budget, the
+// counterpart of TestFrameDispatchAllocBudget for the dispatches that carry
+// no data: one stpTickRig cycle. The two dispatches build some two hundred
+// strings between them — vectors, BPDUs, a hash key per table access — and
+// the budget is 1 host allocation: the slabs and arena chunks everything
+// is carved from, amortized, including the two wire frames the tick seals
+// into the bridge's frame slab. Before the string arena one cycle cost
+// about two hundred; while each sealed frame was its own allocation, 2.
+//
+// Host bytes have their own budget, 1100 per cycle over 2000 cycles. Each
+// concat of a right-nested chain used to build and box a string only the
+// next concat read; one cycle cost 1420 B then, and 985 with the chains
+// fused into q.concat_n. The fused chains must still meter Steps and
+// AllocBytes exactly as the wire concats do, so the window is replayed at
+// -O0 and both counters must match.
+func TestSTPTickAllocBudget(t *testing.T) {
+	b, cycle := stpTickRig(t, bridge.DefaultOptLevel)
 	st := b.Stats
 	allocs := testing.AllocsPerRun(200, cycle)
 	ticks, sent := b.Stats.TimerFires-st.TimerFires, b.Stats.FramesSent-st.FramesSent
@@ -380,6 +397,33 @@ func TestSTPTickAllocBudget(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Fatalf("STP tick + received BPDU allocs/cycle = %v, want <= 1", allocs)
+	}
+
+	const window = 2000
+	runWindow := func(b *bridge.Bridge, cycle func()) (steps, alloc, hostBytes uint64) {
+		var ms0, ms1 runtime.MemStats
+		steps, alloc = b.Machine.Steps, b.Machine.AllocBytes
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < window; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&ms1)
+		return b.Machine.Steps - steps, b.Machine.AllocBytes - alloc, ms1.TotalAlloc - ms0.TotalAlloc
+	}
+	steps, alloc, hostBytes := runWindow(b, cycle)
+	if perCycle := float64(hostBytes) / window; perCycle > 1100 {
+		t.Errorf("STP tick + received BPDU host bytes/cycle = %.1f, want <= 1100", perCycle)
+	}
+
+	naive, naiveCycle := stpTickRig(t, 0)
+	for i := 0; i < 201; i++ { // the cycles AllocsPerRun ran
+		naiveCycle()
+	}
+	wantSteps, wantAlloc, _ := runWindow(naive, naiveCycle)
+	if steps != wantSteps || alloc != wantAlloc || b.Machine.Steps != naive.Machine.Steps || b.Machine.AllocBytes != naive.Machine.AllocBytes {
+		t.Errorf("window metering: Steps %d, AllocBytes %d (totals %d, %d); -O0 reads %d, %d (totals %d, %d)",
+			steps, alloc, b.Machine.Steps, b.Machine.AllocBytes,
+			wantSteps, wantAlloc, naive.Machine.Steps, naive.Machine.AllocBytes)
 	}
 }
 

@@ -65,10 +65,10 @@ const (
 //
 // A quickened frame that hits a case the fast path cannot handle (fuel too
 // low to charge a whole superinstruction, a call site whose predicted
-// native was rebound) deoptimizes: the frame switches to the naive Code at
-// the exact wire pc recorded in quickSrc and replays the sequence
-// instruction by instruction, reproducing -O0 traps, steps and stack
-// effects bit for bit.
+// native was rebound, a concat chain with a non-string operand)
+// deoptimizes: the frame switches to the naive Code at the exact wire pc
+// recorded in quickSrc and replays the sequence instruction by
+// instruction, reproducing -O0 traps, steps and stack effects bit for bit.
 const (
 	// qGetGet: push local A then push local B.
 	qGetGet byte = opMax + iota
@@ -98,6 +98,11 @@ const (
 	qHtblMem
 	// qHtblAdd: predicted Hashtbl.add call, inlined. A is argc.
 	qHtblAdd
+	// qConcatN: A (2..255) consecutive concats of a right-nested a ^ b ^
+	// ... chain, W = A. Pops A+1 strings and pushes their concatenation,
+	// built once; AllocBytes is metered as the A binary concats would
+	// meter it. A non-string operand deopts to the wire concats.
+	qConcatN
 	qMax
 )
 
@@ -116,6 +121,7 @@ var opNames = [...]string{
 var qNames = [qMax - opMax]string{
 	"q.get_get", "q.cmp_jf", "q.gg_cmp_jf", "q.inc_local", "q.get_field_set",
 	"q.str_sub", "q.str_get", "q.htbl_find", "q.htbl_mem", "q.htbl_add",
+	"q.concat_n",
 }
 
 // opName renders any opcode, wire or quickened, width-safely.

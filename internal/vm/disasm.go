@@ -122,6 +122,8 @@ func formatQuick(o *Object, c *Chunk, pc int, ins Instr) string {
 		out += fmt.Sprintf(" argc=%d ic=%d", ins.A&0xff, ins.A>>8)
 	case qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 		out += fmt.Sprintf(" argc=%d", ins.A)
+	case qConcatN:
+		out += fmt.Sprintf(" n=%d", ins.A)
 	default:
 		if ins.Op < opMax {
 			// Unfused wire instruction carried over verbatim.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,7 @@ let scan s =
 let stash k v = Hashtbl.add tbl k v
 let find k = (Hashtbl.find tbl k) + 1
 let pair a b = (a, b + 1)
+let tag a b = a ^ ":" ^ b ^ ";"
 `
 
 func compileDisasmObj(t *testing.T, level int) *Object {
@@ -48,6 +50,10 @@ func TestDisassembleQuickenedTrusted(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
 		}
+	}
+	// The right-nested chain in tag: three concats, one fused op.
+	if !regexp.MustCompile(`(?m)^ +\d+  w=3  q\.concat_n +n=3 ; wire \d+$`).MatchString(out) {
+		t.Errorf("disassembly has no q.concat_n n=3 line:\n%s", out)
 	}
 }
 

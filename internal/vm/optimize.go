@@ -6,8 +6,11 @@ package vm
 // quickened form (Chunk.Quick): hot instruction sequences are fused into
 // superinstructions, and call sites whose callee is statically a well-known
 // native are specialized into inlined fast paths (String.sub sites also get
-// a per-site result cache). There is one rule set: every rewrite is checkable from the
-// wire code alone, so compiled and decoded objects quicken identically.
+// a per-site result cache). A right-nested a ^ b ^ c ^ d compiles to its
+// pushes followed by consecutive concats, each of which builds a string
+// only the next one reads; the run fuses into one q.concat_n that builds
+// the result once. There is one rule set: every rewrite is checkable from
+// the wire code alone, so compiled and decoded objects quicken identically.
 //
 // Invariants the rewrite must preserve exactly, because virtual time is
 // computed from them:
@@ -18,7 +21,8 @@ package vm
 //     code (via Chunk.quickSrc) so the partially-consumed steps are charged
 //     exactly as -O0 would charge them.
 //   - Machine.AllocBytes: inlined natives replicate their Go
-//     implementations' metering byte for byte.
+//     implementations' metering byte for byte, and q.concat_n charges
+//     every intermediate string the wire concats would have built.
 //   - Results and traps: fused comparisons keep the valueEq/valueCmp
 //     distinction, and the .swo wire format (Encode/DecodeObject) carries
 //     only the naive code, so the transmitted object — and with it every
@@ -233,6 +237,10 @@ func fuse(code []Instr) ([]Instr, []int32, bool) {
 	return out, src, changed
 }
 
+// maxConcatRun is the longest concat run one q.concat_n replaces: its
+// step weight W is a byte.
+const maxConcatRun = 255
+
 // matchAt returns the (possibly fused) instruction starting at pc and how
 // many input instructions it consumes.
 func matchAt(code []Instr, pc int, leaders []bool) (Instr, int) {
@@ -280,6 +288,18 @@ func matchAt(code []Instr, pc int, leaders []bool) (Instr, int) {
 	// Two consecutive local loads.
 	if fits(2) && i0.Op == opLocalGet && code[pc+1].Op == opLocalGet {
 		return Instr{Op: qGetGet, W: 2, A: i0.A, B: int32(code[pc+1].A)}, 2
+	}
+	// A run of concats: the tail of a right-nested a ^ b ^ ... chain.
+	// Runs longer than W can count split; the concats fold right, so each
+	// part folds the operands it would have folded unfused.
+	if i0.Op == opConcat {
+		k := 1
+		for k < maxConcatRun && pc+k < len(code) && !leaders[pc+k] && code[pc+k].Op == opConcat {
+			k++
+		}
+		if k >= 2 {
+			return Instr{Op: qConcatN, W: byte(k), A: int64(k)}, k
+		}
 	}
 	return i0, 1
 }

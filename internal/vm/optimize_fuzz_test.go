@@ -152,6 +152,16 @@ let get k = (Hashtbl.find t k) + (if Hashtbl.mem t k then 1 else 0)`,
 		`let f () = String.sub "abcdef" (lsl 1 62) (lsl 1 62)`,
 		`let (x, y) = (1, "two")
 let f () = (y, x)`,
+		// q.concat_n. Four-parameter functions get the string arguments
+		// "payload-string" and "x" first and last; the 40-operand chain's
+		// concats run at steps 41 to 79, so the fuel=73 run starves inside
+		// the fused op; the 300-concat run splits at 255.
+		`let f a i j d = a ^ d ^ a`,
+		`let f a i j d = d ^ a ^ "|" ^ d ^ a ^ "|"`,
+		`let be16 v = String.make 1 (land (lsr v 8) 255) ^ String.make 1 (land v 255)
+let f a i j d = a ^ d ^ be16 i`,
+		"let f a i j d = a" + strings.Repeat(" ^ d", 39),
+		"let f a i j d = d" + strings.Repeat(" ^ d", 300),
 	} {
 		f.Add(seed)
 	}

@@ -424,3 +424,111 @@ let f a b = a / b + a mod b
 	assertParity(t, src, "f", bigFuel, int64(7), int64(0))
 	assertParity(t, src, "f", bigFuel, int64(-9223372036854775808), int64(-1)) // Go-wrapping edge
 }
+
+// deoptLog records the reasons a machine's frames leave the quickened
+// stream.
+type deoptLog []string
+
+func (d *deoptLog) TraceDeopt(reason string) { *d = append(*d, reason) }
+
+func TestQConcatN(t *testing.T) {
+	// The shapes of the spanning tree's vectors and BPDUs: chains of
+	// three and six operands, and one ending in a call result.
+	src := `
+let be16 v = String.make 1 (land (lsr v 8) 255) ^ String.make 1 (land v 255)
+let three a b c = a ^ b ^ c
+let six a b = a ^ "<" ^ b ^ ">" ^ a ^ b
+let vec a p = a ^ "|" ^ be16 p
+`
+	requireOps(t, src, "q.concat_n")
+	if o := assertParity(t, src, "three", bigFuel, "ab", "", "cde"); o.val != `"abcde"` {
+		t.Errorf("three = %s", o.val)
+	}
+	if o := assertParity(t, src, "six", bigFuel, "x", "yz"); o.val != `"x<yz>xyz"` {
+		t.Errorf("six = %s", o.val)
+	}
+	if o := assertParity(t, src, "vec", bigFuel, "id", int64(0x4142)); o.val != `"id|AB"` {
+		t.Errorf("vec = %s", o.val)
+	}
+	assertParity(t, src, "three", bigFuel, "", "", "")
+	// Fuel running out anywhere in or around the fused chain.
+	for fuel := uint64(1); fuel < 16; fuel++ {
+		assertParity(t, src, "six", fuel, "x", "yz")
+	}
+}
+
+// TestQConcatNTypeDeopt passes an int where the chain expects a string.
+// Parameters stay at top in the verifier, so the fused op meets the int at
+// run time; it must replay the wire concats and trap at the same concat
+// with -O0's message, Steps and AllocBytes, whichever operand is wrong.
+func TestQConcatNTypeDeopt(t *testing.T) {
+	src := `let three a b c = a ^ b ^ c`
+	for pos := 0; pos < 3; pos++ {
+		args := []Value{"a", "bb", "ccc"}
+		args[pos] = int64(7)
+		o := assertParity(t, src, "three", bigFuel, args...)
+		if o.err != "trap: concatenation of non-strings" {
+			t.Errorf("int operand %d: err = %q", pos, o.err)
+		}
+	}
+
+	m := NewMachine()
+	var log deoptLog
+	m.Trace = &log
+	lm := loadLevel(t, m, 1, src)
+	f, _ := lm.Global("three")
+	if _, err := m.Invoke(f, "a", "bb", "ccc"); err != nil || len(log) != 0 {
+		t.Fatalf("string operands: err = %v, deopts = %v", err, log)
+	}
+	if _, err := m.Invoke(f, "a", int64(7), "ccc"); err == nil || !reflect.DeepEqual([]string(log), []string{"concat-type"}) {
+		t.Errorf("int operand: err = %v, deopts = %v, want one concat-type", err, log)
+	}
+}
+
+// TestQConcatNUnderflowDeopt hand-builds a quickened stream that an
+// unverified object could carry: a two-concat run over a one-value stack.
+// The fused op must replay the wire code, whose concat pops nothing and
+// traps, rather than read below the frame.
+func TestQConcatNUnderflowDeopt(t *testing.T) {
+	wire := []Instr{{Op: opConstUnit}, {Op: opConcat}, {Op: opConcat}, {Op: opReturn}}
+	quick := []Instr{{Op: opConstUnit}, {Op: qConcatN, W: 2, A: 2}, {Op: opReturn}}
+	run := func(c *Chunk) (string, uint64) {
+		m := NewMachine()
+		clo := &Closure{Mod: &LinkedModule{Obj: &Object{Chunks: []*Chunk{c}}}, Chunk: c}
+		_, err := m.Invoke(clo)
+		if err == nil {
+			t.Fatal("underflowing concat did not trap")
+		}
+		return err.Error(), m.Steps
+	}
+	wantErr, wantSteps := run(&Chunk{Name: "u", Code: wire})
+	gotErr, gotSteps := run(&Chunk{Name: "u", Code: wire, Quick: quick, quickSrc: []int32{0, 1, 3}})
+	if gotErr != wantErr || gotSteps != wantSteps {
+		t.Errorf("quickened: %q after %d steps, wire: %q after %d", gotErr, gotSteps, wantErr, wantSteps)
+	}
+}
+
+// TestQConcatNSplitsLongRuns: W is a byte, so a run of 300 concats fuses
+// as 255 then 45, and the split chain folds exactly like the wire one.
+func TestQConcatNSplitsLongRuns(t *testing.T) {
+	src := "let f a = a" + strings.Repeat(" ^ a", 300)
+	l := StdLoader(NewMachine())
+	obj, _, err := CompileLevel("P", src, l.SigEnv(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []int64
+	for _, c := range obj.Chunks {
+		for _, ins := range c.Quick {
+			if ins.Op == qConcatN {
+				runs = append(runs, ins.A)
+			}
+		}
+	}
+	if !reflect.DeepEqual(runs, []int64{255, 45}) {
+		t.Errorf("concat runs = %v, want [255 45]", runs)
+	}
+	if o := assertParity(t, src, "f", bigFuel, "xy"); o.val != fmt.Sprintf("%q", strings.Repeat("xy", 301)) {
+		t.Errorf("f = %s", o.val)
+	}
+}

@@ -698,6 +698,17 @@ func flowChunk(o *Object, ci int, c *Chunk, code []Instr, quick bool, capEnv int
 				return 0, fail(pc, VerifyTypeConfusion, "field load from %s local", t)
 			}
 			st.locals[uint32(ins.B)>>8] = vAny
+		case qConcatN:
+			n := int(ins.A)
+			if err := need(n + 1); err != nil {
+				return 0, err
+			}
+			for i := 0; i <= n; i++ {
+				if t := pop(); notStr(t) {
+					return 0, fail(pc, VerifyTypeConfusion, "concat of %s", t)
+				}
+			}
+			push(vStr)
 		case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 			n := int(ins.A & 0xff)
 			if err := need(n + 1); err != nil {
@@ -833,6 +844,10 @@ func structuralPass(o *Object, ci int, c *Chunk, code []Instr, quick bool) error
 			bb := uint32(ins.B)
 			if ins.A < 0 || int(ins.A) >= c.NLocals || int(bb>>8) >= c.NLocals {
 				return fail(VerifyBadOperand, "locals %d,%d outside frame of %d", ins.A, bb>>8, c.NLocals)
+			}
+		case qConcatN:
+			if ins.A < 2 || ins.A > maxConcatRun || int64(ins.W) != ins.A {
+				return fail(VerifyBadOperand, "concat run of %d with step weight %d", ins.A, ins.W)
 			}
 		case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 			if n := ins.A & 0xff; n < 1 {

@@ -80,15 +80,25 @@ func TestHostileCorpus(t *testing.T) {
 			hobj(func(o *Object) { o.Init = 5 }, &Chunk{Name: "init", Code: ret()})},
 	}
 
-	// Inline-cache site operands of specialized calls: only q.str_sub owns
-	// a slot, and it must index below NICSites. These repeat the
-	// bad-operand kind, so they stay out of the distinct-kinds count.
-	siteCases := []struct {
+	// Operands only a quickened stream carries: the inline-cache site of a
+	// specialized call (only q.str_sub owns one, and it must index below
+	// NICSites) and q.concat_n's run length, which must be 2..255 and equal
+	// its step weight. A quickened opcode in wire code is a bad opcode.
+	// These repeat kinds above, so they stay out of the distinct-kinds count.
+	quickCases := []struct {
 		name string
+		kind string
 		obj  *Object
 	}{
-		{"str-sub-site-at-table-end", specCallObj(qStrSub, 3, 1, 1, "String", "sub")},
-		{"htbl-find-carries-site", specCallObj(qHtblFind, 2, 1, 2, "Hashtbl", "find")},
+		{"str-sub-site-at-table-end", VerifyBadOperand, specCallObj(qStrSub, 3, 1, 1, "String", "sub")},
+		{"htbl-find-carries-site", VerifyBadOperand, specCallObj(qHtblFind, 2, 1, 2, "Hashtbl", "find")},
+		{"concat-run-of-one", VerifyBadOperand, concatObj(1, 1)},
+		{"concat-run-past-255", VerifyBadOperand, concatObj(256, 2)},
+		{"concat-weight-mismatch", VerifyBadOperand, concatObj(3, 2)},
+		{"concat-on-the-wire", VerifyBadOpcode,
+			hobj(func(o *Object) { o.StrPool = []string{"s"} }, &Chunk{Name: "init", Code: []Instr{
+				{Op: opConstStr}, {Op: opConstStr}, {Op: opConstStr},
+				{Op: qConcatN, W: 2, A: 2}, {Op: opReturn}}})},
 	}
 
 	seenKinds := map[string]string{}
@@ -118,17 +128,41 @@ func TestHostileCorpus(t *testing.T) {
 			seenKinds[tc.kind] = tc.name
 		})
 	}
-	for _, tc := range siteCases {
-		t.Run(tc.name, func(t *testing.T) { reject(t, VerifyBadOperand, tc.obj) })
+	for _, tc := range quickCases {
+		t.Run(tc.name, func(t *testing.T) { reject(t, tc.kind, tc.obj) })
 	}
 	if len(seenKinds) < 10 {
 		t.Errorf("corpus covers %d distinct kinds, want >= 10", len(seenKinds))
 	}
-	// The same shape with the site inside the table verifies, so the
-	// site cases above fail on their operand and nothing else.
+	// The same shapes with well-formed operands verify, so the quick cases
+	// above fail on their operand and nothing else.
 	if _, err := VerifyObject(specCallObj(qStrSub, 3, 0, 1, "String", "sub")); err != nil {
 		t.Errorf("well-formed q.str_sub rejected: %v", err)
 	}
+	if _, err := VerifyObject(concatObj(2, 2)); err != nil {
+		t.Errorf("well-formed q.concat_n rejected: %v", err)
+	}
+}
+
+// concatObj is a one-chunk object whose wire code concatenates w+1 pool
+// strings with w concats, quickened into one q.concat_n of run length n
+// and weight w (so the quick weights always conserve the wire count).
+func concatObj(n int64, w byte) *Object {
+	var code, quick []Instr
+	var src []int32
+	for i := 0; i <= int(w); i++ {
+		code = append(code, Instr{Op: opConstStr})
+		quick = append(quick, Instr{Op: opConstStr})
+		src = append(src, int32(i))
+	}
+	quick = append(quick, Instr{Op: qConcatN, W: w, A: n}, Instr{Op: opReturn})
+	src = append(src, int32(len(code)), int32(len(code))+int32(w))
+	for i := 0; i < int(w); i++ {
+		code = append(code, Instr{Op: opConcat})
+	}
+	code = append(code, Instr{Op: opReturn})
+	return hobj(func(o *Object) { o.StrPool = []string{"s"} },
+		&Chunk{Name: "init", Code: code, Quick: quick, quickSrc: src})
 }
 
 // specCallObj is a one-chunk object whose quickened stream makes one

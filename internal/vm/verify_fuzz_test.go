@@ -30,6 +30,7 @@ var structuralTraps = []string{
 	"refers past frame locals",
 	"refers past closure environment",
 	"specialized call mispredicted",
+	"fused concat with no deopt map",
 }
 
 // runWire loads already-encoded object bytes at the given loader opt level

@@ -361,11 +361,7 @@ frames:
 				// Fuel starvation inside a superinstruction: deoptimize so
 				// the remaining fuel is consumed one wire instruction at a
 				// time, making the exhaustion point identical to -O0.
-				f.ip = int(chunk.quickSrc[f.ip-1])
-				f.naive = true
-				if m.Trace != nil {
-					m.Trace.TraceDeopt("fuel")
-				}
+				m.deopt(f, chunk, "fuel")
 				continue frames
 			}
 			fuel -= w
@@ -761,6 +757,42 @@ frames:
 					break
 				}
 				m.vals[f.base+int(bb>>8)] = t[idx]
+			case qConcatN:
+				// Fold the top A+1 strings once. Each wire concat j (from
+				// the top down) would have charged its left operand plus
+				// the suffix already built, so the metering sums those.
+				k := int(ins.A)
+				top := len(m.vals)
+				n, charge, ok := 0, uint64(0), top-f.opBase > k
+				for j := top - 1; ok && j >= top-k-1; j-- {
+					s, isStr := m.vals[j].(string)
+					if j < top-1 {
+						charge += uint64(len(s) + n)
+					}
+					n += len(s)
+					ok = isStr
+				}
+				if !ok {
+					// A non-string operand (or, in an unverified chunk, too
+					// few): replay the wire concats so -O0's trap fires at
+					// the same concat with the same steps and metering.
+					if chunk.quickSrc == nil {
+						trapErr = &Trap{Msg: "fused concat with no deopt map"}
+						break
+					}
+					fuel += w
+					steps -= w
+					m.deopt(f, chunk, "concat-type")
+					continue frames
+				}
+				buf := m.newStr(n)
+				off := 0
+				for _, v := range m.vals[top-k-1:] {
+					off += copy(buf[off:], v.(string))
+				}
+				m.vals = m.vals[:top-k-1]
+				m.AllocBytes += charge
+				m.vals = append(m.vals, m.sealStr(buf))
 			case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 				n := int(ins.A & 0xff)
 				if len(m.vals)-f.opBase < n+1 {
@@ -790,11 +822,7 @@ frames:
 					}
 					fuel += w
 					steps -= w
-					f.ip = int(chunk.quickSrc[f.ip-1])
-					f.naive = true
-					if m.Trace != nil {
-						m.Trace.TraceDeopt("call-mispredict")
-					}
+					m.deopt(f, chunk, "call-mispredict")
 					continue frames
 				}
 				args := m.vals[len(m.vals)-n:]
@@ -897,6 +925,17 @@ frames:
 				continue frames
 			}
 		}
+	}
+}
+
+// deopt switches f from the quickened stream to the wire code, at the wire
+// pc of the quickened instruction it just fetched. The caller has already
+// given back that instruction's fuel and steps (or never charged them).
+func (m *Machine) deopt(f *frameSlot, chunk *Chunk, reason string) {
+	f.ip = int(chunk.quickSrc[f.ip-1])
+	f.naive = true
+	if m.Trace != nil {
+		m.Trace.TraceDeopt(reason)
 	}
 }
 
