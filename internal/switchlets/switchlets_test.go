@@ -380,12 +380,15 @@ func stpTickRig(t *testing.T, optLevel int) (*bridge.Bridge, func()) {
 // into the bridge's frame slab. Before the string arena one cycle cost
 // about two hundred; while each sealed frame was its own allocation, 2.
 //
-// Host bytes have their own budget, 1100 per cycle over 2000 cycles. Each
+// Host bytes have their own budget, 880 per cycle over 2000 cycles. Each
 // concat of a right-nested chain used to build and box a string only the
 // next concat read; one cycle cost 1420 B then, and 985 with the chains
-// fused into q.concat_n. The fused chains must still meter Steps and
-// AllocBytes exactly as the wire concats do, so the window is replayed at
-// -O0 and both counters must match.
+// fused into q.concat_n. Every string of at most two bytes (be16's
+// `String.make 1 hi ^ String.make 1 lo`) now comes from a shared table, so
+// it costs no arena bytes and no header cell: about 820. The fused chains
+// and the shared strings must still meter Steps and AllocBytes exactly as
+// the wire concats do, so the window is replayed at -O0 and both counters
+// must match.
 func TestSTPTickAllocBudget(t *testing.T) {
 	b, cycle := stpTickRig(t, bridge.DefaultOptLevel)
 	st := b.Stats
@@ -411,8 +414,10 @@ func TestSTPTickAllocBudget(t *testing.T) {
 		return b.Machine.Steps - steps, b.Machine.AllocBytes - alloc, ms1.TotalAlloc - ms0.TotalAlloc
 	}
 	steps, alloc, hostBytes := runWindow(b, cycle)
-	if perCycle := float64(hostBytes) / window; perCycle > 1100 {
-		t.Errorf("STP tick + received BPDU host bytes/cycle = %.1f, want <= 1100", perCycle)
+	perCycle := float64(hostBytes) / window
+	t.Logf("STP tick + received BPDU host bytes/cycle = %.1f", perCycle)
+	if perCycle > 880 {
+		t.Errorf("STP tick + received BPDU host bytes/cycle = %.1f, want <= 880", perCycle)
 	}
 
 	naive, naiveCycle := stpTickRig(t, 0)
@@ -424,6 +429,89 @@ func TestSTPTickAllocBudget(t *testing.T) {
 		t.Errorf("window metering: Steps %d, AllocBytes %d (totals %d, %d); -O0 reads %d, %d (totals %d, %d)",
 			steps, alloc, b.Machine.Steps, b.Machine.AllocBytes,
 			wantSteps, wantAlloc, naive.Machine.Steps, naive.Machine.AllocBytes)
+	}
+}
+
+// learnRig builds a learning bridge between two LANs (paper Figure 7) at
+// the given switchlet optimization level, with both stations learned, and
+// returns it with one cycle of the forwarding path: a 1 KB unicast frame
+// from station 1 to station 2, run to completion.
+func learnRig(t *testing.T, optLevel int) (*bridge.Bridge, func()) {
+	t.Helper()
+	sim := netsim.New()
+	b := bridge.New(sim, "br0", 1, 2, netsim.DefaultCostModel())
+	b.Loader.OptLevel = optLevel
+	n1 := netsim.NewNIC(sim, "n1", ethernet.MAC{2, 0, 0, 0, 0, 1})
+	n2 := netsim.NewNIC(sim, "n2", ethernet.MAC{2, 0, 0, 0, 0, 2})
+	delivered := 0
+	n2.SetRecv(func(*netsim.NIC, []byte) { delivered++ })
+	lan1, lan2 := netsim.NewSegment(sim, "lan1"), netsim.NewSegment(sim, "lan2")
+	lan1.Attach(n1)
+	lan1.Attach(b.Port(0))
+	lan2.Attach(n2)
+	lan2.Attach(b.Port(1))
+	if err := loadLearning(b); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(src, dst ethernet.MAC) []byte {
+		raw, err := (&ethernet.Frame{Dst: dst, Src: src, Type: ethernet.TypeTest, Payload: make([]byte, 1024)}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	to1, to2 := frame(n2.MAC, n1.MAC), frame(n1.MAC, n2.MAC)
+	n2.Send(to1)
+	sim.RunAll()
+	cycle := func() {
+		n1.Send(to2)
+		sim.RunAll()
+	}
+	cycle()
+	if delivered != 1 || b.Stats.HandlerTraps != 0 {
+		t.Fatalf("learning rig: %d frames reached station 2, %d traps", delivered, b.Stats.HandlerTraps)
+	}
+	return b, cycle
+}
+
+// TestLearningForwardAllocBudget is the data path's host-byte budget: a
+// learning bridge forwarding 20 000 unicast frames. Each frame records
+// (inport, now) in the switchlet's table; that tuple is its elements and
+// nothing more (a boxed slice header made it 72.6 B and 0.0314 mallocs a
+// frame), so a frame may cost at most 56 host bytes and 0.025 mallocs:
+// the tuple slab, the timestamp's int slab, amortized. The window's Steps
+// and AllocBytes must equal an -O0 replay's.
+func TestLearningForwardAllocBudget(t *testing.T) {
+	const window = 20_000
+	runWindow := func(b *bridge.Bridge, cycle func()) (steps, alloc, hostBytes, mallocs uint64) {
+		var ms0, ms1 runtime.MemStats
+		steps, alloc = b.Machine.Steps, b.Machine.AllocBytes
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < window; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&ms1)
+		return b.Machine.Steps - steps, b.Machine.AllocBytes - alloc, ms1.TotalAlloc - ms0.TotalAlloc, ms1.Mallocs - ms0.Mallocs
+	}
+	b, cycle := learnRig(t, bridge.DefaultOptLevel)
+	sent := b.Stats.FramesSent
+	steps, alloc, hostBytes, mallocs := runWindow(b, cycle)
+	if got := b.Stats.FramesSent - sent; got != window || b.Stats.HandlerTraps != 0 {
+		t.Fatalf("window forwarded %d frames with %d traps, want %d and none", got, b.Stats.HandlerTraps, window)
+	}
+	t.Logf("per frame: %.1f host B, %.4f mallocs, %.1f Steps, %.1f AllocBytes",
+		float64(hostBytes)/window, float64(mallocs)/window, float64(steps)/window, float64(alloc)/window)
+	if perFrame := float64(hostBytes) / window; perFrame > 56 {
+		t.Errorf("learning forward host bytes/frame = %.1f, want <= 56", perFrame)
+	}
+	if perFrame := float64(mallocs) / window; perFrame > 0.025 {
+		t.Errorf("learning forward mallocs/frame = %.4f, want <= 0.025", perFrame)
+	}
+
+	naive, naiveCycle := learnRig(t, 0)
+	wantSteps, wantAlloc, _, _ := runWindow(naive, naiveCycle)
+	if steps != wantSteps || alloc != wantAlloc {
+		t.Errorf("window metering: Steps %d, AllocBytes %d; -O0 reads %d, %d", steps, alloc, wantSteps, wantAlloc)
 	}
 }
 

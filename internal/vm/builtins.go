@@ -84,15 +84,15 @@ func SafestdUnit() (*Signature, map[string]Value) {
 			return ctx.M.newRef(a[0]), nil
 		}},
 		{"fst", "('a * 'b) -> 'a", 1, func(_ *Ctx, a []Value) (Value, error) {
-			t, ok := a[0].(Tuple)
-			if !ok || len(t) < 2 {
+			t, ok := tupleOf(a[0])
+			if !ok {
 				return nil, &Trap{Msg: "fst: not a pair"}
 			}
 			return t[0], nil
 		}},
 		{"snd", "('a * 'b) -> 'b", 1, func(_ *Ctx, a []Value) (Value, error) {
-			t, ok := a[0].(Tuple)
-			if !ok || len(t) < 2 {
+			t, ok := tupleOf(a[0])
+			if !ok {
 				return nil, &Trap{Msg: "snd: not a pair"}
 			}
 			return t[1], nil
@@ -268,6 +268,9 @@ func buildStringUnit() (*Signature, map[string]Value) {
 				return nil, &Trap{Msg: "String.sub: out of bounds"}
 			}
 			ctx.M.AllocBytes += uint64(n)
+			if n <= 2 {
+				return shortStr(s[pos : pos+n]), nil
+			}
 			return ctx.M.strBox.Box(s[pos : pos+n]), nil
 		}},
 		{"make", "int -> int -> string", 2, func(ctx *Ctx, a []Value) (Value, error) {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestStringMeteringTable pins what each string-producing site meters.
@@ -49,6 +50,88 @@ func TestStringMeteringTable(t *testing.T) {
 				t.Errorf("-O%d %s: val %s steps %d alloc %d err %q, want val %s steps %d alloc %d",
 					level, r.expr, o.val, o.steps, o.alloc, o.err, r.val, r.steps, r.alloc)
 			}
+		}
+	}
+}
+
+// TestShortStringsAreShared: every site that can build a string of at
+// most two bytes returns the process-wide one, at -O0 and -O1 alike, so
+// building it costs the host nothing. Each site is checked for its value,
+// for two builds sharing one data pointer, for 10 000 builds allocating
+// no host byte, and for -O0 parity of the value, Steps and AllocBytes.
+func TestShortStringsAreShared(t *testing.T) {
+	const src = `
+let cat a b = a ^ b
+let cat3 a b c = a ^ b ^ c
+let mk2 c = String.make 2 c
+let sub s = let r = String.sub s 1 2 in r
+let sub1 s = let r = String.sub s 3 1 in r
+let soi n = string_of_int n
+`
+	requireOps(t, src, "q.concat_n", "q.str_sub")
+	sites := []struct {
+		site, fn string
+		args     []Value
+		want     string
+	}{
+		{"^", "cat", []Value{"x", "y"}, "xy"},
+		{"q.concat_n", "cat3", []Value{"x", "", "y"}, "xy"},
+		{"String.make 2", "mk2", []Value{int64(65)}, "AA"},
+		{"String.sub (native at -O0, q.str_sub at -O1)", "sub", []Value{"abcd"}, "bc"},
+		{"String.sub of one byte", "sub1", []Value{"abcd"}, "d"},
+		{"string_of_int", "soi", []Value{int64(-7)}, "-7"},
+	}
+	for _, c := range sites {
+		assertParity(t, src, c.fn, bigFuel, c.args...)
+	}
+	for level := 0; level <= 1; level++ {
+		m := NewMachine()
+		lm := loadLevel(t, m, level, src)
+		for _, c := range sites {
+			fn, _ := lm.Global(c.fn)
+			build := func() string {
+				v, err := m.InvokeArgs(fn, c.args)
+				if err != nil {
+					t.Fatalf("-O%d %s: %v", level, c.site, err)
+				}
+				return v.(string)
+			}
+			a, b := build(), build()
+			if a != c.want || b != c.want {
+				t.Errorf("-O%d %s = %q, %q, want %q", level, c.site, a, b, c.want)
+				continue
+			}
+			if unsafe.StringData(a) != unsafe.StringData(b) || unsafe.StringData(a) != unsafe.StringData(shortStr(c.want).(string)) {
+				t.Errorf("-O%d %s: two builds do not share the table's bytes", level, c.site)
+			}
+			// A build that allocated would show in every window; another
+			// goroutine's odd allocation shows in one, so take the least
+			// of three.
+			least := ^uint64(0)
+			for w := 0; w < 3 && least > 0; w++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 10_000; i++ {
+					build()
+				}
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got < least {
+					least = got
+				}
+			}
+			if least != 0 {
+				t.Errorf("-O%d %s: 10000 builds allocated %d host bytes, want 0", level, c.site, least)
+			}
+		}
+	}
+	// The table's headers hide their data pointers from the collector;
+	// the bytes must survive collections all the same.
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 1<<16; i++ {
+		want := string([]byte{byte(i >> 8), byte(i)})
+		if got := shortStr(want).(string); got != want {
+			t.Fatalf("shortStr(%q) = %q", want, got)
 		}
 	}
 }
@@ -170,11 +253,6 @@ func TestSlabsFillTheirSizeClass(t *testing.T) {
 				m.strBox.Box("frame")
 			}
 		}},
-		{"tuple headers", ptrSlabLen * 24, func() {
-			for i := 0; i < slabs*ptrSlabLen; i++ {
-				m.boxTuple(nil)
-			}
-		}},
 		{"refs", ptrSlabLen * 16, func() {
 			for i := 0; i < slabs*ptrSlabLen; i++ {
 				m.newRef(nil)
@@ -193,9 +271,9 @@ func TestSlabsFillTheirSizeClass(t *testing.T) {
 		}
 	}
 
-	// The tuple element slab is carved inside opTuple, so it is measured
-	// through a program: triples divide the slab evenly, and the headers
-	// they also need are the row above.
+	// The tuple slab is carved inside opTuple, so it is measured through a
+	// program: triples divide the slab evenly, and a tuple's Value points
+	// at its elements, so the slab is all a tuple costs.
 	l, lm := compileAndLoad(t, "Triples", `
 let rec go n = if n = 0 then () else (ignore (n, n, n); go (n - 1))
 `)
@@ -205,9 +283,9 @@ let rec go n = if n = 0 then () else (ignore (n, n, n); go (n - 1))
 		t.Fatalf("tupleSlabSize %d: the measurement needs a multiple of 3", tupleSlabSize)
 	}
 	perTupleSlab := tupleSlabSize / 3
-	// One pass fills whole slabs of both kinds, so the warm-up leaves both
-	// exactly full and the measured pass starts on fresh ones.
-	pass := perTupleSlab * ptrSlabLen
+	// One pass fills whole slabs, so the warm-up leaves the last one
+	// exactly full and the measured pass starts on a fresh one.
+	pass := perTupleSlab * slabs
 	args := []Value{nil}
 	run := func() {
 		for left := pass; left > 0; {
@@ -223,11 +301,10 @@ let rec go n = if n = 0 then () else (ignore (n, n, n); go (n - 1))
 		}
 	}
 	run()
-	tupleSlabs, hdrSlabs := uint64(pass/perTupleSlab), uint64(pass/ptrSlabLen)
-	payload := tupleSlabs*tupleSlabSize*16 + hdrSlabs*ptrSlabLen*24
+	payload := uint64(slabs * tupleSlabSize * 16)
 	got := charged(run)
-	if max := payload + (tupleSlabs+hdrSlabs)*perSlabSlack; got < payload || got > max {
-		t.Errorf("tuple slabs: %d element and %d header slabs charged %d B for %d B of cells, want at most %d over",
-			tupleSlabs, hdrSlabs, got, payload, max-payload)
+	if max := payload + slabs*perSlabSlack; got < payload || got > max {
+		t.Errorf("tuple slabs: %d slabs charged %d B for %d B of cells, want at most %d over",
+			slabs, got, payload, max-payload)
 	}
 }

@@ -31,12 +31,12 @@ func renderValue(v vm.Value) string {
 		return fmt.Sprintf("%q", x)
 	case vm.Unit:
 		return "()"
-	case vm.Tuple:
-		parts := make([]string, len(x))
-		for i, e := range x {
-			parts[i] = renderValue(e)
-		}
-		return "(" + strings.Join(parts, ", ") + ")"
+	case *[2]vm.Value:
+		return renderTuple(x[:])
+	case *[3]vm.Value:
+		return renderTuple(x[:])
+	case *[4]vm.Value:
+		return renderTuple(x[:])
 	case *vm.Ref:
 		return "ref " + renderValue(x.V)
 	case *vm.Hashtbl:
@@ -59,6 +59,14 @@ func renderValue(v vm.Value) string {
 	default:
 		return fmt.Sprintf("<%T>", v)
 	}
+}
+
+func renderTuple(elems []vm.Value) string {
+	parts := make([]string, len(elems))
+	for i, e := range elems {
+		parts[i] = renderValue(e)
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // runLevel compiles and executes src one way and returns a transcript of
@@ -152,6 +160,13 @@ let get k = (Hashtbl.find t k) + (if Hashtbl.mem t k then 1 else 0)`,
 		`let f () = String.sub "abcdef" (lsl 1 62) (lsl 1 62)`,
 		`let (x, y) = (1, "two")
 let f () = (y, x)`,
+		// Equality and ordering on 3- and 4-tuples, fused into
+		// compare-and-branch and not.
+		`let f a i j d =
+  let t = (i, d, a) in
+  let q = (j, i, d, a) in
+  let lo = if t < (i, a, d) then t else (j, a, d) in
+  (t = (i, d, a), q >= (i, j, a, d), q <> (j, i, d, a), (lo, q))`,
 		// q.concat_n. Four-parameter functions get the string arguments
 		// "payload-string" and "x" first and last; the 40-operand chain's
 		// concats run at steps 41 to 79, so the fuel=73 run starves inside

@@ -225,7 +225,7 @@ let f p =
   x * 100 + y
 `
 	requireOps(t, src, "q.get_field_set")
-	o := assertParity(t, src, "f", bigFuel, Tuple{int64(4), int64(2)})
+	o := assertParity(t, src, "f", bigFuel, &[2]Value{int64(4), int64(2)})
 	if o.val != "402" {
 		t.Errorf("f (4,2) = %s", o.val)
 	}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -344,6 +345,36 @@ let sub s pos n = String.sub s pos n
 				t.Errorf("-O%d String.sub s %d %d: val %s err %q, want val %q", level, c.pos, c.n, o.val, o.err, c.want)
 			}
 		}
+	}
+}
+
+// TestHandBuiltTupleArityTraps: the verifier admits tuples of two to four
+// elements only, the arities a tuple Value can point at. An unverified
+// chunk that builds another arity must get a typed trap, not a panic.
+func TestHandBuiltTupleArityTraps(t *testing.T) {
+	for _, n := range []int64{0, 1, 5} {
+		code := []Instr{}
+		for i := int64(0); i < n; i++ {
+			code = append(code, Instr{Op: opConstInt, A: i})
+		}
+		code = append(code, Instr{Op: opTuple, A: n}, Instr{Op: opReturn})
+		c := &Chunk{Name: "tup", Code: code}
+		obj := &Object{Chunks: []*Chunk{c}}
+		if _, err := VerifyObject(obj); err == nil {
+			t.Errorf("arity %d: the verifier admitted it", n)
+		}
+		var trap *Trap
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("arity %d: panicked: %v", n, r)
+				}
+			}()
+			_, err := NewMachine().Invoke(&Closure{Mod: &LinkedModule{Obj: obj}, Chunk: c})
+			if !errors.As(err, &trap) || trap.Msg != fmt.Sprintf("tuple arity %d", n) {
+				t.Errorf("arity %d: err = %v, want trap %q", n, err, fmt.Sprintf("tuple arity %d", n))
+			}
+		}()
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"strings"
 )
 
-// Value is a runtime value: int64, bool, string, Unit, *Ref, Tuple,
-// *Closure, *Partial, *Native, or *Hashtbl. The type checker guarantees
+// Value is a runtime value: int64, bool, string, Unit, *Ref, a tuple,
+// *Closure, *Partial, *Native, or *Hashtbl. A tuple is a pointer to its
+// elements, *[2]Value, *[3]Value or *[4]Value (the verifier admits no
+// other arity), which the interface holds with no header of its own; read
+// one through tupleOf. The type checker guarantees
 // well-typed programs never see an unexpected dynamic type; the interpreter
 // still checks and traps, so that a corrupted object cannot subvert the Go
 // runtime (defence in depth, mirroring the paper's "static checking and
@@ -19,9 +22,6 @@ type Unit struct{}
 
 // Ref is a mutable reference cell.
 type Ref struct{ V Value }
-
-// Tuple is an immutable product value.
-type Tuple []Value
 
 // Closure is a compiled swl function with its captured environment.
 type Closure struct {
@@ -138,6 +138,26 @@ func boxInt(v int64) Value {
 	return v
 }
 
+// tupleOf returns the elements of a tuple value, or false if v is none.
+// Tuples are immutable: the slice must not be written.
+func tupleOf(v Value) ([]Value, bool) {
+	switch t := v.(type) {
+	case *[2]Value:
+		if t != nil {
+			return t[:], true
+		}
+	case *[3]Value:
+		if t != nil {
+			return t[:], true
+		}
+	case *[4]Value:
+		if t != nil {
+			return t[:], true
+		}
+	}
+	return nil, false
+}
+
 // boxBool converts a bool to a Value without allocating.
 func boxBool(b bool) Value {
 	if b {
@@ -184,9 +204,10 @@ func FormatValue(v Value) string {
 		return "()"
 	case *Ref:
 		return "ref " + FormatValue(x.V)
-	case Tuple:
-		parts := make([]string, len(x))
-		for i, e := range x {
+	case *[2]Value, *[3]Value, *[4]Value:
+		elems, _ := tupleOf(x)
+		parts := make([]string, len(elems))
+		for i, e := range elems {
 			parts[i] = FormatValue(e)
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
@@ -221,13 +242,14 @@ func valueEq(a, b Value) (bool, error) {
 	case Unit:
 		_, ok := b.(Unit)
 		return ok, nil
-	case Tuple:
-		y, ok := b.(Tuple)
-		if !ok || len(x) != len(y) {
+	case *[2]Value, *[3]Value, *[4]Value:
+		xs, _ := tupleOf(x)
+		ys, ok := tupleOf(b)
+		if !ok || len(xs) != len(ys) {
 			return false, nil
 		}
-		for i := range x {
-			eq, err := valueEq(x[i], y[i])
+		for i := range xs {
+			eq, err := valueEq(xs[i], ys[i])
 			if err != nil || !eq {
 				return eq, err
 			}
@@ -279,13 +301,14 @@ func valueCmp(a, b Value) (int, error) {
 		return 0, nil
 	case Unit:
 		return 0, nil
-	case Tuple:
-		y, ok := b.(Tuple)
-		if !ok || len(x) != len(y) {
+	case *[2]Value, *[3]Value, *[4]Value:
+		xs, _ := tupleOf(x)
+		ys, ok := tupleOf(b)
+		if !ok || len(xs) != len(ys) {
 			return 0, &Trap{Msg: "comparison type mismatch"}
 		}
-		for i := range x {
-			c, err := valueCmp(x[i], y[i])
+		for i := range xs {
+			c, err := valueCmp(xs[i], ys[i])
 			if err != nil || c != 0 {
 				return c, err
 			}

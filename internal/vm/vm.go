@@ -62,22 +62,24 @@ type Machine struct {
 	frames   []frameSlot
 	frameTop int
 
-	// tupleSlab bump-allocates tuple storage in blocks so that opTuple
+	// tupleSlab bump-allocates tuple elements in blocks so that opTuple
 	// costs one Go allocation per block instead of one per tuple. Each
 	// tuple is carved with a full slice expression (capacity == length),
-	// so no later carve can alias it. Virtual metering (AllocBytes) is
-	// unchanged — this only reduces host GC pressure.
+	// so no later carve can alias it, and its Value is the carve converted
+	// to an array pointer: no header is boxed. Virtual metering
+	// (AllocBytes) is unchanged — this only reduces host GC pressure.
 	tupleSlab []Value
 	slabOff   int
 
-	// tupleHdrSlab and intBox amortize the interface-boxing allocations
-	// of tuple headers and out-of-cache ints (see ebox.go).
-	tupleHdrSlab []Tuple
-	intBox       IntBoxer
+	// intBox amortizes the interface-boxing allocations of out-of-cache
+	// ints (see ebox.go).
+	intBox IntBoxer
 
-	// strBox, strArena and refSlab do the same for every string and ref
-	// cell switchlet code builds (see ebox.go). All three are lazy: a
-	// machine that never concatenates never owns an arena.
+	// strBox, strArena and refSlab do the same for every ref cell and
+	// every string longer than two bytes that switchlet code builds; the
+	// shorter ones are shared process-wide (shortStr, see ebox.go). All
+	// three are lazy: a machine that never concatenates never owns an
+	// arena.
 	strBox   StrBoxer
 	strArena []byte
 	refSlab  []Ref
@@ -651,22 +653,33 @@ frames:
 					trapErr = &Trap{Msg: "operand stack underflow"}
 					break
 				}
+				if n < 2 || n > 4 {
+					// The verifier admits no other arity; a hand-built
+					// chunk gets a trap, not a panic.
+					trapErr = &Trap{Msg: fmt.Sprintf("tuple arity %d", n)}
+					break
+				}
 				if m.slabOff+n > len(m.tupleSlab) {
-					sz := tupleSlabSize
-					if n > sz {
-						sz = n
-					}
-					m.tupleSlab = make([]Value, sz)
+					m.tupleSlab = make([]Value, tupleSlabSize)
 					m.slabOff = 0
 				}
-				t := Tuple(m.tupleSlab[m.slabOff : m.slabOff+n : m.slabOff+n])
+				t := m.tupleSlab[m.slabOff : m.slabOff+n : m.slabOff+n]
 				m.slabOff += n
 				copy(t, m.vals[len(m.vals)-n:])
 				m.vals = m.vals[:len(m.vals)-n]
 				m.AllocBytes += uint64(16 * n)
-				m.vals = append(m.vals, m.boxTuple(t))
+				var tv Value
+				switch n {
+				case 2:
+					tv = (*[2]Value)(t)
+				case 3:
+					tv = (*[3]Value)(t)
+				default:
+					tv = (*[4]Value)(t)
+				}
+				m.vals = append(m.vals, tv)
 			case opTupleGet:
-				t, ok := m.pop(f.opBase).(Tuple)
+				t, ok := tupleOf(m.pop(f.opBase))
 				if !ok || int(ins.A) >= len(t) {
 					trapErr = &Trap{Msg: "tuple projection error"}
 					break
@@ -748,7 +761,7 @@ frames:
 				m.vals[slot] = m.boxI(v + int64(ins.B))
 			case qGetFieldSet:
 				bb := uint32(ins.B)
-				t, ok := m.vals[f.base+int(ins.A)].(Tuple)
+				t, ok := tupleOf(m.vals[f.base+int(ins.A)])
 				idx := int(bb & 0xff)
 				if !ok || idx >= len(t) {
 					fuel++
@@ -785,14 +798,25 @@ frames:
 					m.deopt(f, chunk, "concat-type")
 					continue frames
 				}
-				buf := m.newStr(n)
-				off := 0
-				for _, v := range m.vals[top-k-1:] {
-					off += copy(buf[off:], v.(string))
+				var res Value
+				if n <= 2 {
+					var pair [2]byte
+					off := 0
+					for _, v := range m.vals[top-k-1:] {
+						off += copy(pair[off:], v.(string))
+					}
+					res = shortStr(string(pair[:n]))
+				} else {
+					buf := m.newStr(n)
+					off := 0
+					for _, v := range m.vals[top-k-1:] {
+						off += copy(buf[off:], v.(string))
+					}
+					res = m.sealStr(buf)
 				}
 				m.vals = m.vals[:top-k-1]
 				m.AllocBytes += charge
-				m.vals = append(m.vals, m.sealStr(buf))
+				m.vals = append(m.vals, res)
 			case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 				n := int(ins.A & 0xff)
 				if len(m.vals)-f.opBase < n+1 {
@@ -841,7 +865,9 @@ frames:
 					} else {
 						m.AllocBytes += uint64(ln)
 						sub := s[pos : pos+ln]
-						if ic := icAt(mod, int(ins.A>>8)); ic != nil {
+						if ln <= 2 {
+							res = shortStr(sub)
+						} else if ic := icAt(mod, int(ins.A>>8)); ic != nil {
 							if ic.b1 != nil && ic.s1 == sub {
 								res = ic.b1
 							} else if ic.b2 != nil && ic.s2 == sub {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -228,23 +229,136 @@ let count () = !counter
 	}
 }
 
+// TestTuples: a tuple is a pointer to its elements, whether the switchlet
+// or the host built it, and destructures the same way either way.
 func TestTuples(t *testing.T) {
 	l, lm := compileAndLoad(t, "Tup", `
 let swap p = let (a, b) = p in (b, a)
 let first3 t = let (a, b, c) = t in a
+let last4 t = let (a, b, c, d) = t in d
+let mk4 a = (a, (a, a + 1), "z", true)
 let pair_math p = (fst p) * 10 + (snd p)
 `)
-	v := call(t, l, lm, "swap", Tuple{int64(1), "x"})
-	tu, ok := v.(Tuple)
-	if !ok || tu[0] != "x" || tu[1] != int64(1) {
+	v := call(t, l, lm, "swap", &[2]Value{int64(1), "x"})
+	if tu, ok := v.(*[2]Value); !ok || tu[0] != "x" || tu[1] != int64(1) {
 		t.Errorf("swap = %v", FormatValue(v))
 	}
-	if v := call(t, l, lm, "first3", Tuple{int64(7), int64(8), int64(9)}); v != int64(7) {
+	if v := call(t, l, lm, "first3", &[3]Value{int64(7), int64(8), int64(9)}); v != int64(7) {
 		t.Errorf("first3 = %v", v)
 	}
-	if v := call(t, l, lm, "pair_math", Tuple{int64(4), int64(2)}); v != int64(42) {
+	if v := call(t, l, lm, "last4", &[4]Value{int64(1), int64(2), int64(3), "d"}); v != "d" {
+		t.Errorf("last4 = %v", v)
+	}
+	if v := call(t, l, lm, "mk4", int64(1)); FormatValue(v) != `(1, (1, 2), "z", true)` {
+		t.Errorf("mk4 = %s (%T)", FormatValue(v), v)
+	}
+	if v := call(t, l, lm, "pair_math", &[2]Value{int64(4), int64(2)}); v != int64(42) {
 		t.Errorf("pair_math = %v", v)
 	}
+}
+
+// TestTupleSemanticsByArity pins equality, ordering, fst/snd and rendering
+// for every arity the verifier admits, at -O0 and -O1 alike. The operands
+// come from the host, so one polymorphic function can be handed tuples of
+// different arities, which the type checker never lets a switchlet build:
+// they compare unequal, and ordering them traps.
+func TestTupleSemanticsByArity(t *testing.T) {
+	const src = `
+let eq a b = a = b
+let ne a b = a <> b
+let lt a b = a < b
+let le a b = a <= b
+let gt a b = a > b
+let ge a b = a >= b
+let eq_if a b = if a = b then 1 else 0
+let lt_if a b = if a < b then 1 else 0
+let first p = fst p
+let second p = snd p
+`
+	pair := func(a, b Value) Value { return &[2]Value{a, b} }
+	triple := func(a, b, c Value) Value { return &[3]Value{a, b, c} }
+	quad := func(a, b, c, d Value) Value { return &[4]Value{a, b, c, d} }
+	for _, r := range []struct {
+		a, b Value
+		eq   bool
+		cmp  int // -1, 0, 1; 2 = ordering traps
+	}{
+		{pair(int64(1), "x"), pair(int64(1), "x"), true, 0},
+		{pair(int64(1), "a"), pair(int64(1), "b"), false, -1},
+		{pair(int64(2), "a"), pair(int64(1), "b"), false, 1},
+		{triple(int64(1), int64(2), int64(3)), triple(int64(1), int64(2), int64(3)), true, 0},
+		{triple(int64(1), int64(2), int64(3)), triple(int64(1), int64(2), int64(4)), false, -1},
+		{triple(true, "b", int64(0)), triple(true, "a", int64(9)), false, 1},
+		{quad(int64(1), int64(2), "c", false), quad(int64(1), int64(2), "c", false), true, 0},
+		{quad(int64(1), int64(2), "c", false), quad(int64(1), int64(2), "c", true), false, -1},
+		{quad(int64(1), int64(2), "d", false), quad(int64(1), int64(2), "c", true), false, 1},
+		{pair(int64(1), pair(int64(2), int64(3))), pair(int64(1), pair(int64(2), int64(4))), false, -1},
+		{pair(int64(1), int64(2)), triple(int64(1), int64(2), int64(3)), false, 2},
+		{triple(int64(1), int64(2), int64(3)), quad(int64(1), int64(2), int64(3), int64(4)), false, 2},
+		{quad(int64(1), int64(2), int64(3), int64(4)), pair(int64(1), int64(2)), false, 2},
+		{pair(int64(1), int64(2)), int64(1), false, 2},
+	} {
+		for _, c := range []struct {
+			fn   string
+			want string
+		}{
+			{"eq", fmt.Sprint(r.eq)},
+			{"ne", fmt.Sprint(!r.eq)},
+			{"eq_if", oneIf(r.eq)},
+			{"lt", cmpWant(r.cmp, r.cmp < 0)},
+			{"le", cmpWant(r.cmp, r.cmp <= 0)},
+			{"gt", cmpWant(r.cmp, r.cmp > 0)},
+			{"ge", cmpWant(r.cmp, r.cmp >= 0)},
+			{"lt_if", cmpWant(r.cmp, oneIf(r.cmp < 0))},
+		} {
+			o := assertParity(t, src, c.fn, bigFuel, r.a, r.b)
+			got := o.val
+			if o.err != "" {
+				got = o.err
+			}
+			if got != c.want {
+				t.Errorf("%s %s %s = %s, want %s", c.fn, FormatValue(r.a), FormatValue(r.b), got, c.want)
+			}
+		}
+	}
+
+	p := pair(int64(1), "x")
+	if o := assertParity(t, src, "first", bigFuel, p); o.val != "1" {
+		t.Errorf("fst %s = %s %s", FormatValue(p), o.val, o.err)
+	}
+	if o := assertParity(t, src, "second", bigFuel, p); o.val != `"x"` {
+		t.Errorf("snd %s = %s %s", FormatValue(p), o.val, o.err)
+	}
+	if o := assertParity(t, src, "first", bigFuel, int64(3)); o.err != "trap: fst: not a pair" {
+		t.Errorf("fst 3: val %s err %q", o.val, o.err)
+	}
+	for v, want := range map[Value]string{
+		p:                                     `(1, "x")`,
+		triple(int64(1), "x", true):           `(1, "x", true)`,
+		quad(int64(-1), "", Unit{}, p):        `(-1, "", (), (1, "x"))`,
+		pair(pair(int64(1), int64(2)), "end"): `((1, 2), "end")`,
+	} {
+		if got := FormatValue(v); got != want {
+			t.Errorf("FormatValue = %s, want %s", got, want)
+		}
+	}
+}
+
+// cmpWant renders the result an ordering test expects: the comparison
+// result, or the mismatch trap when cmp is 2.
+func cmpWant(cmp int, res any) string {
+	if cmp == 2 {
+		return "trap: comparison type mismatch"
+	}
+	return fmt.Sprint(res)
+}
+
+// oneIf renders what `if b then 1 else 0` returns.
+func oneIf(b bool) string {
+	if b {
+		return "1"
+	}
+	return "0"
 }
 
 func TestHashtbl(t *testing.T) {
