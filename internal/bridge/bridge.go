@@ -76,17 +76,6 @@ type Stats struct {
 	KernelTime      netsim.Duration
 }
 
-// PathSample is the per-stage cost decomposition of one forwarded frame
-// (paper Figure 5 / §7.2 instrumentation).
-type PathSample struct {
-	When       netsim.Time
-	FrameLen   int
-	KernelRecv netsim.Duration
-	Exec       netsim.Duration
-	KernelSend netsim.Duration
-	Sends      int
-}
-
 // Bridge is one active network element.
 type Bridge struct {
 	Name string
@@ -151,11 +140,6 @@ type Bridge struct {
 
 	// LogSink receives switchlet log output; nil discards.
 	LogSink func(at netsim.Time, bridge, msg string)
-
-	// LastPath records the most recent frame's cost decomposition when
-	// TracePath is set.
-	TracePath bool
-	LastPath  PathSample
 
 	Stats Stats
 
@@ -550,8 +534,8 @@ func (b *Bridge) endSends(outer []pendingSend) []pendingSend {
 // crossing of each collected frame. The frames leave when the job
 // completes, through emitHead, so a crash before then drops them. metered
 // adds the job to Stats.VMTime and Stats.KernelTime; only the network
-// loader's replies are not metered. It returns the send crossings' cost.
-func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered bool) netsim.Duration {
+// loader's replies are not metered.
+func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered bool) {
 	var send netsim.Duration
 	for i := range sends {
 		send += b.cost.KernelCrossing(len(sends[i].data))
@@ -562,7 +546,6 @@ func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered
 	}
 	b.doneQueue = append(b.doneQueue, sends)
 	b.cpu.Exec(recv+exec+send, b.emitHeadFn)
-	return send
 }
 
 // emitHead emits the oldest queued send list (see doneQueue) and recycles
@@ -670,14 +653,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 		}
 	}
 
-	sendCost := b.charge(recvCost, execCost, sends, true)
-	if b.TracePath {
-		b.LastPath = PathSample{
-			When: b.sim.Now(), FrameLen: len(raw),
-			KernelRecv: recvCost, Exec: execCost, KernelSend: sendCost,
-			Sends: len(sends),
-		}
-	}
+	b.charge(recvCost, execCost, sends, true)
 }
 
 // traceEvent records one bridge instant when the net is traced. It takes

@@ -337,17 +337,28 @@ let _ = Bridge.set_handler handle`)
 	}
 }
 
-func TestTracePathSample(t *testing.T) {
+// TestOneFrameLedger pins the books Figure 5's decomposition is read
+// from: one forwarded frame occupies the CPU for exactly its VM and kernel
+// time, and its kernel time is one receive and one send crossing.
+func TestOneFrameLedger(t *testing.T) {
 	r := newRig(t)
 	r.load(t, "Fwd2", `
 let handle pkt inport = Unixnet.send_pkt_out (1 - inport) pkt
 let _ = Bridge.set_handler handle`)
-	r.b.TracePath = true
-	r.sim.Schedule(r.sim.Now()+1, func() { r.sendFrom1(t, r.n2.MAC, 256) })
+	const size = 256
+	st, busy0 := r.b.Stats, r.b.CPU().Busy
+	r.sim.Schedule(r.sim.Now()+1, func() { r.sendFrom1(t, r.n2.MAC, size) })
 	r.run(50 * netsim.Millisecond)
-	p := r.b.LastPath
-	if p.FrameLen == 0 || p.KernelRecv == 0 || p.Exec == 0 || p.KernelSend == 0 || p.Sends != 1 {
-		t.Errorf("path sample incomplete: %+v", p)
+	vmTime, kernel := r.b.Stats.VMTime-st.VMTime, r.b.Stats.KernelTime-st.KernelTime
+	if sent := r.b.Stats.FramesSent - st.FramesSent; sent != 1 || vmTime == 0 {
+		t.Fatalf("one frame in: %d sent, VM time %v", sent, vmTime)
+	}
+	if busy := r.b.CPU().Busy - busy0; busy != vmTime+kernel {
+		t.Errorf("CPU busy %v, want VM %v + kernel %v", busy, vmTime, kernel)
+	}
+	frameLen := (&ethernet.Frame{Payload: make([]byte, size)}).WireLen()
+	if want := 2 * netsim.DefaultCostModel().KernelCrossing(frameLen); kernel != want {
+		t.Errorf("kernel time %v, want two crossings of %d bytes = %v", kernel, frameLen, want)
 	}
 }
 

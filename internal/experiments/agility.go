@@ -38,7 +38,7 @@ func AgilityRing(cost netsim.CostModel) (*report.Table, AgilityResult, error) {
 
 	const nBridges = 3
 	g := topo.New("agility-ring")
-	segs, _ := span(g, nBridges, false, "s", func(i int) topo.BridgeID {
+	segs, _ := topo.Chain(nBridges).Declare(g, "s", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.AgilityBridge, 2)
 	})
 	// The measurement node: eth0 on the first segment, eth1 on the last.

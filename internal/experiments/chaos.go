@@ -42,7 +42,7 @@ func ChaosLossyDeployment(cost netsim.CostModel) (*report.Table, error) {
 	// Same shape as deployment-incremental: admin -- s0 -- b1 -- s1 -- b2
 	// -- s2 -- b3 -- s3, every segment impaired.
 	g := topo.New("chaos-lossy-deployment")
-	segs, bIDs := span(g, n, false, "s", func(i int) topo.BridgeID {
+	segs, bIDs := topo.Chain(n).Declare(g, "s", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
 			topo.WithBridgeID(byte(i+1)),
 			topo.WithNetLoader(ipv4.Addr{10, 0, 0, byte(100 + i)}))
@@ -106,7 +106,7 @@ func ChaosFlappingRing(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chaos-flapping-ring")
-	segs, _ := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+	segs, _ := topo.Ring(nBridges).Declare(g, "r", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
 	})
 	h1 := g.AddHost("")
@@ -222,7 +222,7 @@ func ChaosCrashUpgrade(cost netsim.CostModel) (*report.Table, error) {
 	}
 	// h1 -- s0 -- b1 -- s1 -- b2 -- s2 -- h2, learning + DEC on both.
 	g := topo.New("chaos-crash-upgrade")
-	segs, bIDs := span(g, 2, false, "s", func(i int) topo.BridgeID {
+	segs, bIDs := topo.Chain(2).Declare(g, "s", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
 	})
 	h1 := g.AddHost("")
@@ -317,7 +317,7 @@ func ChaosPartitionHeal(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chaos-partition-heal")
-	segs, _ := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+	segs, _ := topo.Ring(nBridges).Declare(g, "r", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.STPBridge, 2)
 	})
 	h1 := g.AddHost("")

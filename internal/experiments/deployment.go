@@ -33,7 +33,7 @@ func IncrementalDeployment(cost netsim.CostModel) (*report.Table, error) {
 	// Topology: admin -- s0 -- b1 -- s1 -- b2 -- s2 -- b3 -- s3
 	// with a probe host on every segment.
 	g := topo.New("incremental-deployment")
-	segs, bIDs := span(g, n, false, "s", func(i int) topo.BridgeID {
+	segs, bIDs := topo.Chain(n).Declare(g, "s", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2,
 			topo.WithBridgeID(byte(i+1)),
 			topo.WithNetLoader(ipv4.Addr{10, 0, 0, byte(100 + i)}))

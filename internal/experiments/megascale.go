@@ -242,7 +242,7 @@ func Ring8RollingUpgrade(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("ring8-upgrade")
-	segs, bIDs := span(g, nBridges, true, "r", func(i int) topo.BridgeID {
+	segs, bIDs := topo.Ring(nBridges).Declare(g, "r", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.EmptyBridge, 2)
 	})
 	h1 := g.AddHost("")

@@ -18,29 +18,6 @@ import (
 // could not build, declared with the topology layer and registered like
 // every reproduced figure.
 
-// span declares n two-port bridges in a line (n+1 segments) or, when
-// closed, a ring (n segments), with bridge i between segments i and i+1.
-// Segments are declared before bridges and each bridge is linked to its
-// low segment first: declaration and Link order are part of the topology
-// contract, so they are part of every golden built on this.
-func span(g *topo.Graph, n int, closed bool, segPrefix string, bridge func(i int) topo.BridgeID) ([]topo.SegmentID, []topo.BridgeID) {
-	nSegs := n + 1
-	if closed {
-		nSegs = n
-	}
-	segs := make([]topo.SegmentID, nSegs)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("%s%d", segPrefix, i))
-	}
-	brs := make([]topo.BridgeID, n)
-	for i := range brs {
-		brs[i] = bridge(i)
-		g.Link(brs[i], segs[i])
-		g.Link(brs[i], segs[(i+1)%nSegs])
-	}
-	return segs, brs
-}
-
 // Chain16 runs a 16-bridge linear extended LAN — the paper's two-LAN
 // testbed stretched to 17 segments — and measures end-to-end latency and
 // streaming throughput. Per-hop interpretation costs add linearly in
@@ -53,7 +30,7 @@ func Chain16(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("chain16")
-	segs, _ := span(g, nBridges, false, "s", func(int) topo.BridgeID { return g.AddBridge("", topo.LearningBridge, 2) })
+	segs, _ := topo.Chain(nBridges).Declare(g, "s", func(int) topo.BridgeID { return g.AddBridge("", topo.LearningBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -97,7 +74,7 @@ func STPRing(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("stp-ring")
-	segs, _ := span(g, nBridges, true, "r", func(int) topo.BridgeID { return g.AddBridge("", topo.STPBridge, 2) })
+	segs, _ := topo.Ring(nBridges).Declare(g, "r", func(int) topo.BridgeID { return g.AddBridge("", topo.STPBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
 	g.Link(h1, segs[0])
@@ -336,7 +313,7 @@ func BroadcastStorm(cost netsim.CostModel) (*report.Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	g := topo.New("broadcast-storm")
-	segs, _ := span(g, 3, true, "loop", func(int) topo.BridgeID { return g.AddBridge("", topo.DumbBridge, 2) })
+	segs, _ := topo.Ring(3).Declare(g, "loop", func(int) topo.BridgeID { return g.AddBridge("", topo.DumbBridge, 2) })
 	tap := g.AddTap("storm-source", ethernet.MAC{2, 0, 0, 0, 0xdd, 1})
 	g.Link(tap, segs[0])
 	net, err := g.Build(cost)

@@ -32,7 +32,7 @@ func NewTransitionNet(n int, spanningSrc string, cost netsim.CostModel) (*Transi
 		tn.Logs = append(tn.Logs, fmt.Sprintf("%8.3fs %s: %s", at.Seconds(), br, msg))
 	}
 	g := topo.New("transition")
-	segs, bIDs := span(g, n, false, "lan", func(i int) topo.BridgeID {
+	segs, bIDs := topo.Chain(n).Declare(g, "lan", func(i int) topo.BridgeID {
 		return g.AddBridge(fmt.Sprintf("b%d", i+1), topo.AgilityBridge, 2,
 			topo.WithSpanningSrc(spanningSrc),
 			topo.WithLogSink(sink))

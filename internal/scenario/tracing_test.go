@@ -7,7 +7,6 @@ package scenario_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -18,25 +17,17 @@ import (
 	"github.com/switchware/activebridge/internal/workload"
 )
 
-// tracedChainTranscript builds a 12-bridge line (large enough that
-// Partition accepts 4 shards), traces a warmed ping exchange end to end
-// and returns the rendered transcript plus the tracer for follow-up
-// assertions.
-func tracedChainTranscript(t *testing.T, shards int) (string, *tracing.Tracer) {
+// tracedChain builds the 12-bridge line both transcript tests trace,
+// large enough that Partition accepts 4 shards. Its LANs get 2 µs of
+// propagation before the first Run, which is when the sharded engine reads
+// its lookahead.
+func tracedChain(t *testing.T, name string, shards int) (*topo.Net, topo.HostID, topo.HostID) {
 	t.Helper()
 	const nBridges = 12
-	g := topo.New("trace-chain")
-	segs := make([]topo.SegmentID, nBridges+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i), topo.WithPropagation(2000))
-	}
+	g := topo.New(name)
+	segs, _ := topo.Chain(nBridges).Declare(g, "s", func(int) topo.BridgeID { return g.AddBridge("", topo.LearningBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge("", topo.LearningBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[i+1])
-	}
 	g.Link(h1, segs[0])
 	g.Link(h2, segs[nBridges])
 	g.Affine(h1, h2)
@@ -48,6 +39,18 @@ func tracedChainTranscript(t *testing.T, shards int) (string, *tracing.Tracer) {
 	if shards > 1 && net.Shards() != shards {
 		t.Fatalf("expected %d shards, got %d", shards, net.Shards())
 	}
+	for _, s := range segs {
+		net.Segment(s).Propagation = 2000
+	}
+	return net, h1, h2
+}
+
+// tracedChainTranscript traces a warmed ping exchange end to end across
+// tracedChain and returns the rendered transcript plus the tracer for
+// follow-up assertions.
+func tracedChainTranscript(t *testing.T, shards int) (string, *tracing.Tracer) {
+	t.Helper()
+	net, h1, h2 := tracedChain(t, "trace-chain", shards)
 	tr := net.EnableTracing(tracing.Config{Seed: 7, SampleProb: 1})
 	net.Warm(h1, h2)
 	p := workload.NewPinger(net.Host(h1), net.Host(h2).IP, 256, 5)
@@ -110,30 +113,7 @@ func reportFirstDiff(t *testing.T, a, b string) {
 func TestTracedSamplingIsShardInvariant(t *testing.T) {
 	render := func(shards int) string {
 		t.Helper()
-		const nBridges = 12
-		g := topo.New("trace-chain-sampled")
-		segs := make([]topo.SegmentID, nBridges+1)
-		for i := range segs {
-			segs[i] = g.AddSegment(fmt.Sprintf("s%d", i), topo.WithPropagation(2000))
-		}
-		h1 := g.AddHost("")
-		h2 := g.AddHost("")
-		for i := 0; i < nBridges; i++ {
-			b := g.AddBridge("", topo.LearningBridge, 2)
-			g.Link(b, segs[i])
-			g.Link(b, segs[i+1])
-		}
-		g.Link(h1, segs[0])
-		g.Link(h2, segs[nBridges])
-		g.Affine(h1, h2)
-		g.Shards(shards)
-		net, err := g.Build(netsim.DefaultCostModel())
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		if shards > 1 && net.Shards() != shards {
-			t.Fatalf("expected %d shards, got %d", shards, net.Shards())
-		}
+		net, h1, h2 := tracedChain(t, "trace-chain-sampled", shards)
 		tr := net.EnableTracing(tracing.Config{Seed: 11, SampleProb: 0.4})
 		net.Warm(h1, h2)
 		p := workload.NewPinger(net.Host(h1), net.Host(h2).IP, 128, 20)

@@ -17,44 +17,20 @@ import (
 // 802.1D converges to (stp.Converged), computed from the live graph after
 // every fault. The shapes are topology fixtures; the oracle is the policy.
 
-// shape is a bridge–LAN graph: ports[b] lists the LAN each of bridge b's
-// ports is on, in port order.
+// shape is a named topology fixture.
 type shape struct {
-	name  string
-	ports [][]int
-}
-
-// lans is the number of LANs s needs: one past the highest index.
-func (s shape) lans() int {
-	n := 0
-	for _, ps := range s.ports {
-		for _, l := range ps {
-			if l >= n {
-				n = l + 1
-			}
-		}
-	}
-	return n
-}
-
-// ring joins n bridges in a loop: LAN i runs from bridge i's port 1 to
-// bridge i+1's port 0.
-func ring(n int) shape {
-	s := shape{name: "ring" + strconv.Itoa(n)}
-	for i := 0; i < n; i++ {
-		s.ports = append(s.ports, []int{(i + n - 1) % n, i})
-	}
-	return s
+	name string
+	topo.Shape
 }
 
 // mesh joins every pair of n bridges by its own LAN.
 func mesh(n int) shape {
-	s := shape{name: "k" + strconv.Itoa(n), ports: make([][]int, n)}
+	s := shape{"k" + strconv.Itoa(n), topo.Shape{Ports: make([][]int, n)}}
 	l := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			s.ports[i] = append(s.ports[i], l)
-			s.ports[j] = append(s.ports[j], l)
+			s.Ports[i] = append(s.Ports[i], l)
+			s.Ports[j] = append(s.Ports[j], l)
 			l++
 		}
 	}
@@ -64,12 +40,12 @@ func mesh(n int) shape {
 // fatTree joins each of two cores to each of edges edge bridges by its own
 // LAN.
 func fatTree(edges int) shape {
-	s := shape{name: "fattree2x" + strconv.Itoa(edges), ports: make([][]int, 2+edges)}
+	s := shape{"fattree2x" + strconv.Itoa(edges), topo.Shape{Ports: make([][]int, 2+edges)}}
 	for e := 0; e < edges; e++ {
 		for c := 0; c < 2; c++ {
 			l := 2*e + c
-			s.ports[c] = append(s.ports[c], l)
-			s.ports[2+e] = append(s.ports[2+e], l)
+			s.Ports[c] = append(s.Ports[c], l)
+			s.Ports[2+e] = append(s.Ports[2+e], l)
 		}
 	}
 	return s
@@ -86,7 +62,7 @@ func randomShape(seed int64) shape {
 		for p := range ps {
 			ps[p] = r.Intn(lans)
 		}
-		s.ports = append(s.ports, ps)
+		s.Ports = append(s.Ports, ps)
 	}
 	return s
 }
@@ -98,14 +74,14 @@ func randomShape(seed int64) shape {
 func curatedShapes() []shape {
 	var out []shape
 	for n := 3; n <= 8; n++ {
-		out = append(out, ring(n))
+		out = append(out, shape{"ring" + strconv.Itoa(n), topo.Ring(n)})
 	}
 	return append(out,
-		shape{name: "parallel", ports: [][]int{{0, 1}, {0, 1}}},
-		shape{name: "parallel-crossed", ports: [][]int{{0, 1}, {1, 0}}},
+		shape{"parallel", topo.Shape{Ports: [][]int{{0, 1}, {0, 1}}}},
+		shape{"parallel-crossed", topo.Shape{Ports: [][]int{{0, 1}, {1, 0}}}},
 		mesh(4), mesh(5),
-		shape{name: "shared3x2", ports: [][]int{{0, 1}, {0, 1}, {0, 1}}},
-		shape{name: "shared4x3", ports: [][]int{{0, 1}, {1, 2}, {2, 0}, {0, 1, 2}}},
+		shape{"shared3x2", topo.Shape{Ports: [][]int{{0, 1}, {0, 1}, {0, 1}}}},
+		shape{"shared4x3", topo.Shape{Ports: [][]int{{0, 1}, {1, 2}, {2, 0}, {0, 1, 2}}}},
 		fatTree(2), fatTree(3),
 	)
 }
@@ -132,15 +108,16 @@ func (e event) last() netsim.Time {
 
 // events lists the schedules every run of s tries: no fault, each segment
 // cut with and without a heal, and each bridge crashed with and without a
-// restart.
+// restart. The segments are the LANs s declares.
 func events(s shape) []event {
 	out := []event{{name: "none", lan: -1, bridge: -1}}
-	for l := 0; l < s.lans(); l++ {
+	segs, _ := declare(topo.New(s.name), ieee, s, false)
+	for l := range segs {
 		out = append(out,
 			event{name: fmt.Sprintf("cut-lan%d", l), lan: l, bridge: -1},
 			event{name: fmt.Sprintf("cut-heal-lan%d", l), lan: l, bridge: -1, undo: true})
 	}
-	for b := range s.ports {
+	for b := range s.Ports {
 		out = append(out,
 			event{name: fmt.Sprintf("crash-br%d", b), lan: -1, bridge: b},
 			event{name: fmt.Sprintf("crash-restart-br%d", b), lan: -1, bridge: b, undo: true})
@@ -203,23 +180,41 @@ var countToInfinity = map[string]bool{
 	"seed6/cut-lan2":      true,
 }
 
-// run builds s with every bridge of kind c.kind, applies e, and compares
-// every live bridge with stp.Converged at both probe times. It returns a
-// description of the first disagreement, or "" when the switchlets agree.
-// A run listed in countToInfinity is instead checked for its symptom.
-func run(t *testing.T, c codec, s shape, e event) string {
-	g := topo.New(c.name + "-" + s.name + "-" + e.name)
-	segs := make([]topo.SegmentID, s.lans())
-	for l := range segs {
-		segs[l] = g.AddSegment("")
-	}
-	ids := make([]topo.BridgeID, len(s.ports))
-	for b, ps := range s.ports {
-		ids[b] = g.AddBridge("", c.kind, len(ps))
-		for _, l := range ps {
-			g.Link(ids[b], segs[l])
+// declare adds s to g with every bridge of kind c.kind, its bridge rows
+// in reverse order when reverse is set. Whatever the order, bridge b is
+// named br<b> and pinned to identity b+1, and the bridge IDs come back in
+// s's row order.
+func declare(g *topo.Graph, c codec, s shape, reverse bool) ([]topo.SegmentID, []topo.BridgeID) {
+	n := len(s.Ports)
+	row := func(i int) int {
+		if reverse {
+			return n - 1 - i
 		}
+		return i
 	}
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = s.Ports[row(i)]
+	}
+	segs, declared := topo.Shape{Ports: rows}.Declare(g, "seg", func(i int) topo.BridgeID {
+		b := row(i)
+		return g.AddBridge(fmt.Sprintf("br%d", b), c.kind, len(s.Ports[b]), topo.WithBridgeID(byte(b+1)))
+	})
+	ids := make([]topo.BridgeID, n)
+	for i, id := range declared {
+		ids[row(i)] = id
+	}
+	return segs, ids
+}
+
+// run builds s with every bridge of kind c.kind, declared in reverse when
+// reverse is set, applies e, and compares every live bridge with
+// stp.Converged at both probe times. It returns a description of the first
+// disagreement, or "" when the switchlets agree. A run listed in
+// countToInfinity is instead checked for its symptom.
+func run(t *testing.T, c codec, s shape, e event, reverse bool) string {
+	g := topo.New(c.name + "-" + s.name + "-" + e.name)
+	segs, ids := declare(g, c, s, reverse)
 	net, err := g.Build(netsim.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +248,8 @@ func run(t *testing.T, c codec, s shape, e event) string {
 		net.Sim.Run(e.last().Add(d))
 		live, want := oracle(net, segs, ids)
 		disagree := 0
-		for j, b := range live {
-			br := net.Bridge(b)
+		for j, k := range live {
+			br := net.Bridge(ids[k])
 			got, err := br.Manager().Query(c.probe, "")
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +271,7 @@ func run(t *testing.T, c codec, s shape, e event) string {
 				}
 				return msg
 			}
-			lost := before[b].Root
+			lost := before[k].Root
 			if want[j].Root == lost || !strings.HasPrefix(got, fmt.Sprintf("root=%016x ", uint64(lost))) {
 				return fmt.Sprintf("%s: %s at last event + %v: %s disagrees without counting to infinity\n got %s\nwant %s",
 					c.name, key, d, br.Name, got, want[j])
@@ -287,8 +282,8 @@ func run(t *testing.T, c codec, s shape, e event) string {
 			return fmt.Sprintf("%s: %s is listed as counting to infinity but agrees at last event + %v", c.name, key, d)
 		}
 		if loop && i == 1 {
-			for _, b := range live {
-				br := net.Bridge(b)
+			for _, k := range live {
+				br := net.Bridge(ids[k])
 				for p := 0; p < br.NumPorts(); p++ {
 					if br.PortBlocked(p) {
 						return fmt.Sprintf("%s: %s: %s port %d blocked, want a forwarding loop", c.name, key, br.Name, p)
@@ -305,16 +300,17 @@ func run(t *testing.T, c codec, s shape, e event) string {
 
 // oracle reads the live graph off net — crashed bridges are absent, a port
 // whose link or segment is down is on no LAN — and returns the live
-// bridges with the tree 802.1D converges to for them.
-func oracle(net *topo.Net, segs []topo.SegmentID, ids []topo.BridgeID) ([]topo.BridgeID, []stp.View) {
-	var live []topo.BridgeID
+// bridges, as indices into ids, with the tree 802.1D converges to for
+// them.
+func oracle(net *topo.Net, segs []topo.SegmentID, ids []topo.BridgeID) ([]int, []stp.View) {
+	var live []int
 	var g stp.Graph
-	for _, b := range ids {
+	for k, b := range ids {
 		br := net.Bridge(b)
 		if br.Crashed() {
 			continue
 		}
-		live = append(live, b)
+		live = append(live, k)
 		g.Bridges = append(g.Bridges, stp.MakeBridgeID(0x8000, br.MAC()))
 		ports := make([]int, br.NumPorts())
 		for p := range ports {
@@ -352,7 +348,17 @@ func treeCost(t *testing.T, tree string) uint64 {
 // switchlet, the same algorithm behind another frame format, runs the
 // curated shapes with no fault and with every single fault; healing a cut
 // or restarting a bridge takes it through no code the IEEE runs do not.
-func TestSpanningTreeMatches8021D(t *testing.T) {
+func TestSpanningTreeMatches8021D(t *testing.T) { campaign(t, false) }
+
+// TestSpanningTreeIgnoresDeclarationOrder reruns the campaign with every
+// shape's bridges declared in reverse, each keeping its identity. Link
+// order, and with it same-instant delivery and timer arming, changes; the
+// tree 802.1D defines does not, so every run must reach the same verdict.
+func TestSpanningTreeIgnoresDeclarationOrder(t *testing.T) { campaign(t, true) }
+
+// campaign runs every job of the differential check, declaring the bridge
+// rows in reverse when reverse is set.
+func campaign(t *testing.T, reverse bool) {
 	type job struct {
 		c      codec
 		s      shape
@@ -387,7 +393,7 @@ func TestSpanningTreeMatches8021D(t *testing.T) {
 		t.Run(j.c.name+"/"+j.s.name, func(t *testing.T) {
 			t.Parallel()
 			for _, e := range j.events {
-				if msg := run(t, j.c, j.s, e); msg != "" {
+				if msg := run(t, j.c, j.s, e, reverse); msg != "" {
 					t.Error(msg)
 				}
 			}

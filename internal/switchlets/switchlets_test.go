@@ -1,4 +1,4 @@
-package switchlets
+package switchlets_test
 
 import (
 	"runtime"
@@ -10,6 +10,8 @@ import (
 	"github.com/switchware/activebridge/internal/ethernet"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/stp"
+	"github.com/switchware/activebridge/internal/switchlets"
+	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/vm"
 )
 
@@ -19,14 +21,13 @@ func install(b *bridge.Bridge, m env.Manifest) error {
 	return err
 }
 
-func loadDumb(b *bridge.Bridge) error     { return install(b, DumbManifest()) }
-func loadLearning(b *bridge.Bridge) error { return install(b, LearningManifest()) }
-func loadDEC(b *bridge.Bridge) error      { return install(b, DECManifest()) }
+func loadDumb(b *bridge.Bridge) error     { return install(b, switchlets.DumbManifest()) }
+func loadLearning(b *bridge.Bridge) error { return install(b, switchlets.LearningManifest()) }
 
 // loadControl installs the protocol-transition control switchlet; both
 // protocol switchlets must already be loaded (DEC running, IEEE dormant)
 // or the load fails, per Table 1's preconditions.
-func loadControl(b *bridge.Bridge) error { return install(b, ControlManifest()) }
+func loadControl(b *bridge.Bridge) error { return install(b, switchlets.ControlManifest()) }
 
 // compileAndLoad loads raw swl source, bypassing the manifest's
 // capability grant.
@@ -38,18 +39,35 @@ func compileAndLoad(b *bridge.Bridge, name, src string) error {
 	return b.LoadObjectBytes(obj.Encode())
 }
 
-// testHost is a plain station on a segment: records received test frames.
+// testHost is a plain station on a segment: records every frame it
+// receives.
 type testHost struct {
 	nic *netsim.NIC
 	rx  [][]byte
 }
 
-func newHost(sim *netsim.Sim, name string, mac ethernet.MAC) *testHost {
-	h := &testHost{nic: netsim.NewNIC(sim, name, mac)}
-	h.nic.SetRecv(func(_ *netsim.NIC, raw []byte) {
+// listen makes nic a recording station.
+func listen(nic *netsim.NIC) *testHost {
+	h := &testHost{nic: nic}
+	nic.SetRecv(func(_ *netsim.NIC, raw []byte) {
 		h.rx = append(h.rx, append([]byte(nil), raw...))
 	})
 	return h
+}
+
+func newHost(sim *netsim.Sim, name string, mac ethernet.MAC) *testHost {
+	return listen(netsim.NewNIC(sim, name, mac))
+}
+
+// tests counts the test frames h received.
+func (h *testHost) tests() int {
+	n := 0
+	for _, raw := range h.rx {
+		if ty, _ := ethernet.PeekType(raw); ty == ethernet.TypeTest {
+			n++
+		}
+	}
+	return n
 }
 
 func (h *testHost) send(t *testing.T, dst ethernet.MAC, payload int) {
@@ -215,85 +233,78 @@ func TestLearningFuncRegistrations(t *testing.T) {
 	}
 }
 
-// ringNet builds a ring of n bridges (each 2 ports) with one host per
-// segment: segment i connects bridge[i].port1 and bridge[(i+1)%n].port0
-// plus host i.
+// ringNet is topo.Ring(n) with every bridge of the given kind and one
+// host on each LAN.
 type ringNet struct {
 	sim     *netsim.Sim
 	bridges []*bridge.Bridge
 	hosts   []*testHost
-	segs    []*netsim.Segment
 }
 
-func buildRing(t *testing.T, n int) *ringNet {
+func buildRing(t *testing.T, n int, kind topo.BridgeKind) *ringNet {
 	t.Helper()
-	r := &ringNet{sim: netsim.New()}
-	cost := netsim.DefaultCostModel()
-	for i := 0; i < n; i++ {
-		r.bridges = append(r.bridges, bridge.New(r.sim, "br"+string(rune('0'+i)), byte(i+1), 2, cost))
+	g := topo.New("ring")
+	segs, brs := topo.Ring(n).Declare(g, "ring", func(int) topo.BridgeID { return g.AddBridge("", kind, 2) })
+	taps := make([]topo.TapID, n)
+	for i := range taps {
+		taps[i] = g.AddTap("", ethernet.MAC{2, 0, 0, 0, 0x10, byte(i + 1)})
+		g.Link(taps[i], segs[i])
 	}
-	for i := 0; i < n; i++ {
-		seg := netsim.NewSegment(r.sim, "ring"+string(rune('0'+i)))
-		r.segs = append(r.segs, seg)
-		h := newHost(r.sim, "h"+string(rune('0'+i)), ethernet.MAC{2, 0, 0, 0, 0x10, byte(i + 1)})
-		r.hosts = append(r.hosts, h)
-		seg.Attach(h.nic)
-		seg.Attach(r.bridges[i].Port(1))
-		seg.Attach(r.bridges[(i+1)%n].Port(0))
+	net, err := g.Build(netsim.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &ringNet{sim: net.Sim}
+	for _, id := range brs {
+		r.bridges = append(r.bridges, net.Bridge(id))
+	}
+	for _, id := range taps {
+		r.hosts = append(r.hosts, listen(net.Tap(id)))
 	}
 	return r
 }
 
-func (r *ringNet) loadAll(t *testing.T, load func(*bridge.Bridge) error) {
-	t.Helper()
+// blocked counts the ring's blocked ports.
+func (r *ringNet) blocked() int {
+	n := 0
 	for _, b := range r.bridges {
-		if err := load(b); err != nil {
-			t.Fatal(err)
+		for p := 0; p < b.NumPorts(); p++ {
+			if b.PortBlocked(p) {
+				n++
+			}
 		}
 	}
+	return n
 }
 
-// loadFullBridge installs the §5.3 stack: learning + spanning tree.
-func loadFullBridge(b *bridge.Bridge) error {
-	if err := loadLearning(b); err != nil {
-		return err
+// framesSent totals the ring's forwarded frames.
+func (r *ringNet) framesSent() uint64 {
+	var n uint64
+	for _, b := range r.bridges {
+		n += b.Stats.FramesSent
 	}
-	return install(b, SpanningManifest())
+	return n
 }
 
 func TestRingWithoutSTPStorms(t *testing.T) {
-	r := buildRing(t, 3)
-	r.loadAll(t, loadLearning)
+	r := buildRing(t, 3, topo.LearningBridge)
 	r.sim.MaxEvents = 300000
 	r.sim.Schedule(0, func() { r.hosts[0].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(netsim.Time(5 * netsim.Second))
 	// One broadcast in a bridged loop without a spanning tree must
 	// multiply: total forwarded frames far exceeds the single injection.
-	var forwarded uint64
-	for _, b := range r.bridges {
-		forwarded += b.Stats.FramesSent
-	}
-	if forwarded < 100 {
+	if forwarded := r.framesSent(); forwarded < 100 {
 		t.Errorf("expected a broadcast storm, saw only %d forwarded frames", forwarded)
 	}
 }
 
 func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
-	r := buildRing(t, 3)
-	r.loadAll(t, loadFullBridge)
+	r := buildRing(t, 3, topo.STPBridge)
 	// Let the spanning tree converge past 2x forward delay.
 	r.sim.Run(netsim.Time(40 * netsim.Second))
 
-	// Count blocked ports across the ring: exactly one breaks the loop.
-	blocked := 0
-	for _, b := range r.bridges {
-		for p := 0; p < b.NumPorts(); p++ {
-			if b.PortBlocked(p) {
-				blocked++
-			}
-		}
-	}
-	if blocked != 1 {
+	// Exactly one blocked port breaks the loop.
+	if blocked := r.blocked(); blocked != 1 {
 		t.Errorf("blocked ports = %d, want exactly 1", blocked)
 	}
 
@@ -302,13 +313,7 @@ func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 	r.sim.Schedule(start+1, func() { r.hosts[0].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(start + netsim.Time(2*netsim.Second))
 	for i := 1; i < len(r.hosts); i++ {
-		n := 0
-		for _, raw := range r.hosts[i].rx {
-			if ty, _ := ethernet.PeekType(raw); ty == ethernet.TypeTest {
-				n++
-			}
-		}
-		if n != 1 {
+		if n := r.hosts[i].tests(); n != 1 {
 			t.Errorf("host %d saw broadcast %d times, want 1", i, n)
 		}
 	}
@@ -316,13 +321,7 @@ func TestRingWithSTPConvergesAndCarriesTraffic(t *testing.T) {
 	// Unicast flows host0 -> host1 and learning directs it.
 	r.sim.Schedule(r.sim.Now()+1, func() { r.hosts[0].send(t, r.hosts[1].nic.MAC, 200) })
 	r.sim.Run(r.sim.Now() + netsim.Time(2*netsim.Second))
-	got := 0
-	for _, raw := range r.hosts[1].rx {
-		if ty, _ := ethernet.PeekType(raw); ty == ethernet.TypeTest {
-			got++
-		}
-	}
-	if got < 2 { // broadcast + unicast
+	if got := r.hosts[1].tests(); got < 2 { // broadcast + unicast
 		t.Errorf("host 1 test frames = %d, want >= 2", got)
 	}
 }
@@ -344,7 +343,7 @@ func stpTickRig(t *testing.T, optLevel int) (*bridge.Bridge, func()) {
 			seg.Attach(rootNIC)
 		}
 	}
-	if err := install(b, SpanningManifest()); err != nil {
+	if err := install(b, switchlets.SpanningManifest()); err != nil {
 		t.Fatal(err)
 	}
 	rootID := stp.MakeBridgeID(0x8000, rootNIC.MAC)
@@ -516,8 +515,7 @@ func TestLearningForwardAllocBudget(t *testing.T) {
 }
 
 func TestSTPTreeInfoConsistentAcrossBridges(t *testing.T) {
-	r := buildRing(t, 3)
-	r.loadAll(t, loadFullBridge)
+	r := buildRing(t, 3, topo.STPBridge)
 	r.sim.Run(netsim.Time(40 * netsim.Second))
 	// All bridges must agree on the root (bridge 1 has the lowest MAC).
 	var roots []string
@@ -555,7 +553,7 @@ func macHex(m ethernet.MAC) string {
 
 func TestNativeLearningMatchesDSLBehaviour(t *testing.T) {
 	sim, b, h1, h2 := twoLANs(t)
-	nl := InstallNativeLearning(b)
+	nl := switchlets.InstallNativeLearning(b)
 	sim.Schedule(0, func() { h1.send(t, h2.nic.MAC, 100) })
 	sim.Run(netsim.Time(100 * netsim.Millisecond))
 	if len(h2.rx) != 1 {
@@ -595,11 +593,11 @@ func TestSwitchletSourcesCompileStandalone(t *testing.T) {
 	sim := netsim.New()
 	b := bridge.New(sim, "br", 1, 2, netsim.DefaultCostModel())
 	for _, s := range []struct{ name, src string }{
-		{ModDumb, DumbSrc},
-		{ModLearning, LearningSrc},
-		{ModSpanning, SpanningSrc},
-		{ModDEC, DECSrc},
-		{"Spanbug", BuggySpanningSrc},
+		{switchlets.ModDumb, switchlets.DumbSrc},
+		{switchlets.ModLearning, switchlets.LearningSrc},
+		{switchlets.ModSpanning, switchlets.SpanningSrc},
+		{switchlets.ModDEC, switchlets.DECSrc},
+		{"Spanbug", switchlets.BuggySpanningSrc},
 	} {
 		if err := compileAndLoad(b, s.name, s.src); err != nil && s.name != "Spanbug" {
 			t.Errorf("%s: %v", s.name, err)
@@ -619,35 +617,17 @@ func TestControlRequiresPreconditions(t *testing.T) {
 func TestFiveBridgeRingConverges(t *testing.T) {
 	// A larger loop: five bridges, still exactly one blocked port, all
 	// agreeing on the root, broadcast reaching each host exactly once.
-	r := buildRing(t, 5)
-	r.loadAll(t, loadFullBridge)
+	r := buildRing(t, 5, topo.STPBridge)
 	r.sim.Run(netsim.Time(45 * netsim.Second))
-	blocked := 0
-	for _, b := range r.bridges {
-		for p := 0; p < b.NumPorts(); p++ {
-			if b.PortBlocked(p) {
-				blocked++
-			}
-		}
-	}
-	if blocked != 1 {
+	if blocked := r.blocked(); blocked != 1 {
 		t.Errorf("blocked ports = %d, want 1", blocked)
 	}
 	start := r.sim.Now()
 	r.sim.Schedule(start+1, func() { r.hosts[2].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(start + netsim.Time(2*netsim.Second))
 	for i, h := range r.hosts {
-		if i == 2 {
-			continue
-		}
-		n := 0
-		for _, raw := range h.rx {
-			if ty, _ := ethernet.PeekType(raw); ty == ethernet.TypeTest {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Errorf("host %d saw broadcast %d times", i, n)
+		if i != 2 && h.tests() != 1 {
+			t.Errorf("host %d saw broadcast %d times", i, h.tests())
 		}
 	}
 }
@@ -655,23 +635,17 @@ func TestFiveBridgeRingConverges(t *testing.T) {
 func TestDECStandaloneRingConverges(t *testing.T) {
 	// The DEC-style protocol works on its own, not just as the
 	// transition's "old" protocol.
-	r := buildRing(t, 3)
-	r.loadAll(t, func(b *bridge.Bridge) error {
-		if err := loadLearning(b); err != nil {
-			return err
-		}
-		return loadDEC(b)
-	})
-	r.sim.Run(netsim.Time(40 * netsim.Second))
-	blocked := 0
+	r := buildRing(t, 3, topo.EmptyBridge)
 	for _, b := range r.bridges {
-		for p := 0; p < b.NumPorts(); p++ {
-			if b.PortBlocked(p) {
-				blocked++
-			}
+		if err := loadLearning(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := install(b, switchlets.DECManifest()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if blocked != 1 {
+	r.sim.Run(netsim.Time(40 * netsim.Second))
+	if blocked := r.blocked(); blocked != 1 {
 		t.Errorf("DEC ring blocked ports = %d, want 1", blocked)
 	}
 	// Protocols do not cross-talk: no bridge saw an IEEE frame handler
@@ -689,16 +663,11 @@ func TestDECStandaloneRingConverges(t *testing.T) {
 func TestDumbBridgeCannotTolerateLoops(t *testing.T) {
 	// Paper §5.3: the dumb switchlet "cannot tolerate a network topology
 	// with any loops". Demonstrate the collapse is bounded only by queues.
-	r := buildRing(t, 3)
-	r.loadAll(t, loadDumb)
+	r := buildRing(t, 3, topo.DumbBridge)
 	r.sim.MaxEvents = 200000
 	r.sim.Schedule(0, func() { r.hosts[0].send(t, ethernet.Broadcast, 64) })
 	r.sim.Run(netsim.Time(3 * netsim.Second))
-	var sent uint64
-	for _, b := range r.bridges {
-		sent += b.Stats.FramesSent
-	}
-	if sent < 500 {
+	if sent := r.framesSent(); sent < 500 {
 		t.Errorf("dumb ring should melt down, only %d frames", sent)
 	}
 }

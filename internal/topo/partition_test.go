@@ -15,17 +15,9 @@ import (
 // affine.
 func chainGraph(nBridges, shards int) (*topo.Graph, topo.HostID, topo.HostID) {
 	g := topo.New(fmt.Sprintf("chain%d", nBridges))
-	segs := make([]topo.SegmentID, nBridges+1)
-	for i := range segs {
-		segs[i] = g.AddSegment(fmt.Sprintf("s%d", i))
-	}
+	segs, _ := topo.Chain(nBridges).Declare(g, "s", func(int) topo.BridgeID { return g.AddBridge("", topo.LearningBridge, 2) })
 	h1 := g.AddHost("")
 	h2 := g.AddHost("")
-	for i := 0; i < nBridges; i++ {
-		b := g.AddBridge("", topo.LearningBridge, 2)
-		g.Link(b, segs[i])
-		g.Link(b, segs[i+1])
-	}
 	g.Link(h1, segs[0])
 	g.Link(h2, segs[nBridges])
 	g.Affine(h1, h2)

@@ -254,3 +254,29 @@ func TestBridgeKindString(t *testing.T) {
 		t.Errorf("out-of-range kind = %q", got)
 	}
 }
+
+// TestShapeDeclaration pins what Declare adds: every LAN in index order
+// under the prefix, then each bridge linked port by port. Chain's last
+// bridge sits on its last two LANs, and Ring's closes back onto LAN 0.
+func TestShapeDeclaration(t *testing.T) {
+	for _, c := range []struct {
+		s    Shape
+		lans int
+		last []int
+	}{{Chain(3), 4, []int{2, 3}}, {Ring(3), 3, []int{2, 0}}} {
+		g := New("shape")
+		segs, brs := c.s.Declare(g, "s", func(int) BridgeID { return g.AddBridge("", LearningBridge, 2) })
+		if len(segs) != c.lans || len(g.segments) != c.lans || g.segments[0].name != "s0" || len(brs) != 3 {
+			t.Fatalf("declared %d LANs (%d in g, first %q) and %d bridges", len(segs), len(g.segments), g.segments[0].name, len(brs))
+		}
+		if got := c.s.Ports[2]; got[0] != c.last[0] || got[1] != c.last[1] {
+			t.Errorf("last bridge on LANs %v, want %v", got, c.last)
+		}
+		for i, l := range g.links {
+			b, p := i/2, i%2
+			if l.node != (nodeRef{nodeBridge, int(brs[b])}) || l.port != p || l.seg != segs[c.s.Ports[b][p]] {
+				t.Errorf("link %d: %+v, want bridge %d port %d on LAN %d", i, l, b, p, c.s.Ports[b][p])
+			}
+		}
+	}
+}
