@@ -1,27 +1,24 @@
 // abbench regenerates the tables and figures of the paper's evaluation
-// from the scenario registry and prints them. It is only the table
-// printer: the metrics and tracing planes are switched on and read
-// through the SDK (activebridge.EnableMetrics/ServeMetrics,
-// EnableTracing/WriteTrace).
+// from the scenario list (internal/experiments.Scenarios) and prints
+// them. It is only the table printer: the metrics and tracing planes are
+// switched on and read through the SDK (activebridge.EnableMetrics/
+// ServeMetrics, EnableTracing/WriteTrace), and chaos is declared per net
+// as a fault plan on its topology.
 //
-//	-list          print every registered scenario and exit
-//	-run regexp    run only scenarios whose names match
+//	-list          print every scenario and exit
+//	-run regexp    run only scenarios whose names match (exit 2 if the
+//	               pattern is bad or matches none)
 //	-parallel N    scenarios run concurrently (0 = one per core);
 //	               outputs stay byte-identical to serial — only faster
 //	-short         skip the slower parameter sweeps
 //	-json          emit one entry per scenario (fingerprint, wall time,
 //	               ok) as machine-readable JSON; timing that backs a
 //	               claim is bench/'s job, not this tool's
-//	-faults seed   apply the blanket chaos profile (1% loss, 0.2%
-//	               corruption, 0.2% duplication on every segment) to
-//	               every scenario, seeded for exact replay; injected
-//	               totals land in the JSON "faults" section. Scenario
-//	               self-checks may legitimately fail under chaos — the
-//	               fingerprints stay deterministic per seed regardless
 //
 // All virtual-time metrics are deterministic and identical on any
 // machine and any -parallel setting; the wall times in -json output
-// measure this build on this machine.
+// measure this build on this machine. A scenario that fails to run or
+// misses one of its own checks makes the process exit 1.
 package main
 
 import (
@@ -31,13 +28,11 @@ import (
 	"os"
 
 	"github.com/switchware/activebridge/internal/experiments"
-	"github.com/switchware/activebridge/internal/fault"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
-	"github.com/switchware/activebridge/internal/topo"
 )
 
-// scenarioResult is one registry scenario's outcome.
+// scenarioResult is one scenario's outcome.
 type scenarioResult struct {
 	Name string `json:"name"`
 	// Fingerprint digests the rendered virtual-time output; it must be
@@ -48,47 +43,23 @@ type scenarioResult struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// faultReport is the chaos section of a report: the -faults seed plus
-// the process-wide injected-fault totals across the whole batch.
-type faultReport struct {
-	Seed     uint64 `json:"seed"`
-	Drops    uint64 `json:"drops"`
-	Corrupts uint64 `json:"corrupts"`
-	Dups     uint64 `json:"duplicates"`
-	Flaps    uint64 `json:"flaps"`
-	Crashes  uint64 `json:"crashes"`
-	Restarts uint64 `json:"restarts"`
-}
-
 type benchReport struct {
 	Schema    string           `json:"schema"`
 	Scenarios []scenarioResult `json:"scenarios"`
-	// Faults is present when -faults enabled the blanket chaos profile.
-	Faults *faultReport `json:"faults,omitempty"`
 }
 
 func main() {
 	short := flag.Bool("short", false, "skip the slower parameter sweeps")
 	jsonOut := flag.Bool("json", false, "emit per-scenario results (fingerprint, wall time, ok) as JSON")
-	list := flag.Bool("list", false, "list registered scenarios and exit")
+	list := flag.Bool("list", false, "list every scenario and exit")
 	runPat := flag.String("run", "", "run only scenarios whose names match this regexp")
 	parallel := flag.Int("parallel", 1, "scenarios run concurrently (0 = one per core)")
-	faultsSeed := flag.Uint64("faults", 0, "apply the seeded blanket chaos profile to every scenario (0 = off)")
 	flag.Parse()
 	cost := netsim.DefaultCostModel()
-
-	if *faultsSeed != 0 {
-		topo.DefaultFaultProfile = &fault.Profile{
-			Seed:  *faultsSeed,
-			Model: fault.DefaultChaosModel(),
-		}
-		fault.ResetTotals()
-	}
-
-	experiments.RegisterAll()
+	all := experiments.Scenarios()
 
 	if *list {
-		for _, s := range scenario.All() {
+		for _, s := range all {
 			slow := ""
 			if s.Slow {
 				slow = " [slow]"
@@ -98,12 +69,12 @@ func main() {
 		return
 	}
 
-	scs := scenario.All()
+	scs := all
 	if *runPat != "" {
 		// An explicit -run selection wins over -short: skipping a
 		// scenario the user named would be silent success.
 		var err error
-		scs, err = scenario.Match(*runPat)
+		scs, err = scenario.Match(all, *runPat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abbench: %v\n", err)
 			os.Exit(2)
@@ -122,21 +93,6 @@ func main() {
 		scs = kept
 	}
 
-	// faultsSection reports the injected-fault totals once the batch is
-	// done. Only emitted when -faults turned the blanket profile on; the
-	// counters are process-wide, so scenarios carrying their own fault
-	// plans contribute too.
-	faultsSection := func() *faultReport {
-		if *faultsSeed == 0 {
-			return nil
-		}
-		tot := fault.GrandTotals()
-		return &faultReport{
-			Seed: *faultsSeed, Drops: tot.Drops, Corrupts: tot.Corrupts,
-			Dups: tot.Dups, Flaps: tot.Flaps,
-			Crashes: tot.Crashes, Restarts: tot.Restarts,
-		}
-	}
 	if *jsonOut {
 		results := scenario.RunAll(scs, cost, *parallel)
 		rep := benchReport{Schema: "abbench/v3"}
@@ -153,7 +109,6 @@ func main() {
 			}
 			rep.Scenarios = append(rep.Scenarios, sr)
 		}
-		rep.Faults = faultsSection()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -190,10 +145,6 @@ func main() {
 			failed++
 		}
 	})
-	if fr := faultsSection(); fr != nil {
-		fmt.Fprintf(os.Stderr, "faults (seed %d): dropped=%d corrupted=%d duplicated=%d flaps=%d crashes=%d restarts=%d\n",
-			fr.Seed, fr.Drops, fr.Corrupts, fr.Dups, fr.Flaps, fr.Crashes, fr.Restarts)
-	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "abbench: %d of %d scenarios failed\n", failed, len(scs))
 		os.Exit(1)

@@ -257,15 +257,11 @@ func ChaosCrashUpgrade(cost netsim.CostModel) (*report.Table, error) {
 	sim.Schedule(upAt, func() {
 		u, err = b1.Manager().Upgrade(switchlets.ModDEC, switchlets.SpanningManifest(), opts)
 	})
-	sim.Schedule(upAt+netsim.Time(15*netsim.Second), func() {
-		b1.Crash()
-		fault.NoteCrash()
-	})
+	sim.Schedule(upAt+netsim.Time(15*netsim.Second), b1.Crash)
 	sim.Schedule(upAt+netsim.Time(20*netsim.Second), func() {
 		if rerr := b1.Restart(); rerr != nil {
 			b1.Log("restart: " + rerr.Error())
 		}
-		fault.NoteRestart()
 	})
 	// Run past ValidateAfter (the stale validate() fire must be a no-op
 	// on the rolled-back upgrade) and through the restarted DEC tree's

@@ -17,12 +17,14 @@
 //
 // The plane is strictly opt-in: a net built without a Plan (and without
 // fault annotations) takes none of these code paths and reproduces the
-// pre-fault goldens exactly.
+// pre-fault goldens exactly. It keeps no process-wide state: a plan is
+// declared per net, and what it injected is counted by the elements it
+// hit (a segment's or NIC's FaultDrops/FaultCorrupts/FaultDups, a
+// bridge's Stats.Crashes/Restarts).
 package fault
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/switchware/activebridge/internal/fault/frand"
 	"github.com/switchware/activebridge/internal/netsim"
@@ -73,12 +75,6 @@ func (m Model) Zero() bool {
 	return m.Drop == 0 && m.Corrupt == 0 && m.Duplicate == 0 && m.GoodToBad == 0
 }
 
-// DefaultChaosModel is the mild profile abbench's -faults flag applies
-// to every segment: 1% loss, 0.2% corruption, 0.2% duplication.
-func DefaultChaosModel() Model {
-	return Model{Drop: 0.01, Corrupt: 0.002, Duplicate: 0.002}
-}
-
 // Stream turns a Model into a deterministic sequence of per-frame
 // verdicts. Its Verdict method satisfies netsim.FaultFunc; install it
 // with Segment.SetFault or NIC.SetRxFault. A Stream is single-goroutine
@@ -116,13 +112,10 @@ func (s *Stream) Verdict([]byte) netsim.FaultAction {
 	r := s.rng.Float64()
 	switch {
 	case r < drop:
-		noteInjected(&totDrops)
 		return netsim.FaultDrop
 	case r < drop+s.m.Corrupt:
-		noteInjected(&totCorrupts)
 		return netsim.FaultCorrupt
 	case r < drop+s.m.Corrupt+s.m.Duplicate:
-		noteInjected(&totDups)
 		return netsim.FaultDuplicate
 	}
 	return netsim.FaultNone
@@ -267,72 +260,4 @@ func (p *Plan) SegmentStream(name string, m Model) *Stream {
 // BridgePortStream derives the verdict stream for one bridge port.
 func (p *Plan) BridgePortStream(bridge string, port int, m Model) *Stream {
 	return NewStream(DeriveSeed(p.Seed, fmt.Sprintf("bridge/%s/%d", bridge, port)), m)
-}
-
-// Profile is a process-wide chaos default: abbench's -faults flag sets
-// topo.DefaultFaultProfile to one, and every subsequently built net gets
-// the model applied to all its segments under a plan seeded from Seed
-// and the net's name.
-type Profile struct {
-	// Seed is the root seed (the net name is folded in per net).
-	Seed uint64
-	// Model is applied to every segment.
-	Model Model
-}
-
-// PlanFor derives the per-net plan a profile implies.
-func (pr *Profile) PlanFor(netName string) *Plan {
-	p := NewPlan(DeriveSeed(pr.Seed, "net/"+netName))
-	p.AllSegments(pr.Model)
-	return p
-}
-
-// Totals aggregates fault-plane activity across every net built in the
-// process — the figures abbench embeds in its bench JSON. Injection
-// counters are incremented by every Stream verdict; the event counters
-// by the appliers in topo, bridge and script.
-type Totals struct {
-	// Drops, Corrupts, Dups count injected frame impairments.
-	Drops, Corrupts, Dups uint64
-	// Flaps counts link/port state transitions (each down or up is one).
-	Flaps uint64
-	// Crashes and Restarts count bridge lifecycle faults.
-	Crashes, Restarts uint64
-}
-
-var totDrops, totCorrupts, totDups, totFlaps, totCrashes, totRestarts atomic.Uint64
-
-func noteInjected(c *atomic.Uint64) { c.Add(1) }
-
-// NoteFlap records a link or port state transition in the process totals.
-func NoteFlap() { totFlaps.Add(1) }
-
-// NoteCrash records a bridge crash in the process totals.
-func NoteCrash() { totCrashes.Add(1) }
-
-// NoteRestart records a bridge restart in the process totals.
-func NoteRestart() { totRestarts.Add(1) }
-
-// GrandTotals returns the process-wide fault totals. Scenario runners
-// read it after their runs complete; the counters are atomics, so
-// concurrent scenario workers aggregate correctly.
-func GrandTotals() Totals {
-	return Totals{
-		Drops:    totDrops.Load(),
-		Corrupts: totCorrupts.Load(),
-		Dups:     totDups.Load(),
-		Flaps:    totFlaps.Load(),
-		Crashes:  totCrashes.Load(),
-		Restarts: totRestarts.Load(),
-	}
-}
-
-// ResetTotals zeroes the process-wide totals (test isolation).
-func ResetTotals() {
-	totDrops.Store(0)
-	totCorrupts.Store(0)
-	totDups.Store(0)
-	totFlaps.Store(0)
-	totCrashes.Store(0)
-	totRestarts.Store(0)
 }

@@ -182,39 +182,3 @@ func TestPlanResolution(t *testing.T) {
 		t.Error("two segments share one verdict stream")
 	}
 }
-
-// TestProfilePlanFor: a profile derives per-net plans that differ by net
-// name but are stable per name.
-func TestProfilePlanFor(t *testing.T) {
-	pr := &Profile{Seed: 11, Model: DefaultChaosModel()}
-	a, b := pr.PlanFor("net-a"), pr.PlanFor("net-b")
-	if a.Seed == b.Seed {
-		t.Error("different nets derived the same plan seed")
-	}
-	if again := pr.PlanFor("net-a"); again.Seed != a.Seed {
-		t.Error("plan seed not stable per net name")
-	}
-	if m, ok := a.SegmentModel("whatever"); !ok || m != pr.Model {
-		t.Errorf("profile model not applied to all segments: %+v ok=%v", m, ok)
-	}
-}
-
-// TestTotals: the process-wide counters see stream verdicts and event
-// notes.
-func TestTotals(t *testing.T) {
-	ResetTotals()
-	s := NewStream(1, Model{Drop: 1})
-	s.Verdict(nil)
-	s.Verdict(nil)
-	NoteFlap()
-	NoteCrash()
-	NoteRestart()
-	got := GrandTotals()
-	if got.Drops < 2 || got.Flaps != 1 || got.Crashes != 1 || got.Restarts != 1 {
-		t.Errorf("totals = %+v", got)
-	}
-	ResetTotals()
-	if GrandTotals() != (Totals{}) {
-		t.Error("ResetTotals left residue")
-	}
-}

@@ -1,6 +1,6 @@
-// Determinism goldens for the full scenario registry. These tests live
-// in an external test package so they can pull in internal/experiments
-// (which imports internal/scenario) without a cycle.
+// Determinism goldens for the full scenario list. These tests live in an
+// external test package so they can pull in internal/experiments (which
+// imports internal/scenario) without a cycle.
 package scenario_test
 
 import (
@@ -17,18 +17,47 @@ var (
 	serialResults []scenario.Result
 )
 
-// runSerial executes every registered scenario once, serially, shared by
-// all tests in this package.
+// runSerial executes every scenario once, serially, shared by all tests
+// in this package.
 func runSerial() []scenario.Result {
 	serialOnce.Do(func() {
-		experiments.RegisterAll()
-		serialResults = scenario.RunAll(scenario.All(), netsim.DefaultCostModel(), 1)
+		serialResults = scenario.RunAll(experiments.Scenarios(), netsim.DefaultCostModel(), 1)
 	})
 	return serialResults
 }
 
+// requireMatchesSerial holds a rerun of the whole scenario list under some
+// variant (label names it) to the serial run: the same result count, the
+// same order by name, every scenario OK, and identical fingerprints and
+// table bytes. The serial run completes before rerun is called, so rerun
+// may switch a process-wide knob for its own duration.
+func requireMatchesSerial(t *testing.T, label string, rerun func() []scenario.Result) {
+	t.Helper()
+	serial := runSerial()
+	results := rerun()
+	if len(results) != len(serial) {
+		t.Fatalf("%s: result counts differ: %d vs %d", label, len(results), len(serial))
+	}
+	for i := range serial {
+		s, p := &serial[i], &results[i]
+		if s.Name != p.Name {
+			t.Fatalf("%s: result %d: order differs (%s vs serial %s)", label, i, p.Name, s.Name)
+		}
+		if !p.OK() {
+			t.Errorf("%s (%s): run=%v check=%v", p.Name, label, p.Err, p.CheckErr)
+			continue
+		}
+		if s.Fingerprint != p.Fingerprint {
+			t.Errorf("%s: %s fingerprint %s != serial %s", s.Name, label, p.Fingerprint, s.Fingerprint)
+		}
+		if s.Table.String() != p.Table.String() {
+			t.Errorf("%s: %s table bytes differ from serial", s.Name, label)
+		}
+	}
+}
+
 // goldenFingerprints pins the rendered virtual-time output of every
-// registered scenario, captured from the serial pre-parallel-runner
+// scenario, captured from the serial pre-parallel-runner
 // build. Any change to scheduling order, the cost model, the switchlets
 // or a table's wording moves the affected entry; update it only with a
 // justified, deliberate change (the test failure prints the new value).
@@ -62,14 +91,18 @@ var goldenFingerprints = map[string]string{
 	"chaos-partition-heal":        "c1a29bc66e65e093",
 }
 
-// TestScenarioGoldenFingerprints pins every registered scenario's
-// virtual-time output. A fingerprint moving means the simulation's
-// behaviour changed — exactly what an optimization must not do.
+// TestScenarioGoldenFingerprints pins every scenario's virtual-time
+// output. A fingerprint moving means the simulation's behaviour changed —
+// exactly what an optimization must not do. Names key the goldens, abbench
+// -run and Match, so a name listed twice fails here too.
 func TestScenarioGoldenFingerprints(t *testing.T) {
 	results := runSerial()
 	seen := map[string]bool{}
 	for i := range results {
 		r := &results[i]
+		if seen[r.Name] {
+			t.Errorf("%s: scenario listed twice", r.Name)
+		}
 		seen[r.Name] = true
 		if !r.OK() {
 			t.Errorf("%s: run=%v check=%v", r.Name, r.Err, r.CheckErr)
@@ -86,7 +119,7 @@ func TestScenarioGoldenFingerprints(t *testing.T) {
 	}
 	for name := range goldenFingerprints {
 		if !seen[name] {
-			t.Errorf("golden entry %q has no registered scenario", name)
+			t.Errorf("golden entry %q has no scenario", name)
 		}
 	}
 }
@@ -105,30 +138,12 @@ func TestScenarioChecksPass(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial reruns the entire registry with a concurrent
+// TestParallelMatchesSerial reruns the entire list with a concurrent
 // worker pool and requires byte-identical rendered output. Run under
 // -race (the CI scenario job does) this also proves the sims share no
 // mutable state.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial := runSerial()
-	parallel := scenario.RunAll(scenario.All(), netsim.DefaultCostModel(), 8)
-	if len(parallel) != len(serial) {
-		t.Fatalf("result counts differ: %d vs %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		s, p := &serial[i], &parallel[i]
-		if s.Name != p.Name {
-			t.Fatalf("result %d: order differs (%s vs %s)", i, s.Name, p.Name)
-		}
-		if !p.OK() {
-			t.Errorf("%s (parallel): run=%v check=%v", p.Name, p.Err, p.CheckErr)
-			continue
-		}
-		if s.Fingerprint != p.Fingerprint {
-			t.Errorf("%s: parallel fingerprint %s != serial %s", s.Name, p.Fingerprint, s.Fingerprint)
-		}
-		if s.Table.String() != p.Table.String() {
-			t.Errorf("%s: parallel table bytes differ from serial", s.Name)
-		}
-	}
+	requireMatchesSerial(t, "parallel", func() []scenario.Result {
+		return scenario.RunAll(experiments.Scenarios(), netsim.DefaultCostModel(), 8)
+	})
 }

@@ -13,37 +13,22 @@ import (
 	"testing"
 	"time"
 
+	"github.com/switchware/activebridge/internal/experiments"
 	"github.com/switchware/activebridge/internal/metrics"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/topo"
 )
 
-// TestMetricsOnMatchesGolden reruns the entire registry with the
-// metrics plane enabled and requires byte-identical output against the
+// TestMetricsOnMatchesGolden reruns the entire list with the metrics
+// plane enabled and requires byte-identical output against the
 // metrics-off serial run. Under the CI sharded job (AB_SHARDS=4) this
 // pins metrics-on identity on the sharded engine too.
 func TestMetricsOnMatchesGolden(t *testing.T) {
-	serial := runSerial()
-	prev := metrics.SetEnabled(true)
-	defer metrics.SetEnabled(prev)
-	results := scenario.RunAll(scenario.All(), netsim.DefaultCostModel(), 1)
-	if len(results) != len(serial) {
-		t.Fatalf("result counts differ: %d vs %d", len(results), len(serial))
-	}
-	for i := range serial {
-		s, m := &serial[i], &results[i]
-		if !m.OK() {
-			t.Errorf("%s (metrics on): run=%v check=%v", m.Name, m.Err, m.CheckErr)
-			continue
-		}
-		if s.Fingerprint != m.Fingerprint {
-			t.Errorf("%s: metrics-on fingerprint %s != metrics-off %s", s.Name, m.Fingerprint, s.Fingerprint)
-		}
-		if s.Table.String() != m.Table.String() {
-			t.Errorf("%s: metrics-on table bytes differ from metrics-off", s.Name)
-		}
-	}
+	requireMatchesSerial(t, "metrics on", func() []scenario.Result {
+		defer metrics.SetEnabled(metrics.SetEnabled(true))
+		return scenario.RunAll(experiments.Scenarios(), netsim.DefaultCostModel(), 1)
+	})
 	// The final snapshots must cover every instrumented net with a sane
 	// event accounting: per-shard event totals that add up to something
 	// and spread with a min/max balance in (0, 1].
@@ -97,7 +82,7 @@ func TestMetricsOnShardedMegaMatchesGolden(t *testing.T) {
 	}
 	prev := metrics.SetEnabled(true)
 	defer metrics.SetEnabled(prev)
-	scs, err := scenario.Match("^scale-(fattree256|ring8-upgrade|storm-containment)$")
+	scs, err := scenario.Match(experiments.Scenarios(), "^scale-(fattree256|ring8-upgrade|storm-containment)$")
 	if err != nil || len(scs) != 3 {
 		t.Fatalf("mega scenario selection: %v (%d found)", err, len(scs))
 	}
@@ -132,11 +117,11 @@ func TestMetricsOnShardedMegaMatchesGolden(t *testing.T) {
 // scenario jobs) this also proves scraping shares no unsynchronized
 // state with a sharded simulation.
 func TestLiveScrapeDuringFatTree(t *testing.T) {
-	runSerial() // ensure the registry is populated
-	s, ok := scenario.Lookup("scale-fattree256")
-	if !ok {
-		t.Fatal("scale-fattree256 not registered")
+	scs, err := scenario.Match(experiments.Scenarios(), "^scale-fattree256$")
+	if err != nil || len(scs) != 1 {
+		t.Fatalf("scale-fattree256 selection: %v (%d found)", err, len(scs))
 	}
+	s := scs[0]
 	prev := metrics.SetEnabled(true)
 	defer metrics.SetEnabled(prev)
 

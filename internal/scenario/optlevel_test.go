@@ -10,34 +10,20 @@ import (
 	"testing"
 
 	"github.com/switchware/activebridge/internal/bridge"
+	"github.com/switchware/activebridge/internal/experiments"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
 )
 
-// TestOptLevelSweepMatchesGoldens reruns the entire registry at -O0 and
+// TestOptLevelSweepMatchesGoldens reruns the entire list at -O0 and
 // requires byte-identical rendered output against the serial run (which
 // executes at the quickened default, bridge.DefaultOptLevel). A divergence
 // means the optimizer changed observable behaviour — the one thing it is
 // not allowed to do.
 func TestOptLevelSweepMatchesGoldens(t *testing.T) {
-	serial := runSerial()
-	defer func(old int) { bridge.DefaultOptLevel = old }(bridge.DefaultOptLevel)
-	bridge.DefaultOptLevel = 0
-	results := scenario.RunAll(scenario.All(), netsim.DefaultCostModel(), 1)
-	if len(results) != len(serial) {
-		t.Fatalf("-O0: result counts differ: %d vs %d", len(results), len(serial))
-	}
-	for i := range serial {
-		s, p := &serial[i], &results[i]
-		if !p.OK() {
-			t.Errorf("%s (-O0): run=%v check=%v", p.Name, p.Err, p.CheckErr)
-			continue
-		}
-		if s.Fingerprint != p.Fingerprint {
-			t.Errorf("%s: -O0 fingerprint %s != default %s", s.Name, p.Fingerprint, s.Fingerprint)
-		}
-		if s.Table.String() != p.Table.String() {
-			t.Errorf("%s: -O0 table bytes differ from the default", s.Name)
-		}
-	}
+	requireMatchesSerial(t, "-O0", func() []scenario.Result {
+		defer func(old int) { bridge.DefaultOptLevel = old }(bridge.DefaultOptLevel)
+		bridge.DefaultOptLevel = 0
+		return scenario.RunAll(experiments.Scenarios(), netsim.DefaultCostModel(), 1)
+	})
 }

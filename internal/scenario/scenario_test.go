@@ -20,39 +20,24 @@ func fakeRun(name string) RunFunc {
 	return func(netsim.CostModel) (*report.Table, error) { return fakeTable(name), nil }
 }
 
-func TestRegistryOrderAndLookup(t *testing.T) {
-	r := NewRegistry()
-	r.Register("b-second", "2", fakeRun("b"))
-	r.Register("a-first", "1", fakeRun("a"))
-	all := r.All()
-	if len(all) != 2 || all[0].Name != "b-second" || all[1].Name != "a-first" {
-		t.Fatalf("All() not in registration order: %v", all)
+// TestMatchKeepsOrder: Match filters a list by name pattern in list
+// order, whatever the names' sort order, and a bad pattern is an error.
+func TestMatchKeepsOrder(t *testing.T) {
+	scs := []*Scenario{
+		{Name: "b-second", Run: fakeRun("b")},
+		{Name: "a-first", Run: fakeRun("a")},
+		{Name: "a-third", Run: fakeRun("c")},
 	}
-	if _, ok := r.Lookup("a-first"); !ok {
-		t.Fatal("Lookup failed")
+	got, err := Match(scs, "^a-")
+	if err != nil || len(got) != 2 || got[0] != scs[1] || got[1] != scs[2] {
+		t.Fatalf("Match(^a-) = %v, %v", got, err)
 	}
-	names := r.Names()
-	if names[0] != "a-first" || names[1] != "b-second" {
-		t.Fatalf("Names() not sorted: %v", names)
+	if all, err := Match(scs, ""); err != nil || len(all) != 3 || all[0] != scs[0] {
+		t.Fatalf("Match(\"\") = %v, %v", all, err)
 	}
-	got, err := r.Match("^a-")
-	if err != nil || len(got) != 1 || got[0].Name != "a-first" {
-		t.Fatalf("Match = %v, %v", got, err)
-	}
-	if _, err := r.Match("("); err == nil {
+	if _, err := Match(scs, "("); err == nil {
 		t.Fatal("want error for bad pattern")
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Register("dup", "", fakeRun("dup"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on duplicate registration")
-		}
-	}()
-	r.Register("dup", "", fakeRun("dup"))
 }
 
 func TestRunAllOrderAndFingerprints(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/switchware/activebridge/internal/experiments"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/scenario"
 	"github.com/switchware/activebridge/internal/topo"
@@ -135,8 +136,7 @@ func TestTracedSamplingIsShardInvariant(t *testing.T) {
 // holds it to the Perfetto-shape lint (tracing.LintChrome), and requires
 // the traced fingerprints to equal the untraced goldens.
 func TestTracedChaosChromeExportLints(t *testing.T) {
-	runSerial() // ensure the registry is populated
-	scs, err := scenario.Match("^chaos-")
+	scs, err := scenario.Match(experiments.Scenarios(), "^chaos-")
 	if err != nil || len(scs) == 0 {
 		t.Fatalf("chaos scenario selection: %v (%d found)", err, len(scs))
 	}

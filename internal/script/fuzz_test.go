@@ -22,6 +22,7 @@ var hostileLines = []struct{ line, frag string }{
 	{"ttcp h1 h2 0 100", "write"},
 	{"ttcp h1 h2 1024 -1", "total"},
 	{"run -5s", "negative"},
+	{"run 1s\nrun 2562047h47m16s", "2562047h47m16s"}, // Now + d wrapped to a negative deadline
 }
 
 const twoHostWorld = `

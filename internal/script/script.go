@@ -48,7 +48,6 @@ import (
 	"github.com/switchware/activebridge/internal/bridge"
 	"github.com/switchware/activebridge/internal/env"
 	"github.com/switchware/activebridge/internal/ethernet"
-	"github.com/switchware/activebridge/internal/fault"
 	"github.com/switchware/activebridge/internal/ipv4"
 	"github.com/switchware/activebridge/internal/metrics"
 	"github.com/switchware/activebridge/internal/netsim"
@@ -230,6 +229,9 @@ func (w *World) Exec(f []string) error {
 		}
 		if d < 0 {
 			return fmt.Errorf("duration %v is negative", d)
+		}
+		if now := w.Sim.Now(); d > netsim.Duration(math.MaxInt64-now) {
+			return fmt.Errorf("duration %v from t = %.3fs runs past the end of virtual time", d, now.Seconds())
 		}
 		w.Sim.Run(w.Sim.Now().Add(d))
 		w.printf("t = %.3fs\n", w.Sim.Now().Seconds())
@@ -445,7 +447,6 @@ func (w *World) setFault(name string, down bool) error {
 			return nil
 		}
 		seg.SetDown(down)
-		fault.NoteFlap()
 		if down {
 			for _, bn := range sortedNames(w.Bridges) {
 				b := w.Bridges[bn]
@@ -467,7 +468,6 @@ func (w *World) setFault(name string, down bool) error {
 				return nil
 			}
 			b.Crash()
-			fault.NoteCrash()
 			w.printf("bridge %s crashed\n", name)
 			return nil
 		}
@@ -478,7 +478,6 @@ func (w *World) setFault(name string, down bool) error {
 		if err := b.Restart(); err != nil {
 			return fmt.Errorf("restart %s: %w", name, err)
 		}
-		fault.NoteRestart()
 		w.printf("bridge %s restarted\n", name)
 		return nil
 	}

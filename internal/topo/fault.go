@@ -7,30 +7,11 @@ import (
 	"github.com/switchware/activebridge/internal/netsim"
 )
 
-// DefaultFaultProfile, when non-nil, applies a chaos profile to every net
-// built in the process: each Build derives a per-net plan from the
-// profile (seeded from the profile seed and the net's name) unless the
-// graph carries an explicit FaultPlan of its own. abbench's -faults flag
-// sets it; it is read once per Build, on the caller's goroutine.
-var DefaultFaultProfile *fault.Profile
-
 // FaultPlan attaches a seeded fault schedule to the topology: impairment
 // models resolve against declared segment/bridge names at Build, and
 // scheduled events fire on the net's control engine at their virtual
 // instants. A nil plan (the default) takes none of the fault code paths.
 func (g *Graph) FaultPlan(p *fault.Plan) { g.faultPlan = p }
-
-// effectiveFaultPlan resolves the plan a build applies: the graph's own,
-// else one derived from the process-wide profile, else nil.
-func (g *Graph) effectiveFaultPlan() *fault.Plan {
-	if g.faultPlan != nil {
-		return g.faultPlan
-	}
-	if DefaultFaultProfile != nil {
-		return DefaultFaultProfile.PlanFor(g.Name)
-	}
-	return nil
-}
 
 // applyFaults installs the plan's impairment streams and schedules its
 // events. Called at the end of Build, after wiring and switchlet loads;
@@ -76,19 +57,13 @@ func (n *Net) applyFaults(plan *fault.Plan) error {
 				return fmt.Errorf("fault plan: %s: bridge %q has no port %d", ev, ev.Target, ev.Port)
 			}
 			down := ev.Op == fault.OpPortDown
-			apply = func() {
-				n.bridges[id].SetPortLink(ev.Port, down)
-				fault.NoteFlap()
-			}
+			apply = func() { n.bridges[id].SetPortLink(ev.Port, down) }
 		case fault.OpCrash:
 			id, ok := n.bridgeIndex(ev.Target)
 			if !ok {
 				return fmt.Errorf("fault plan: %s: no bridge %q", ev, ev.Target)
 			}
-			apply = func() {
-				n.bridges[id].Crash()
-				fault.NoteCrash()
-			}
+			apply = n.bridges[id].Crash
 		case fault.OpRestart:
 			id, ok := n.bridgeIndex(ev.Target)
 			if !ok {
@@ -98,7 +73,6 @@ func (n *Net) applyFaults(plan *fault.Plan) error {
 				if err := n.bridges[id].Restart(); err != nil {
 					n.bridges[id].Log("restart: " + err.Error())
 				}
-				fault.NoteRestart()
 			}
 		default:
 			return fmt.Errorf("fault plan: %s: unknown op", ev)
@@ -145,7 +119,6 @@ func (n *Net) SetSegmentDown(id SegmentID, down bool) {
 		return
 	}
 	seg.SetDown(down)
-	fault.NoteFlap()
 	if !down {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/switchware/activebridge/internal/fault"
 	"github.com/switchware/activebridge/internal/netsim"
 	"github.com/switchware/activebridge/internal/topo"
 	"github.com/switchware/activebridge/internal/workload"
@@ -71,6 +72,53 @@ func TestShardedChainMatchesSerial(t *testing.T) {
 		if mbps != mbps0 || rtt != rtt0 {
 			t.Errorf("shards=%d metrics deviate: mbps %v vs %v, rtt %v vs %v", shards, mbps, mbps0, rtt, rtt0)
 		}
+	}
+}
+
+// TestShardedFaultStreamsMatchSerial replays a seeded all-segments
+// impairment plan on the 16-bridge chain serially and at 4 shards. Each
+// segment's verdict stream derives from the plan seed and the segment's
+// name, never from the engine, so the fingerprint and the per-segment
+// drop, corrupt and duplicate counts must be equal, and each non-zero.
+func TestShardedFaultStreamsMatchSerial(t *testing.T) {
+	const bridges = 16
+	type counts struct{ drops, corrupts, dups uint64 }
+	run := func(shards int) (string, counts) {
+		t.Helper()
+		g, h1, h2 := chainGraph(bridges, shards)
+		g.FaultPlan(fault.NewPlan(42).AllSegments(fault.Model{Drop: 0.02, Corrupt: 0.01, Duplicate: 0.01}))
+		net, err := g.Build(netsim.DefaultCostModel())
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if net.Shards() != shards {
+			t.Fatalf("expected %d shards, got %d", shards, net.Shards())
+		}
+		// One echo per pinger: a pinger sends its next echo only on a
+		// reply, so under loss a longer run would stop at the first drop.
+		for i := 0; i < 100; i++ {
+			p := workload.NewPinger(net.Host(h1), net.Host(h2).IP, 64, 1)
+			p.Run(net.Sim.Now() + netsim.Time(netsim.Second))
+		}
+		var c counts
+		for id := topo.SegmentID(0); id <= bridges; id++ {
+			seg := net.Segment(id)
+			c.drops += seg.FaultDrops
+			c.corrupts += seg.FaultCorrupts
+			c.dups += seg.FaultDups
+		}
+		return net.Fingerprint(), c
+	}
+	fp1, c1 := run(1)
+	fp4, c4 := run(4)
+	if c1.drops == 0 || c1.corrupts == 0 || c1.dups == 0 {
+		t.Fatalf("the plan left a fault kind unexercised: %+v", c1)
+	}
+	if fp4 != fp1 {
+		t.Errorf("4 shards fingerprint deviates:\n got %s\nwant %s", fp4, fp1)
+	}
+	if c4 != c1 {
+		t.Errorf("injected faults differ: 4 shards %+v, serial %+v", c4, c1)
 	}
 }
 

@@ -614,10 +614,9 @@ func (g *Graph) Build(cost netsim.CostModel) (*Net, error) {
 
 	// Fault plane last: impairment streams install on already-wired
 	// entities, and scheduled events are the plan's only build-time
-	// events. A clean build (no plan, no process-wide profile) skips
-	// this entirely.
-	if plan := g.effectiveFaultPlan(); plan != nil {
-		if err := n.applyFaults(plan); err != nil {
+	// events. A clean build (no plan) skips this entirely.
+	if g.faultPlan != nil {
+		if err := n.applyFaults(g.faultPlan); err != nil {
 			return nil, fmt.Errorf("topo %q: %w", g.Name, err)
 		}
 	}

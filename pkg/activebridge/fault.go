@@ -48,19 +48,3 @@ const (
 
 // FaultEvent is one scheduled fault, as recorded in a plan.
 type FaultEvent = fault.Event
-
-// DefaultChaosModel returns the mild blanket impairment profile
-// (1% loss, 0.2% corruption, 0.2% duplication) abbench's -faults flag
-// applies to every segment.
-func DefaultChaosModel() FaultModel { return fault.DefaultChaosModel() }
-
-// FaultTotals is the process-wide tally of injected faults: frame
-// impairments from every stream plus flap/crash/restart event counts.
-type FaultTotals = fault.Totals
-
-// FaultGrandTotals returns the process-wide fault totals.
-func FaultGrandTotals() FaultTotals { return fault.GrandTotals() }
-
-// ResetFaultTotals zeroes the process-wide fault totals (test
-// isolation).
-func ResetFaultTotals() { fault.ResetTotals() }

@@ -6,13 +6,13 @@ import (
 	ab "github.com/switchware/activebridge/pkg/activebridge"
 )
 
-// buildLossyLine declares h1 - s0 - bridge - s1 - h2 with a seeded
-// blanket impairment model and one scheduled segment cut, through the
-// public SDK surface only. It returns the fingerprint after a fixed
-// drive.
+// lossyLineFingerprint declares h1 - s0 - bridge - s1 - h2 with a
+// seeded all-segments impairment model and one scheduled cut of s1,
+// through the public SDK surface only. It returns the fingerprint after
+// a fixed drive and the frames the model dropped on s0, which is never
+// cut (a cut segment counts its dead frames as drops too).
 func lossyLineFingerprint(t *testing.T, seed uint64) (fp string, s1Down bool, drops uint64) {
 	t.Helper()
-	ab.ResetFaultTotals()
 	g := ab.NewTopology("sdk-fault")
 	s0 := g.AddSegment("s0")
 	s1 := g.AddSegment("s1")
@@ -36,7 +36,7 @@ func lossyLineFingerprint(t *testing.T, seed uint64) (fp string, s1Down bool, dr
 		net.Sim.Schedule(at, func() { src.SendTest(dst.MAC, make([]byte, 200)) })
 	}
 	net.Sim.Run(net.Sim.Now() + ab.Time(3*ab.Second))
-	return net.Fingerprint(), net.Segment(s1).Down(), ab.FaultGrandTotals().Drops
+	return net.Fingerprint(), net.Segment(s1).Down(), net.Segment(s0).FaultDrops
 }
 
 // TestSDKFaultPlanDeterministicChaos pins the public fault-plane
