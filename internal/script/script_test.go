@@ -192,6 +192,27 @@ func TestScriptErrors(t *testing.T) {
 	}
 }
 
+// TestRunPastEndOfTimeKeepsClock: a run whose deadline would pass the
+// end of virtual time is refused, naming the duration, and leaves the
+// clock where it was, so the next run starts from there.
+func TestRunPastEndOfTimeKeepsClock(t *testing.T) {
+	var out strings.Builder
+	w := NewWorld(&out)
+	if err := w.Run("run 1s"); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Run("run 2562047h47m16s")
+	if err == nil || !strings.Contains(err.Error(), "2562047h47m16s") {
+		t.Fatalf("err = %v, want an error naming the duration", err)
+	}
+	if err := w.Run("run 1s"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(out.String(), "t = 2.000s\n") {
+		t.Errorf("clock moved under the refused run:\n%s", out.String())
+	}
+}
+
 func TestFailHealSegment(t *testing.T) {
 	out := mustRun(t, `
 segment lan1
