@@ -92,8 +92,6 @@ func runSDKUpgrade() {
 	net.Sim.Run(ab.Time(40 * ab.Second)) // DEC converges
 
 	opts := ab.DefaultUpgradeOptions()
-	opts.OldAddr = ab.DECBridgesMAC
-	opts.NewAddr = ab.AllBridgesMAC
 	var ups []*ab.Upgrade
 	at := net.Sim.Now()
 	net.Sim.Schedule(at+1, func() {

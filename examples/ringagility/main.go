@@ -68,8 +68,6 @@ func sdkChainUpgrade() {
 	net.Sim.Run(ab.Time(40 * ab.Second)) // DEC converges
 
 	opts := ab.DefaultUpgradeOptions()
-	opts.OldAddr = ab.DECBridgesMAC
-	opts.NewAddr = ab.AllBridgesMAC
 	start := net.Sim.Now()
 	ups := make([]*ab.Upgrade, 0, nBridges)
 	net.Sim.Schedule(start+1, func() {

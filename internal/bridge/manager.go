@@ -297,17 +297,6 @@ type UpgradeOptions struct {
 	// ValidateAfter is when the new protocol's probe is compared against
 	// the state captured from the old one (paper: 60 s).
 	ValidateAfter netsim.Duration
-	// OldAddr, if non-zero, is the old protocol's multicast address; the
-	// Manager guards it after handoff to implement suppression and
-	// late-traffic fallback. Zero defaults to the old switchlet's
-	// declared Lifecycle.ProtoAddr.
-	OldAddr ethernet.MAC
-	// NewAddr, if non-zero, is the new protocol's multicast address;
-	// after a rollback it is claimed and drained so no further
-	// transition can trigger without human intervention (the paper's
-	// sticky-fallback rule). Zero defaults to the new switchlet's
-	// declared Lifecycle.ProtoAddr.
-	NewAddr ethernet.MAC
 }
 
 // DefaultUpgradeOptions returns the paper's transition windows: 30 s of
@@ -325,7 +314,6 @@ func DefaultUpgradeOptions() UpgradeOptions {
 type Upgrade struct {
 	m        *Manager
 	old, new *Installed
-	opts     UpgradeOptions
 
 	// Captured is the old protocol's probe output at handoff — the
 	// state the new protocol must reproduce.
@@ -356,8 +344,9 @@ func (u *Upgrade) New() *Installed { return u.new }
 // at opts.ValidateAfter the new probe must equal the captured state or
 // the node rolls back; a trap while starting the new switchlet rolls
 // back immediately (the returned error describes the trap and the
-// returned Upgrade records the rollback); stray old-protocol frames
-// after the suppression window also roll back. This is the paper's
+// returned Upgrade records the rollback); stray frames to the old
+// manifest's Lifecycle.ProtoAddr after the suppression window also roll
+// back, and a rollback drains the new manifest's. This is the paper's
 // DEC→IEEE transition (§5.4, Table 1) as a reusable primitive.
 func (m *Manager) Upgrade(oldName string, next env.Manifest, opts UpgradeOptions) (*Upgrade, error) {
 	old, ok := m.installed[oldName]
@@ -376,12 +365,6 @@ func (m *Manager) Upgrade(oldName string, next env.Manifest, opts UpgradeOptions
 	if opts.ValidateAfter == 0 {
 		opts.ValidateAfter = DefaultUpgradeOptions().ValidateAfter
 	}
-	if opts.OldAddr == (ethernet.MAC{}) {
-		opts.OldAddr = old.Manifest.Lifecycle.ProtoAddr
-	}
-	if opts.NewAddr == (ethernet.MAC{}) {
-		opts.NewAddr = next.Lifecycle.ProtoAddr
-	}
 
 	inst, err := m.Install(next)
 	if err != nil {
@@ -390,7 +373,7 @@ func (m *Manager) Upgrade(oldName string, next env.Manifest, opts UpgradeOptions
 	// From here on use inst.Manifest, not next: Install may have adopted
 	// the module name from a precompiled object.
 	newRef := inst.Manifest.Ref()
-	u := &Upgrade{m: m, old: old, new: inst, opts: opts}
+	u := &Upgrade{m: m, old: old, new: inst}
 
 	captured, err := m.Query(old.Manifest.Lifecycle.Probe, "")
 	if err != nil {
@@ -412,9 +395,9 @@ func (m *Manager) Upgrade(oldName string, next env.Manifest, opts UpgradeOptions
 		m.upgrades = append(m.upgrades, u)
 		return u, fmt.Errorf("upgrade %s: starting %s: %w (rolled back)", oldName, newRef, err)
 	}
-	if u.opts.OldAddr != (ethernet.MAC{}) {
+	if addr := old.Manifest.Lifecycle.ProtoAddr; addr != (ethernet.MAC{}) {
 		guard := FrameHandler{Name: "upgrade-guard", Native: u.onOldFrame}
-		if err := m.b.SetDstHandler(u.opts.OldAddr, guard); err != nil {
+		if err := m.b.SetDstHandler(addr, guard); err != nil {
 			m.b.Log("manager: old-address guard not installed: " + err.Error())
 		}
 	}
@@ -491,12 +474,12 @@ func (u *Upgrade) rollback(reason string) {
 	if _, err := u.m.Query(u.old.Manifest.Lifecycle.Start, ""); err != nil {
 		u.m.b.Log("manager: restart of " + u.old.Manifest.Ref() + " trapped: " + err.Error())
 	}
-	if u.opts.NewAddr != (ethernet.MAC{}) {
+	if addr := u.new.Manifest.Lifecycle.ProtoAddr; addr != (ethernet.MAC{}) {
 		// Sticky fallback: claim the new protocol's address and drain it
 		// so no further transition can trigger without human
 		// intervention.
 		swallow := FrameHandler{Name: "fallback-drain", Native: func([]byte, int) {}}
-		if err := u.m.b.SetDstHandler(u.opts.NewAddr, swallow); err != nil {
+		if err := u.m.b.SetDstHandler(addr, swallow); err != nil {
 			u.m.b.Log("manager: fallback drain not installed: " + err.Error())
 		}
 	}
@@ -504,11 +487,9 @@ func (u *Upgrade) rollback(reason string) {
 
 // releaseGuard removes the old-address guard if this upgrade owns it.
 func (u *Upgrade) releaseGuard() {
-	if u.opts.OldAddr == (ethernet.MAC{}) {
-		return
-	}
-	if h, ok := u.m.b.dstHandlers[u.opts.OldAddr]; ok && h.Name == "upgrade-guard" {
-		u.m.b.ClearDstHandler(u.opts.OldAddr)
+	addr := u.old.Manifest.Lifecycle.ProtoAddr
+	if h, ok := u.m.b.dstHandlers[addr]; ok && h.Name == "upgrade-guard" {
+		u.m.b.ClearDstHandler(addr)
 	}
 }
 

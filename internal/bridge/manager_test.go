@@ -359,6 +359,11 @@ let _ = Func.register "crashy.running" (fun s -> "no")`,
 	if u.State() != UpgradeRolledBack {
 		t.Errorf("state = %v", u.State())
 	}
+	// Neither manifest declares a protocol address, so the upgrade
+	// claimed none: no guard, no fallback drain.
+	if len(r.b.dstHandlers) != 0 {
+		t.Errorf("upgrade without protocol addresses claimed %d destinations", len(r.b.dstHandlers))
+	}
 }
 
 func TestUpgradeGuardDefaultsToLifecycleProtoAddr(t *testing.T) {
@@ -383,8 +388,8 @@ func TestUpgradeGuardDefaultsToLifecycleProtoAddr(t *testing.T) {
 		Probe: "counter2.probe", Running: "counter2.running",
 		ProtoAddr: ethernet.AllBridges,
 	}
-	// No addresses in the options: the guard must come from the old
-	// switchlet's declared protocol address.
+	// The guard comes from the old switchlet's declared protocol
+	// address; the options carry only the windows.
 	u, err := man.Upgrade("Counter", next, UpgradeOptions{
 		SuppressFor: netsim.Second, ValidateAfter: 20 * netsim.Second,
 	})
@@ -401,6 +406,14 @@ func TestUpgradeGuardDefaultsToLifecycleProtoAddr(t *testing.T) {
 	}
 	if !strings.Contains(u.Reason, "old-protocol packet") {
 		t.Errorf("reason = %q", u.Reason)
+	}
+	// The rollback released the guard and drained the new protocol's
+	// declared address.
+	if _, ok := r.b.dstHandlers[ethernet.DECBridges]; ok {
+		t.Error("old-address guard survived the rollback")
+	}
+	if h := r.b.dstHandlers[ethernet.AllBridges]; h.Name != "fallback-drain" {
+		t.Errorf("new protocol address handler = %q, want fallback-drain", h.Name)
 	}
 }
 

@@ -1,17 +1,16 @@
 // Package fault is the deterministic fault-injection plane for the
-// simulated extended LAN: seeded frame-level impairments (drop, corrupt,
-// duplicate — Bernoulli or bursty Gilbert-Elliott), link down/up flaps,
+// simulated extended LAN: seeded impairments of frames on the wire (drop,
+// corrupt, duplicate — Bernoulli or bursty Gilbert-Elliott), link flaps,
 // partitions, and bridge crash/restart, all scheduled in virtual time
 // from a declarative Plan.
 //
 // Determinism is the design constraint everything here serves. Every
-// random decision comes from a per-entity splitmix64 stream derived from
-// the plan seed and the entity's name, and each stream is consumed only
-// by that entity's own event sequence (a segment's filter runs on the
-// segment owner's engine in transmit order; a NIC's filter runs on the
-// NIC's engine in delivery order). Both orders are identical under the
-// serial and the sharded engine, so a chaos run replays byte-for-byte at
-// any shard count: same seed, same faults, same fingerprint. Scheduled
+// random decision comes from a per-segment splitmix64 stream derived
+// from the plan seed and the segment's name, and each stream is consumed
+// only by that segment's filter, which runs on the segment owner's
+// engine in transmit order. That order is identical under the serial
+// and the sharded engine, so a chaos run replays byte-for-byte at any
+// shard count: same seed, same faults, same fingerprint. Scheduled
 // events (flaps, partitions, crashes) run on the net's control engine,
 // which executes alone at a global barrier and may touch any shard.
 //
@@ -19,12 +18,13 @@
 // fault annotations) takes none of these code paths and reproduces the
 // pre-fault goldens exactly. It keeps no process-wide state: a plan is
 // declared per net, and what it injected is counted by the elements it
-// hit (a segment's or NIC's FaultDrops/FaultCorrupts/FaultDups, a
-// bridge's Stats.Crashes/Restarts).
+// hit (a segment's FaultDrops/FaultCorrupts/FaultDups, a NIC's
+// FaultDrops while its link is down, a bridge's Stats.Crashes/Restarts).
 package fault
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/switchware/activebridge/internal/fault/frand"
 	"github.com/switchware/activebridge/internal/netsim"
@@ -77,8 +77,8 @@ func (m Model) Zero() bool {
 
 // Stream turns a Model into a deterministic sequence of per-frame
 // verdicts. Its Verdict method satisfies netsim.FaultFunc; install it
-// with Segment.SetFault or NIC.SetRxFault. A Stream is single-goroutine
-// by construction (it lives where its entity's events run).
+// with Segment.SetFault. A Stream is single-goroutine by construction
+// (it lives where its segment's transmissions run).
 type Stream struct {
 	rng Rand
 	m   Model
@@ -86,7 +86,7 @@ type Stream struct {
 }
 
 // NewStream creates a verdict stream for the model, seeded for one
-// entity (combine Plan.Seed and the entity name with DeriveSeed).
+// segment (combine Plan.Seed and the segment name with DeriveSeed).
 func NewStream(seed uint64, m Model) *Stream {
 	return &Stream{rng: frand.Seeded(seed), m: m}
 }
@@ -172,8 +172,9 @@ func (e Event) String() string {
 }
 
 // Plan is a complete seeded fault schedule for one net: frame-impairment
-// models per segment and per bridge, plus scheduled events. Attach it
-// with topo.Graph.FaultPlan before Build. The zero of everything — no
+// models per segment, plus scheduled events. Attach it with
+// topo.Graph.FaultPlan before Build, which fails on any name the plan
+// uses that the topology does not declare. The zero of everything — no
 // models, no events — is a valid plan that injects nothing.
 type Plan struct {
 	// Seed is the root of every derived stream: two runs of the same net
@@ -182,7 +183,6 @@ type Plan struct {
 	Seed uint64
 
 	segments    map[string]Model
-	bridges     map[string]Model
 	allSegments *Model
 	events      []Event
 }
@@ -204,16 +204,6 @@ func (p *Plan) Segment(name string, m Model) *Plan {
 // specific model of its own.
 func (p *Plan) AllSegments(m Model) *Plan {
 	p.allSegments = &m
-	return p
-}
-
-// Bridge attaches a receive-side impairment model to every port of the
-// named bridge (a flaky adapter rather than a flaky wire).
-func (p *Plan) Bridge(name string, m Model) *Plan {
-	if p.bridges == nil {
-		p.bridges = map[string]Model{}
-	}
-	p.bridges[name] = m
 	return p
 }
 
@@ -241,10 +231,15 @@ func (p *Plan) SegmentModel(name string) (Model, bool) {
 	return Model{}, false
 }
 
-// BridgeModel resolves the receive-side model for a named bridge.
-func (p *Plan) BridgeModel(name string) (Model, bool) {
-	m, ok := p.bridges[name]
-	return m, ok
+// SegmentNames returns the names given to Segment, sorted, so
+// topo.Build can check each against the topology.
+func (p *Plan) SegmentNames() []string {
+	names := make([]string, 0, len(p.segments))
+	for name := range p.segments { //ab:mapiter-ok sorted below
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Events returns the scheduled events in declaration order (the builder
@@ -255,9 +250,4 @@ func (p *Plan) Events() []Event { return p.events }
 // SegmentStream derives the named segment's verdict stream.
 func (p *Plan) SegmentStream(name string, m Model) *Stream {
 	return NewStream(DeriveSeed(p.Seed, "segment/"+name), m)
-}
-
-// BridgePortStream derives the verdict stream for one bridge port.
-func (p *Plan) BridgePortStream(bridge string, port int, m Model) *Stream {
-	return NewStream(DeriveSeed(p.Seed, fmt.Sprintf("bridge/%s/%d", bridge, port)), m)
 }

@@ -137,14 +137,15 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	}
 }
 
-// TestPlanResolution covers model lookup precedence and event recording.
+// TestPlanResolution covers model lookup precedence, the named segments
+// topo.Build checks, and event recording.
 func TestPlanResolution(t *testing.T) {
 	specific := Model{Drop: 0.5}
 	blanket := Model{Drop: 0.01}
 	p := NewPlan(3).
 		Segment("s1", specific).
+		Segment("s0", blanket).
 		AllSegments(blanket).
-		Bridge("b1", Model{Corrupt: 0.1}).
 		At(10*netsim.Second, OpLinkDown, "s1").
 		AtPort(20*netsim.Second, OpPortDown, "b1", 1)
 
@@ -154,11 +155,8 @@ func TestPlanResolution(t *testing.T) {
 	if m, ok := p.SegmentModel("anything"); !ok || m.Drop != 0.01 {
 		t.Errorf("blanket segment model lost: %+v ok=%v", m, ok)
 	}
-	if m, ok := p.BridgeModel("b1"); !ok || m.Corrupt != 0.1 {
-		t.Errorf("bridge model lost: %+v ok=%v", m, ok)
-	}
-	if _, ok := p.BridgeModel("b2"); ok {
-		t.Error("phantom bridge model")
+	if got := p.SegmentNames(); len(got) != 2 || got[0] != "s0" || got[1] != "s1" {
+		t.Errorf("segment names = %q, want the two named segments sorted", got)
 	}
 	evs := p.Events()
 	if len(evs) != 2 || evs[0].Op != OpLinkDown || evs[1].Port != 1 {

@@ -137,7 +137,7 @@ func newXport(nic *NIC, seg *Segment) *xport {
 // a dispatched event, so the ambient curTrace is the frame's trace
 // context carried over in the request xmsg.
 func (p *xport) send(raw []byte) {
-	accepted, start := p.tx.offer(raw, p.sim.curTrace, p.nic.TxQueueLimit)
+	accepted, start := p.tx.offer(raw, p.sim.curTrace)
 	if !accepted {
 		p.txDrops++
 		if fn := p.nic.dropFn; fn != nil {

@@ -4,17 +4,15 @@ import (
 	"testing"
 )
 
-// TestTxQueueOverflowNotification pins the overflow contract: with a
-// 2-frame transmit queue, a burst of 6 sends accepts the queue's worth
-// (plus the frame on the wire) and reports every loss through both the
-// TxDrops counter and the installed drop callback, with the dropped
-// frame's bytes visible to the callback.
+// TestTxQueueOverflowNotification pins the overflow contract: a burst
+// of sends accepts the frame on the wire plus a full transmit queue, and
+// reports every loss through both the TxDrops counter and the installed
+// drop callback, with the dropped frame's bytes visible to the callback.
 func TestTxQueueOverflowNotification(t *testing.T) {
 	s := New()
 	seg := NewSegment(s, "lan")
 	a := NewNIC(s, "a", mac(1))
 	b := NewNIC(s, "b", mac(2))
-	a.TxQueueLimit = 2
 	var delivered int
 	b.SetRecv(func(*NIC, []byte) { delivered++ })
 	seg.Attach(a)
@@ -31,7 +29,7 @@ func TestTxQueueOverflowNotification(t *testing.T) {
 	})
 
 	raw := frameBytes(t, mac(2), mac(1), 100)
-	const burst = 6
+	const burst = txQueueLimit + 5
 	s.Schedule(0, func() {
 		for i := 0; i < burst; i++ {
 			a.Send(raw)
@@ -39,8 +37,9 @@ func TestTxQueueOverflowNotification(t *testing.T) {
 	})
 	s.RunAll()
 
-	// One frame transmits immediately, two queue, the rest overflow.
-	const wantDelivered = 3
+	// One frame transmits immediately, txQueueLimit queue, the rest
+	// overflow.
+	const wantDelivered = txQueueLimit + 1
 	if delivered != wantDelivered {
 		t.Errorf("delivered = %d, want %d", delivered, wantDelivered)
 	}
@@ -102,81 +101,54 @@ func TestLinkDownSuppressesBothDirections(t *testing.T) {
 	}
 }
 
-// TestRxFaultActions drives each receive-side verdict: drop destroys the
-// frame, corrupt suppresses delivery (and counts separately), duplicate
-// delivers twice.
-func TestRxFaultActions(t *testing.T) {
+// TestSegmentFaultFilter drives each medium-level verdict, and a downed
+// segment, through the segment's own counters: drop and a cut destroy
+// the frame, corrupt occupies the wire but reaches no adapter (and
+// counts separately), duplicate delivers twice.
+func TestSegmentFaultFilter(t *testing.T) {
 	cases := []struct {
+		name     string
 		action   FaultAction
-		want     int
+		down     bool
+		want     uint64
 		drops    uint64
 		corrupts uint64
 		dups     uint64
 	}{
-		{FaultNone, 1, 0, 0, 0},
-		{FaultDrop, 0, 1, 0, 0},
-		{FaultCorrupt, 0, 0, 1, 0},
-		{FaultDuplicate, 2, 0, 0, 1},
+		{"none", FaultNone, false, 1, 0, 0, 0},
+		{"drop", FaultDrop, false, 0, 1, 0, 0},
+		{"corrupt", FaultCorrupt, false, 0, 0, 1, 0},
+		{"duplicate", FaultDuplicate, false, 2, 0, 0, 1},
+		{"down", FaultNone, true, 0, 1, 0, 0},
 	}
 	for _, c := range cases {
 		s := New()
 		seg := NewSegment(s, "lan")
 		a := NewNIC(s, "a", mac(1))
 		b := NewNIC(s, "b", mac(2))
-		var got int
+		var got uint64
 		b.SetRecv(func(*NIC, []byte) { got++ })
 		seg.Attach(a)
 		seg.Attach(b)
 		action := c.action
-		b.SetRxFault(func([]byte) FaultAction { return action })
+		seg.SetFault(func([]byte) FaultAction { return action })
+		seg.SetDown(c.down)
+		if seg.Down() != c.down {
+			t.Fatalf("%s: Down not reported", c.name)
+		}
 		raw := frameBytes(t, mac(2), mac(1), 64)
 		s.Schedule(0, func() { a.Send(raw) })
 		s.RunAll()
-		if got != c.want {
-			t.Errorf("%v: delivered %d, want %d", c.action, got, c.want)
+		if got != c.want || b.RxFrames != c.want {
+			t.Errorf("%s: handler saw %d and adapter accepted %d frames, want %d",
+				c.name, got, b.RxFrames, c.want)
 		}
-		if b.FaultDrops != c.drops || b.FaultCorrupts != c.corrupts || b.FaultDups != c.dups {
-			t.Errorf("%v: counters drop=%d corrupt=%d dup=%d, want %d/%d/%d",
-				c.action, b.FaultDrops, b.FaultCorrupts, b.FaultDups, c.drops, c.corrupts, c.dups)
+		if seg.Frames != 1 {
+			t.Errorf("%s: segment carried %d frames, want 1", c.name, seg.Frames)
 		}
-	}
-}
-
-// TestSegmentFaultFilter exercises the medium-level filter: a downed
-// segment eats everything; a fault function's verdicts apply per frame
-// and a duplicate arrives at every receiver twice at the same instant.
-func TestSegmentFaultFilter(t *testing.T) {
-	s := New()
-	seg := NewSegment(s, "lan")
-	a := NewNIC(s, "a", mac(1))
-	b := NewNIC(s, "b", mac(2))
-	var got int
-	b.SetRecv(func(*NIC, []byte) { got++ })
-	seg.Attach(a)
-	seg.Attach(b)
-
-	seg.SetDown(true)
-	if !seg.Down() {
-		t.Fatal("Down not reported")
-	}
-	raw := frameBytes(t, mac(2), mac(1), 64)
-	s.Schedule(0, func() { a.Send(raw) })
-	s.RunAll()
-	if got != 0 {
-		t.Errorf("frame crossed a downed segment")
-	}
-	if seg.FaultDrops != 1 {
-		t.Errorf("downed segment counted %d drops, want 1", seg.FaultDrops)
-	}
-
-	seg.SetDown(false)
-	seg.SetFault(func([]byte) FaultAction { return FaultDuplicate })
-	s.Schedule(s.Now()+1, func() { a.Send(raw) })
-	s.RunAll()
-	if got != 2 {
-		t.Errorf("duplicate verdict delivered %d copies, want 2", got)
-	}
-	if seg.FaultDups != 1 {
-		t.Errorf("FaultDups = %d, want 1", seg.FaultDups)
+		if seg.FaultDrops != c.drops || seg.FaultCorrupts != c.corrupts || seg.FaultDups != c.dups {
+			t.Errorf("%s: counters drop=%d corrupt=%d dup=%d, want %d/%d/%d",
+				c.name, seg.FaultDrops, seg.FaultCorrupts, seg.FaultDups, c.drops, c.corrupts, c.dups)
+		}
 	}
 }

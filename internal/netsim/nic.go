@@ -26,11 +26,14 @@ type txq struct {
 	busy bool
 }
 
-// offer appends raw unless the queue already holds limit frames. It
-// reports whether the frame was accepted and whether the caller must
+// txQueueLimit bounds every transmit backlog, in frames.
+const txQueueLimit = 128
+
+// offer appends raw unless the queue already holds txQueueLimit frames.
+// It reports whether the frame was accepted and whether the caller must
 // start the drain (the queue was idle).
-func (t *txq) offer(raw []byte, trace uint64, limit int) (accepted, start bool) {
-	if len(t.q)-t.head >= limit {
+func (t *txq) offer(raw []byte, trace uint64) (accepted, start bool) {
+	if len(t.q)-t.head >= txQueueLimit {
 		return false, false
 	}
 	t.q = append(t.q, txqEntry{raw: raw, trace: trace})
@@ -72,30 +75,6 @@ func (t *txq) backlog() int { return len(t.q) - t.head }
 // on the segment, exactly as a broadcast medium shares bits.
 type RecvFunc func(nic *NIC, raw []byte)
 
-// FaultAction is a fault verdict for one frame in flight, returned by a
-// FaultFunc installed on a segment or NIC (see internal/fault for the
-// seeded plans that supply these).
-type FaultAction uint8
-
-// The frame fates a fault filter can impose.
-const (
-	// FaultNone lets the frame through untouched.
-	FaultNone FaultAction = iota
-	// FaultDrop destroys the frame in flight.
-	FaultDrop
-	// FaultCorrupt damages the frame in flight: it still occupies the
-	// wire, but every receiver's FCS check discards it, so it is
-	// delivered to no one and counted separately from a drop.
-	FaultCorrupt
-	// FaultDuplicate delivers the frame twice to every receiver.
-	FaultDuplicate
-)
-
-// FaultFunc decides the fate of one frame. It must be deterministic given
-// its own call sequence (the fault plane derives each filter from a
-// per-entity seeded stream), and must not retain or mutate raw.
-type FaultFunc func(raw []byte) FaultAction
-
 // TxDropFunc is the transmit-queue overflow notification. It is invoked
 // at the exact instant Send (or, on a cut segment, the owner-side
 // transmit proxy) rejects a frame. On a cut segment it runs on the
@@ -124,8 +103,6 @@ type NIC struct {
 
 	recv RecvFunc
 
-	// TxQueueLimit bounds the output queue in frames (default 128).
-	TxQueueLimit int
 	// xport is the owner-shard transmit proxy when this NIC is attached to
 	// a cut segment owned by another shard (sharded simulations only).
 	xport *xport
@@ -139,9 +116,6 @@ type NIC struct {
 	// only from the NIC's own engine or at a coordinator barrier (fault
 	// events are control events), never mid-window.
 	linkDown bool
-	// rxFault, when set, passes every arriving frame through a fault
-	// filter before the adapter accepts it.
-	rxFault FaultFunc
 	// dropFn, when set, is notified of every transmit-queue overflow
 	// (see TxDropFunc for the threading contract).
 	dropFn TxDropFunc
@@ -159,17 +133,14 @@ type NIC struct {
 	RxBytes, TxBytes   uint64
 	TxDrops            uint64
 	RxFiltered         uint64
-	// Fault-plane stats: frames destroyed at this NIC by link-down state
-	// or an rx fault filter, frames discarded as corrupt, and duplicate
-	// deliveries injected.
-	FaultDrops    uint64
-	FaultCorrupts uint64
-	FaultDups     uint64
+	// FaultDrops counts the frames destroyed at this NIC while its link
+	// was down, sent or arriving.
+	FaultDrops uint64
 }
 
 // NewNIC creates an interface with the given MAC bound to the simulation.
 func NewNIC(sim *Sim, name string, mac ethernet.MAC) *NIC {
-	n := &NIC{Name: name, MAC: mac, sim: sim, TxQueueLimit: 128}
+	n := &NIC{Name: name, MAC: mac, sim: sim}
 	n.drainFn = n.drain
 	return n
 }
@@ -192,10 +163,6 @@ func (n *NIC) SetLinkDown(down bool) { n.linkDown = down }
 
 // LinkDown reports the fault plane's carrier state.
 func (n *NIC) LinkDown() bool { return n.linkDown }
-
-// SetRxFault installs a receive-side fault filter (nil removes it). The
-// filter runs on the NIC's own engine in delivery order.
-func (n *NIC) SetRxFault(fn FaultFunc) { n.rxFault = fn }
 
 // SetTxDropFn installs the transmit-queue overflow notification (nil
 // removes it). See TxDropFunc for the threading contract.
@@ -229,29 +196,6 @@ func (n *NIC) deliver(raw []byte) {
 		n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx linkdown")
 		return
 	}
-	if n.rxFault != nil {
-		switch n.rxFault(raw) {
-		case FaultDrop:
-			n.FaultDrops++
-			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx drop")
-			return
-		case FaultCorrupt:
-			n.FaultCorrupts++
-			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx corrupt")
-			return
-		case FaultDuplicate:
-			// Receive the frame twice: the adapter saw the same bits
-			// again (a reflection, a repeated symbol). Both copies run
-			// through the same accept filter and handler.
-			n.FaultDups++
-			n.traceEvent(tracing.KindFault, n.sim.curTrace, "rx dup")
-			n.deliverAccepted(raw)
-		}
-	}
-	n.deliverAccepted(raw)
-}
-
-func (n *NIC) deliverAccepted(raw []byte) {
 	if !n.accepts(raw) {
 		n.RxFiltered++
 		return
@@ -306,7 +250,7 @@ func (n *NIC) Send(raw []byte) bool {
 		n.sim.coord.postRequest(n, raw, trace)
 		return true
 	}
-	accepted, start := n.tx.offer(raw, trace, n.TxQueueLimit)
+	accepted, start := n.tx.offer(raw, trace)
 	if !accepted {
 		n.TxDrops++
 		n.traceEvent(tracing.KindTxDrop, trace, "overflow")

@@ -7,6 +7,30 @@ import (
 	"github.com/switchware/activebridge/internal/tracing"
 )
 
+// FaultAction is a fault verdict for one frame in flight, returned by a
+// FaultFunc installed on a segment (see internal/fault for the seeded
+// plans that supply these).
+type FaultAction uint8
+
+// The frame fates a fault filter can impose.
+const (
+	// FaultNone lets the frame through untouched.
+	FaultNone FaultAction = iota
+	// FaultDrop destroys the frame in flight.
+	FaultDrop
+	// FaultCorrupt damages the frame in flight: it still occupies the
+	// wire, but every receiver's FCS check discards it, so it is
+	// delivered to no one and counted separately from a drop.
+	FaultCorrupt
+	// FaultDuplicate delivers the frame twice to every receiver.
+	FaultDuplicate
+)
+
+// FaultFunc decides the fate of one frame. It must be deterministic given
+// its own call sequence (the fault plane derives each filter from a
+// per-segment seeded stream), and must not retain or mutate raw.
+type FaultFunc func(raw []byte) FaultAction
+
 // Segment models a shared 100 Mbps Ethernet broadcast domain (one of the
 // paper's "100 Mbps Ethernet LANs"). Transmissions are serialized: the
 // medium carries one frame at a time, and every attached NIC other than the

@@ -157,7 +157,6 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 	s := New()
 	seg := NewSegment(s, "lan1")
 	a := NewNIC(s, "a", mac(1))
-	a.TxQueueLimit = 4
 	b := NewNIC(s, "b", mac(2))
 	got := 0
 	b.SetRecv(func(*NIC, []byte) { got++ })
@@ -165,17 +164,17 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 	seg.Attach(b)
 	raw := frameBytes(t, mac(2), mac(1), 1000)
 	s.Schedule(0, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < txQueueLimit+6; i++ {
 			a.Send(raw)
 		}
 	})
 	s.RunAll()
-	// One frame is in transmission immediately, 4 queue, 5 drop.
+	// One frame is in transmission immediately, txQueueLimit queue, 5 drop.
 	if a.TxDrops != 5 {
 		t.Errorf("TxDrops = %d, want 5", a.TxDrops)
 	}
-	if got != 5 {
-		t.Errorf("delivered = %d, want 5", got)
+	if got != txQueueLimit+1 {
+		t.Errorf("delivered = %d, want %d", got, txQueueLimit+1)
 	}
 }
 

@@ -45,7 +45,7 @@ func stpCapabilities() []env.Capability {
 
 // stpLifecycle builds the lifecycle entry points for a spanning tree
 // protocol registered under the given prefix ("ieee" or "dec"), with the
-// protocol's multicast address declared so upgrades guard it by default.
+// protocol's multicast address declared so upgrades guard it.
 func stpLifecycle(prefix string, addr ethernet.MAC) env.Lifecycle {
 	return env.Lifecycle{
 		Start:     prefix + ".start",

@@ -8,7 +8,7 @@ import (
 )
 
 // FaultPlan attaches a seeded fault schedule to the topology: impairment
-// models resolve against declared segment/bridge names at Build, and
+// models resolve against declared segment names at Build, and
 // scheduled events fire on the net's control engine at their virtual
 // instants. A nil plan (the default) takes none of the fault code paths.
 func (g *Graph) FaultPlan(p *fault.Plan) { g.faultPlan = p }
@@ -20,23 +20,19 @@ func (n *Net) applyFaults(plan *fault.Plan) error {
 	g := n.Graph
 	n.faultPlan = plan
 
+	// Resolve every name the plan uses now: a typo in a plan should fail
+	// the build, not silently impair nothing or no-op mid-run.
+	for _, name := range plan.SegmentNames() {
+		if _, ok := n.segIndex(name); !ok {
+			return fmt.Errorf("fault plan: Segment(%q): no such segment", name)
+		}
+	}
 	for i, seg := range n.segments {
 		if m, ok := plan.SegmentModel(g.segments[i].name); ok && !m.Zero() {
 			seg.SetFault(plan.SegmentStream(g.segments[i].name, m).Verdict)
 		}
 	}
-	for i, br := range n.bridges {
-		m, ok := plan.BridgeModel(g.bridges[i].name)
-		if !ok || m.Zero() {
-			continue
-		}
-		for p := 0; p < br.NumPorts(); p++ {
-			br.Port(p).SetRxFault(plan.BridgePortStream(g.bridges[i].name, p, m).Verdict)
-		}
-	}
 
-	// Resolve every event's target now: a typo in a plan should fail the
-	// build, not silently no-op mid-run.
 	for _, ev := range plan.Events() {
 		ev := ev
 		var apply func()

@@ -9,19 +9,20 @@ import (
 
 // TestFCSMemoWithGilbertElliottCorruption is the corruption regression at
 // system level. The host-side FCS memo is sound only because corrupted
-// frames never reach a receiver: the adapter discards them at the FCS
-// boundary (netsim.FaultCorrupt), so the memo can never certify damaged
-// bytes. A bursty Gilbert-Elliott stream with a high corrupt rate hammers
-// exactly the reuse the memo exploits — one template buffer re-sent
-// hundreds of times — and every accounting identity below breaks the
-// moment a corrupted frame slips past the memo.
+// frames never reach a receiver: a corrupt verdict on the medium
+// (netsim.FaultCorrupt) stands for every receiver's FCS check failing, so
+// the memo can never certify damaged bytes. A bursty Gilbert-Elliott stream with a high corrupt rate
+// hammers exactly the reuse the memo exploits — one template buffer
+// re-sent hundreds of times — and every accounting identity below breaks
+// the moment a corrupted frame slips past the memo.
 func TestFCSMemoWithGilbertElliottCorruption(t *testing.T) {
 	sim, h1, h2 := pair(t)
-	st := fault.NewStream(fault.DeriveSeed(42, "h2-rx"), fault.Model{
+	lan := h2.NIC.Segment()
+	st := fault.NewStream(fault.DeriveSeed(42, "segment/lan"), fault.Model{
 		Corrupt:   0.25,
 		GoodToBad: 0.05, BadToGood: 0.3, BadDrop: 0.4,
 	})
-	h2.NIC.SetRxFault(st.Verdict)
+	lan.SetFault(st.Verdict)
 
 	delivered := 0
 	h2.onTest = func(payload []byte, _ netsim.Time) { delivered++ }
@@ -41,19 +42,27 @@ func TestFCSMemoWithGilbertElliottCorruption(t *testing.T) {
 	}
 	sim.Run(sim.Now().Add(netsim.Duration(sent+100) * netsim.Millisecond))
 
-	corrupts := h2.NIC.FaultCorrupts
-	drops := h2.NIC.FaultDrops
+	if lan.Frames != sent {
+		t.Fatalf("segment carried %d frames, want the %d sent", lan.Frames, sent)
+	}
+	corrupts := lan.FaultCorrupts
+	drops := lan.FaultDrops
 	if corrupts == 0 {
 		t.Fatal("Gilbert-Elliott stream never corrupted a frame; regression test is vacuous")
 	}
 	if drops == 0 {
 		t.Error("burst chain never dropped a frame")
 	}
-	// Corrupted and dropped frames die at the adapter; everything else is
-	// delivered and decoded.
-	if got := uint64(sent) - corrupts - drops; uint64(delivered) != got {
+	// Corrupted and dropped frames die on the wire and never reach the
+	// adapter; everything else is delivered and decoded.
+	got := uint64(sent) - corrupts - drops
+	if uint64(delivered) != got {
 		t.Errorf("delivered = %d, want %d (sent %d - corrupt %d - drop %d)",
 			delivered, got, sent, corrupts, drops)
+	}
+	if h2.NIC.RxFrames != got {
+		t.Errorf("adapter accepted %d frames, want %d: a damaged frame reached it",
+			h2.NIC.RxFrames, got)
 	}
 	// Every delivered frame passed exactly one memo decision — corrupted
 	// frames never entered the memo, warm or cold.

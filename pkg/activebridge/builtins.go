@@ -41,7 +41,8 @@ func ControlSwitchlet() Switchlet { return switchlets.ControlManifest() }
 func BuiltinSwitchlet(key string) (Switchlet, bool) { return switchlets.BuiltinManifest(key) }
 
 // Protocol multicast addresses of the two bundled spanning tree
-// protocols, for UpgradeOptions guards.
+// protocols: the Lifecycle.ProtoAddr their manifests declare, which an
+// upgrade guards and drains.
 var (
 	// AllBridgesMAC is the 802.1D All Bridges multicast address.
 	AllBridgesMAC = ethernet.AllBridges

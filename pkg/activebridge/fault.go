@@ -5,20 +5,21 @@ import (
 )
 
 // Deterministic fault injection. A FaultPlan attaches chaos to a
-// Topology before Build: per-segment and per-bridge-port frame
-// impairment models (loss, corruption, duplication, Gilbert-Elliott
-// bursts) plus scheduled events (segment cuts, port flaps, bridge
-// crashes and restarts) that fire in virtual time. Everything derives
-// from the plan's single seed, so a chaotic run is replayable
-// byte-for-byte — at any shard count.
+// Topology before Build: per-segment frame impairment models (loss,
+// corruption, duplication, Gilbert-Elliott bursts) applied on the wire,
+// plus scheduled events (segment cuts, port flaps, bridge crashes and
+// restarts) that fire in virtual time. Build fails on any segment,
+// bridge or port the plan names that the topology does not declare.
+// Everything derives from the plan's single seed, so a chaotic run is
+// replayable byte-for-byte — at any shard count.
 
-// FaultModel is a per-entity frame impairment model: independent
+// FaultModel is a per-segment frame impairment model: independent
 // per-frame probabilities, plus an optional two-state burst chain
 // (GoodToBad/BadToGood/BadDrop) for correlated loss.
 type FaultModel = fault.Model
 
 // FaultPlan is a seeded chaos description: impairment models per
-// segment/bridge plus scheduled fault events. Attach one with
+// segment plus scheduled fault events. Attach one with
 // Topology.FaultPlan before Build.
 type FaultPlan = fault.Plan
 

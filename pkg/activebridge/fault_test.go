@@ -1,6 +1,7 @@
 package activebridge_test
 
 import (
+	"strings"
 	"testing"
 
 	ab "github.com/switchware/activebridge/pkg/activebridge"
@@ -61,15 +62,33 @@ func TestSDKFaultPlanDeterministicChaos(t *testing.T) {
 	}
 }
 
-// TestSDKFaultPlanUnknownTargetFailsBuild: a typo'd event target is a
-// build error, not silence at runtime.
+// TestSDKFaultPlanUnknownTargetFailsBuild: a typo'd name anywhere in a
+// plan, an event target or a segment model, is a build error naming the
+// plan entry, not silence at runtime.
 func TestSDKFaultPlanUnknownTargetFailsBuild(t *testing.T) {
-	g := ab.NewTopology("sdk-fault-typo")
-	s0 := g.AddSegment("s0")
-	h := g.AddHost("")
-	g.Link(h, s0)
-	g.FaultPlan(ab.NewFaultPlan(1).At(ab.Second, ab.FaultLinkDown, "nope"))
-	if _, err := g.Build(ab.DefaultCostModel()); err == nil {
-		t.Fatal("build accepted an event targeting an undeclared segment")
+	cases := []struct {
+		name string
+		plan *ab.FaultPlan
+		want string
+	}{
+		{"event target", ab.NewFaultPlan(1).At(ab.Second, ab.FaultLinkDown, "nope"), "1s link-down nope"},
+		{"segment model", ab.NewFaultPlan(1).
+			Segment("s0", ab.FaultModel{Drop: 0.1}).
+			Segment("nope", ab.FaultModel{Drop: 0.1}), `Segment("nope")`},
+	}
+	for _, c := range cases {
+		g := ab.NewTopology("sdk-fault-typo")
+		s0 := g.AddSegment("s0")
+		h := g.AddHost("")
+		g.Link(h, s0)
+		g.FaultPlan(c.plan)
+		_, err := g.Build(ab.DefaultCostModel())
+		if err == nil {
+			t.Errorf("%s: build accepted a plan naming an undeclared segment", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the plan entry %s", c.name, err, c.want)
+		}
 	}
 }

@@ -18,8 +18,9 @@ type InstalledSwitchlet = bridge.Installed
 // library value.
 type Upgrade = bridge.Upgrade
 
-// UpgradeOptions tunes an upgrade's suppression and validation windows
-// and the protocol multicast addresses to guard.
+// UpgradeOptions tunes an upgrade's suppression and validation windows.
+// The protocol multicast addresses it guards are the manifests' own
+// Lifecycle.ProtoAddr.
 type UpgradeOptions = bridge.UpgradeOptions
 
 // DefaultUpgradeOptions returns the paper's Table 1 windows: 30 s

@@ -79,15 +79,6 @@ func (tn *transitionNet) dataFlows(t *testing.T) bool {
 	return h2.FramesIn > before
 }
 
-// upgradeOpts are the paper's windows with both protocol addresses
-// guarded.
-func upgradeOpts() ab.UpgradeOptions {
-	opts := ab.DefaultUpgradeOptions()
-	opts.OldAddr = ab.DECBridgesMAC
-	opts.NewAddr = ab.AllBridgesMAC
-	return opts
-}
-
 // TestUpgradeReproducesDECToIEEETransition drives the paper's §5.4
 // protocol transition purely through the public API: DEC converges, the
 // operator upgrades both nodes to IEEE 802.1D in one virtual instant,
@@ -119,12 +110,12 @@ func TestUpgradeReproducesDECToIEEETransition(t *testing.T) {
 	at := sim.Now()
 	sim.Schedule(at+1, func() {
 		var err error
-		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), upgradeOpts())
+		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b1 upgrade: %v", err)
 			return
 		}
-		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), upgradeOpts())
+		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b2 upgrade: %v", err)
 		}
@@ -202,12 +193,12 @@ func TestUpgradeRollsBackOnBuggySwitchlet(t *testing.T) {
 	at := sim.Now()
 	sim.Schedule(at+1, func() {
 		var err error
-		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.BuggySpanningSwitchlet(), upgradeOpts())
+		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.BuggySpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b1 upgrade: %v", err)
 			return
 		}
-		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.BuggySpanningSwitchlet(), upgradeOpts())
+		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.BuggySpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b2 upgrade: %v", err)
 		}
@@ -267,7 +258,7 @@ let _ = Func.register "crashy.running" (fun s -> "no")`,
 	var uerr error
 	at := sim.Now()
 	sim.Schedule(at+1, func() {
-		u, uerr = tn.b1.Manager().Upgrade("Decspan", crashy, upgradeOpts())
+		u, uerr = tn.b1.Manager().Upgrade("Decspan", crashy, ab.DefaultUpgradeOptions())
 	})
 	sim.Run(at + ab.Time(2*ab.Second))
 
@@ -301,12 +292,12 @@ func TestManualRollbackAfterCommit(t *testing.T) {
 	at := sim.Now()
 	sim.Schedule(at+1, func() {
 		var err error
-		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), upgradeOpts())
+		u1, err = tn.b1.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b1 upgrade: %v", err)
 			return
 		}
-		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), upgradeOpts())
+		u2, err = tn.b2.Manager().Upgrade("Decspan", ab.SpanningSwitchlet(), ab.DefaultUpgradeOptions())
 		if err != nil {
 			t.Errorf("b2 upgrade: %v", err)
 		}
