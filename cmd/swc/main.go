@@ -75,13 +75,13 @@ func main() {
 		var target string
 		switch {
 		case *builtin != "":
-			name, src, ok := builtinSource(*builtin)
+			m, ok := switchlets.BuiltinManifest(*builtin)
 			if !ok {
 				fatal("unknown builtin %q", *builtin)
 			}
-			obj, _, err := vm.CompileLevel(name, src, env, 0)
+			obj, _, err := vm.CompileLevel(m.Name, m.Source, env, 0)
 			if err != nil {
-				fatal("compile %s: %v", name, err)
+				fatal("compile %s: %v", m.Name, err)
 			}
 			enc, target = obj.Encode(), *builtin
 		case flag.NArg() == 1 && strings.EqualFold(filepath.Ext(flag.Arg(0)), ".swl"):
@@ -122,17 +122,17 @@ func main() {
 		return
 
 	case *builtin != "":
-		name, src, ok := builtinSource(*builtin)
+		m, ok := switchlets.BuiltinManifest(*builtin)
 		if !ok {
 			fatal("unknown builtin %q", *builtin)
 		}
-		obj, sig, err := vm.CompileLevel(name, src, env, optLevel)
+		obj, sig, err := vm.CompileLevel(m.Name, m.Source, env, optLevel)
 		if err != nil {
-			fatal("compile %s: %v", name, err)
+			fatal("compile %s: %v", m.Name, err)
 		}
 		dst := *out
 		if dst == "" {
-			dst = strings.ToLower(name) + ".swo"
+			dst = strings.ToLower(m.Name) + ".swo"
 		}
 		writeObject(dst, obj, sig)
 		return
@@ -203,24 +203,6 @@ func main() {
 		dst = strings.TrimSuffix(path, filepath.Ext(path)) + ".swo"
 	}
 	writeObject(dst, obj, sig)
-}
-
-func builtinSource(key string) (name, src string, ok bool) {
-	switch key {
-	case "dumb":
-		return switchlets.ModDumb, switchlets.DumbSrc, true
-	case "learning":
-		return switchlets.ModLearning, switchlets.LearningSrc, true
-	case "spanning":
-		return switchlets.ModSpanning, switchlets.SpanningSrc, true
-	case "dec":
-		return switchlets.ModDEC, switchlets.DECSrc, true
-	case "control":
-		return switchlets.ModControl, switchlets.ControlSrc, true
-	case "spanbug":
-		return switchlets.ModSpanning, switchlets.BuggySpanningSrc, true
-	}
-	return "", "", false
 }
 
 // verifyWire replays the load-time proof on the wire bytes: decode and

@@ -19,8 +19,8 @@ type HubSnapshot struct {
 //	/metrics   Prometheus text exposition (version 0.0.4)
 //	/snapshot  the same values as structured JSON (HubSnapshot)
 //
-// Both read only published cells, so scraping never contends with a
-// running simulation.
+// Both only load each registry's published document, so scraping never
+// contends with a running simulation.
 func Handler(h *Hub) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -51,8 +51,8 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // Serve binds addr and serves the hub's scrape surface in the
 // background until Close. The listener runs entirely on wall-clock
-// goroutines; it holds no reference into any simulation beyond the
-// hub's published cells.
+// goroutines; it reads no simulation state, only the documents the
+// hub's registries published.
 func Serve(addr string, h *Hub) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -3,28 +3,33 @@
 // wall-clock observers without perturbing virtual time.
 //
 // Nearly every instrument is a sampler: a closure over state the
-// simulation already keeps (bridge.Stats, NIC and engine counters),
-// read by Registry.Publish at quiescent points only — after a serial
-// Sim.Run drains, or in a netsim.Coordinator.OnQuiesce callback when
-// the simulation is sharded — into an atomically published cell.
+// simulation already keeps (bridge.Stats, NIC and engine counters).
 // Dynamic gauge families are sampled the same way, for populations that
-// change during a run.
+// change during a run. The one live instrument is the Histogram, written
+// only by the goroutine that owns the observing component
+// (Histogram.Observe: plain stores, no locks, no allocation); its two
+// producers are the ping reply path and the tracer's quiescent merge.
 //
-// Histograms are the one instrument with two storages: a live cell
-// written only by the goroutine that owns the observing component
-// (Histogram.Observe: plain stores, no locks, no allocation), copied
-// into a published snapshot by Publish. Their two producers are the
-// ping reply path and the tracer's quiescent merge.
+// Registry.Publish is the only code that reads instruments. It runs at
+// quiescent points only — after a serial Sim.Run drains, or in a
+// netsim.Coordinator.OnQuiesce callback when the simulation is sharded
+// — and flattens every family into one immutable document, stored
+// behind one atomic pointer. Wall-clock readers (the /metrics and
+// /snapshot HTTP endpoints, the in-process Snapshot API) only load that
+// pointer, so a scraper can never contend with a running simulation:
+// the hot path takes no lock, and collection happens exactly when every
+// shard is parked. A series registered after the last Publish is absent
+// until the next one.
 //
-// Wall-clock readers (the /metrics and /snapshot HTTP endpoints, the
-// in-process Snapshot API) touch only the published cells, so a scraper
-// can never contend with a running simulation: the hot path takes no
-// lock, and collection happens exactly when every shard is parked.
-// Because samplers only read and histogram observations are plain Go
-// stores, enabling metrics never schedules an event, never advances a
-// clock, and never changes a virtual-time output — the
-// golden-fingerprint suite pins that a metrics-on run is byte-identical
-// to a metrics-off run at any shard count.
+// Registration and Publish have a single writer: the goroutine that
+// drives the net (topo's quiescence hook, a scenario between runs, the
+// script console between commands). Histogram.Observe and every sampler
+// already live under that rule. Because samplers only read and
+// histogram observations are plain Go stores, enabling metrics never
+// schedules an event, never advances a clock, and never changes a
+// virtual-time output — the golden-fingerprint suite pins that a
+// metrics-on run is byte-identical to a metrics-off run at any shard
+// count.
 //
 // # Naming scheme
 //
@@ -59,6 +64,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -144,23 +150,9 @@ func escapeLabelValue(v string) string {
 // component may call Observe.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf is implicit
-	counts []uint64  // len(bounds)+1, cumulative only at render time
+	counts []uint64  // len(bounds)+1, cumulative only at publish time
 	sum    float64
 	count  uint64
-}
-
-// equalBounds reports element-wise equality: a family's series must
-// share one bucket layout or their rendered le labels would lie.
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Observe records one value.
@@ -174,65 +166,91 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// histSnap is an immutable published copy of a histogram.
-type histSnap struct {
-	counts []uint64
-	sum    float64
-	count  uint64
+// emitter is one contributor to a family's points: exactly one of
+// sample, hist and dynamic is set.
+type emitter struct {
+	labels  string // rendered; samplers and histograms
+	sample  func() float64
+	hist    *Histogram
+	le      []string // hist: each bucket's rendered label set, +Inf last
+	dynamic func(emit func(Labels, float64))
 }
 
-// series is one registered time series of a family.
-type series struct {
-	labels string // rendered
-
-	// Exactly one source is set.
-	hist   *Histogram
-	sample func() float64
-
-	// Published cells, written by Publish, read by renderers.
-	pub     atomic.Uint64 // math.Float64bits of the scalar value
-	histPub atomic.Pointer[histSnap]
-}
-
-// family groups the series of one metric name.
+// family groups the emitters of one metric name. Its name, help and
+// kind are fixed at creation, which is what lets a published document
+// point at it.
 type family struct {
 	name, help string
 	kind       Kind
-	series     []*series
-	seen       map[string]bool // rendered label sets, duplicate guard
+	emitters   []emitter
+	dynamic    bool            // the emitters are dynamic contributors
+	seen       map[string]bool // rendered static label sets, duplicate guard
 
-	// dynamic families re-enumerate their series at every Publish;
-	// several components may contribute emitters to one family.
-	dynamics []func(emit func(Labels, float64))
-	dynPub   atomic.Pointer[[]dynPoint]
-
-	histBounds []float64
+	// Histogram families: the shared bucket layout and the names of the
+	// flattened _bucket/_sum/_count series ("" until the first series).
+	bounds             []float64
+	bucket, sum, count string
 }
 
-type dynPoint struct {
-	labels string
-	value  float64
+// document is one immutable publication of a registry: the flattened
+// points of every family, in registration order, and the wall-clock
+// instant they were read. Nothing writes to a document once it is
+// stored.
+type document struct {
+	wall   int64
+	points []point
+	fams   []docFamily
+}
+
+// point is one flattened series of a document; its kind is its
+// family's.
+type point struct {
+	name, labels string
+	value        float64
+}
+
+// docFamily is one family of a document; its points run from the
+// previous family's end up to end.
+type docFamily struct {
+	f   *family
+	end int
+}
+
+// families hands visit each family of the document with its points.
+func (d *document) families(visit func(f *family, pts []point)) {
+	lo := 0
+	for _, df := range d.fams {
+		visit(df.f, d.points[lo:df.end])
+		lo = df.end
+	}
 }
 
 // Registry is one component tree's instrument set — typically one
-// materialized topo.Net. Structure (families, series) is guarded by a
-// mutex taken at registration, Publish and render time only; instrument
-// updates never touch it.
+// materialized topo.Net. Registration and Publish belong to the one
+// goroutine that drives the net; readers only load the published
+// document.
 type Registry struct {
 	// Net names the instrumented simulation (the topology graph name).
 	Net string
 
-	mu       sync.RWMutex
 	families []*family
 	byName   map[string]*family
+	doc      atomic.Pointer[document]
 
-	// publishedWall is the wall-clock instant of the last Publish.
-	publishedWall atomic.Int64
+	// Publish's working state: the points being collected and the
+	// family a dynamic contributor is emitting into. emit is bound once,
+	// so Publish creates no closure.
+	pts     []point
+	emitFam *family
+	emit    func(Labels, float64)
 }
 
 // NewRegistry creates an empty registry for the named net.
 func NewRegistry(net string) *Registry {
-	return &Registry{Net: net, byName: map[string]*family{}}
+	r := &Registry{Net: net, byName: map[string]*family{}}
+	r.emit = r.emitDynamic
+	r.doc.Store(&document{})
+	return r
 }
 
 func validName(s string) bool {
@@ -249,19 +267,9 @@ func validName(s string) bool {
 	return true
 }
 
-func validLabelName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
+// validLabelName is validName without the colon, which label names may
+// not hold.
+func validLabelName(s string) bool { return !strings.Contains(s, ":") && validName(s) }
 
 // familyFor finds or creates the family, enforcing one kind and help
 // text per name. Misuse is a programming bug: it panics.
@@ -288,24 +296,30 @@ func (r *Registry) familyFor(name, help string, kind Kind) *family {
 	return f
 }
 
-func (r *Registry) addSeries(name, help string, kind Kind, ls Labels, s *series) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kind)
-	if len(f.dynamics) > 0 {
-		panic("metrics: " + name + " is a dynamic family; cannot add static series")
+// addSeries appends a static series' emitter, rendering its label set
+// (and a histogram's le label sets) once, here.
+func (f *family) addSeries(ls Labels, e emitter) {
+	if f.dynamic {
+		panic("metrics: " + f.name + " is a dynamic family; cannot add static series")
 	}
 	for _, l := range ls {
 		if !validLabelName(l.Name) {
-			panic("metrics: invalid label name " + l.Name + " on " + name)
+			panic("metrics: invalid label name " + l.Name + " on " + f.name)
 		}
 	}
-	s.labels = ls.render()
-	if f.seen[s.labels] {
-		panic("metrics: duplicate series " + name + s.labels)
+	e.labels = ls.render()
+	if f.seen[e.labels] {
+		panic("metrics: duplicate series " + f.name + e.labels)
 	}
-	f.seen[s.labels] = true
-	f.series = append(f.series, s)
+	f.seen[e.labels] = true
+	if e.hist != nil {
+		e.le = make([]string, 0, len(f.bounds)+1)
+		for _, b := range f.bounds {
+			e.le = append(e.le, withLe(e.labels, formatValue(b)))
+		}
+		e.le = append(e.le, withLe(e.labels, "+Inf"))
+	}
+	f.emitters = append(f.emitters, e)
 }
 
 // Histogram registers a live histogram with the given ascending bucket
@@ -317,21 +331,16 @@ func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Hi
 		}
 	}
 	b := append([]float64(nil), bounds...)
+	f := r.familyFor(name, help, KindHistogram)
+	if f.bucket == "" {
+		f.bounds, f.bucket, f.sum, f.count = b, name+"_bucket", name+"_sum", name+"_count"
+	} else if !slices.Equal(f.bounds, b) {
+		// Every series of a family shares one layout, or the rendered
+		// le labels would lie.
+		panic("metrics: histogram " + name + " bucket layout differs across series")
+	}
 	h := &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-	func() {
-		// Deferred unlock, like addSeries: familyFor panics on misuse,
-		// and a panicking registration must not leave the registry
-		// locked (a recovered panic would then hang every scrape).
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		f := r.familyFor(name, help, KindHistogram)
-		if f.histBounds == nil {
-			f.histBounds = b
-		} else if !equalBounds(f.histBounds, b) {
-			panic("metrics: histogram " + name + " bucket layout differs across series")
-		}
-	}()
-	r.addSeries(name, help, KindHistogram, ls, &series{hist: h})
+	f.addSeries(ls, emitter{hist: h})
 	return h
 }
 
@@ -339,64 +348,68 @@ func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Hi
 // Publish — the idiom for mirroring counters a component already keeps
 // (bridge.Stats, NIC counters): zero cost on the instrumented path.
 func (r *Registry) SampleCounter(name, help string, ls Labels, fn func() float64) {
-	r.addSeries(name, help, KindCounter, ls, &series{sample: fn})
+	r.familyFor(name, help, KindCounter).addSeries(ls, emitter{sample: fn})
 }
 
 // SampleGauge registers a gauge whose value is read from fn at every
 // Publish.
 func (r *Registry) SampleGauge(name, help string, ls Labels, fn func() float64) {
-	r.addSeries(name, help, KindGauge, ls, &series{sample: fn})
+	r.familyFor(name, help, KindGauge).addSeries(ls, emitter{sample: fn})
 }
 
 // Dynamic registers an emitter into a gauge family whose series set is
 // re-enumerated at every Publish — for populations that change during a
 // run, like the installed-switchlet version set of a bridge. Several
 // components may register emitters into the same family (one per
-// bridge, say); each emitter's label sets must stay distinct.
+// bridge, say); each emitter's label sets must stay distinct. fn may
+// call emit only while it runs.
 func (r *Registry) Dynamic(name, help string, fn func(emit func(Labels, float64))) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.familyFor(name, help, KindGauge)
-	if len(f.series) > 0 {
+	if len(f.emitters) > 0 && !f.dynamic {
 		panic("metrics: " + name + " already has static series")
 	}
-	f.dynamics = append(f.dynamics, fn)
+	f.dynamic = true
+	f.emitters = append(f.emitters, emitter{dynamic: fn})
 }
 
-// Publish copies every live value into the published cells. Call it only
-// at quiescent points (Coordinator.OnQuiesce / serial Sim.OnQuiesce —
-// topo wires this automatically): samplers read engine state without
-// synchronization, which is exactly what quiescence licenses.
+// Publish reads every instrument, in registration order, into a new
+// document and stores it for readers. Call it only at quiescent points
+// (Coordinator.OnQuiesce / serial Sim.OnQuiesce — topo wires this
+// automatically): samplers read engine state without synchronization,
+// which is exactly what quiescence licenses.
 func (r *Registry) Publish() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, f := range r.families {
-		if len(f.dynamics) > 0 {
-			pts := []dynPoint{}
-			emit := func(ls Labels, v float64) {
-				pts = append(pts, dynPoint{labels: ls.render(), value: v})
-			}
-			for _, fn := range f.dynamics {
-				fn(emit)
-			}
-			f.dynPub.Store(&pts)
-			continue
-		}
-		for _, s := range f.series {
+	// The previous document's size is the capacity hint: the points
+	// slice is the one allocation that scales with the registry.
+	r.pts = make([]point, 0, len(r.doc.Load().points))
+	fams := make([]docFamily, len(r.families))
+	for i, f := range r.families {
+		for _, e := range f.emitters {
 			switch {
-			case s.hist != nil:
-				snap := &histSnap{
-					counts: append([]uint64(nil), s.hist.counts...),
-					sum:    s.hist.sum,
-					count:  s.hist.count,
+			case e.sample != nil:
+				r.pts = append(r.pts, point{f.name, e.labels, e.sample()})
+			case e.hist != nil:
+				cum := uint64(0)
+				for j, c := range e.hist.counts {
+					cum += c
+					r.pts = append(r.pts, point{f.bucket, e.le[j], float64(cum)})
 				}
-				s.histPub.Store(snap)
+				r.pts = append(r.pts,
+					point{f.sum, e.labels, e.hist.sum},
+					point{f.count, e.labels, float64(e.hist.count)})
 			default:
-				s.pub.Store(math.Float64bits(s.sample()))
+				r.emitFam = f
+				e.dynamic(r.emit)
 			}
 		}
+		fams[i] = docFamily{f: f, end: len(r.pts)}
 	}
-	r.publishedWall.Store(time.Now().UnixNano())
+	r.doc.Store(&document{wall: time.Now().UnixNano(), points: r.pts, fams: fams})
+	r.pts, r.emitFam = nil, nil
+}
+
+// emitDynamic is the emit callback Publish hands dynamic contributors.
+func (r *Registry) emitDynamic(ls Labels, v float64) {
+	r.pts = append(r.pts, point{r.emitFam.name, ls.render(), v})
 }
 
 // --- rendering ---------------------------------------------------------------
@@ -415,64 +428,12 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// renderFamilies walks the families in registration order, handing the
-// caller each family's comment metadata plus its fully rendered sample
-// rows — the one implementation behind both the per-registry and the
-// hub-merged text expositions. It reads only published cells.
-func (r *Registry) renderFamilies(visit func(name, help string, kind Kind, rows []string)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, f := range r.families {
-		var rows []string
-		if len(f.dynamics) > 0 {
-			if pts := f.dynPub.Load(); pts != nil {
-				for _, p := range *pts {
-					rows = append(rows, fmt.Sprintf("%s%s %s", f.name, p.labels, formatValue(p.value)))
-				}
-			}
-			visit(f.name, f.help, f.kind, rows)
-			continue
-		}
-		for _, s := range f.series {
-			if s.hist != nil {
-				flattenHist(f, s, func(name, labels string, v float64) {
-					rows = append(rows, fmt.Sprintf("%s%s %s", name, labels, formatValue(v)))
-				})
-				continue
-			}
-			v := math.Float64frombits(s.pub.Load())
-			rows = append(rows, fmt.Sprintf("%s%s %s", f.name, s.labels, formatValue(v)))
-		}
-		visit(f.name, f.help, f.kind, rows)
-	}
-}
-
-// flattenHist hands visit the _bucket/_sum/_count components of one
-// histogram series, computed from its published snapshot — the single
-// flattening behind both the text exposition and Snapshot, so the two
-// surfaces cannot drift.
-func flattenHist(f *family, s *series, visit func(name, labels string, v float64)) {
-	snap := s.histPub.Load()
-	if snap == nil {
-		snap = &histSnap{counts: make([]uint64, len(f.histBounds)+1)}
-	}
-	cum := uint64(0)
-	for i, b := range f.histBounds {
-		cum += snap.counts[i]
-		visit(f.name+"_bucket", withLe(s.labels, formatValue(b)), float64(cum))
-	}
-	cum += snap.counts[len(f.histBounds)]
-	visit(f.name+"_bucket", withLe(s.labels, "+Inf"), float64(cum))
-	visit(f.name+"_sum", s.labels, snap.sum)
-	visit(f.name+"_count", s.labels, float64(snap.count))
-}
-
-// RenderText writes the registry's published values in the Prometheus
-// text exposition format (version 0.0.4). It reads only published
-// cells; it never blocks a running simulation.
+// RenderText writes the registry's published document in the
+// Prometheus text exposition format (version 0.0.4). It never blocks a
+// running simulation.
 func (r *Registry) RenderText(sb *strings.Builder) {
-	r.renderFamilies(func(name, help string, kind Kind, rows []string) {
-		writeFamily(sb, name, help, kind, rows)
+	r.doc.Load().families(func(f *family, pts []point) {
+		writeFamily(sb, f, pts)
 	})
 }
 
@@ -481,11 +442,14 @@ func (r *Registry) RenderText(sb *strings.Builder) {
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // writeFamily writes one family's # HELP and # TYPE lines followed by
-// its sample rows — the one writer behind both text expositions.
-func writeFamily(sb *strings.Builder, name, help string, kind Kind, rows []string) {
-	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, kind)
-	for _, row := range rows {
-		sb.WriteString(row)
+// one row per point — the one writer behind both text expositions.
+func writeFamily(sb *strings.Builder, f *family, pts []point) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.kind)
+	for _, p := range pts {
+		sb.WriteString(p.name)
+		sb.WriteString(p.labels)
+		sb.WriteByte(' ')
+		sb.WriteString(formatValue(p.value))
 		sb.WriteByte('\n')
 	}
 }
@@ -519,31 +483,15 @@ type Snapshot struct {
 	Series     []Point `json:"series"`
 }
 
-// Snapshot returns the registry's current published values.
+// Snapshot returns the registry's published values.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	snap := Snapshot{Net: r.Net, WallUnixNs: r.publishedWall.Load()}
-	for _, f := range r.families {
-		kind := f.kind.String()
-		if len(f.dynamics) > 0 {
-			if pts := f.dynPub.Load(); pts != nil {
-				for _, p := range *pts {
-					snap.Series = append(snap.Series, Point{Name: f.name, Labels: p.labels, Kind: kind, Value: p.value})
-				}
-			}
-			continue
+	d := r.doc.Load()
+	snap := Snapshot{Net: r.Net, WallUnixNs: d.wall}
+	d.families(func(f *family, pts []point) {
+		for _, p := range pts {
+			snap.Series = append(snap.Series, Point{Name: p.name, Labels: p.labels, Kind: f.kind.String(), Value: p.value})
 		}
-		for _, s := range f.series {
-			if s.hist != nil {
-				flattenHist(f, s, func(name, labels string, v float64) {
-					snap.Series = append(snap.Series, Point{Name: name, Labels: labels, Kind: kind, Value: v})
-				})
-				continue
-			}
-			snap.Series = append(snap.Series, Point{Name: f.name, Labels: s.labels, Kind: kind, Value: math.Float64frombits(s.pub.Load())})
-		}
-	}
+	})
 	return snap
 }
 
@@ -627,35 +575,32 @@ func (h *Hub) SnapshotAll() []Snapshot {
 	return out
 }
 
-// RenderText renders every attached registry's published values as one
-// exposition document. A family name may repeat across nets, and the
-// format requires each name's HELP/TYPE exactly once with all its
-// series grouped under it, so the hub merges families across
-// registries before rendering — through the same renderFamilies walk
-// the per-registry exposition uses.
+// RenderText renders every attached registry's published document as
+// one exposition. A family name may repeat across nets, and the format
+// requires each name's HELP/TYPE exactly once with all its series
+// grouped under it, so the hub merges families across documents before
+// rendering.
 func (h *Hub) RenderText() string {
 	type famEntry struct {
-		help string
-		kind Kind
-		rows []string
+		f   *family
+		pts []point
 	}
-	var order []string
+	var order []*famEntry
 	fams := map[string]*famEntry{}
 	for _, r := range h.Registries() {
-		r.renderFamilies(func(name, help string, kind Kind, rows []string) {
-			fe, ok := fams[name]
+		r.doc.Load().families(func(f *family, pts []point) {
+			fe, ok := fams[f.name]
 			if !ok {
-				fe = &famEntry{help: help, kind: kind}
-				fams[name] = fe
-				order = append(order, name)
+				fe = &famEntry{f: f}
+				fams[f.name] = fe
+				order = append(order, fe)
 			}
-			fe.rows = append(fe.rows, rows...)
+			fe.pts = append(fe.pts, pts...)
 		})
 	}
 	var sb strings.Builder
-	for _, name := range order {
-		fe := fams[name]
-		writeFamily(&sb, name, fe.help, fe.kind, fe.rows)
+	for _, fe := range order {
+		writeFamily(&sb, fe.f, fe.pts)
 	}
 	return sb.String()
 }

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testLabels() Labels {
@@ -33,8 +32,8 @@ func TestCounterGaugeHistogramPublish(t *testing.T) {
 
 	// Nothing visible before Publish.
 	snap := r.Snapshot()
-	if v, ok := snap.Get("ab_test_frames_total", `{net="t"}`); !ok || v != 0 {
-		t.Fatalf("pre-publish counter = %v, %v", v, ok)
+	if v, ok := snap.Get("ab_test_frames_total", `{net="t"}`); ok {
+		t.Fatalf("pre-publish counter present with value %v", v)
 	}
 
 	r.Publish()
@@ -315,13 +314,13 @@ func TestHubReplacesSameNet(t *testing.T) {
 
 // TestPanickedRegistrationDoesNotPoisonRegistry: a recovered
 // registration panic (the scenario runner recovers scenario panics)
-// must not leave the registry mutex held — a later scrape would hang
-// the whole hub.
+// must leave the registry usable — a later Publish and scrape still
+// serve the series registered before it.
 func TestPanickedRegistrationDoesNotPoisonRegistry(t *testing.T) {
 	r := NewRegistry("t")
 	r.SampleGauge("ab_test_g", "g", testLabels(), zero)
 	for _, bad := range []func(){
-		func() { r.Histogram("ab_test_g", "g", nil, []float64{1}) }, // kind clash inside Histogram's lock
+		func() { r.Histogram("ab_test_g", "g", nil, []float64{1}) }, // kind clash inside Histogram
 		func() {
 			r.SampleCounter("ab_test_g_total", "", nil, zero)
 			r.SampleCounter("ab_test_g_total", "x", nil, zero)
@@ -336,16 +335,88 @@ func TestPanickedRegistrationDoesNotPoisonRegistry(t *testing.T) {
 			bad()
 		}()
 	}
-	done := make(chan struct{})
+	r.Publish()
+	if _, ok := r.Snapshot().Get("ab_test_g", `{net="t"}`); !ok {
+		t.Fatal("series registered before the panic is not published")
+	}
+}
+
+// TestPublishedDocumentIsImmutable pins the reader contract: what a
+// reader took from one Publish never changes, and each Publish replaces
+// the whole document — so a series registered after the last Publish is
+// absent until the next one, in the snapshot and the text alike.
+func TestPublishedDocumentIsImmutable(t *testing.T) {
+	r := NewRegistry("t")
+	n := 1.0
+	r.SampleGauge("ab_test_a", "a", testLabels(), func() float64 { return n })
+	r.Publish()
+	before := r.Snapshot()
+	var text strings.Builder
+	r.RenderText(&text)
+
+	n = 2
+	r.SampleGauge("ab_test_b", "b", testLabels(), func() float64 { return 3 })
+	if len(before.Series) != 1 || before.Series[0].Value != 1 {
+		t.Fatalf("snapshot moved after registration: %+v", before.Series)
+	}
+	if _, ok := r.Snapshot().Get("ab_test_b", `{net="t"}`); ok {
+		t.Fatal("series registered after the last Publish is visible before the next")
+	}
+	var again strings.Builder
+	r.RenderText(&again)
+	if again.String() != text.String() {
+		t.Fatalf("text moved without a Publish:\n%s\nwas\n%s", again.String(), text.String())
+	}
+
+	r.Publish()
+	if len(before.Series) != 1 || before.Series[0].Value != 1 {
+		t.Fatalf("snapshot moved after Publish: %+v", before.Series)
+	}
+	after := r.Snapshot()
+	if v, _ := after.Get("ab_test_a", `{net="t"}`); v != 2 {
+		t.Fatalf("republished a = %v, want 2", v)
+	}
+	if v, ok := after.Get("ab_test_b", `{net="t"}`); !ok || v != 3 {
+		t.Fatalf("b after the next Publish = %v (ok=%v), want 3", v, ok)
+	}
+}
+
+// TestReadersRaceFreeWithPublish runs the single writer (registration
+// and Publish) against concurrent readers of every kind. Under -race it
+// checks that readers touch nothing but published documents.
+func TestReadersRaceFreeWithPublish(t *testing.T) {
+	hub := &Hub{}
+	r := NewRegistry("t")
+	hub.Attach(r)
+	h := r.Histogram("ab_test_h", "h", testLabels(), []float64{1, 10})
+	r.Dynamic("ab_test_info", "info", func(emit func(Labels, float64)) {
+		emit(Labels{{Name: "module", Value: "m"}}, 1)
+	})
+	stop := make(chan struct{})
+	readers := make(chan struct{})
 	go func() {
-		r.Publish()
-		r.Snapshot()
-		close(done)
+		defer close(readers)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var sb strings.Builder
+			r.RenderText(&sb)
+			_ = hub.RenderText()
+			_ = hub.SnapshotAll()
+		}
 	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("registry left locked after recovered registration panic")
+	for i := 0; i < 200; i++ {
+		r.SampleCounter("ab_test_c_total", "c", testLabels().With("i", FormatValue(float64(i))), func() float64 { return float64(i) })
+		h.Observe(float64(i % 20))
+		r.Publish()
+	}
+	close(stop)
+	<-readers
+	if err := LintString(hub.RenderText()); err != nil {
+		t.Fatalf("final text fails lint: %v", err)
 	}
 }
 

@@ -25,6 +25,18 @@ var hostileLines = []struct{ line, frag string }{
 	{"run 1s\nrun 2562047h47m16s", "2562047h47m16s"}, // Now + d wrapped to a negative deadline
 }
 
+// nearEndLines run a command for a fixed window after a run that left
+// less than that window before the end of virtual time; each command
+// once ran to a wrapped deadline and reported a silent non-result
+// ("0/3 replies", "done=false"). Each must be refused with an error
+// that names the command, before the clock moves.
+var nearEndLines = []struct{ line, frag string }{
+	{"run 2562047h47m10s\nping h1 h2 64 3", "ping: 8s"},
+	{"run 2562047h47m10s\nttcp h1 h2 1024 4096", "ttcp: 10m0s"},
+	{"netloader br0 10.0.0.100\nrun 2562047h47m10s\nupload h1 br0 learning", "upload: 30s"},
+	{"run 2562047h47m16.8s\ninject-ieee lan1", "inject-ieee: 100ms"},
+}
+
 const twoHostWorld = `
 segment lan1
 segment lan2
@@ -51,6 +63,23 @@ func TestHostileScriptArgumentsError(t *testing.T) {
 		}
 		if err := w.Run("ping h1 h2 64 2"); err != nil || !strings.Contains(out.String(), "2/2 replies") {
 			t.Errorf("%q left the world unusable: err=%v output:\n%s", c.line, err, out.String())
+		}
+	}
+
+	// A world at the end of virtual time carries no more traffic, so
+	// these lines are checked for the error and an unmoved clock only.
+	for _, c := range nearEndLines {
+		var out strings.Builder
+		w := NewWorld(&out)
+		if err := w.Run(twoHostWorld); err != nil {
+			t.Fatalf("world set-up: %v", err)
+		}
+		err := w.Run(c.line)
+		if err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%q: err = %v, want an error naming %q", c.line, err, c.frag)
+		}
+		if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); !strings.HasPrefix(lines[len(lines)-1], "t = ") {
+			t.Errorf("%q: the refused command printed output:\n%s", c.line, out.String())
 		}
 	}
 

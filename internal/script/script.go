@@ -212,9 +212,13 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
+		end, err := w.deadline("upload", 30*netsim.Second)
+		if err != nil {
+			return err
+		}
 		up := workload.NewUploader(h, b.NetLoaderAddr(), name, data)
 		w.Sim.Schedule(w.Sim.Now()+1, up.Start)
-		w.Sim.Run(w.Sim.Now() + netsim.Time(30*netsim.Second))
+		w.Sim.Run(end)
 		w.printf("upload %s -> %s: done=%v err=%v in %v\n", f[1], f[2], up.Done(), up.Err(), up.Elapsed())
 		if up.Err() != nil {
 			return up.Err()
@@ -230,10 +234,11 @@ func (w *World) Exec(f []string) error {
 		if d < 0 {
 			return fmt.Errorf("duration %v is negative", d)
 		}
-		if now := w.Sim.Now(); d > netsim.Duration(math.MaxInt64-now) {
-			return fmt.Errorf("duration %v from t = %.3fs runs past the end of virtual time", d, now.Seconds())
+		end, err := w.deadline("run", d)
+		if err != nil {
+			return err
 		}
-		w.Sim.Run(w.Sim.Now().Add(d))
+		w.Sim.Run(end)
 		w.printf("t = %.3fs\n", w.Sim.Now().Seconds())
 	case "ping":
 		if len(f) != 5 {
@@ -251,8 +256,12 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
+		end, err := w.deadline("ping", netsim.Duration(count+5)*netsim.Second)
+		if err != nil {
+			return err
+		}
 		p := workload.NewPinger(src, dst.IP, int(size), int(count))
-		p.Run(w.Sim.Now() + netsim.Time(netsim.Duration(count+5)*netsim.Second))
+		p.Run(end)
 		w.printf("ping %s -> %s size=%d: %d/%d replies, mean RTT %.3f ms\n",
 			f[1], f[2], size, p.Completed(), count, float64(p.MeanRTT())/1e6)
 	case "ttcp":
@@ -271,8 +280,12 @@ func (w *World) Exec(f []string) error {
 		if err != nil {
 			return err
 		}
+		end, err := w.deadline("ttcp", 600*netsim.Second)
+		if err != nil {
+			return err
+		}
 		tr := workload.NewTtcp(src, dst, int(write), total)
-		tr.Run(w.Sim.Now() + netsim.Time(600*netsim.Second))
+		tr.Run(end)
 		w.printf("ttcp %s -> %s write=%d total=%d: %.1f Mb/s, %.0f frames/s, done=%v\n",
 			f[1], f[2], write, total, tr.ThroughputMbps(), tr.FramesPerSecond(), tr.Done())
 	case "inject-ieee":
@@ -283,10 +296,14 @@ func (w *World) Exec(f []string) error {
 		if !ok {
 			return fmt.Errorf("unknown segment %s", f[1])
 		}
+		end, err := w.deadline("inject-ieee", 100*netsim.Millisecond)
+		if err != nil {
+			return err
+		}
 		nic := netsim.NewNIC(w.Sim, "injector", ethernet.MAC{2, 0, 0, 0, 0xff, 0xfe})
 		seg.Attach(nic)
 		w.Sim.Schedule(w.Sim.Now()+1, func() { nic.Send(stp.RootClaimFrame(nic.MAC)) })
-		w.Sim.Run(w.Sim.Now() + netsim.Time(100*netsim.Millisecond))
+		w.Sim.Run(end)
 	case "query":
 		if len(f) != 3 {
 			return fmt.Errorf("usage: query <bridge> <func>")
@@ -519,6 +536,17 @@ func sortedNames[V any](m map[string]V) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// deadline is the instant a command that runs the simulation for d
+// runs to, or an error naming the command when that instant would lie
+// past the end of virtual time.
+func (w *World) deadline(cmd string, d netsim.Duration) (netsim.Time, error) {
+	now := w.Sim.Now()
+	if d > netsim.Duration(math.MaxInt64-now) {
+		return 0, fmt.Errorf("%s: %v from t = %.3fs runs past the end of virtual time", cmd, d, now.Seconds())
+	}
+	return now.Add(d), nil
 }
 
 // bridgeStats prints one bridge's live counters through the metrics

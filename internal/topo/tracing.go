@@ -39,6 +39,10 @@ func (n *Net) EnableTracing(cfg tracing.Config) *tracing.Tracer {
 	n.hookQuiescence()
 	if n.metricsReg != nil {
 		n.instrumentTracer(n.metricsReg, tr)
+		// A series is served from the Publish after its registration:
+		// publish now, as EnableMetrics does, so the trace series are
+		// there from the first scrape.
+		n.metricsReg.Publish()
 	}
 	tracing.DefaultHub.Attach(n.Graph.Name, tr)
 	n.tracer = tr

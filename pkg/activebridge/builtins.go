@@ -1,9 +1,6 @@
 package activebridge
 
-import (
-	"github.com/switchware/activebridge/internal/ethernet"
-	"github.com/switchware/activebridge/internal/switchlets"
-)
+import "github.com/switchware/activebridge/internal/switchlets"
 
 // The bundled switchlet manifests: the paper's programs, ready to
 // install. Each call returns a fresh manifest value the caller may
@@ -39,13 +36,3 @@ func ControlSwitchlet() Switchlet { return switchlets.ControlManifest() }
 // BuiltinSwitchlet resolves a bundled switchlet's administrative key
 // ("dumb", "learning", "spanning", "spanbug", "dec", "control").
 func BuiltinSwitchlet(key string) (Switchlet, bool) { return switchlets.BuiltinManifest(key) }
-
-// Protocol multicast addresses of the two bundled spanning tree
-// protocols: the Lifecycle.ProtoAddr their manifests declare, which an
-// upgrade guards and drains.
-var (
-	// AllBridgesMAC is the 802.1D All Bridges multicast address.
-	AllBridgesMAC = ethernet.AllBridges
-	// DECBridgesMAC is the DEC management multicast address.
-	DECBridgesMAC = ethernet.DECBridges
-)

@@ -9,8 +9,8 @@ import (
 // engine's quiescent points or a histogram of values the simulation
 // already computes, published at the same points, so virtual-time
 // outputs are byte-identical with metrics on or off, at any shard
-// count. Scrapers read atomically published cells and never contend
-// with the event loop.
+// count. Each publish builds one immutable document; scrapers only load
+// the latest and never contend with the event loop.
 //
 // The minimal embedding is two calls before building topologies:
 //
