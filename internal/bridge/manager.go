@@ -28,6 +28,9 @@ type Manager struct {
 	order     []string
 	upgrades  []*Upgrade
 	lifecycle LifecycleStats
+	// gen counts changes to the installed set, so a reader can tell
+	// whether what it derived from the set is still current.
+	gen uint64
 	// crash is the stable-storage snapshot taken by noteCrash, consumed
 	// by coldRestart.
 	crash *crashState
@@ -159,6 +162,7 @@ func (m *Manager) Install(sw env.Manifest) (*Installed, error) {
 	inst := &Installed{Manifest: sw, At: m.b.sim.Now(), Warnings: rep.Warnings()}
 	m.installed[name] = inst
 	m.order = append(m.order, name)
+	m.gen++
 	m.lifecycle.Installs++
 	return inst, nil
 }
@@ -244,6 +248,7 @@ func (m *Manager) Uninstall(name string) error {
 			break
 		}
 	}
+	m.gen++
 	m.lifecycle.Uninstalls++
 	return nil
 }
@@ -592,6 +597,7 @@ func (m *Manager) coldRestart() error {
 	}
 	m.installed = map[string]*Installed{}
 	m.order = nil
+	m.gen++
 	m.b.ClearHandler()
 	clear(m.b.dstHandlers) // every destination registration goes with the cold restart
 	if cs == nil {

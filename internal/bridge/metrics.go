@@ -82,14 +82,27 @@ func (b *Bridge) Instrument(reg *metrics.Registry, ls metrics.Labels) {
 		func(l LifecycleStats) uint64 { return l.Rollbacks })
 
 	// The installed set changes over a run (installs, upgrades,
-	// uninstalls), so the version inventory is a dynamic family
-	// re-enumerated at every publish. The value is the install instant
-	// in virtual seconds.
+	// uninstalls, cold restarts), so the version inventory is a dynamic
+	// family re-enumerated at every publish. Its label sets are built
+	// again only when the set has changed since the last publish. The
+	// value is the install instant in virtual seconds.
+	type info struct {
+		ls metrics.Labels
+		at float64
+	}
+	var infos []info
+	gen := ^uint64(0)
 	reg.Dynamic("ab_bridge_switchlet_info", "installed switchlet versions (value: install time, virtual seconds)",
 		func(emit func(metrics.Labels, float64)) {
-			for _, inst := range m.List() {
-				emit(ls.With("module", inst.Manifest.Name).With("version", inst.Manifest.Version.String()),
-					inst.At.Seconds())
+			if gen != m.gen {
+				gen, infos = m.gen, infos[:0]
+				for _, inst := range m.List() {
+					infos = append(infos, info{ls.With("module", inst.Manifest.Name).With("version", inst.Manifest.Version.String()),
+						inst.At.Seconds()})
+				}
+			}
+			for _, in := range infos {
+				emit(in.ls, in.at)
 			}
 		})
 }

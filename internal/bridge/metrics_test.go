@@ -186,3 +186,47 @@ func TestManagerLifecycleCounters(t *testing.T) {
 		t.Fatalf("after uninstall: %+v", got)
 	}
 }
+
+// TestSwitchletInfoFollowsInstalledSet pins that the version inventory,
+// whose label sets are built only when the installed set changes,
+// still reads the set at every publish: an uninstall removes the
+// series, a later install of another version adds its own with the new
+// install instant.
+func TestSwitchletInfoFollowsInstalledSet(t *testing.T) {
+	r := newRig(t)
+	man := r.b.Manager()
+	reg := metrics.NewRegistry("rig")
+	r.b.Instrument(reg, metrics.Labels{{Name: "bridge", Value: "br"}})
+	info := func(version string) (float64, bool) {
+		reg.Publish()
+		return reg.Snapshot().Get("ab_bridge_switchlet_info", `{bridge="br",module="Counter",version="`+version+`"}`)
+	}
+	if _, err := man.Install(counterManifest()); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := info("1.0.0"); !ok || v != 0 {
+		t.Fatalf("after install: Counter@1.0.0 = %v (ok=%v), want 0", v, ok)
+	}
+	if _, ok := info("1.0.0"); !ok {
+		t.Fatal("Counter@1.0.0 left the inventory on an unchanged republish")
+	}
+	if err := man.Uninstall("Counter"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := info("1.0.0"); ok {
+		t.Fatalf("after uninstall: Counter@1.0.0 still published (%v)", v)
+	}
+	r.run(2 * netsim.Second)
+	next := counterManifest()
+	next.Version.Minor = 1
+	inst, err := man.Install(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := info("1.1.0"); !ok || v != inst.At.Seconds() || v == 0 {
+		t.Fatalf("after reinstall: Counter@1.1.0 = %v (ok=%v), want %v", v, ok, inst.At.Seconds())
+	}
+	if _, ok := info("1.0.0"); ok {
+		t.Fatal("after reinstall: Counter@1.0.0 came back")
+	}
+}

@@ -113,35 +113,39 @@ func (ls Labels) With(name, value string) Labels {
 	return append(out, Label{Name: name, Value: value})
 }
 
-// render produces the canonical {a="b",c="d"} form ("" when empty),
-// escaping backslash, double quote and newline per the exposition
-// format.
-func (ls Labels) render() string {
+// appendRendered appends the canonical {a="b",c="d"} form of ls
+// (nothing when empty) to buf, escaping backslash, double quote and
+// newline per the exposition format.
+func (ls Labels) appendRendered(buf []byte) []byte {
 	if len(ls) == 0 {
-		return ""
+		return buf
 	}
-	var sb strings.Builder
-	sb.WriteByte('{')
+	buf = append(buf, '{')
 	for i, l := range ls {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		sb.WriteString(l.Name)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(l.Value))
-		sb.WriteByte('"')
+		buf = append(buf, l.Name...)
+		buf = append(buf, `="`...)
+		for j := 0; j < len(l.Value); j++ {
+			switch c := l.Value[j]; c {
+			case '\\':
+				buf = append(buf, `\\`...)
+			case '"':
+				buf = append(buf, `\"`...)
+			case '\n':
+				buf = append(buf, `\n`...)
+			default:
+				buf = append(buf, c)
+			}
+		}
+		buf = append(buf, '"')
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return append(buf, '}')
 }
 
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// render returns the canonical form appendRendered writes.
+func (ls Labels) render() string { return string(ls.appendRendered(nil)) }
 
 // Histogram is a fixed-bucket distribution. The bucket layout is frozen
 // at registration; Observe is a bounded linear scan over a slice that
@@ -237,12 +241,16 @@ type Registry struct {
 	byName   map[string]*family
 	doc      atomic.Pointer[document]
 
-	// Publish's working state: the points being collected and the
-	// family a dynamic contributor is emitting into. emit is bound once,
-	// so Publish creates no closure.
-	pts     []point
-	emitFam *family
-	emit    func(Labels, float64)
+	// Publish's working state: the points being collected, the family
+	// a dynamic contributor is emitting into, where its points start,
+	// its points in the previous document, and a buffer to render
+	// labels in. emit is bound once, so Publish creates no closure.
+	pts      []point
+	emitFam  *family
+	emitFrom int
+	emitPrev []point
+	labelBuf []byte
+	emit     func(Labels, float64)
 }
 
 // NewRegistry creates an empty registry for the named net.
@@ -380,9 +388,18 @@ func (r *Registry) Dynamic(name, help string, fn func(emit func(Labels, float64)
 func (r *Registry) Publish() {
 	// The previous document's size is the capacity hint: the points
 	// slice is the one allocation that scales with the registry.
-	r.pts = make([]point, 0, len(r.doc.Load().points))
+	prev := r.doc.Load()
+	r.pts = make([]point, 0, len(prev.points))
 	fams := make([]docFamily, len(r.families))
+	lo := 0 // where family i starts in prev
 	for i, f := range r.families {
+		hi := lo
+		if i < len(prev.fams) {
+			hi = prev.fams[i].end
+		}
+		if f.dynamic {
+			r.emitFam, r.emitFrom, r.emitPrev = f, len(r.pts), prev.points[lo:hi]
+		}
 		for _, e := range f.emitters {
 			switch {
 			case e.sample != nil:
@@ -397,19 +414,29 @@ func (r *Registry) Publish() {
 					point{f.sum, e.labels, e.hist.sum},
 					point{f.count, e.labels, float64(e.hist.count)})
 			default:
-				r.emitFam = f
 				e.dynamic(r.emit)
 			}
 		}
 		fams[i] = docFamily{f: f, end: len(r.pts)}
+		lo = hi
 	}
 	r.doc.Store(&document{wall: time.Now().UnixNano(), points: r.pts, fams: fams})
-	r.pts, r.emitFam = nil, nil
+	r.pts, r.emitFam, r.emitPrev = nil, nil, nil
 }
 
 // emitDynamic is the emit callback Publish hands dynamic contributors.
+// A dynamic family's label sets mostly repeat from one publish to the
+// next, so a point whose rendered labels equal those of the point at
+// its place in the previous document shares that string.
 func (r *Registry) emitDynamic(ls Labels, v float64) {
-	r.pts = append(r.pts, point{r.emitFam.name, ls.render(), v})
+	r.labelBuf = ls.appendRendered(r.labelBuf[:0])
+	var labels string
+	if k := len(r.pts) - r.emitFrom; k < len(r.emitPrev) && r.emitPrev[k].labels == string(r.labelBuf) {
+		labels = r.emitPrev[k].labels
+	} else {
+		labels = string(r.labelBuf)
+	}
+	r.pts = append(r.pts, point{r.emitFam.name, labels, v})
 }
 
 // --- rendering ---------------------------------------------------------------

@@ -94,6 +94,17 @@ func TestDynamicFamily(t *testing.T) {
 	if v, ok := r.Snapshot().Get("ab_test_switchlet_info", `{module="spanning"}`); !ok || v != 1 {
 		t.Fatalf("dynamic series not re-enumerated: %v %v", v, ok)
 	}
+	// A point whose labels differ from those at its place in the
+	// previous document renders its own.
+	mods = mods[1:]
+	r.Publish()
+	snap := r.Snapshot()
+	if _, ok := snap.Get("ab_test_switchlet_info", `{module="learning"}`); ok || len(snap.Series) != 1 {
+		t.Fatalf("removed dynamic series still published: %v", snap.Series)
+	}
+	if v, ok := snap.Get("ab_test_switchlet_info", `{module="spanning"}`); !ok || v != 1 {
+		t.Fatalf("dynamic series lost on a shift: %v %v", v, ok)
+	}
 }
 
 func TestRegistrationMisusePanics(t *testing.T) {

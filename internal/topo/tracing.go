@@ -59,7 +59,7 @@ func (n *Net) Tracer() *tracing.Tracer { return n.tracer }
 func (n *Net) instrumentTracer(reg *metrics.Registry, tr *tracing.Tracer) {
 	base := metrics.Labels{{Name: "net", Value: n.Graph.Name}}
 	reg.SampleCounter("ab_trace_events_total", "events in the merged sampled transcript", base,
-		func() float64 { return float64(len(tr.Transcript())) })
+		func() float64 { return float64(tr.Len()) })
 	reg.SampleCounter("ab_trace_spans_total", "span events (dur > 0) in the merged transcript", base,
 		func() float64 { return float64(tr.Spans()) })
 	reg.SampleCounter("ab_trace_dropped_events_total", "sampled events discarded by the transcript cap", base,

@@ -39,11 +39,7 @@ func WriteChromeAll(w io.Writer, tracers []*Tracer) error {
 		pid := pi + 1
 		// Stable node → tid assignment, sorted by name within the pid.
 		tids := map[string]int{}
-		for i := range t.merged {
-			if _, ok := tids[t.merged[i].Node]; !ok {
-				tids[t.merged[i].Node] = 0
-			}
-		}
+		t.each(func(ev *Event) { tids[ev.Node] = 0 })
 		names := make([]string, 0, len(tids))
 		for n := range tids { //ab:mapiter-ok — sorted immediately below
 			names = append(names, n)
@@ -55,8 +51,7 @@ func WriteChromeAll(w io.Writer, tracers []*Tracer) error {
 				`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
 				pid, i+1, esc(n)))
 		}
-		for i := range t.merged {
-			ev := &t.merged[i]
+		t.each(func(ev *Event) {
 			tid := tids[ev.Node]
 			args := fmt.Sprintf(`{"trace":"%016x","node":%s,"detail":%s}`, ev.Trace, esc(ev.Node), esc(ev.Text()))
 			if ev.Dur > 0 {
@@ -76,7 +71,7 @@ func WriteChromeAll(w io.Writer, tracers []*Tracer) error {
 					esc(ev.Kind.String()), ts(ev.VT), pid, tid, args)})
 			}
 			ord++
-		}
+		})
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		if recs[i].ts != recs[j].ts {

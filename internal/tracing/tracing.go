@@ -33,7 +33,12 @@
 // string, up to four integers), never formatted text, so a frame whose
 // trace is not sampled costs no allocation. Text is produced by
 // Event.Text only when someone reads an event: a transcript or flight
-// dump being rendered, a Chrome export.
+// dump being rendered, a Chrome export. A merge allocates nothing once
+// the engine buffers are warm and its batch fits the transcript's
+// current block (TestTracedMergeAllocBudget): Flush sorts each engine's
+// buffer in place and merges them into the transcript's blocks, which
+// are never reallocated once full. The only copy of the transcript is
+// the one Transcript makes for its caller.
 package tracing
 
 import (
@@ -175,7 +180,7 @@ func Sampled(trace uint64) bool { return trace&1 == 1 }
 // pipeline rank, then node/operands/duration. Two events equal under it
 // are identical records, so sorting a batch with it yields the same
 // byte sequence no matter which engine recorded what.
-func less(a, b Event) bool {
+func less(a, b *Event) bool {
 	if a.VT != b.VT {
 		return a.VT < b.VT
 	}
@@ -253,13 +258,12 @@ type Engine struct {
 	shard  int
 
 	sampled []Event // transcript candidates since the last merge
+	next    int     // Flush's merge position in sampled
 	flight  []Event // flight-recorder ring
 	fpos    int
 	ffull   bool
 	dumps   []FlightDump
-
-	spans uint64 // events recorded into the sampled buffer
-	dumpN uint64
+	dumpN   uint64
 }
 
 // Shard returns the engine's shard index (0 for the serial engine).
@@ -279,7 +283,6 @@ func (e *Engine) Emit(ev Event) {
 	}
 	if ev.Trace&1 == 1 && ev.Kind != KindXShard {
 		e.sampled = append(e.sampled, ev)
-		e.spans++
 	}
 }
 
@@ -300,6 +303,13 @@ func (e *Engine) DumpFlight(reason string, vt int64) {
 	e.dumpN++
 }
 
+// Transcript block sizes: the first block holds firstBlock events and
+// each next one twice its predecessor, up to maxBlock.
+const (
+	firstBlock = 64
+	maxBlock   = 4096
+)
+
 // Tracer owns one traced net: its engines, the merged transcript, and
 // the trace-ID mint. Merge-side methods (Flush, Transcript, renderers,
 // counters) must only run at quiescent points, where every engine is
@@ -307,10 +317,23 @@ func (e *Engine) DumpFlight(reason string, vt int64) {
 type Tracer struct {
 	cfg     Config
 	engines []*Engine
-	merged  []Event
+	// blocks hold the merged transcript in order; every block but the
+	// last is full, and none is reallocated once made.
+	blocks  [][]Event
+	n       int       // events in blocks
+	sorter  batchSort // Flush's sort.Interface; a field, so passing it allocates nothing
+	spans   uint64
 	dropped uint64
 	vmHist  Hist
 }
+
+// batchSort sorts one engine's sampled buffer into canonical order,
+// comparing events in place.
+type batchSort struct{ evs []Event }
+
+func (b *batchSort) Len() int           { return len(b.evs) }
+func (b *batchSort) Less(i, j int) bool { return less(&b.evs[i], &b.evs[j]) }
+func (b *batchSort) Swap(i, j int)      { b.evs[i], b.evs[j] = b.evs[j], b.evs[i] }
 
 // Hist receives span durations at merge time; it is satisfied by
 // *metrics.Histogram without this package importing metrics.
@@ -357,49 +380,91 @@ func (t *Tracer) TraceID(seed, n uint64) uint64 {
 // partition the virtual-time axis (events never run backwards), so
 // per-batch sorting yields a globally sorted transcript and the result
 // does not depend on how many barriers the sharded engine took.
+//
+// Each engine's buffer is sorted in place and the sorted buffers are
+// merged straight into the transcript's blocks, so the merge allocates
+// only when a buffer outgrows every earlier batch or the transcript
+// needs a new block, and holds no copy of a batch between merges.
 func (t *Tracer) Flush() {
-	var batch []Event
+	total := 0
 	for _, e := range t.engines {
-		batch = append(batch, e.sampled...)
-		e.sampled = e.sampled[:0]
+		t.sorter.evs = e.sampled
+		sort.Sort(&t.sorter)
+		total += len(e.sampled)
 	}
-	if len(batch) == 0 {
+	t.sorter.evs = nil
+	if total == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool { return less(batch[i], batch[j]) })
-	if t.vmHist != nil {
-		for i := range batch {
-			if batch[i].Kind == KindVM {
-				t.vmHist.Observe(float64(batch[i].Dur))
+	keep := min(total, t.cfg.MaxEvents-t.n)
+	t.dropped += uint64(total - keep)
+	for i := 0; i < total; i++ {
+		ev := t.pop()
+		if t.vmHist != nil && ev.Kind == KindVM {
+			t.vmHist.Observe(float64(ev.Dur))
+		}
+		if i < keep {
+			if ev.Dur > 0 {
+				t.spans++
 			}
+			t.push(ev)
 		}
 	}
-	if room := t.cfg.MaxEvents - len(t.merged); len(batch) > room {
-		if room < 0 {
-			room = 0
-		}
-		t.dropped += uint64(len(batch) - room)
-		batch = batch[:room]
+	for _, e := range t.engines {
+		e.sampled, e.next = e.sampled[:0], 0
 	}
-	t.merged = append(t.merged, batch...)
+}
+
+// pop consumes and returns the least event not yet merged from the
+// engines' sorted buffers.
+func (t *Tracer) pop() *Event {
+	var from *Engine
+	for _, e := range t.engines {
+		if e.next < len(e.sampled) && (from == nil || less(&e.sampled[e.next], &from.sampled[from.next])) {
+			from = e
+		}
+	}
+	from.next++
+	return &from.sampled[from.next-1]
+}
+
+// push appends one event to the transcript. A new block is twice the
+// size of the last, at most maxBlock events and never more than the
+// cap leaves room for.
+func (t *Tracer) push(ev *Event) {
+	k := len(t.blocks)
+	if k == 0 || len(t.blocks[k-1]) == cap(t.blocks[k-1]) {
+		size := firstBlock
+		if k > 0 {
+			size = min(2*cap(t.blocks[k-1]), maxBlock)
+		}
+		t.blocks = append(t.blocks, make([]Event, 0, min(size, t.cfg.MaxEvents-t.n)))
+		k++
+	}
+	t.blocks[k-1] = append(t.blocks[k-1], *ev)
+	t.n++
 }
 
 // SetVMHist installs the histogram fed with KindVM span durations
 // (virtual nanoseconds) as batches merge.
 func (t *Tracer) SetVMHist(h Hist) { t.vmHist = h }
 
-// Transcript returns the merged sampled transcript. Flush first.
-func (t *Tracer) Transcript() []Event { return t.merged }
-
-// Spans returns the total number of events recorded into sampled
-// buffers since creation (merged or not).
-func (t *Tracer) Spans() uint64 {
-	var n uint64
-	for _, e := range t.engines {
-		n += e.spans
+// Transcript returns a copy of the merged sampled transcript, made
+// afresh on every call. Flush first; use Len for its length alone.
+func (t *Tracer) Transcript() []Event {
+	out := make([]Event, 0, t.n)
+	for _, b := range t.blocks {
+		out = append(out, b...)
 	}
-	return n
+	return out
 }
+
+// Len returns the number of events in the merged transcript.
+func (t *Tracer) Len() int { return t.n }
+
+// Spans returns the number of span events (Dur > 0) in the merged
+// transcript.
+func (t *Tracer) Spans() uint64 { return t.spans }
 
 // Dropped returns how many sampled events the transcript cap trimmed.
 func (t *Tracer) Dropped() uint64 { return t.dropped }
@@ -436,8 +501,15 @@ func (t *Tracer) FlightDumps() []FlightDump {
 // RenderTranscript writes the merged transcript as aligned text, one
 // event per line — the form the determinism tests pin byte-for-byte.
 func (t *Tracer) RenderTranscript(w io.Writer) {
-	for i := range t.merged {
-		writeEvent(w, &t.merged[i])
+	t.each(func(ev *Event) { writeEvent(w, ev) })
+}
+
+// each calls fn on every transcript event in order, in place.
+func (t *Tracer) each(fn func(*Event)) {
+	for _, b := range t.blocks {
+		for i := range b {
+			fn(&b[i])
+		}
 	}
 }
 

@@ -2,8 +2,11 @@ package tracing
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // sampledID builds a trace ID that carries both the "traced" and the
@@ -121,23 +124,108 @@ func TestFlushCanonicalOrderAndXShard(t *testing.T) {
 	if got[4].N[0] != 562 || got[5].N[0] != 1514 {
 		t.Fatalf("same-instant events differing in N sorted %d, %d; want 562, 1514", got[4].N[0], got[5].N[0])
 	}
-	if tr.Spans() != 6 {
-		t.Fatalf("Spans() = %d, want 6 (xshard never counts)", tr.Spans())
+	if tr.Spans() != 2 {
+		t.Fatalf("Spans() = %d, want 2 (the vm and wire spans)", tr.Spans())
 	}
 }
 
+// TestTranscriptCapCountsDropped reaches the transcript cap over many
+// flushes, with the cap below, at and across a block boundary (the
+// first block holds 64 events), recording on one engine and on two.
 func TestTranscriptCapCountsDropped(t *testing.T) {
-	tr := New(Config{MaxEvents: 3})
+	const flushes, perFlush = 10, 15
+	cases := []struct {
+		name         string
+		cap, engines int
+	}{
+		{"below a boundary", 50, 1},
+		{"at a boundary", 64, 1},
+		{"across a boundary", 100, 1},
+		{"across a boundary, two engines", 100, 2},
+		{"above every event", 1000, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// emit records events [from, to) on tr, each flush's events in
+			// reverse so the merge has to sort them; every third event is
+			// an instant.
+			emit := func(tr *Tracer, from, to int) {
+				for i := to - 1; i >= from; i-- {
+					tr.Engine(i % c.engines).Emit(Event{VT: int64(i), Dur: int64(i % 3), Trace: sampledID(uint64(i)), Kind: KindWire, Node: "n"})
+				}
+			}
+			tr, ref := New(Config{MaxEvents: c.cap}), New(Config{MaxEvents: c.cap})
+			for f := 0; f < flushes; f++ {
+				emit(tr, f*perFlush, (f+1)*perFlush)
+				tr.Flush()
+			}
+			emit(ref, 0, flushes*perFlush)
+			ref.Flush()
+
+			kept := min(c.cap, flushes*perFlush)
+			spans := uint64(kept - (kept+2)/3)
+			if tr.Len() != kept || tr.Dropped() != uint64(flushes*perFlush-kept) || tr.Spans() != spans {
+				t.Fatalf("Len, Dropped, Spans = %d, %d, %d; want %d, %d, %d (no silent truncation)",
+					tr.Len(), tr.Dropped(), tr.Spans(), kept, flushes*perFlush-kept, spans)
+			}
+			got, want := tr.Transcript(), ref.Transcript()
+			if !slices.Equal(got, want) {
+				t.Fatalf("transcript merged over %d flushes differs from one merge:\n got %v\nwant %v", flushes, got, want)
+			}
+			got[0].VT = -1
+			if tr.Transcript()[0].VT != 0 {
+				t.Fatal("Transcript returned the tracer's own storage, not a copy")
+			}
+		})
+	}
+}
+
+// TestTracedMergeAllocBudget pins the merge's allocations: once the
+// engine buffers are warm, a Flush whose events fit in the current
+// transcript block allocates nothing, whether one engine recorded them
+// or two (each buffer is sorted in place and the two merged); and
+// merging N events over many flushes allocates at most N events' worth
+// of bytes plus one maximum-size block, because a full block is never
+// copied.
+func TestTracedMergeAllocBudget(t *testing.T) {
+	for _, engines := range []int{1, 2} {
+		tr := New(Config{})
+		vt := int64(0)
+		flush := func(n int) {
+			for i := 0; i < n; i++ {
+				vt++
+				tr.Engine(i % engines).Emit(Event{VT: vt, Dur: vt % 2, Trace: sampledID(uint64(vt)), Kind: KindVM, Node: "br"})
+			}
+			tr.Flush()
+		}
+		flush(4) // the first block and the engine buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for f := 0; f < 20; f++ {
+			flush(3)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 || tr.Len() != 64 {
+			t.Errorf("%d engine(s): 20 flushes filling the first block allocated %d times (%d events), want 0 (64)", engines, n, tr.Len())
+		}
+	}
+
+	const n, perFlush = 100_000, 100
+	tr := New(Config{})
 	e := tr.Engine(0)
-	for i := 1; i <= 5; i++ {
-		e.Emit(Event{VT: int64(i), Trace: sampledID(uint64(i)), Kind: KindSend, Node: "n"})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		e.Emit(Event{VT: int64(i), Trace: sampledID(uint64(i)), Kind: KindRx, Node: "n"})
+		if (i+1)%perFlush == 0 {
+			tr.Flush()
+		}
 	}
-	tr.Flush()
-	if len(tr.Transcript()) != 3 {
-		t.Fatalf("cap 3 kept %d events", len(tr.Transcript()))
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2 (no silent truncation)", tr.Dropped())
+	runtime.ReadMemStats(&after)
+	size := uint64(unsafe.Sizeof(Event{}))
+	t.Logf("merging %d events: %d B, %d mallocs", n, after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, (n+maxBlock)*size; tr.Len() != n || got > budget {
+		t.Fatalf("merging %d events over %d flushes allocated %d B (%d kept), want <= %d", n, n/perFlush, got, tr.Len(), budget)
 	}
 }
 
