@@ -111,7 +111,8 @@ type Bridge struct {
 	// CPU completions fire in submission order (the CPU is a FIFO
 	// resource), so every job charge books — frame, timer, one-shot,
 	// spawn, loader reply — uses one cached callback (emitHeadFn) instead
-	// of allocating a closure.
+	// of allocating a closure. A crash empties the queued entries in
+	// place (nil), and each one's completion still pops it.
 	doneQueue     [][]pendingSend
 	doneQueueHead int
 	emitHeadFn    func()
@@ -151,12 +152,8 @@ type Bridge struct {
 	// epoch invalidates callbacks scheduled before a crash: After()
 	// one-shots and spawns capture it and die silently if the node crashed
 	// since they were scheduled (timers die by generation, CPU completions
-	// through discardEmits).
+	// by the crash emptying their doneQueue entries).
 	epoch uint64
-	// discardEmits counts CPU frame completions whose queued sends were
-	// dropped by a crash; emitHead consumes them as no-ops so the FIFO
-	// stays aligned with doneQueue.
-	discardEmits int
 	// timerGen issues never-reused timer generations, so a timer name
 	// recreated after a crash cannot be fired by a stale pre-crash arm.
 	timerGen uint64
@@ -354,9 +351,15 @@ func (b *Bridge) sealFrame(data []byte) ([]byte, error) {
 	return f.MarshalSlab(&b.slab)
 }
 
-// PortUp implements env.NetPorts.
+// PortUp implements env.NetPorts: the port exists, is attached, its
+// segment is up and its link has carrier. A crashed node's links are all
+// down.
 func (b *Bridge) PortUp(port int) bool {
-	return port >= 0 && port < len(b.ports) && b.ports[port].Segment() != nil
+	if port < 0 || port >= len(b.ports) {
+		return false
+	}
+	p := b.ports[port]
+	return p.Segment() != nil && !p.Segment().Down() && !p.LinkDown()
 }
 
 // SetPortBlock implements env.NetPorts.
@@ -551,12 +554,6 @@ func (b *Bridge) charge(recv, exec netsim.Duration, sends []pendingSend, metered
 // emitHead emits the oldest queued send list (see doneQueue) and recycles
 // its buffer; it is the completion callback of every job charge books.
 func (b *Bridge) emitHead() {
-	if b.discardEmits > 0 {
-		// This completion's sends were dropped by a crash; consume the
-		// no-op so the CPU FIFO stays aligned with doneQueue.
-		b.discardEmits--
-		return
-	}
 	sends := b.doneQueue[b.doneQueueHead]
 	b.doneQueue[b.doneQueueHead] = nil
 	b.doneQueueHead++
@@ -779,14 +776,11 @@ func (b *Bridge) Crash() {
 		b.blocked[i] = false
 	}
 	// Queued dispatch completions: their sends die, but the CPU FIFO
-	// still fires each completion, so convert them to no-ops.
+	// still fires each completion, which pops its now-empty entry.
 	for i := b.doneQueueHead; i < len(b.doneQueue); i++ {
 		b.putSendBuf(b.doneQueue[i])
 		b.doneQueue[i] = nil
-		b.discardEmits++
 	}
-	b.doneQueue = b.doneQueue[:0]
-	b.doneQueueHead = 0
 	b.spawnQueue = nil
 	clear(b.timers)
 	b.Log("bridge: CRASH (fault plane)")
@@ -829,6 +823,18 @@ func (b *Bridge) SetPortLink(port int, down bool) {
 	b.ports[port].SetLinkDown(down)
 	if down && b.manager != nil {
 		b.manager.NoteFault(fmt.Sprintf("port %d link down", port))
+	}
+}
+
+// NoteSegmentDown tells the node's Manager that seg was cut if one of the
+// node's ports is attached to it: an upgrade validating across the fault
+// rolls back rather than commits.
+func (b *Bridge) NoteSegmentDown(seg *netsim.Segment) {
+	for _, p := range b.ports {
+		if p.Segment() == seg {
+			b.Manager().NoteFault(fmt.Sprintf("segment %s down", seg.Name))
+			return
+		}
 	}
 }
 

@@ -256,3 +256,73 @@ func TestCrashDropsQueuedNetLoaderReply(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashEmptiesQueuedSendsInPlace pins the completion path across a
+// crash: a forwarded frame still waiting for its CPU job when the node
+// crashes dies with it, and a frame dispatched after the restart, queued
+// behind that dead job, still leaves when its own job completes.
+func TestCrashEmptiesQueuedSendsInPlace(t *testing.T) {
+	const fwd = `
+let handle pkt inport = Unixnet.send_pkt_out (1 - inport) pkt
+let _ = Bridge.set_handler handle`
+	r := newRig(t)
+	r.load(t, "Fwd", fwd)
+	fr := ethernet.Frame{Dst: r.n2.MAC, Src: r.n1.MAC, Type: ethernet.TypeTest, Payload: make([]byte, 64)}
+	raw, err := fr.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.b.onFrame(0, raw)
+	r.b.Crash()
+	if err := r.b.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	r.load(t, "Fwd2", fwd) // a raw load does not survive the crash
+	r.b.onFrame(0, raw)
+	if got := r.b.CPU().Backlog(); got == 0 {
+		t.Fatal("no CPU job queued")
+	}
+	r.run(100 * netsim.Millisecond)
+	if r.rx2 != 1 || r.b.Stats.FramesSent != 1 {
+		t.Errorf("n2 received %d, FramesSent %d; want 1, 1", r.rx2, r.b.Stats.FramesSent)
+	}
+	if len(r.b.doneQueue) != 0 || r.b.doneQueueHead != 0 {
+		t.Errorf("doneQueue holds %d entries from %d after every job completed", len(r.b.doneQueue), r.b.doneQueueHead)
+	}
+}
+
+// TestPortUpReportsLinkState pins env.NetPorts' PortUp contract: a port is
+// up when it exists, is attached, its segment is up and its link has
+// carrier. A segment cut, a port flap and a crash each take ports down;
+// the heal, the flap back and the restart bring them back.
+func TestPortUpReportsLinkState(t *testing.T) {
+	r := newRig(t)
+	want := func(step string, up0, up1 bool) {
+		t.Helper()
+		if got0, got1 := r.b.PortUp(0), r.b.PortUp(1); got0 != up0 || got1 != up1 {
+			t.Errorf("%s: PortUp = %v, %v; want %v, %v", step, got0, got1, up0, up1)
+		}
+	}
+	want("attached", true, true)
+	if r.b.PortUp(-1) || r.b.PortUp(2) {
+		t.Error("PortUp true for a port that does not exist")
+	}
+	lan1 := r.b.Port(0).Segment()
+	lan1.SetDown(true)
+	want("lan1 cut", false, true)
+	lan1.SetDown(false)
+	want("lan1 healed", true, true)
+	r.b.SetPortLink(1, true)
+	want("port 1 flapped down", true, false)
+	r.b.SetPortLink(1, false)
+	want("port 1 back", true, true)
+	r.b.Crash()
+	want("crashed", false, false)
+	if err := r.b.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	want("restarted", true, true)
+	if lone := New(r.sim, "lone", 2, 1, netsim.DefaultCostModel()); lone.PortUp(0) {
+		t.Error("PortUp true on an unattached port")
+	}
+}

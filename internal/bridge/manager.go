@@ -232,15 +232,7 @@ func (m *Manager) Uninstall(name string) error {
 	for _, addr := range inst.Manifest.DstBindings {
 		m.b.ClearDstHandler(addr)
 	}
-	for _, h := range inst.Manifest.Handlers {
-		m.b.Funcs.Unregister(h)
-	}
-	for _, h := range []string{lc.Start, lc.Stop, lc.Probe, lc.Running} {
-		if h != "" {
-			m.b.Funcs.Unregister(h)
-		}
-	}
-	m.b.Loader.Unload(name)
+	m.retire(inst)
 	delete(m.installed, name)
 	for i, n := range m.order {
 		if n == name {
@@ -251,6 +243,21 @@ func (m *Manager) Uninstall(name string) error {
 	m.gen++
 	m.lifecycle.Uninstalls++
 	return nil
+}
+
+// retire unregisters every handler and lifecycle entry inst's manifest
+// declared and unloads its module.
+func (m *Manager) retire(inst *Installed) {
+	for _, h := range inst.Manifest.Handlers {
+		m.b.Funcs.Unregister(h)
+	}
+	lc := inst.Manifest.Lifecycle
+	for _, h := range []string{lc.Start, lc.Stop, lc.Probe, lc.Running} {
+		if h != "" {
+			m.b.Funcs.Unregister(h)
+		}
+	}
+	m.b.Loader.Unload(inst.Manifest.Name)
 }
 
 // latestDataPathOwner returns the most recently installed switchlet
@@ -467,10 +474,7 @@ func (u *Upgrade) rollback(reason string) {
 	if u.state == UpgradeRolledBack {
 		return
 	}
-	u.state = UpgradeRolledBack
-	u.Reason = reason
-	u.m.lifecycle.Rollbacks++
-	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
+	u.markRolledBack(reason)
 	u.m.b.traceDump(tracing.KindMark, tracing.FormRollback, reason, "rollback at "+u.m.b.Name+": "+reason)
 	u.releaseGuard()
 	if _, err := u.m.Query(u.new.Manifest.Lifecycle.Stop, ""); err != nil {
@@ -488,6 +492,15 @@ func (u *Upgrade) rollback(reason string) {
 			u.m.b.Log("manager: fallback drain not installed: " + err.Error())
 		}
 	}
+}
+
+// markRolledBack records the rollback: state, reason, the lifecycle
+// counter and the log line.
+func (u *Upgrade) markRolledBack(reason string) {
+	u.state = UpgradeRolledBack
+	u.Reason = reason
+	u.m.lifecycle.Rollbacks++
+	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
 }
 
 // releaseGuard removes the old-address guard if this upgrade owns it.
@@ -542,10 +555,7 @@ func (m *Manager) noteCrash() {
 		if u.state != UpgradeValidating {
 			continue
 		}
-		u.state = UpgradeRolledBack
-		u.Reason = "bridge crashed during validation window"
-		m.lifecycle.Rollbacks++
-		m.b.Log("manager: ROLLBACK (" + u.Reason + ")")
+		u.markRolledBack("bridge crashed during validation window")
 		exclude[u.new.Manifest.Name] = true
 		forceRun[u.old.Manifest.Name] = true
 	}
@@ -583,17 +593,7 @@ func (m *Manager) coldRestart() error {
 	// declared and unload its module. Timers were already cleared by the
 	// crash; dst registrations and the data-path handler are wiped below.
 	for i := len(m.order) - 1; i >= 0; i-- {
-		inst := m.installed[m.order[i]]
-		for _, h := range inst.Manifest.Handlers {
-			m.b.Funcs.Unregister(h)
-		}
-		lc := inst.Manifest.Lifecycle
-		for _, h := range []string{lc.Start, lc.Stop, lc.Probe, lc.Running} {
-			if h != "" {
-				m.b.Funcs.Unregister(h)
-			}
-		}
-		m.b.Loader.Unload(m.order[i])
+		m.retire(m.installed[m.order[i]])
 	}
 	m.installed = map[string]*Installed{}
 	m.order = nil

@@ -55,7 +55,8 @@ type NetPorts interface {
 	// control-plane traffic (BPDUs) which bypasses port blocking, as
 	// 802.1D BPDUs must.
 	Send(port int, data string, ctl bool) error
-	// PortUp reports whether the port exists and its link is up.
+	// PortUp reports whether the port exists, is attached to a segment
+	// that is up, and its link has carrier.
 	PortUp(port int) bool
 	// SetPortBlock suppresses non-control input and output on a port
 	// (the spanning tree's suppression access point).

@@ -466,13 +466,7 @@ func (w *World) setFault(name string, down bool) error {
 		seg.SetDown(down)
 		if down {
 			for _, bn := range sortedNames(w.Bridges) {
-				b := w.Bridges[bn]
-				for p := 0; p < b.NumPorts(); p++ {
-					if b.Port(p).Segment() == seg {
-						b.Manager().NoteFault(fmt.Sprintf("segment %s down", name))
-						break
-					}
-				}
+				w.Bridges[bn].NoteSegmentDown(seg)
 			}
 		}
 		w.printf("segment %s %s\n", name, downWord(down))

@@ -119,11 +119,6 @@ func (n *Net) SetSegmentDown(id SegmentID, down bool) {
 		return
 	}
 	for _, br := range n.bridges {
-		for p := 0; p < br.NumPorts(); p++ {
-			if br.Port(p).Segment() == seg {
-				br.Manager().NoteFault(fmt.Sprintf("segment %s down", seg.Name))
-				break
-			}
-		}
+		br.NoteSegmentDown(seg)
 	}
 }

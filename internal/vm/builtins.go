@@ -51,28 +51,33 @@ func BuildUnit(module string, defs []BuiltinDef) (*Signature, map[string]Value) 
 	return actual.(*Signature), values
 }
 
+// argInt, argStr and argTbl check one argument's runtime type. The bodies
+// in inlinedNatives assert types themselves, so that the check inlines,
+// and trap through argTrap like these.
 func argInt(args []Value, i int) (int64, error) {
-	v, ok := args[i].(int64)
-	if !ok {
-		return 0, &Trap{Msg: fmt.Sprintf("argument %d: expected int", i)}
+	if v, ok := args[i].(int64); ok {
+		return v, nil
 	}
-	return v, nil
+	return 0, argTrap(i, "int")
 }
 
 func argStr(args []Value, i int) (string, error) {
-	v, ok := args[i].(string)
-	if !ok {
-		return "", &Trap{Msg: fmt.Sprintf("argument %d: expected string", i)}
+	if v, ok := args[i].(string); ok {
+		return v, nil
 	}
-	return v, nil
+	return "", argTrap(i, "string")
 }
 
 func argTbl(args []Value, i int) (*Hashtbl, error) {
-	v, ok := args[i].(*Hashtbl)
-	if !ok {
-		return nil, &Trap{Msg: fmt.Sprintf("argument %d: expected hashtbl", i)}
+	if v, ok := args[i].(*Hashtbl); ok {
+		return v, nil
 	}
-	return v, nil
+	return nil, argTrap(i, "hashtbl")
+}
+
+// argTrap is the trap of native argument i not being a want.
+func argTrap(i int, want string) error {
+	return &Trap{Msg: fmt.Sprintf("argument %d: expected %s", i, want)}
 }
 
 // SafestdUnit builds the Safestd module: the thinned standard library the
@@ -208,28 +213,131 @@ func intBinop(f func(a, b int64) (int64, error)) func(*Ctx, []Value) (Value, err
 	}
 }
 
-// tagNatives marks natives that have interpreter-inlined fast paths; the
-// inlined superinstructions replicate their semantics, trap messages and
-// AllocBytes metering exactly (pinned by TestInlinedNativeParity).
-func tagNatives(values map[string]Value, tags map[string]int) {
-	for name, tag := range tags { //ab:mapiter-ok independent per-name mutations; order cannot escape
-		if n, ok := values[name].(*Native); ok {
-			n.Tag = tag
+// inlinedNatives is the one table of natives the optimizer specializes.
+// Row i is quickened opcode qStrSub+i: specializeCalls rewrites an opCall
+// of import name with arity arguments into it, StringUnit and HashtblUnit
+// build the native from the row (inlinedDef), the verifier types the op's
+// result as result, and the interpreter runs fn itself once its guard has
+// seen the native carry the op — so a specialized call's argument checks,
+// trap text and AllocBytes metering are the native's by construction.
+// The one exception is String.sub: its q-op calls strSub and boxes the
+// substring through the site's inline cache. TestInlinedNativeParity
+// compares every row at -O0 and -O1.
+var inlinedNatives = [...]struct {
+	name   string // Module.name, as in Object.ImportSlotNames
+	typ    string
+	arity  int
+	result vtype
+	fn     func(ctx *Ctx, a []Value) (Value, error)
+}{
+	{"String.sub", "string -> int -> int -> string", 3, vStr, func(ctx *Ctx, a []Value) (Value, error) {
+		sub, err := strSub(ctx.M, a)
+		if err != nil {
+			return nil, err
+		}
+		return ctx.M.boxSub(nil, sub), nil
+	}},
+	{"String.get", "string -> int -> int", 2, vInt, func(_ *Ctx, a []Value) (Value, error) {
+		s, ok := a[0].(string)
+		if !ok {
+			return nil, argTrap(0, "string")
+		}
+		i, ok := a[1].(int64)
+		if !ok {
+			return nil, argTrap(1, "int")
+		}
+		if i < 0 || i >= int64(len(s)) {
+			return nil, &Trap{Msg: "String.get: index out of bounds"}
+		}
+		return boxInt(int64(s[i])), nil
+	}},
+	{"Hashtbl.find", "('k, 'v) hashtbl -> 'k -> 'v", 2, vAny, func(_ *Ctx, a []Value) (Value, error) {
+		t, k, err := tblKey(a)
+		if err != nil {
+			return nil, err
+		}
+		v, ok := t.M[k]
+		if !ok {
+			return nil, &Trap{Msg: "Not_found"}
+		}
+		return v, nil
+	}},
+	{"Hashtbl.mem", "('k, 'v) hashtbl -> 'k -> bool", 2, vBool, func(_ *Ctx, a []Value) (Value, error) {
+		t, k, err := tblKey(a)
+		if err != nil {
+			return nil, err
+		}
+		_, ok := t.M[k]
+		return boxBool(ok), nil
+	}},
+	{"Hashtbl.add", "('k, 'v) hashtbl -> 'k -> 'v -> unit", 3, vUnit, func(ctx *Ctx, a []Value) (Value, error) {
+		t, k, err := tblKey(a)
+		if err != nil {
+			return nil, err
+		}
+		ctx.M.AllocBytes += 32
+		t.Set(k, a[2])
+		return valUnit, nil
+	}},
+}
+
+// strSub is String.sub's body: the checked substring, unboxed, with its
+// bytes metered.
+func strSub(m *Machine, a []Value) (string, error) {
+	s, ok := a[0].(string)
+	if !ok {
+		return "", argTrap(0, "string")
+	}
+	pos, ok := a[1].(int64)
+	if !ok {
+		return "", argTrap(1, "int")
+	}
+	n, ok := a[2].(int64)
+	if !ok {
+		return "", argTrap(2, "int")
+	}
+	if pos < 0 || n < 0 || pos > int64(len(s)) || n > int64(len(s))-pos {
+		return "", &Trap{Msg: "String.sub: out of bounds"}
+	}
+	m.AllocBytes += uint64(n)
+	return s[pos : pos+n], nil
+}
+
+// tblKey checks the (table, key) arguments every Hashtbl native but
+// create and iter takes.
+func tblKey(a []Value) (*Hashtbl, Value, error) {
+	t, ok := a[0].(*Hashtbl)
+	if !ok {
+		return nil, nil, argTrap(0, "hashtbl")
+	}
+	k, err := hashKey(a[1])
+	return t, k, err
+}
+
+// inlinedDef is the unit definition of the native quickened as op.
+func inlinedDef(op byte) BuiltinDef {
+	r := &inlinedNatives[op-qStrSub]
+	_, name, _ := strings.Cut(r.name, ".")
+	return BuiltinDef{name, r.typ, r.arity, r.fn}
+}
+
+// inlineUnit builds a unit and marks its natives that inlinedNatives
+// names with their quickened opcode.
+func inlineUnit(module string, defs []BuiltinDef) (*Signature, map[string]Value) {
+	sig, values := BuildUnit(module, defs)
+	for i, r := range inlinedNatives {
+		if mod, name, _ := strings.Cut(r.name, "."); mod == module {
+			values[name].(*Native).op = qStrSub + byte(i)
 		}
 	}
+	return sig, values
 }
 
 // StringUnit builds the String module: byte-string operations sufficient to
 // unmarshal Ethernet frames "from the string", as the paper's switchlets
 // must.
 func StringUnit() (*Signature, map[string]Value) {
-	sig, values := buildStringUnit()
-	tagNatives(values, map[string]int{"sub": TagStrSub, "get": TagStrGet})
-	return sig, values
-}
-
-func buildStringUnit() (*Signature, map[string]Value) {
-	return BuildUnit("String", []BuiltinDef{
+	return inlineUnit("String", []BuiltinDef{
 		{"length", "string -> int", 1, func(_ *Ctx, a []Value) (Value, error) {
 			s, err := argStr(a, 0)
 			if err != nil {
@@ -237,42 +345,8 @@ func buildStringUnit() (*Signature, map[string]Value) {
 			}
 			return int64(len(s)), nil
 		}},
-		{"get", "string -> int -> int", 2, func(_ *Ctx, a []Value) (Value, error) {
-			s, err := argStr(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			i, err := argInt(a, 1)
-			if err != nil {
-				return nil, err
-			}
-			if i < 0 || i >= int64(len(s)) {
-				return nil, &Trap{Msg: "String.get: index out of bounds"}
-			}
-			return int64(s[i]), nil
-		}},
-		{"sub", "string -> int -> int -> string", 3, func(ctx *Ctx, a []Value) (Value, error) {
-			s, err := argStr(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			pos, err := argInt(a, 1)
-			if err != nil {
-				return nil, err
-			}
-			n, err := argInt(a, 2)
-			if err != nil {
-				return nil, err
-			}
-			if pos < 0 || n < 0 || pos > int64(len(s)) || n > int64(len(s))-pos {
-				return nil, &Trap{Msg: "String.sub: out of bounds"}
-			}
-			ctx.M.AllocBytes += uint64(n)
-			if n <= 2 {
-				return shortStr(s[pos : pos+n]), nil
-			}
-			return ctx.M.strBox.Box(s[pos : pos+n]), nil
-		}},
+		inlinedDef(qStrGet),
+		inlinedDef(qStrSub),
 		{"make", "int -> int -> string", 2, func(ctx *Ctx, a []Value) (Value, error) {
 			n, err := argInt(a, 0)
 			if err != nil {
@@ -315,65 +389,16 @@ func buildStringUnit() (*Signature, map[string]Value) {
 // (the paper's learning-table semantics); iteration is in insertion order
 // for determinism.
 func HashtblUnit() (*Signature, map[string]Value) {
-	sig, values := buildHashtblUnit()
-	tagNatives(values, map[string]int{
-		"find": TagHtblFind, "mem": TagHtblMem, "add": TagHtblAdd,
-	})
-	return sig, values
-}
-
-func buildHashtblUnit() (*Signature, map[string]Value) {
-	return BuildUnit("Hashtbl", []BuiltinDef{
+	return inlineUnit("Hashtbl", []BuiltinDef{
 		{"create", "int -> ('k, 'v) hashtbl", 1, func(ctx *Ctx, a []Value) (Value, error) {
 			ctx.M.AllocBytes += 64
 			return NewHashtbl(), nil
 		}},
-		{"add", "('k, 'v) hashtbl -> 'k -> 'v -> unit", 3, func(ctx *Ctx, a []Value) (Value, error) {
-			t, err := argTbl(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := hashKey(a[1])
-			if err != nil {
-				return nil, err
-			}
-			ctx.M.AllocBytes += 32
-			t.Set(k, a[2])
-			return Unit{}, nil
-		}},
-		{"find", "('k, 'v) hashtbl -> 'k -> 'v", 2, func(_ *Ctx, a []Value) (Value, error) {
-			t, err := argTbl(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := hashKey(a[1])
-			if err != nil {
-				return nil, err
-			}
-			v, ok := t.M[k]
-			if !ok {
-				return nil, &Trap{Msg: "Not_found"}
-			}
-			return v, nil
-		}},
-		{"mem", "('k, 'v) hashtbl -> 'k -> bool", 2, func(_ *Ctx, a []Value) (Value, error) {
-			t, err := argTbl(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := hashKey(a[1])
-			if err != nil {
-				return nil, err
-			}
-			_, ok := t.M[k]
-			return ok, nil
-		}},
+		inlinedDef(qHtblAdd),
+		inlinedDef(qHtblFind),
+		inlinedDef(qHtblMem),
 		{"remove", "('k, 'v) hashtbl -> 'k -> unit", 2, func(_ *Ctx, a []Value) (Value, error) {
-			t, err := argTbl(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := hashKey(a[1])
+			t, k, err := tblKey(a)
 			if err != nil {
 				return nil, err
 			}

@@ -85,18 +85,16 @@ const (
 	// destructuring sequence (get, tuple_get, set). A is src; B packs
 	// fieldIdx | dst<<8.
 	qGetFieldSet
-	// qStrSub: opCall whose callee the optimizer predicted to be the
-	// tagged String.sub native; inlined with a 2-way inline cache on the
-	// result box. A packs argc | icIdx<<8. Stack shape is exactly opCall's
+	// The five specialized calls, in inlinedNatives' row order: an opCall
+	// whose callee the optimizer predicted to be that row's native, run
+	// through the native's own body. Stack shape is exactly opCall's
 	// (callee below args); a mispredicted callee deopts to the wire call.
+	// A is argc, and for qStrSub packs argc | icIdx<<8: its result is
+	// boxed through a 2-way inline cache.
 	qStrSub
-	// qStrGet: predicted String.get call, inlined. A is argc.
 	qStrGet
-	// qHtblFind: predicted Hashtbl.find call, inlined. A is argc.
 	qHtblFind
-	// qHtblMem: predicted Hashtbl.mem call, inlined. A is argc.
 	qHtblMem
-	// qHtblAdd: predicted Hashtbl.add call, inlined. A is argc.
 	qHtblAdd
 	// qConcatN: A (2..255) consecutive concats of a right-nested a ^ b ^
 	// ... chain, W = A. Pops A+1 strings and pushes their concatenation,

@@ -30,8 +30,8 @@ type Loader struct {
 	// OptLevel controls quickening of loaded objects: 0 links the wire
 	// bytecode as-is (the reference every differential test compares
 	// against), anything above (1 is the default) runs OptimizeObject, whose
-	// rewrites are all checkable from the wire code and whose fast paths
-	// re-check tags at run time. At either level the observable semantics,
+	// rewrites are all checkable from the wire code and whose specialized
+	// calls re-check the bound native at run time. At either level the observable semantics,
 	// Steps and AllocBytes are identical.
 	OptLevel int
 }

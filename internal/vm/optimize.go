@@ -4,9 +4,9 @@ package vm
 //
 // OptimizeObject rewrites each chunk's wire code into an in-memory
 // quickened form (Chunk.Quick): hot instruction sequences are fused into
-// superinstructions, and call sites whose callee is statically a well-known
-// native are specialized into inlined fast paths (String.sub sites also get
-// a per-site result cache). A right-nested a ^ b ^ c ^ d compiles to its
+// superinstructions, and call sites whose callee is statically a native
+// in inlinedNatives are specialized into direct calls of its body
+// (String.sub sites also get a per-site result cache). A right-nested a ^ b ^ c ^ d compiles to its
 // pushes followed by consecutive concats, each of which builds a string
 // only the next one reads; the run fuses into one q.concat_n that builds
 // the result once. There is one rule set: every rewrite is checkable from
@@ -20,9 +20,10 @@ package vm
 //     exhaustion in the middle of a fused sequence deoptimizes to the naive
 //     code (via Chunk.quickSrc) so the partially-consumed steps are charged
 //     exactly as -O0 would charge them.
-//   - Machine.AllocBytes: inlined natives replicate their Go
-//     implementations' metering byte for byte, and q.concat_n charges
-//     every intermediate string the wire concats would have built.
+//   - Machine.AllocBytes: specialized calls run the natives' own bodies
+//     (inlinedNatives), so they meter what the natives meter, and
+//     q.concat_n charges every intermediate string the wire concats would
+//     have built.
 //   - Results and traps: fused comparisons keep the valueEq/valueCmp
 //     distinction, and the .swo wire format (Encode/DecodeObject) carries
 //     only the naive code, so the transmitted object — and with it every
@@ -63,31 +64,24 @@ func (t *optimizer) chunk(c *Chunk) {
 	c.quickSrc = src
 }
 
-// specialOp maps an import's full name and call arity to its quickened
-// opcode. Only q.str_sub sites get an inline-cache slot.
+// specialOp is the quickened opcode of the inlinedNatives row naming
+// import name at call arity argc.
 func specialOp(name string, argc int) (op byte, ok bool) {
-	switch {
-	case name == "String.sub" && argc == 3:
-		return qStrSub, true
-	case name == "String.get" && argc == 2:
-		return qStrGet, true
-	case name == "Hashtbl.find" && argc == 2:
-		return qHtblFind, true
-	case name == "Hashtbl.mem" && argc == 2:
-		return qHtblMem, true
-	case name == "Hashtbl.add" && argc == 3:
-		return qHtblAdd, true
+	for i, r := range inlinedNatives {
+		if r.name == name && r.arity == argc {
+			return qStrSub + byte(i), true
+		}
 	}
 	return 0, false
 }
 
 // specializeCalls rewrites opCall instructions whose callee is statically
-// an import of a well-known native into the corresponding inlined opcode.
-// The rewrite is position-preserving (1:1), keeps the callee on the stack,
-// and is safe for hostile objects too: the interpreter re-verifies the
-// native's tag at run time and deoptimizes to the generic call on any
-// mismatch. It is the monomorphic inline cache of the issue: the opcode is
-// the prediction, the tag check the guard.
+// an import of a native in inlinedNatives into that row's opcode. The
+// rewrite is position-preserving (1:1), keeps the callee on the stack, and
+// is safe for hostile objects too: the interpreter re-checks at run time
+// that the bound native carries the opcode and deoptimizes to the generic
+// call on any mismatch. It is a monomorphic inline cache: the opcode is
+// the prediction, the native's op check the guard.
 func (t *optimizer) specializeCalls(code []Instr) bool {
 	if len(t.impName) == 0 {
 		return false

@@ -343,39 +343,79 @@ func TestSpecializedCallMispredictDeopts(t *testing.T) {
 	}
 }
 
-// TestInlinedNativeParity pins the contract claimed in builtins.go: the
-// interpreter-inlined fast paths of the tagged natives replicate the Go
-// implementations' results AND their AllocBytes metering exactly, on
-// String.sub inline-cache hits and misses alike.
+// TestInlinedNativeParity derives its cases from inlinedNatives: every
+// row must have a case here whose function calls the row's native through
+// its specialized opcode, and each case's result or trap, Steps and
+// AllocBytes must match at -O0 and -O1 (String.sub on inline-cache misses
+// and hits of both ways alike). A row added to the table without a case
+// fails the test.
 func TestInlinedNativeParity(t *testing.T) {
 	src := `
 let t = Hashtbl.create 4
 let _ = Hashtbl.add t "k" "value"
 let sub s = (String.sub s 1 3) ^ ""
-let get s = (String.get s 0) * 1
-let find () = (Hashtbl.find t "k") ^ ""
+let subs s =
+  let r = Safestd.ref "" in
+  for i = 1 to 4 do r := !r ^ String.sub s (i mod 2) 3 done;
+  !r
+let huge s = (String.sub s (lsl 1 62) (lsl 1 62)) ^ ""
+let get s i = (String.get s i) * 1
+let find k = (Hashtbl.find t k) ^ ""
 let mem k = if Hashtbl.mem t k then 1 else 0
 let add k = Hashtbl.add t k "nine"; ()
-let huge s = (String.sub s (lsl 1 62) (lsl 1 62)) ^ ""
 `
-	requireOps(t, src, "q.str_sub", "q.str_get", "q.htbl_find", "q.htbl_mem", "q.htbl_add")
-	for _, c := range []struct {
+	type call struct {
 		fn   string
 		args []Value
-	}{
-		{"sub", []Value{"abcdef"}},
-		{"get", []Value{"abcdef"}},
-		{"find", []Value{Unit{}}},
-		{"mem", []Value{"k"}},
-		{"mem", []Value{"nope"}},
-		{"add", []Value{"fresh"}},
-	} {
-		assertParity(t, src, c.fn, bigFuel, c.args...)
+	}
+	cases := map[string][]call{
+		"String.sub":   {{"sub", []Value{"abcdef"}}, {"sub", []Value{"ab"}}, {"subs", []Value{"abcdef"}}, {"huge", []Value{"abcdef"}}},
+		"String.get":   {{"get", []Value{"abcdef", int64(2)}}, {"get", []Value{"abcdef", int64(6)}}, {"get", []Value{"", int64(-1)}}},
+		"Hashtbl.find": {{"find", []Value{"k"}}, {"find", []Value{"nope"}}},
+		"Hashtbl.mem":  {{"mem", []Value{"k"}}, {"mem", []Value{"nope"}}},
+		"Hashtbl.add":  {{"add", []Value{"fresh"}}, {"add", []Value{"k"}}},
+	}
+	l := StdLoader(NewMachine())
+	obj, _, err := CompileLevel("P", src, l.SigEnv(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := l.LoadObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range inlinedNatives {
+		op := qStrSub + byte(i)
+		if len(cases[row.name]) == 0 {
+			t.Errorf("%s (%s) has no parity case", row.name, QuickOpName(op))
+		}
+		for _, c := range cases[row.name] {
+			if !callsOp(t, lm, c.fn, op) {
+				t.Errorf("%s: %s does not call it through %s", row.name, c.fn, QuickOpName(op))
+			}
+			assertParity(t, src, c.fn, bigFuel, c.args...)
+		}
 	}
 	// pos+n overflows int64: a trap at both levels, never a Go panic.
 	if o := assertParity(t, src, "huge", bigFuel, "abcdef"); o.err != "trap: String.sub: out of bounds" {
 		t.Errorf("huge: err = %q, want the String.sub bounds trap", o.err)
 	}
+}
+
+// callsOp reports whether the quickened body of lm's function fn holds op.
+func callsOp(t *testing.T, lm *LinkedModule, fn string, op byte) bool {
+	t.Helper()
+	v, _ := lm.Global(fn)
+	c, ok := v.(*Closure)
+	if !ok {
+		t.Fatalf("%s is %T, not a closure", fn, v)
+	}
+	for _, ins := range c.Chunk.Quick {
+		if ins.Op == op {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOptimizeStepWeightsCoverWire asserts the fundamental bookkeeping

@@ -719,18 +719,7 @@ func flowChunk(o *Object, ci int, c *Chunk, code []Instr, quick bool, capEnv int
 				return 0, fail(pc, VerifyTypeConfusion, "specialized call of non-function %s", callee)
 			}
 			st.stack = st.stack[:len(st.stack)-n-1]
-			switch ins.Op {
-			case qStrSub:
-				push(vStr)
-			case qStrGet:
-				push(vInt)
-			case qHtblMem:
-				push(vBool)
-			case qHtblAdd:
-				push(vUnit)
-			default:
-				push(vAny)
-			}
+			push(inlinedNatives[ins.Op-qStrSub].result)
 		default:
 			return 0, fail(pc, VerifyBadOpcode, "opcode %d", ins.Op)
 		}

@@ -36,30 +36,18 @@ type Partial struct {
 	Args []Value
 }
 
-// Well-known native tags. The optimizer specializes import-call sites by
-// the textual import name, but the interpreter re-verifies the bound value
-// carries the matching tag before taking an inlined fast path — a host that
-// binds a different implementation under the same name simply gets the
-// generic call. Zero means "no fast path".
-const (
-	TagNone int = iota
-	TagStrSub
-	TagStrGet
-	TagHtblFind
-	TagHtblMem
-	TagHtblAdd
-)
-
 // Native is a host (Go) function exposed to switchlets through a thinned
 // module signature.
 type Native struct {
 	Name  string
 	Arity int
 	Fn    func(ctx *Ctx, args []Value) (Value, error)
-	// Tag identifies natives with interpreter-inlined fast paths (TagStr*,
-	// TagHtbl*); the inlined code replicates Fn's semantics and AllocBytes
-	// metering exactly.
-	Tag int
+	// op is the quickened opcode whose body Fn runs (see inlinedNatives),
+	// zero for every other native. The interpreter takes a q-op's inlined
+	// path only when the bound native carries that op, so a host that
+	// binds a different implementation under the same name simply gets the
+	// generic call.
+	op byte
 }
 
 // Hashtbl is the runtime hash table. Keys are restricted to int, bool and

@@ -308,6 +308,27 @@ func icAt(mod *LinkedModule, idx int) *icache {
 	return nil
 }
 
+// boxSub boxes a String.sub result: strings of at most two bytes from the
+// shared table, longer ones through the site's cache when it has one.
+func (m *Machine) boxSub(ic *icache, sub string) Value {
+	switch {
+	case len(sub) <= 2:
+		return shortStr(sub)
+	case ic == nil:
+		return m.strBox.Box(sub)
+	case ic.b1 != nil && ic.s1 == sub:
+		return ic.b1
+	case ic.b2 != nil && ic.s2 == sub:
+		ic.s1, ic.s2 = ic.s2, ic.s1
+		ic.b1, ic.b2 = ic.b2, ic.b1
+		return ic.b1
+	}
+	res := m.strBox.Box(sub)
+	ic.s2, ic.b2 = ic.s1, ic.b1
+	ic.s1, ic.b1 = sub, res
+	return res
+}
+
 // run executes a closure with exactly-matching arguments. Fuel and step
 // counts are mirrored into locals (registers) for the duration of the
 // loop and flushed around every call-out, so the per-instruction cost is a
@@ -824,21 +845,8 @@ frames:
 					break
 				}
 				fnv := m.vals[len(m.vals)-n-1]
-				var wantTag, wantN int
-				switch ins.Op {
-				case qStrSub:
-					wantTag, wantN = TagStrSub, 3
-				case qStrGet:
-					wantTag, wantN = TagStrGet, 2
-				case qHtblFind:
-					wantTag, wantN = TagHtblFind, 2
-				case qHtblMem:
-					wantTag, wantN = TagHtblMem, 2
-				default:
-					wantTag, wantN = TagHtblAdd, 3
-				}
 				nat, ok := fnv.(*Native)
-				if !ok || n != wantN || nat.Arity != n || nat.Tag != wantTag {
+				if !ok || nat.op != ins.Op || nat.Arity != n {
 					// Mispredicted callee: replay as the generic wire call.
 					if chunk.quickSrc == nil {
 						trapErr = &Trap{Msg: "specialized call mispredicted with no deopt map"}
@@ -849,91 +857,25 @@ frames:
 					m.deopt(f, chunk, "call-mispredict")
 					continue frames
 				}
+				// The native's own body. No inlinedNatives body runs
+				// switchlet code or reads Steps, so fuel and steps stay in
+				// registers.
 				args := m.vals[len(m.vals)-n:]
 				var res Value
-				var callErr *Trap
-				switch ins.Op {
-				case qStrSub:
-					if s, ok := args[0].(string); !ok {
-						callErr = &Trap{Msg: "argument 0: expected string"}
-					} else if pos, ok := args[1].(int64); !ok {
-						callErr = &Trap{Msg: "argument 1: expected int"}
-					} else if ln, ok := args[2].(int64); !ok {
-						callErr = &Trap{Msg: "argument 2: expected int"}
-					} else if pos < 0 || ln < 0 || pos > int64(len(s)) || ln > int64(len(s))-pos {
-						callErr = &Trap{Msg: "String.sub: out of bounds"}
-					} else {
-						m.AllocBytes += uint64(ln)
-						sub := s[pos : pos+ln]
-						if ln <= 2 {
-							res = shortStr(sub)
-						} else if ic := icAt(mod, int(ins.A>>8)); ic != nil {
-							if ic.b1 != nil && ic.s1 == sub {
-								res = ic.b1
-							} else if ic.b2 != nil && ic.s2 == sub {
-								ic.s1, ic.s2 = ic.s2, ic.s1
-								ic.b1, ic.b2 = ic.b2, ic.b1
-								res = ic.b1
-							} else {
-								res = m.strBox.Box(sub)
-								ic.s2, ic.b2 = ic.s1, ic.b1
-								ic.s1, ic.b1 = sub, res
-							}
-						} else {
-							res = m.strBox.Box(sub)
-						}
+				var err error
+				if ins.Op == qStrSub {
+					var sub string
+					if sub, err = strSub(m, args); err == nil {
+						res = m.boxSub(icAt(mod, int(ins.A>>8)), sub)
 					}
-				case qStrGet:
-					if s, ok := args[0].(string); !ok {
-						callErr = &Trap{Msg: "argument 0: expected string"}
-					} else if i, ok := args[1].(int64); !ok {
-						callErr = &Trap{Msg: "argument 1: expected int"}
-					} else if i < 0 || i >= int64(len(s)) {
-						callErr = &Trap{Msg: "String.get: index out of bounds"}
-					} else {
-						res = boxInt(int64(s[i]))
-					}
-				case qHtblFind, qHtblMem:
-					t, ok := args[0].(*Hashtbl)
-					if !ok {
-						callErr = &Trap{Msg: "argument 0: expected hashtbl"}
-						break
-					}
-					k, kerr := hashKey(args[1])
-					if kerr != nil {
-						callErr = kerr.(*Trap)
-						break
-					}
-					v, has := t.M[k]
-					if ins.Op == qHtblFind {
-						if has {
-							res = v
-						} else {
-							callErr = &Trap{Msg: "Not_found"}
-						}
-					} else {
-						res = boxBool(has)
-					}
-				case qHtblAdd:
-					t, ok := args[0].(*Hashtbl)
-					if !ok {
-						callErr = &Trap{Msg: "argument 0: expected hashtbl"}
-						break
-					}
-					k, kerr := hashKey(args[1])
-					if kerr != nil {
-						callErr = kerr.(*Trap)
-						break
-					}
-					m.AllocBytes += 32
-					t.Set(k, args[2])
-					res = valUnit
+				} else {
+					res, err = inlinedNatives[ins.Op-qStrSub].fn(m.nativeCtx(), args)
 				}
 				// Match the wire native path: truncate the callee and
 				// arguments before inspecting the error.
 				m.vals = m.vals[:len(m.vals)-n-1]
-				if callErr != nil {
-					trapErr = callErr
+				if err != nil {
+					trapErr = err.(*Trap)
 					break
 				}
 				m.vals = append(m.vals, res)
